@@ -6,8 +6,8 @@ determined by its stored data:
 
   * ExtendFreshVars(k): append k fresh variables, acting as the
     identity on them, at the end of both domain and codomain.
-  * PostCompose(A): replace F by A.forward after F.
-  * PreCompose(A): replace F by F after A.forward.
+  * PostCompose(A): replace F by A after F.
+  * PreCompose(A): replace F by F after A.
   * SegreExtend: replace F (no constant terms) by (F(t x)/t, t) with a
     fresh last variable t.
 
@@ -16,6 +16,12 @@ time against known endpoints instead of recomputing whole pipelines.
 Automorphisms carry their inverses and are checked two-sided and
 symbolically; an inverse may be rational, in which case the identity is
 checked in the fraction field (denominators cleared, exactly).
+
+A shear x -> x + g is the exception: it is stored as its addends g_i
+alone, and it is checked by their shape.  When every addend lives in the
+shear's variables and none reads a shifted variable, x - g is an exact
+two-sided inverse, so that test proves what the symbolic composition
+would.  Replay and transport touch only the shifted coordinates.
 
 Each move also induces a correspondence of graph points: given x and
 y = F(x), it says which (x', y') witnesses the next map.  Pushing
@@ -189,37 +195,12 @@ class Automorphism:
         return Automorphism(fwd, inv, label)
 
     @staticmethod
-    def block_shear(n: int, additions: dict, label: str = "") -> "Automorphism":
+    def shear(n: int, additions: dict, label: str = "") -> "ShearAutomorphism":
         """x_i -> x_i + g_i for (i, g_i) in additions, identity elsewhere.
 
         No g_i may involve any of the shifted variables; that makes the
         negated shear an exact inverse.
         """
-        shifted = set(additions)
-        for i, g in additions.items():
-            if g.varcount != n:
-                raise ValueError("shear addend has the wrong variable count")
-            if g.variables_used() & shifted:
-                raise ValueError("shear addend uses a shifted variable")
-        fwd = []
-        inv = []
-        for i in range(n):
-            x = Poly.variable(n, i)
-            g = additions.get(i)
-            if g is None:
-                fwd.append(x)
-                inv.append(x)
-            else:
-                fwd.append(x + g)
-                inv.append(x - g)
-        return Automorphism(PolyMap(fwd), PolyMap(inv), label)
-
-    @staticmethod
-    def shear(n: int, additions: dict, label: str = "") -> "ShearAutomorphism":
-        """Like block_shear, but stores only the addends; the full maps
-        are materialized on access.  The right choice inside long
-        certificates, where thousands of near-identity automorphisms
-        would otherwise each carry a full copy of the identity."""
         return ShearAutomorphism(n, additions, label)
 
     @staticmethod
@@ -239,24 +220,30 @@ class Automorphism:
         return f"Automorphism(dim={self.dim}, {tag})"
 
 
-class ShearAutomorphism:
-    """x_i -> x_i + g_i on a sparse set of coordinates, lazily realized.
+def _shear_defect(n: int, additions: dict) -> Optional[str]:
+    for i, g in additions.items():
+        if not 0 <= i < n:
+            return "shear index out of range"
+        if g.varcount != n:
+            return "shear addend has the wrong variable count"
+        if not g.variables_used().isdisjoint(additions):
+            return "shear addend uses a shifted variable"
+    return None
 
-    Keeps the same interface as Automorphism (forward, inverse, dim,
-    verify_two_sided) but owns only the addend dictionary.
+
+class ShearAutomorphism:
+    """x_i -> x_i + g_i on a sparse set of coordinates, stored as its addends.
+
+    Moves, JSON and transport all read the addend dictionary; the full
+    forward and inverse maps are never built.
     """
 
     __slots__ = ("n", "additions", "label")
 
     def __init__(self, n: int, additions: dict, label: str = ""):
-        shifted = set(additions)
-        for i, g in additions.items():
-            if not 0 <= i < n:
-                raise ValueError("shear index out of range")
-            if g.varcount != n:
-                raise ValueError("shear addend has the wrong variable count")
-            if g.variables_used() & shifted:
-                raise ValueError("shear addend uses a shifted variable")
+        reason = _shear_defect(n, additions)
+        if reason is not None:
+            raise ValueError(reason)
         self.n = n
         self.additions = dict(additions)
         self.label = label
@@ -265,33 +252,13 @@ class ShearAutomorphism:
     def dim(self) -> int:
         return self.n
 
-    def _realize(self, sign: int) -> PolyMap:
-        comps = []
-        for i in range(self.n):
-            x = Poly.variable(self.n, i)
-            g = self.additions.get(i)
-            comps.append(x if g is None else (x + g if sign > 0 else x - g))
-        return PolyMap(comps)
-
-    @property
-    def forward(self) -> PolyMap:
-        return self._realize(1)
-
-    @property
-    def inverse(self) -> PolyMap:
-        return self._realize(-1)
-
-    def is_polynomial(self) -> bool:
-        return True
-
     def verify_two_sided(self) -> Optional[str]:
-        fwd = self.forward
-        inv = self.inverse
-        if not fwd.compose(inv).is_identity():
-            return "forward after inverse is not the identity"
-        if not inv.compose(fwd).is_identity():
-            return "inverse after forward is not the identity"
-        return None
+        """None when every index is in range, every addend lives in n
+        variables and none reads a shifted variable, else the reason.
+        That shape proves x - g inverts x + g: x + g after x - g sends x_i
+        to x_i - g_i(x) + g_i(x - g) = x_i, as g_i reads only coordinates
+        x - g leaves alone, and likewise the other way round."""
+        return _shear_defect(self.n, self.additions)
 
     def __repr__(self) -> str:
         return f"ShearAutomorphism(dim={self.n}, shifts={sorted(self.additions)})"
@@ -320,12 +287,8 @@ class SegreExtend:
 Move = Union[ExtendFreshVars, PostCompose, PreCompose, SegreExtend]
 
 
-def _is_plain_variable(p: Poly, index: int) -> bool:
-    return len(p.terms) == 1 and p.terms.get(((index, 1),)) == 1
-
-
 def apply_move(f: PolyMap, move: Move) -> PolyMap:
-    """The map after one move.  Components a move does not touch are
+    """The map after one move.  Components a shear does not touch are
     carried over as the same objects, which keeps long chained
     certificates cheap to store."""
     if isinstance(move, ExtendFreshVars):
@@ -337,32 +300,26 @@ def apply_move(f: PolyMap, move: Move) -> PolyMap:
         comps.extend(Poly.variable(n, f.n_in + i) for i in range(k))
         return PolyMap(comps)
     if isinstance(move, PostCompose):
-        a = move.auto.forward
-        if a.n_in != f.n_out:
+        a = move.auto
+        if a.dim != f.n_out:
             raise ValueError("post-composition shape mismatch")
-        out = []
-        for comp in a.components:
-            lone = None
-            if len(comp.terms) == 1:
-                ((m, c),) = comp.terms.items()
-                if c == 1 and len(m) == 1 and m[0][1] == 1:
-                    lone = m[0][0]
-            out.append(f.components[lone] if lone is not None else comp.substitute(f.components))
+        if not isinstance(a, ShearAutomorphism):
+            return a.forward.compose(f)
+        out = list(f.components)
+        for i, g in a.additions.items():
+            out[i] = f.components[i] + g.substitute(f.components)
         return PolyMap(out)
     if isinstance(move, PreCompose):
-        b = move.auto.forward
-        if b.n_out != f.n_in:
+        a = move.auto
+        if a.dim != f.n_in:
             raise ValueError("pre-composition shape mismatch")
-        moved = {
-            i for i, c in enumerate(b.components) if not _is_plain_variable(c, i)
-        }
-        out = []
-        for comp in f.components:
-            if comp.variables_used() & moved:
-                out.append(comp.substitute(b.components))
-            else:
-                out.append(comp)
-        return PolyMap(out)
+        if not isinstance(a, ShearAutomorphism):
+            return f.compose(a.forward)
+        images = [Poly.variable(a.n, i) for i in range(a.n)]
+        for i, g in a.additions.items():
+            images[i] = images[i] + g
+        return PolyMap([c if c.variables_used().isdisjoint(a.additions) else c.substitute(images)
+                        for c in f.components])
     if isinstance(move, SegreExtend):
         if not f.is_endomorphism():
             raise ValueError("the Segre move needs an endomorphism")
@@ -470,12 +427,21 @@ def _transport(move: Move, x: list, y: list, rng: random.Random):
         z = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(move.count)]
         return x + z, y + z
     if isinstance(move, PostCompose):
-        return x, move.auto.forward.eval_at(y)
+        a = move.auto
+        if not isinstance(a, ShearAutomorphism):
+            return x, a.forward.eval_at(y)
+        ny = list(y)
+        for i, g in a.additions.items():
+            ny[i] = y[i] + g.eval_at(y)
+        return x, ny
     if isinstance(move, PreCompose):
-        inv = move.auto.inverse
-        nx = inv.eval_at(x)
-        if nx is None:
-            return None
+        a = move.auto
+        if not isinstance(a, ShearAutomorphism):
+            nx = a.inverse.eval_at(x)
+            return None if nx is None else (nx, y)
+        nx = list(x)
+        for i, g in a.additions.items():
+            nx[i] = x[i] - g.eval_at(x)
         return nx, y
     if isinstance(move, SegreExtend):
         t = Fraction(rng.randrange(1, 7), rng.randrange(1, 4))

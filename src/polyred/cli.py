@@ -231,7 +231,7 @@ def _cmd_verify_cert(args) -> int:
         raise UsageError(f"'{args.cert}' is not a certificate document")
     try:
         cert = certificate_from_json(data)
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, ArithmeticError) as e:
         print(f"invalid certificate: {e}", file=sys.stderr)
         return 1
     rep = verify_certificate(cert)

@@ -219,20 +219,6 @@ def sample_points(rng: random.Random, n: int, count: int, box: int):
         yield [rng.randrange(-box, box + 1) for _ in range(n)], den
 
 
-def poly_nonzero_witness(p: Poly, rng: random.Random, samples: int, box: int):
-    """First sampled point with p != 0, as an exact witness, else None.
-
-    Returns ((nums, den), value) so callers can re-check the claim.
-    """
-    L, items = p.content_and_integer_terms()
-    d = p.degree() or 0
-    for nums, den in sample_points(rng, p.varcount, samples, box):
-        v = eval_scaled_int(items, nums, den, d)
-        if v:
-            return (nums, den), Fraction(v, L * den ** d)
-    return None
-
-
 @dataclass
 class SampleReport:
     samples: int

@@ -22,6 +22,9 @@ Rationals inside JSON are strings like "-3/2", never floats; the whole
 pipeline stays exact through a round trip.  Certificates embed their
 maps as document strings and are rebuilt by replaying the recorded
 moves, which regenerates the intermediate maps the verifier wants.
+Certificate format version 2 stores a shear as its addends alone, as
+expressions over default_var_names(dim); version 1 files, which spell
+every automorphism out as a forward and an inverse map, still load.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Optional, Sequence
 
 from .certs import (Automorphism, Certificate, CertReport, ExtendFreshVars,
                     FiberReport, PostCompose, PreCompose, RationalMap,
-                    SegreExtend)
+                    SegreExtend, ShearAutomorphism, apply_move)
 from .linalg import RatMatrix
 from .maps import PolyMap
 from .poly import Poly
@@ -354,7 +357,22 @@ def matrix_from_json(rows: list) -> RatMatrix:
     return RatMatrix([[Fraction(c) for c in row] for row in rows])
 
 
+def _field(d, key: str, kind: type):
+    """d[key], checked to be a JSON value of the given kind."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected an object holding '{key}'")
+    v = d.get(key)
+    if not isinstance(v, kind) or isinstance(v, bool):
+        raise ValueError(f"'{key}' is missing or of the wrong type")
+    return v
+
+
 def automorphism_to_json(a) -> dict:
+    if isinstance(a, ShearAutomorphism):
+        names = default_var_names(a.n)
+        return {"kind": "shear", "label": a.label, "dim": a.n,
+                "addends": {str(i): poly_text(g, names)
+                            for i, g in sorted(a.additions.items())}}
     fwd = a.forward
     inv = a.inverse
     out = {"label": a.label, "forward": _map_text(fwd)}
@@ -369,16 +387,31 @@ def automorphism_to_json(a) -> dict:
     return out
 
 
-def automorphism_from_json(d: dict) -> Automorphism:
-    fwd = _map_from_text(d["forward"])
-    inv_d = d["inverse"]
-    if inv_d["kind"] == "rational":
-        nums = _map_from_text(inv_d["numerators"]).components
-        den = _map_from_text(inv_d["denominator"]).components[0]
-        inv = RationalMap(list(nums), den)
+def automorphism_from_json(d: dict):
+    """An Automorphism, or a ShearAutomorphism for a "shear" entry; every
+    shape error raises ValueError."""
+    label = d.get("label", "")
+    if d.get("kind") == "shear":
+        n = _field(d, "dim", int)
+        names = default_var_names(n)
+        additions = {}
+        for key, text in _field(d, "addends", dict).items():
+            if not (key.isdecimal() and str(int(key)) == key and isinstance(text, str)):
+                raise ValueError(f"shear addend {key!r} needs an index key and "
+                                 "an expression string")
+            additions[int(key)] = parse_expression(text, names)
+        return Automorphism.shear(n, additions, label)
+    fwd = _map_from_text(_field(d, "forward", str))
+    inv_d = _field(d, "inverse", dict)
+    if inv_d.get("kind") == "rational":
+        nums = _map_from_text(_field(inv_d, "numerators", str)).components
+        den = _map_from_text(_field(inv_d, "denominator", str)).components[0]
+        inv = RationalMap(nums, den)
+    elif inv_d.get("kind") == "polynomial":
+        inv = _map_from_text(_field(inv_d, "map", str))
     else:
-        inv = _map_from_text(inv_d["map"])
-    return Automorphism(fwd, inv, d.get("label", ""))
+        raise ValueError(f"unknown inverse kind {inv_d.get('kind')!r}")
+    return Automorphism(fwd, inv, label)
 
 
 def move_to_json(move) -> dict:
@@ -394,13 +427,13 @@ def move_to_json(move) -> dict:
 
 
 def move_from_json(d: dict):
-    kind = d.get("move")
+    kind = d.get("move") if isinstance(d, dict) else None
     if kind == "extend":
-        return ExtendFreshVars(int(d["count"]))
+        return ExtendFreshVars(_field(d, "count", int))
     if kind == "post":
-        return PostCompose(automorphism_from_json(d["automorphism"]))
+        return PostCompose(automorphism_from_json(_field(d, "automorphism", dict)))
     if kind == "pre":
-        return PreCompose(automorphism_from_json(d["automorphism"]))
+        return PreCompose(automorphism_from_json(_field(d, "automorphism", dict)))
     if kind == "segre":
         return SegreExtend()
     raise ValueError(f"unknown move kind {kind!r}")
@@ -409,7 +442,7 @@ def move_from_json(d: dict):
 def certificate_to_json(cert: Certificate) -> dict:
     return {
         "format": "polyred-certificate",
-        "version": 1,
+        "version": 2,
         "kind": cert.kind,
         "source": _map_text(cert.source),
         "target": _map_text(cert.target),
@@ -420,19 +453,28 @@ def certificate_to_json(cert: Certificate) -> dict:
 def certificate_from_json(d: dict) -> Certificate:
     """Rebuild a certificate, replaying the moves for the intermediates.
 
-    A replay that blows up mid-way leaves a short intermediate list;
-    verify_certificate then reports the structural mismatch instead of
-    this function raising.
+    Versions 1 and 2 are read.  A document of the wrong shape, and an
+    automorphism whose dim disagrees with the map it acts on, raise
+    ValueError.  A replay that blows up mid-way for any other reason
+    leaves a short intermediate list; verify_certificate then reports the
+    structural mismatch instead of this function raising.
     """
-    if d.get("format") != "polyred-certificate":
+    if not isinstance(d, dict) or d.get("format") != "polyred-certificate":
         raise ValueError("not a certificate document")
-    from .certs import apply_move
-    source = _map_from_text(d["source"])
-    target = _map_from_text(d["target"])
-    moves = [move_from_json(m) for m in d["moves"]]
+    version = d.get("version")
+    if type(version) is not int or version not in (1, 2):
+        raise ValueError(f"unsupported certificate version {version!r}")
+    source = _map_from_text(_field(d, "source", str))
+    target = _map_from_text(_field(d, "target", str))
+    moves = [move_from_json(m) for m in _field(d, "moves", list)]
     inters = [source]
     cur = source
-    for m in moves:
+    for k, m in enumerate(moves):
+        if isinstance(m, (PostCompose, PreCompose)):
+            n = cur.n_out if isinstance(m, PostCompose) else cur.n_in
+            if m.auto.dim != n:
+                raise ValueError(f"move {k}: an automorphism of dim "
+                                 f"{m.auto.dim} acts on dim {n}")
         try:
             cur = apply_move(cur, m)
         except (ValueError, TypeError, ArithmeticError):

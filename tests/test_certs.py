@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyred.certs import (
     Automorphism,
@@ -12,6 +14,7 @@ from polyred.certs import (
     PreCompose,
     RationalMap,
     SegreExtend,
+    _transport,
     apply_move,
     fiber_transport_check,
     substitute_rational,
@@ -30,6 +33,22 @@ def C(n, c):
     return Poly.const(n, c)
 
 
+def realize(sh, sign=1):
+    """The full map x + sign*g of a shear: the oracle its fast paths are
+    compared against."""
+    comps = []
+    for i in range(sh.n):
+        g = sh.additions.get(i)
+        comps.append(V(sh.n, i) if g is None else V(sh.n, i) + g.scale(sign))
+    return PolyMap(comps)
+
+
+def symbolic_two_sided(sh):
+    """True when x + g and x - g compose to the identity both ways."""
+    fwd, inv = realize(sh, 1), realize(sh, -1)
+    return fwd.compose(inv).is_identity() and inv.compose(fwd).is_identity()
+
+
 # -- automorphisms ---------------------------------------------------------
 
 
@@ -44,21 +63,107 @@ def test_linear_automorphism_two_sided():
     assert bad.verify_two_sided() is not None
 
 
-def test_block_shear():
+def test_shear_two_sided():
     n = 3
-    sh = Automorphism.block_shear(n, {2: V(n, 0) * V(n, 0)})
+    sh = Automorphism.shear(n, {2: V(n, 0) * V(n, 0)})
     assert sh.verify_two_sided() is None
-    assert sh.forward.eval_at([2, 0, 1]) == [2, 0, 5]
+    assert symbolic_two_sided(sh)
+    assert realize(sh).eval_at([2, 0, 1]) == [2, 0, 5]
     with pytest.raises(ValueError):
-        Automorphism.block_shear(n, {2: V(n, 2) + V(n, 0)})
+        Automorphism.shear(n, {2: V(n, 2) + V(n, 0)})
 
 
-def test_block_shear_multiple_targets():
+def test_shear_multiple_targets():
     n = 4
-    sh = Automorphism.block_shear(
+    sh = Automorphism.shear(
         n, {2: V(n, 0) ** 3, 3: V(n, 0) * V(n, 1)}
     )
     assert sh.verify_two_sided() is None
+    assert symbolic_two_sided(sh)
+
+
+@pytest.mark.parametrize("n, additions", [
+    (3, {3: V(3, 0)}),                 # index out of range
+    (3, {-1: V(3, 0)}),
+    (3, {1: V(2, 0)}),                 # addend over the wrong variables
+    (3, {1: V(3, 0), 0: V(3, 2)}),     # addend reads a shifted variable
+])
+def test_shear_rejects_bad_shapes(n, additions):
+    with pytest.raises(ValueError):
+        Automorphism.shear(n, additions)
+
+
+# -- shear fast paths against the full maps ----------------------------------
+
+
+@st.composite
+def polys(draw, n, allowed):
+    """A small polynomial in the variables `allowed` of n."""
+    p = Poly(n)
+    for _ in range(draw(st.integers(0, 3))):
+        term = C(n, Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 3))))
+        for v in allowed:
+            term = term * V(n, v) ** draw(st.integers(0, 2))
+        p = p + term
+    return p
+
+
+@st.composite
+def shears(draw, max_dim=5, may_taint=True):
+    """A shear with nonzero addends.  With may_taint, half the time one
+    addend also gets a c*x_j term with x_j shifted, which a genuine shear
+    may not have; nonzero addends make x - g fail to invert it then."""
+    n = draw(st.integers(1, max_dim))
+    shifted = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    free = [v for v in range(n) if v not in shifted]
+    additions = {}
+    for i in sorted(shifted):
+        g = draw(polys(n, free))
+        additions[i] = g if not g.is_zero() else C(n, draw(st.integers(1, 4)))
+    sh = Automorphism.shear(n, additions)
+    if may_taint and draw(st.booleans()):
+        i = draw(st.sampled_from(sorted(shifted)))
+        j = draw(st.sampled_from(sorted(shifted)))
+        sh.additions[i] = sh.additions[i] + V(n, j).scale(draw(st.sampled_from([-2, 1, 3])))
+    return sh
+
+
+@settings(max_examples=150, deadline=None)
+@given(shears())
+def test_shear_verdict_matches_symbolic_composition(sh):
+    ok = sh.verify_two_sided() is None
+    assert ok == symbolic_two_sided(sh)
+    if not ok:
+        with pytest.raises(ValueError):
+            Automorphism.shear(sh.n, sh.additions)
+
+
+@st.composite
+def shear_and_maps(draw):
+    sh = draw(shears(max_dim=4, may_taint=False))
+    n = sh.n
+    m = draw(st.integers(1, 4))
+    into = PolyMap([draw(polys(m, range(m))) for _ in range(n)])   # m -> n
+    out_of = PolyMap([draw(polys(n, range(n)))
+                      for _ in range(draw(st.integers(1, 4)))])    # n -> k
+    return sh, into, out_of
+
+
+@settings(max_examples=100, deadline=None)
+@given(shear_and_maps())
+def test_shear_moves_match_full_map_composition(case):
+    sh, into, out_of = case
+    assert apply_move(into, PostCompose(sh)) == realize(sh).compose(into)
+    assert apply_move(out_of, PreCompose(sh)) == out_of.compose(realize(sh))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shears(max_dim=4, may_taint=False), st.randoms(use_true_random=False))
+def test_shear_transport_matches_full_map_evaluation(sh, rng):
+    x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(sh.n)]
+    y = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(sh.n)]
+    assert _transport(PostCompose(sh), x, y, rng) == (x, realize(sh).eval_at(y))
+    assert _transport(PreCompose(sh), x, y, rng) == (realize(sh, -1).eval_at(x), y)
 
 
 def test_permutation_automorphism():
@@ -110,7 +215,7 @@ def test_extend_fresh_vars():
 
 def test_post_and_pre_compose():
     f = PolyMap([V(2, 0) + V(2, 1) ** 2, V(2, 1)])
-    a = Automorphism.block_shear(2, {0: V(2, 1) ** 2})
+    a = Automorphism.shear(2, {0: V(2, 1) ** 2})
     post = apply_move(f, PostCompose(a))
     assert post.components[0] == V(2, 0) + V(2, 1) ** 2 + V(2, 1) ** 2
     pre = apply_move(f, PreCompose(a))
@@ -121,10 +226,13 @@ def test_post_and_pre_compose():
 def test_compose_sharing():
     # untouched components are carried over as the same objects
     f = PolyMap([V(3, 0) ** 3, V(3, 1), V(3, 2)])
-    a = Automorphism.block_shear(3, {0: V(3, 1) * V(3, 2)})
+    a = Automorphism.shear(3, {0: V(3, 1) * V(3, 2)})
     g = apply_move(f, PostCompose(a))
     assert g.components[1] is f.components[1]
     assert g.components[2] is f.components[2]
+    h = apply_move(f, PreCompose(a))
+    assert h.components[1] is f.components[1]
+    assert h.components[2] is f.components[2]
 
 
 def test_segre_move():
@@ -163,7 +271,7 @@ def build_toy_certificate():
     f = PolyMap([V(1, 0) + V(1, 0) ** 2])
     b = CertificateBuilder(f, kind="toy")
     b.push(ExtendFreshVars(1))
-    sh = Automorphism.block_shear(2, {1: V(2, 0) ** 2})
+    sh = Automorphism.shear(2, {1: V(2, 0) ** 2})
     b.push(PostCompose(sh))
     b.push(SegreExtend())
     return b.build()

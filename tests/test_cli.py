@@ -1,6 +1,7 @@
 """Driving the CLI in-process: outputs, schemas, exit codes."""
 
 import json
+import os
 
 import jsonschema
 import pytest
@@ -113,6 +114,85 @@ def test_verify_cert_rejects_non_certificates(capsys, tmp_path):
     code, _, err = run(capsys, "verify-cert", str(path))
     assert code == 2
     assert "not a certificate" in err
+
+
+V1_CERT = os.path.join(os.path.dirname(__file__), "data", "plane-quad-v1.cert.json")
+
+
+def test_verify_cert_reads_version_1(capsys):
+    # written by `reduce plane-quad --to yagzhev --cert` before shears were
+    # stored as their addends: every shear is a forward and an inverse map
+    with open(V1_CERT, encoding="utf-8") as fh:
+        blob = json.load(fh)
+    assert blob["version"] == 1
+    jsonschema.validate(blob, load_schema("certificate"))
+    code, stdout, _ = run(capsys, "verify-cert", V1_CERT, "--fiber-samples", "5")
+    assert code == 0
+    assert "fiber transport: exact on 5 samples" in stdout
+
+
+def _plane_quad_cert(capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    run(capsys, "reduce", "plane-quad", "--to", "yagzhev",
+        "--out", str(tmp_path / "o.map"), "--cert", str(cert))
+    return cert, json.loads(cert.read_text())
+
+
+def _shear(blob):
+    """The automorphism of the certificate's last move, a two-addend shear."""
+    auto = blob["moves"][-1]["automorphism"]
+    assert auto["kind"] == "shear" and auto["dim"] == 5
+    assert auto["addends"] == {"0": "-x3*x5^2", "1": "-x4*x5^2"}
+    return auto
+
+
+def _zero_denominator(blob):
+    inverse = blob["moves"][2]["automorphism"]["inverse"]
+    inverse.update(kind="rational", numerators=inverse.pop("map"),
+                   denominator="vars x1 x2 x3 x4 x5\npoly f1 = 0\n")
+
+
+@pytest.mark.parametrize("tamper", [
+    pytest.param(lambda b: b.update(version=99), id="version-99"),
+    pytest.param(lambda b: b.update(version="banana"), id="version-banana"),
+    pytest.param(lambda b: b.pop("version"), id="version-missing"),
+    pytest.param(_zero_denominator, id="zero-denominator"),
+    pytest.param(lambda b: b.update(moves="abc"), id="moves-string"),
+    pytest.param(lambda b: b.update(moves=[5]), id="moves-int"),
+    pytest.param(lambda b: b.update(source=5), id="source-int"),
+    pytest.param(lambda b: b["moves"][2].update(automorphism="abc"), id="automorphism-string"),
+    pytest.param(lambda b: b["moves"][2]["automorphism"].update(inverse="abc"),
+                 id="inverse-string"),
+    pytest.param(lambda b: _shear(b).update(addends=["-x3*x5^2"]), id="addends-list"),
+    pytest.param(lambda b: _shear(b).update(addends={"a": "x3"}), id="index-word"),
+    pytest.param(lambda b: _shear(b).update(addends={"01": "x3"}), id="index-leading-zero"),
+    pytest.param(lambda b: _shear(b).update(addends={"5": "x3"}), id="index-too-big"),
+    pytest.param(lambda b: _shear(b).update(addends={"-1": "x3"}), id="index-negative"),
+    pytest.param(lambda b: _shear(b).update(addends={"0": "x3 +"}), id="addend-unparsable"),
+    pytest.param(lambda b: _shear(b).update(addends={"0": 3}), id="addend-number"),
+    pytest.param(lambda b: _shear(b).update(addends={"0": "x2", "1": "x3"}),
+                 id="addend-reads-shifted"),
+    pytest.param(lambda b: _shear(b).update(dim=6), id="dim-disagrees"),
+    pytest.param(lambda b: _shear(b).update(dim="5"), id="dim-string"),
+    pytest.param(lambda b: _shear(b).update(dim=0), id="dim-zero"),
+])
+def test_verify_cert_malformed_is_invalid(capsys, tmp_path, tamper):
+    cert, blob = _plane_quad_cert(capsys, tmp_path)
+    tamper(blob)
+    cert.write_text(json.dumps(blob))
+    code, _, err = run(capsys, "verify-cert", str(cert))
+    assert code == 1
+    assert err.startswith("invalid certificate: ")
+
+
+def test_verify_cert_catches_tampered_addend(capsys, tmp_path):
+    cert, blob = _plane_quad_cert(capsys, tmp_path)
+    _shear(blob)["addends"]["0"] = "-2*x3*x5^2"
+    cert.write_text(json.dumps(blob))
+    code, out, _ = run(capsys, "verify-cert", str(cert), "--json")
+    assert code == 1
+    assert json.loads(out)["certificate"]["issues"] == [
+        "last intermediate differs from the target"]
 
 
 # -- pairing commands --------------------------------------------------------

@@ -256,13 +256,16 @@ def test_automorphism_json_rational_inverse():
 
 def test_move_json_round_trip():
     from polyred.certs import (ExtendFreshVars, PostCompose, PreCompose,
-                               SegreExtend)
+                               SegreExtend, ShearAutomorphism)
     shear = Automorphism.shear(2, {0: Poly.variable(2, 1) ** 2})
     moves = [ExtendFreshVars(3), PostCompose(shear), PreCompose(shear),
              SegreExtend()]
     for m in moves:
         back = move_from_json(json.loads(json.dumps(move_to_json(m))))
         assert type(back) is type(m)
+    back = move_from_json(json.loads(json.dumps(move_to_json(moves[1]))))
+    assert isinstance(back.auto, ShearAutomorphism)
+    assert back.auto.n == 2 and back.auto.additions == shear.additions
     assert move_from_json(move_to_json(moves[0])).count == 3
 
 
