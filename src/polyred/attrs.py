@@ -8,6 +8,12 @@ complex fiber and a Sturm count over the whole line counts the real one.
 The real x2 over a simple real root x1 comes from the first subresultant,
 a rational expression in x1, so counting x1 values is counting points.
 
+The fiber computations run in integers: per target each f_i - y_i is
+cleared of denominators once, and the resultant, its squarefree part and
+its Sturm count come from the dense kernel in elim.py.  The witness a
+SpecializedFiber carries is the same Poly the Fraction functions there
+give, which the tests hold it to.
+
 "Generic enough" is earned, not assumed.  A seeded shear-free rotation
 x -> (x1 + c*x2, -c*x1 + x2) is applied until every component that moves
 with x2 has a variable-free leading x2-coefficient; then the resultant
@@ -37,8 +43,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .certs import Automorphism
-from .elim import (count_real_roots, poly_gcd, primitive_part, resultant,
-                   squarefree_part, uni_coeffs)
+from .elim import (poly_gcd, primitive_part, q_derive, resultant, uni_coeffs,
+                   z_count_real_roots, z_gcd, z_resultant, z_rows,
+                   z_squarefree, z_to_poly)
 from .linalg import RatMatrix
 from .maps import GenericityError, PolyMap, jacobian_det
 from .poly import Poly
@@ -161,21 +168,27 @@ def _free_target(rng: random.Random) -> tuple:
     return coord(), coord()
 
 
-def _specialized_resultant(g: PolyMap, target: Sequence) -> Poly:
-    p1 = g.components[0] - Poly.const(2, target[0])
-    p2 = g.components[1] - Poly.const(2, target[1])
-    return resultant(p1, p2, 1)
+def _specialized_resultant(g: PolyMap, target: Sequence) -> tuple:
+    """(scale, R): R is scale * Res_{x2}(g1 - y1, g2 - y2) as an int list in x1.
+
+    Each p_i = g_i - y_i is cleared to L_i * p_i over Z, and the resultant
+    is homogeneous of degree deg_x2(p2) in p1 and deg_x2(p1) in p2.
+    """
+    L1, a = z_rows(g.components[0] - Poly.const(2, target[0]))
+    L2, b = z_rows(g.components[1] - Poly.const(2, target[1]))
+    if not a or not b:
+        return 1, []
+    return L1 ** (len(b) - 1) * L2 ** (len(a) - 1), z_resultant(a, b)
 
 
 def _sqf_degree(g: PolyMap, target: Sequence):
     """(deg r, deg of its squarefree part), or None when r vanishes."""
-    r = _specialized_resultant(g, target)
-    if r.is_zero():
+    _, r = _specialized_resultant(g, target)
+    if not r:
         return None
-    if r.is_constant():
+    if len(r) == 1:
         return 0, 0
-    sf = squarefree_part(r)
-    return r.degree_in(0), sf.degree_in(0)
+    return len(r) - 1, len(r) - len(z_gcd(r, q_derive(r)))
 
 
 def _dex2_stats(f: PolyMap, seed: int = 0):
@@ -258,17 +271,17 @@ def fiber_count_real(f: PolyMap, target: Sequence, seed: int = 0, _ctx=None) -> 
             g, ref = _ctx
         else:
             g, ref = _rotation_context(f, seed + 31 * attempt)
-        r = _specialized_resultant(g, tgt)
-        if r.is_zero():
+        scale, r = _specialized_resultant(g, tgt)
+        if not r:
             continue
-        d = 0 if r.is_constant() else r.degree_in(0)
+        d = len(r) - 1
         if d == ref or d in seen:
-            sf = squarefree_part(r)
+            q, lead = z_squarefree(r)
             return SpecializedFiber(
                 target=tgt,
-                resultant_sf=sf,
-                real_count=count_real_roots(sf),
-                complex_count=0 if sf.is_constant() else sf.degree_in(0),
+                resultant_sf=z_to_poly(q, 2, 0, Fraction(lead, scale)),
+                real_count=z_count_real_roots(q),
+                complex_count=len(q) - 1,
             )
         seen.append(d)
     raise GenericityError(

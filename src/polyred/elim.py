@@ -12,6 +12,14 @@ is unusable beyond toy degrees, while the normalized divisions keep every
 intermediate the size of an actual subresultant.  `sylvester_resultant`
 computes the same thing as a fraction-free determinant; it is the slow
 reference route and the two are checked against each other in the tests.
+
+The last section is a dense integer kernel for plane fibers: polynomials
+in Z[x1] as int lists, in Z[x1][x2] as lists of those.  `z_resultant` is
+the same g*h^delta loop with exact integer division, `z_squarefree` and
+`z_count_real_roots` run a primitive remainder sequence over Z.  The
+Fraction functions (`resultant`, `squarefree_part`, `count_real_roots`)
+stay the generic path for any Poly and are the oracles the kernel is
+tested against.
 """
 
 from __future__ import annotations
@@ -294,7 +302,7 @@ def q_coeffs(p: Poly) -> list:
 
 
 def _q_trim(c: list) -> list:
-    while c and c[-1] == 0:
+    while c and not c[-1]:
         c.pop()
     return c
 
@@ -420,6 +428,250 @@ def count_real_roots(p: Poly) -> int:
     """Distinct real roots of a univariate polynomial (no squarefree
     assumption; the Sturm chain collapses multiplicity by itself)."""
     return sturm_count(p)
+
+
+# -- dense integer kernel ---------------------------------------------------
+#
+# A univariate polynomial over Z is a list of ints [c0, c1, ...] whose last
+# entry is nonzero; [] is zero.  A polynomial in Z[x1][x2] is a list, by
+# x2-degree, of such lists in x1, whose last entry is nonempty.  Only
+# plane fibers run here (attrs.py); the Fraction functions above stay the
+# generic path and are the oracles the tests hold this kernel against.
+# _q_trim and q_derive serve int lists as they are.
+
+
+def z_rows(p: Poly) -> tuple:
+    """(L, rows) for p in x1, x2 (variables 0 and 1): L is the lcm of the
+    coefficient denominators and rows[j] the int list in x1 of the
+    x2^j-coefficient of L * p."""
+    if p.varcount != 2:
+        raise ValueError("z_rows takes a polynomial in two variables")
+    L, items = p.content_and_integer_terms()
+    rows: list = []
+    for m, c in items:
+        e1 = e2 = 0
+        for v, e in m:
+            if v == 0:
+                e1 = e
+            else:
+                e2 = e
+        while len(rows) <= e2:
+            rows.append([])
+        row = rows[e2]
+        if len(row) <= e1:
+            row.extend([0] * (e1 + 1 - len(row)))
+        row[e1] = c
+    return L, [_q_trim(r) for r in rows]
+
+
+def z_to_poly(a: list, varcount: int, var: int, factor: Fraction) -> Poly:
+    """factor * sum a[e] * x_var^e as a Poly."""
+    terms = {}
+    for e, c in enumerate(a):
+        if c:
+            terms[((var, e),) if e else ()] = factor * c
+    return Poly(varcount, terms)
+
+
+def z_sub(a: list, b: list) -> list:
+    if len(a) < len(b):
+        out = [-c for c in b]
+        for i, c in enumerate(a):
+            out[i] += c
+    else:
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] -= c
+    return _q_trim(out)
+
+
+def z_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        x = b[0]
+        return [x * c for c in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(b):
+        if x:
+            for j, y in enumerate(a, i):
+                out[j] += x * y
+    return out
+
+
+def z_pow(a: list, k: int) -> list:
+    out = [1]
+    for _ in range(k):
+        out = z_mul(out, a)
+    return out
+
+
+def z_exact_div(a: list, b: list) -> list:
+    """Quotient a / b over Z; ExactDivisionError unless it is exact."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not a:
+        return []
+    db = len(b) - 1
+    n = len(a) - 1 - db
+    if n < 0:
+        raise ExactDivisionError("divisor has the larger degree")
+    lb = b[-1]
+    r = list(a)
+    q = [0] * (n + 1)
+    for k in range(n, -1, -1):
+        t, rem = divmod(r[k + db], lb)
+        if rem:
+            raise ExactDivisionError("integer division is not exact")
+        q[k] = t
+        if t:
+            for i in range(db):
+                r[k + i] -= t * b[i]
+    if any(r[:db]):
+        raise ExactDivisionError("integer division leaves a remainder")
+    return q
+
+
+def _zz_prem(a: list, b: list) -> list:
+    """Pseudo-remainder lc(b)^(da-db+1) * a mod b in Z[x1][x2]."""
+    da, db = len(a) - 1, len(b) - 1
+    d = b[-1]
+    r = list(a)
+    for j in range(da - db, -1, -1):
+        if len(r) - 1 == db + j:
+            top = r[-1]
+            r = [z_mul(d, c) for c in r[:-1]]
+            for i, bc in enumerate(b[:-1]):
+                r[j + i] = z_sub(r[j + i], z_mul(top, bc))
+            _q_trim(r)
+        else:
+            r = [z_mul(d, c) for c in r]
+    return _q_trim(r)
+
+
+def z_resultant(a: list, b: list) -> list:
+    """Res_{x2}(a, b) in Z[x1], for a, b in Z[x1][x2].
+
+    The same g*h^delta subresultant PRS, sign bookkeeping included, as
+    `resultant`; every division is exact over Z.
+    """
+    if not a or not b:
+        return []
+    da, db = len(a) - 1, len(b) - 1
+    if da == 0 and db == 0:
+        return [1]
+    sign = 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+        if da % 2 == 1 and db % 2 == 1:
+            sign = -1
+    if db == 0:
+        return [sign * c for c in z_pow(b[0], da)]
+    g_ = [1]
+    h_ = [1]
+    while True:
+        delta = da - db
+        if da % 2 == 1 and db % 2 == 1:
+            sign = -sign
+        r = _zz_prem(a, b)
+        if not r:
+            return []  # nonconstant common factor
+        divisor = z_mul(g_, z_pow(h_, delta))
+        a, da = b, db
+        b = [z_exact_div(c, divisor) for c in r]
+        db = len(b) - 1
+        g_ = a[-1]
+        if delta == 1:
+            h_ = g_
+        elif delta > 1:
+            h_ = z_exact_div(z_pow(g_, delta), z_pow(h_, delta - 1))
+        if db == 0:
+            break
+    c = b[0]
+    if da != 1:
+        c = z_exact_div(z_pow(c, da), z_pow(h_, da - 1))
+    return [sign * x for x in c]
+
+
+def _z_primitive(a: list) -> list:
+    """a divided by its positive content."""
+    g = 0
+    for c in a:
+        g = math.gcd(g, c)
+        if g == 1:
+            return a
+    return [c // g for c in a] if g else a
+
+
+def _z_rem(a: list, b: list) -> list:
+    """m * a mod b for some integer m > 0.
+
+    Each step scales by |lc(b)| / gcd and never by a negative number, so
+    the remainder keeps the sign of the true one: a Sturm chain needs
+    that, the textbook lc(b)^(delta+1) does not give it.
+    """
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    alb = abs(lb)
+    while r and len(r) - 1 >= db:
+        top = r[-1]
+        g = math.gcd(top, alb)
+        m = alb // g
+        t = top // g if lb > 0 else -(top // g)
+        k = len(r) - 1 - db
+        if m != 1:
+            r = [m * c for c in r]
+        for i in range(db):
+            r[k + i] -= t * b[i]
+        r.pop()
+        _q_trim(r)
+    return r
+
+
+def z_gcd(a: list, b: list) -> list:
+    """Gcd of nonzero integer polynomials: primitive, leading coefficient > 0."""
+    a, b = _z_primitive(a), _z_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _z_primitive(_z_rem(a, b))
+    return a if a[-1] > 0 else [-c for c in a]
+
+
+def z_squarefree(a: list) -> tuple:
+    """(q, lead) with a = q * G for G = z_gcd(a, a') and lead = lc(G).
+
+    q is exact over Z by Gauss's lemma, and q * lead is a divided by the
+    monic gcd, which is what `squarefree_part` returns.
+    """
+    if len(a) <= 1:
+        return list(a), 1
+    g = z_gcd(a, q_derive(a))
+    return z_exact_div(a, g), g[-1]
+
+
+def z_count_real_roots(a: list) -> int:
+    """Distinct real roots of a nonzero integer polynomial, from a Sturm
+    chain over Z scaled and made primitive by positive factors only."""
+    if not a:
+        raise ValueError("Sturm chain of the zero polynomial")
+    if len(a) <= 1:
+        return 0
+    p, q = _z_primitive(a), _z_primitive(q_derive(a))
+    lcs = [(len(p) - 1, p[-1] > 0), (len(q) - 1, q[-1] > 0)]
+    while True:
+        r = _z_rem(p, q)
+        if not r:
+            break
+        p, q = q, _z_primitive([-c for c in r])
+        lcs.append((len(q) - 1, q[-1] > 0))
+    pos = [s for _, s in lcs]
+    neg = [s != (d % 2 == 1) for d, s in lcs]
+    return (sum(1 for s, t in zip(neg, neg[1:]) if s != t)
+            - sum(1 for s, t in zip(pos, pos[1:]) if s != t))
 
 
 def cauchy_bound(p: Poly) -> Fraction:

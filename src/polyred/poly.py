@@ -356,7 +356,6 @@ class Poly:
         """Exact evaluation at a rational point."""
         if len(point) != self.varcount:
             raise ValueError("point length does not match variable count")
-        pt = [Fraction(x) for x in point]
         total = Fraction(0)
         powers: dict = {}
         for m, c in self.terms.items():
@@ -365,7 +364,8 @@ class Poly:
                 key = (var, e)
                 p = powers.get(key)
                 if p is None:
-                    p = pt[var] ** e
+                    # only the coordinates a monomial uses are converted
+                    p = Fraction(point[var]) ** e
                     powers[key] = p
                 v = v * p
             total += v
@@ -481,7 +481,7 @@ class Poly:
         L = 1
         for c in self.terms.values():
             L = L * c.denominator // math.gcd(L, c.denominator)
-        items = [(m, int(c * L)) for m, c in self.terms.items()]
+        items = [(m, c.numerator * (L // c.denominator)) for m, c in self.terms.items()]
         return L, items
 
     def __repr__(self) -> str:

@@ -37,7 +37,7 @@ from .certs import (Automorphism, Certificate, CertReport, ExtendFreshVars,
                     FiberReport, PostCompose, PreCompose, RationalMap,
                     SegreExtend, ShearAutomorphism, apply_move)
 from .linalg import RatMatrix
-from .maps import PolyMap
+from .maps import DEFAULT_BUDGET, PolyMap
 from .poly import Poly
 
 _RESERVED = {"vars", "poly", "meta"}
@@ -367,6 +367,15 @@ def _field(d, key: str, kind: type):
     return v
 
 
+def _dim_field(d: dict, key: str) -> int:
+    """d[key], checked to be a dimension in 1..DEFAULT_BUDGET.max_dim before
+    anything is built from it."""
+    n = _field(d, key, int)
+    if not 1 <= n <= DEFAULT_BUDGET.max_dim:
+        raise ValueError(f"'{key}' {n} is outside 1..{DEFAULT_BUDGET.max_dim}")
+    return n
+
+
 def automorphism_to_json(a) -> dict:
     if isinstance(a, ShearAutomorphism):
         names = default_var_names(a.n)
@@ -392,7 +401,7 @@ def automorphism_from_json(d: dict):
     shape error raises ValueError."""
     label = d.get("label", "")
     if d.get("kind") == "shear":
-        n = _field(d, "dim", int)
+        n = _dim_field(d, "dim")
         names = default_var_names(n)
         additions = {}
         for key, text in _field(d, "addends", dict).items():
@@ -429,7 +438,7 @@ def move_to_json(move) -> dict:
 def move_from_json(d: dict):
     kind = d.get("move") if isinstance(d, dict) else None
     if kind == "extend":
-        return ExtendFreshVars(_field(d, "count", int))
+        return ExtendFreshVars(_dim_field(d, "count"))
     if kind == "post":
         return PostCompose(automorphism_from_json(_field(d, "automorphism", dict)))
     if kind == "pre":

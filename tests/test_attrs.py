@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from polyred.attrs import (AttributeReport, dex2, fiber_count_real,
-                           generic_rotation, mfs_sample,
+from polyred.attrs import (AttributeReport, _rotation_context, dex2,
+                           fiber_count_real, generic_rotation, mfs_sample,
                            minimal_poly_coordinate)
+from polyred.elim import count_real_roots, resultant, squarefree_part
 from polyred.examples import builtin_example
 from polyred.maps import GenericityError, PolyMap
 from polyred.poly import Poly
@@ -129,6 +130,30 @@ def test_fiber_counts_bounded_by_dex():
             fib = fiber_count_real(f, (Fraction(target[0]), Fraction(target[1])),
                                    seed=k)
             assert fib.real_count <= fib.complex_count <= d, (eid, target)
+
+
+def test_fiber_witness_equals_fraction_path():
+    # the integer kernel's witness is exactly the squarefree part of the
+    # Fraction resultant over the same rotation and target
+    checked = 0
+    for eid in ("triple-root", "plane-quad", "yagzhev-2d-b", "random-d4-n2",
+                "random-d6-n2", "pinchuk"):
+        f = _map(eid)
+        ctx = _rotation_context(f, seed=3)
+        g, ref = ctx
+        for target in [(2, 3), (Fraction(-7, 3), Fraction(5, 2)), (0, 0)]:
+            t = (Fraction(target[0]), Fraction(target[1]))
+            r = resultant(g.components[0] - Poly.const(2, t[0]),
+                          g.components[1] - Poly.const(2, t[1]), 1)
+            if r.degree_in(0) != ref:
+                continue
+            fib = fiber_count_real(f, t, _ctx=ctx)
+            sf = squarefree_part(r)
+            assert fib.resultant_sf == sf, (eid, target)
+            assert fib.real_count == count_real_roots(sf), (eid, target)
+            assert fib.complex_count == sf.degree_in(0), (eid, target)
+            checked += 1
+    assert checked >= 15
 
 
 # -- sampled reports -------------------------------------------------------

@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from polyred.cli import main
-from polyred.maps import is_yagzhev
+from polyred.maps import DEFAULT_BUDGET, is_yagzhev
 from polyred.textio import load_schema, parse_map
 
 
@@ -146,6 +146,13 @@ def _shear(blob):
     return auto
 
 
+def _extend(blob):
+    """The certificate's extend move, which adds two variables."""
+    move = blob["moves"][1]
+    assert move == {"move": "extend", "count": 2}
+    return move
+
+
 def _zero_denominator(blob):
     inverse = blob["moves"][2]["automorphism"]["inverse"]
     inverse.update(kind="rational", numerators=inverse.pop("map"),
@@ -175,6 +182,14 @@ def _zero_denominator(blob):
     pytest.param(lambda b: _shear(b).update(dim=6), id="dim-disagrees"),
     pytest.param(lambda b: _shear(b).update(dim="5"), id="dim-string"),
     pytest.param(lambda b: _shear(b).update(dim=0), id="dim-zero"),
+    pytest.param(lambda b: _shear(b).update(dim=-3), id="dim-negative"),
+    pytest.param(lambda b: _shear(b).update(dim=DEFAULT_BUDGET.max_dim + 1),
+                 id="dim-over-budget"),
+    pytest.param(lambda b: _shear(b).update(dim=1000000, addends={}), id="dim-million"),
+    pytest.param(lambda b: _extend(b).update(count=0), id="count-zero"),
+    pytest.param(lambda b: _extend(b).update(count=-2), id="count-negative"),
+    pytest.param(lambda b: _extend(b).update(count="2"), id="count-string"),
+    pytest.param(lambda b: _extend(b).update(count=1000000), id="count-million"),
 ])
 def test_verify_cert_malformed_is_invalid(capsys, tmp_path, tamper):
     cert, blob = _plane_quad_cert(capsys, tmp_path)

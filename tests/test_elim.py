@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyred.elim import (
     cauchy_bound,
@@ -18,8 +20,16 @@ from polyred.elim import (
     sylvester_resultant,
     uni_assemble,
     uni_coeffs,
+    z_count_real_roots,
+    z_exact_div,
+    z_gcd,
+    z_mul,
+    z_resultant,
+    z_rows,
+    z_squarefree,
+    z_to_poly,
 )
-from polyred.poly import Poly
+from polyred.poly import ExactDivisionError, Poly
 
 
 def uni(coeffs):
@@ -336,3 +346,121 @@ def test_poly_gcd_univariate_matches_q_gcd():
         ref = q_gcd(a, b)
         # same degree; both are gcds up to a unit
         assert g.degree() == len(ref) - 1
+
+
+# -- dense integer kernel against the Fraction path ---------------------------
+#
+# resultant, squarefree_part and count_real_roots are the oracles: the
+# kernel must reproduce them exactly once its denominators are put back.
+
+
+X1 = Poly.variable(2, 0)
+X2 = Poly.variable(2, 1)
+
+
+def kernel_fiber(p1, p2):
+    """(r, sf, count) for Res_x2(p1, p2) computed by the integer kernel,
+    with sf and count None when r vanishes."""
+    L1, a = z_rows(p1)
+    L2, b = z_rows(p2)
+    big = z_resultant(a, b)
+    if not big:
+        return Poly(2), None, None
+    scale = L1 ** (len(b) - 1) * L2 ** (len(a) - 1)
+    q, lead = z_squarefree(big)
+    assert z_count_real_roots(big) == z_count_real_roots(q)
+    return (z_to_poly(big, 2, 0, Fraction(1, scale)),
+            z_to_poly(q, 2, 0, Fraction(lead, scale)), z_count_real_roots(q))
+
+
+def fraction_fiber(p1, p2):
+    r = resultant(p1, p2, 1)
+    if r.is_zero():
+        return r, None, None
+    sf = squarefree_part(r)
+    return r, sf, count_real_roots(sf)
+
+
+@st.composite
+def bivariate(draw, max_deg=3):
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        exps = (draw(st.integers(0, max_deg)), draw(st.integers(0, max_deg)))
+        terms[exps] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+    return Poly.from_terms(2, terms)
+
+
+fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bivariate(), bivariate(), fractions, fractions)
+def test_kernel_fiber_matches_fraction_path(g1, g2, y1, y2):
+    p1 = g1 - Poly.const(2, y1)
+    p2 = g2 - Poly.const(2, y2)
+    if p1.is_zero() or p2.is_zero():
+        return
+    assert kernel_fiber(p1, p2) == fraction_fiber(p1, p2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=7),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+def test_kernel_real_root_count_matches_sturm(a, b):
+    # a * b^2 has repeated roots whenever b is not constant
+    c = z_mul(a, z_mul(b, b))
+    while c and not c[-1]:
+        c.pop()
+    if not c:
+        return
+    assert z_count_real_roots(c) == count_real_roots(uni(c))
+    q, lead = z_squarefree(c)
+    assert z_to_poly(q, 1, 0, Fraction(lead)) == squarefree_part(uni(c))
+
+
+def test_kernel_sturm_sign_after_a_degree_gap():
+    # x^4 + 2x: the chain runs x^4 + 2x, 4x^3 + 2, -3/2 x, so the last
+    # division has delta = 2 by a negative leading coefficient; the
+    # textbook lc^(delta+1) scaling flips the sign and counts 0 roots
+    assert z_count_real_roots([0, 2, 0, 0, 1]) == 2
+    assert z_count_real_roots([-2, 3, 0, 0, -2]) == 0
+    assert z_count_real_roots([0, -3, 1, 0, 0, 1]) == 3
+    for c in ([0, 2, 0, 0, 1], [-2, 3, 0, 0, -2], [0, -3, 1, 0, 0, 1]):
+        assert z_count_real_roots(c) == count_real_roots(uni(c))
+
+
+def test_kernel_common_factor_gives_zero_resultant():
+    h = X2 - X1
+    p1, p2 = h * (X2 + Poly.const(2, 1)), h * (X2 * X2 - X1)
+    assert kernel_fiber(p1, p2) == fraction_fiber(p1, p2) == (Poly(2), None, None)
+
+
+def test_kernel_component_free_of_x2():
+    p1 = X1 * X1 - Poly.const(2, Fraction(3, 2))
+    p2 = X2 ** 3 + X1 * X2 - Poly.const(2, 1)
+    for pair in ((p1, p2), (p2, p1)):
+        r, sf, count = kernel_fiber(*pair)
+        assert (r, sf, count) == fraction_fiber(*pair)
+        assert count == 2
+
+
+def test_kernel_constant_resultants():
+    p1 = X2 - X1
+    p2 = X2 - X1 + Poly.const(2, Fraction(1, 3))
+    r, sf, count = kernel_fiber(p1, p2)
+    assert (r, sf, count) == fraction_fiber(p1, p2)
+    assert r.is_constant() and not r.is_zero() and count == 0
+    # neither input moves with x2: the resultant of degree 0 and 0 is 1
+    p1, p2 = X1 + Poly.const(2, 2), X1 * X1
+    one = Poly.const(2, 1)
+    assert kernel_fiber(p1, p2) == fraction_fiber(p1, p2) == (one, one, 0)
+
+
+def test_kernel_exact_division_and_gcd():
+    assert z_exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
+    with pytest.raises(ExactDivisionError):
+        z_exact_div([1, 0, 1], [1, 1])
+    with pytest.raises(ExactDivisionError):
+        z_exact_div([1, 2], [0, 2])
+    # (2x - 2)(x + 3) and -(4x - 4)(x - 5): gcd x - 1, primitive, lc > 0
+    assert z_gcd(z_mul([-2, 2], [3, 1]), z_mul([4, -4], [-5, 1])) == [-1, 1]

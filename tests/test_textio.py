@@ -10,7 +10,7 @@ from polyred.certs import (Automorphism, Certificate, RationalMap,
                            fiber_transport_check, verify_certificate)
 from polyred.examples import builtin_example, builtin_ids
 from polyred.linalg import RatMatrix
-from polyred.maps import PolyMap
+from polyred.maps import DEFAULT_BUDGET, PolyMap
 from polyred.poly import Poly
 from polyred.reduce import to_yagzhev
 from polyred.textio import (MapDocument, ParseError, automorphism_from_json,
@@ -272,6 +272,20 @@ def test_move_json_round_trip():
 def test_move_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         move_from_json({"move": "swizzle"})
+
+
+def test_move_json_bounds_sizes_before_building(monkeypatch):
+    # a few bytes of JSON must not make the loader build a million names
+    from polyred import textio
+    built = []
+    monkeypatch.setattr(textio, "default_var_names",
+                        lambda n: built.append(n) or ())
+    for size in (0, -1, DEFAULT_BUDGET.max_dim + 1, 10 ** 6, 10 ** 12):
+        with pytest.raises(ValueError):
+            automorphism_from_json({"kind": "shear", "dim": size, "addends": {}})
+        with pytest.raises(ValueError):
+            move_from_json({"move": "extend", "count": size})
+    assert built == []
 
 
 def test_certificate_json_round_trip():
