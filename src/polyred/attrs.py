@@ -298,8 +298,6 @@ def mfs_sample(f: PolyMap, seed: int = 0, samples: int = 200,
     probe for empty fibers too.  The reported mfs_observed is a lower
     bound for the true supremum, never a claim of equality.
     """
-    _require_plane(f)
-    _require_nondegenerate(f)
     dex, retries = _dex2_stats(f, seed)
     ctx = _rotation_context(f, seed)
     rng = random.Random(f"mfs:{seed}")

@@ -11,11 +11,13 @@ determined by its stored data:
   * SegreExtend: replace F (no constant terms) by (F(t x)/t, t) with a
     fresh last variable t.
 
-Every intermediate map is stored, so verification replays one move at a
-time against known endpoints instead of recomputing whole pipelines.
-Automorphisms carry their inverses and are checked two-sided and
-symbolically; an inverse may be rational, in which case the identity is
-checked in the fraction field (denominators cleared, exactly).
+A certificate is its source, its moves and its target, nothing else.
+Verification replays the moves once, from the source, checking each
+automorphism on the way, and compares the last map with the target; no
+intermediate map is stored or trusted.  Automorphisms carry their
+inverses and are checked two-sided and symbolically; an inverse may be
+rational, in which case the identity is checked in the fraction field
+(denominators cleared, exactly).
 
 A shear x -> x + g is the exception: it is stored as its addends g_i
 alone, and it is checked by their shape.  When every addend lives in the
@@ -289,8 +291,8 @@ Move = Union[ExtendFreshVars, PostCompose, PreCompose, SegreExtend]
 
 def apply_move(f: PolyMap, move: Move) -> PolyMap:
     """The map after one move.  Components a shear does not touch are
-    carried over as the same objects, which keeps long chained
-    certificates cheap to store."""
+    carried over as the same objects, which keeps replaying long chained
+    certificates cheap."""
     if isinstance(move, ExtendFreshVars):
         k = move.count
         if k < 1:
@@ -335,14 +337,13 @@ def apply_move(f: PolyMap, move: Move) -> PolyMap:
 
 
 class Certificate:
-    """Source, target, the moves between them, and every stop on the way."""
+    """Source, target, and the moves that carry one to the other."""
 
     def __init__(self, source: PolyMap, target: PolyMap, moves: List[Move],
-                 intermediates: List[PolyMap], kind: str = "reduction"):
+                 kind: str = "reduction"):
         self.source = source
         self.target = target
         self.moves = moves
-        self.intermediates = intermediates
         self.kind = kind
 
     def __repr__(self) -> str:
@@ -357,22 +358,15 @@ class CertificateBuilder:
         self.source = source
         self.kind = kind
         self.moves: List[Move] = []
-        self.intermediates: List[PolyMap] = [source]
-
-    @property
-    def current(self) -> PolyMap:
-        return self.intermediates[-1]
+        self.current = source
 
     def push(self, move: Move) -> PolyMap:
-        nxt = apply_move(self.current, move)
+        self.current = apply_move(self.current, move)
         self.moves.append(move)
-        self.intermediates.append(nxt)
-        return nxt
+        return self.current
 
     def build(self) -> Certificate:
-        return Certificate(
-            self.source, self.current, self.moves, list(self.intermediates), self.kind
-        )
+        return Certificate(self.source, self.current, self.moves, self.kind)
 
 
 @dataclass
@@ -384,19 +378,12 @@ class CertReport:
 
 
 def verify_certificate(cert: Certificate) -> CertReport:
-    """Structural replay: endpoints match, every stored step is the
-    result of its move, every automorphism inverts exactly."""
+    """Replay the moves once from the source, check every automorphism
+    inverts exactly, and compare the map reached with the target.  A move
+    whose replay raises ends the walk there."""
     issues = []
-    if not cert.intermediates:
-        return CertReport(False, 0, 0, ["no intermediates stored"])
-    if cert.intermediates[0] != cert.source:
-        issues.append("first intermediate differs from the source")
-    if cert.intermediates[-1] != cert.target:
-        issues.append("last intermediate differs from the target")
-    if len(cert.intermediates) != len(cert.moves) + 1:
-        issues.append("intermediate count does not match move count")
-        return CertReport(False, 0, 0, issues)
     autos = 0
+    cur = cert.source
     for idx, move in enumerate(cert.moves):
         if isinstance(move, (PostCompose, PreCompose)):
             reason = move.auto.verify_two_sided()
@@ -404,12 +391,12 @@ def verify_certificate(cert: Certificate) -> CertReport:
             if reason is not None:
                 issues.append(f"move {idx}: automorphism check failed: {reason}")
         try:
-            got = apply_move(cert.intermediates[idx], move)
+            cur = apply_move(cur, move)
         except (ValueError, TypeError, ArithmeticError) as e:
             issues.append(f"move {idx}: replay raised: {e}")
-            continue
-        if got != cert.intermediates[idx + 1]:
-            issues.append(f"move {idx}: replay disagrees with the stored map")
+            return CertReport(False, idx + 1, autos, issues)
+    if cur != cert.target:
+        issues.append("last intermediate differs from the target")
     return CertReport(not issues, len(cert.moves), autos, issues)
 
 

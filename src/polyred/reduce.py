@@ -378,17 +378,12 @@ class ReductionTrace:
 
 def concat_certificates(certs, kind: str) -> Certificate:
     """Chain certificates whose endpoints meet into one."""
-    moves = []
-    inters = None
-    for c in certs:
-        if inters is None:
-            inters = list(c.intermediates)
-        else:
-            if c.intermediates[0] != inters[-1]:
-                raise ValueError("certificate chain endpoints do not meet")
-            inters.extend(c.intermediates[1:])
+    moves = list(certs[0].moves)
+    for prev, c in zip(certs, certs[1:]):
+        if c.source != prev.target:
+            raise ValueError("certificate chain endpoints do not meet")
         moves.extend(c.moves)
-    return Certificate(inters[0], inters[-1], moves, inters, kind)
+    return Certificate(certs[0].source, certs[-1].target, moves, kind)
 
 
 def to_yagzhev(f: PolyMap, seed: int = 0, budget: Budget = DEFAULT_BUDGET,
@@ -405,7 +400,7 @@ def to_yagzhev(f: PolyMap, seed: int = 0, budget: Budget = DEFAULT_BUDGET,
     names = ["input"]
     dims = [f.n_in]
     if is_yagzhev(f):
-        cert = Certificate(f, f, [], [f], kind="yagzhev-reduction")
+        cert = Certificate(f, f, [], kind="yagzhev-reduction")
         return f, ReductionTrace(cert, names, dims, {
             "elapsed_ms": 0, "seed": seed, "group_factors": group_factors})
     parts = []

@@ -20,8 +20,8 @@ exactly, so parse(print(doc)) == doc is an identity the tests lean on.
 
 Rationals inside JSON are strings like "-3/2", never floats; the whole
 pipeline stays exact through a round trip.  Certificates embed their
-maps as document strings and are rebuilt by replaying the recorded
-moves, which regenerates the intermediate maps the verifier wants.
+source and target as document strings next to the recorded moves; decoding
+only parses and checks shapes, and verify_certificate does the one replay.
 Certificate format version 2 stores a shear as its addends alone, as
 expressions over default_var_names(dim); version 1 files, which spell
 every automorphism out as a forward and an inverse map, still load.
@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 from .certs import (Automorphism, Certificate, CertReport, ExtendFreshVars,
                     FiberReport, PostCompose, PreCompose, RationalMap,
-                    SegreExtend, ShearAutomorphism, apply_move)
+                    SegreExtend, ShearAutomorphism)
 from .linalg import RatMatrix
 from .maps import DEFAULT_BUDGET, PolyMap
 from .poly import Poly
@@ -92,6 +92,10 @@ def _lex(text: str, lineno: int) -> list:
 
 # -- expression parsing ------------------------------------------------------
 
+# Each parenthesis costs the recursive-descent parser four stack frames;
+# capping the depth keeps hostile input far from the recursion limit.
+MAX_NESTING = 100
+
 
 class _ExprParser:
     """expr := ['-'] term (('+'|'-') term)*
@@ -107,6 +111,7 @@ class _ExprParser:
         self.varcount = len(varmap)
         self.lineno = lineno
         self.end_col = line_len + 1
+        self.depth = 0
 
     def _peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -191,7 +196,11 @@ class _ExprParser:
                 self._fail(f"undeclared variable '{t[1]}'", t)
             return Poly.variable(self.varcount, idx)
         if t[0] == "(":
+            if self.depth == MAX_NESTING:
+                self._fail(f"parentheses nest deeper than {MAX_NESTING}", t)
+            self.depth += 1
             p = self._expr()
+            self.depth -= 1
             close = self._take()
             if close is None or close[0] != ")":
                 self._fail("expected ')'", close)
@@ -460,13 +469,15 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(d: dict) -> Certificate:
-    """Rebuild a certificate, replaying the moves for the intermediates.
+    """Parse a certificate document; nothing is replayed here.
 
-    Versions 1 and 2 are read.  A document of the wrong shape, and an
-    automorphism whose dim disagrees with the map it acts on, raise
-    ValueError.  A replay that blows up mid-way for any other reason
-    leaves a short intermediate list; verify_certificate then reports the
-    structural mismatch instead of this function raising.
+    Versions 1 and 2 are read.  The map's shape is followed through the
+    moves by arithmetic alone (extend adds its count to both sides, segre
+    adds one, post and pre keep both), so a document of the wrong shape,
+    an automorphism whose dim disagrees with the map it acts on, and a
+    move that takes the map past DEFAULT_BUDGET.max_dim variables all
+    raise ValueError before any map is built.  Whether the moves really
+    lead from the source to the target is verify_certificate's question.
     """
     if not isinstance(d, dict) or d.get("format") != "polyred-certificate":
         raise ValueError("not a certificate document")
@@ -476,20 +487,21 @@ def certificate_from_json(d: dict) -> Certificate:
     source = _map_from_text(_field(d, "source", str))
     target = _map_from_text(_field(d, "target", str))
     moves = [move_from_json(m) for m in _field(d, "moves", list)]
-    inters = [source]
-    cur = source
+    n_in, n_out = source.n_in, source.n_out
     for k, m in enumerate(moves):
-        if isinstance(m, (PostCompose, PreCompose)):
-            n = cur.n_out if isinstance(m, PostCompose) else cur.n_in
+        if isinstance(m, ExtendFreshVars):
+            n_in, n_out = n_in + m.count, n_out + m.count
+        elif isinstance(m, SegreExtend):
+            n_in, n_out = n_in + 1, n_out + 1
+        else:
+            n = n_out if isinstance(m, PostCompose) else n_in
             if m.auto.dim != n:
                 raise ValueError(f"move {k}: an automorphism of dim "
                                  f"{m.auto.dim} acts on dim {n}")
-        try:
-            cur = apply_move(cur, m)
-        except (ValueError, TypeError, ArithmeticError):
-            break
-        inters.append(cur)
-    return Certificate(source, target, moves, inters, d.get("kind", "reduction"))
+        if max(n_in, n_out) > DEFAULT_BUDGET.max_dim:
+            raise ValueError(f"move {k}: the map would have more than "
+                             f"{DEFAULT_BUDGET.max_dim} variables")
+    return Certificate(source, target, moves, d.get("kind", "reduction"))
 
 
 def attribute_report_to_json(rep) -> dict:

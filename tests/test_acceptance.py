@@ -7,6 +7,7 @@ stays within a few minutes end to end.
 """
 
 import io
+import itertools
 import json
 import random
 import re
@@ -18,7 +19,7 @@ from functools import lru_cache
 import pytest
 
 from polyred.attrs import dex2, mfs_sample
-from polyred.certs import fiber_transport_check, verify_certificate
+from polyred.certs import apply_move, fiber_transport_check, verify_certificate
 from polyred.cli import main as cli_main
 from polyred.examples import builtin_example, corpus
 from polyred.gz import pair_down, pair_up, pairing_to_equivalence, verify_pairing
@@ -287,8 +288,8 @@ def test_criterion_10_degree_lowering():
             assert verify_certificate(cert).ok, e.id
             # each splitting round is three moves; the (max degree,
             # terms at max) pair must drop strictly round over round
-            pots = [_potential(cert.intermediates[i])
-                    for i in range(0, len(cert.intermediates), 3)]
+            stops = itertools.accumulate(cert.moves, apply_move, initial=cert.source)
+            pots = [_potential(g) for g in list(stops)[::3]]
             for a, b in zip(pots, pots[1:]):
                 assert b < a, (e.id, pots)
         checked += 1

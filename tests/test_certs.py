@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -285,28 +286,12 @@ def test_certificate_roundtrip():
     assert rep.autos_checked == 1
 
 
-def test_certificate_tampered_intermediate():
-    cert = build_toy_certificate()
-    tampered = Certificate(
-        cert.source,
-        cert.target,
-        cert.moves,
-        cert.intermediates[:-2]
-        + [PolyMap.identity(cert.intermediates[-2].n_in)]
-        + cert.intermediates[-1:],
-        cert.kind,
-    )
-    rep = verify_certificate(tampered)
-    assert not rep.ok
-
-
 def test_certificate_tampered_target():
     cert = build_toy_certificate()
     wrong = Certificate(
         cert.source,
         PolyMap.identity(cert.target.n_in),
         cert.moves,
-        cert.intermediates,
         cert.kind,
     )
     rep = verify_certificate(wrong)
@@ -321,10 +306,21 @@ def test_certificate_bad_automorphism():
         PolyMap([V(2, 0), V(2, 1)]),  # not the inverse
     )
     nxt = apply_move(f, PostCompose(forged))
-    cert = Certificate(f, nxt, [PostCompose(forged)], [f, nxt])
+    cert = Certificate(f, nxt, [PostCompose(forged)])
     rep = verify_certificate(cert)
     assert not rep.ok
     assert any("automorphism" in msg for msg in rep.issues)
+
+
+def test_certificate_replay_that_raises_ends_the_walk():
+    # the Segre move refuses a constant term, so the replay stops at move 1
+    f = PolyMap([V(1, 0) + C(1, 1)])
+    moves = [ExtendFreshVars(1), SegreExtend(),
+             PostCompose(Automorphism.shear(3, {0: V(3, 1)}))]
+    rep = verify_certificate(Certificate(f, f, moves))
+    assert not rep.ok
+    assert rep.issues == ["move 1: replay raised: the Segre move needs zero constant terms"]
+    assert (rep.moves_checked, rep.autos_checked) == (2, 0)
 
 
 def test_fiber_transport_ok():
@@ -340,7 +336,6 @@ def test_fiber_transport_catches_wrong_target():
         cert.source,
         PolyMap.identity(cert.target.n_in),
         cert.moves,
-        cert.intermediates,
         cert.kind,
     )
     rep = fiber_transport_check(wrong, seed=11, samples=10)
@@ -365,6 +360,7 @@ def test_fiber_transport_with_rational_precompose():
 
 def test_builder_intermediates_complete():
     cert = build_toy_certificate()
-    assert len(cert.intermediates) == len(cert.moves) + 1
-    assert cert.intermediates[0] == cert.source
-    assert cert.intermediates[-1] == cert.target
+    stops = list(itertools.accumulate(cert.moves, apply_move, initial=cert.source))
+    assert len(stops) == len(cert.moves) + 1
+    assert stops[0] == cert.source
+    assert stops[-1] == cert.target

@@ -190,6 +190,10 @@ def _zero_denominator(blob):
     pytest.param(lambda b: _extend(b).update(count=-2), id="count-negative"),
     pytest.param(lambda b: _extend(b).update(count="2"), id="count-string"),
     pytest.param(lambda b: _extend(b).update(count=1000000), id="count-million"),
+    pytest.param(lambda b: b["moves"].extend([{"move": "extend", "count": 2000}] * 3),
+                 id="extends-past-budget"),
+    pytest.param(lambda b: _shear(b).update(addends={"0": "(" * 3000 + "x3" + ")" * 3000}),
+                 id="addend-nested-3000"),
 ])
 def test_verify_cert_malformed_is_invalid(capsys, tmp_path, tamper):
     cert, blob = _plane_quad_cert(capsys, tmp_path)
@@ -286,6 +290,14 @@ def test_parse_error_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert "line 2" in err
+
+
+def test_deeply_nested_map_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "deep.map"
+    path.write_text("vars x\npoly p = " + "(" * 3000 + "x" + ")" * 3000 + "\n")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert err.startswith("error: line 2, col ")
 
 
 def test_failed_check_is_exit_1(capsys):

@@ -13,12 +13,13 @@ from polyred.linalg import RatMatrix
 from polyred.maps import DEFAULT_BUDGET, PolyMap
 from polyred.poly import Poly
 from polyred.reduce import to_yagzhev
-from polyred.textio import (MapDocument, ParseError, automorphism_from_json,
-                            automorphism_to_json, certificate_from_json,
-                            certificate_to_json, default_var_names,
-                            matrix_from_json, move_from_json, move_to_json,
-                            parse_expression, parse_map, poly_text,
-                            polymap_to_document, print_map)
+from polyred.textio import (MAX_NESTING, MapDocument, ParseError,
+                            automorphism_from_json, automorphism_to_json,
+                            certificate_from_json, certificate_to_json,
+                            default_var_names, matrix_from_json,
+                            move_from_json, move_to_json, parse_expression,
+                            parse_map, poly_text, polymap_to_document,
+                            print_map)
 
 
 def _expr(text, variables=("x", "y")):
@@ -83,6 +84,13 @@ def test_error_implicit_multiplication():
 
 def test_error_unbalanced_paren():
     _fails_at("(x + y", 1, 7, "expected ')'")
+
+
+def test_error_nesting_too_deep():
+    deep = MAX_NESTING + 1
+    _fails_at("(" * deep + "x" + ")" * deep, 1, deep,
+              f"parentheses nest deeper than {MAX_NESTING}")
+    assert _expr("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == _expr("x")
 
 
 def test_error_empty_expression():
@@ -296,7 +304,7 @@ def test_certificate_json_round_trip():
     back = certificate_from_json(json.loads(blob))
     assert back.source == cert.source
     assert back.target == cert.target
-    assert len(back.intermediates) == len(cert.intermediates)
+    assert certificate_to_json(back) == certificate_to_json(cert)
     rep = verify_certificate(back)
     assert rep.ok, rep.issues
     fib = fiber_transport_check(back, seed=1, samples=5)
