@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import List, Optional, Union
 
 from .maps import PolyMap
-from .poly import Poly
+from .poly import Poly, mono_degree
 
 
 class RationalMap:
@@ -77,37 +77,19 @@ class RationalMap:
 
 def substitute_rational(p: Poly, nums, den: Poly):
     """p(nums/den) written over a single denominator: returns (q, k) with
-    p(nums/den) = q / den**k and k = max(deg p, 0)."""
-    d = p.degree() or 0
-    target = den.varcount
-    out = Poly(target)
-    num_pows: dict = {}
-    den_pows = {0: Poly.const(target, 1)}
+    p(nums/den) = q / den**k and k = max(deg p, 0).
 
-    def npow(i, e):
-        key = (i, e)
-        v = num_pows.get(key)
-        if v is None:
-            v = nums[i] ** e
-            num_pows[key] = v
-        return v
-
-    def dpow(e):
-        v = den_pows.get(e)
-        if v is None:
-            v = den ** e
-            den_pows[e] = v
-        return v
-
+    q is the homogenization of p in one extra variable h, each term
+    c*x^m becoming c*x^m*h^(k - deg m), with nums substituted for x and
+    den for h.
+    """
+    k = p.degree() or 0
+    h = p.varcount
+    hom = {}
     for m, c in p.terms.items():
-        piece = Poly.const(target, c)
-        total = 0
-        for var, e in m:
-            piece = piece * npow(var, e)
-            total += e
-        piece = piece * dpow(d - total)
-        out = out + piece
-    return out, d
+        pad = k - mono_degree(m)
+        hom[m + ((h, pad),) if pad else m] = c
+    return Poly(h + 1, hom).substitute(list(nums) + [den]), k
 
 
 class Automorphism:

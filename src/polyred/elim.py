@@ -672,63 +672,3 @@ def z_count_real_roots(a: list) -> int:
     neg = [s != (d % 2 == 1) for d, s in lcs]
     return (sum(1 for s, t in zip(neg, neg[1:]) if s != t)
             - sum(1 for s, t in zip(pos, pos[1:]) if s != t))
-
-
-def cauchy_bound(p: Poly) -> Fraction:
-    """All real roots lie strictly inside [-M, M]."""
-    c = _q_trim(q_coeffs(p))
-    if len(c) <= 1:
-        return Fraction(1)
-    lc = abs(c[-1])
-    return Fraction(1) + max(abs(x) for x in c[:-1]) / lc
-
-
-def isolate_real_roots(p: Poly) -> list:
-    """Disjoint rational intervals, one distinct real root in each.
-
-    Returns [(lo, hi)] pairs, graded left to right; lo == hi marks an
-    exact rational root, otherwise the root is interior and neither
-    endpoint is a root.  Works on any nonzero univariate polynomial.
-    """
-    sf = squarefree_part(p)
-    c = _q_trim(q_coeffs(sf))
-    if not c:
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    if len(c) == 1:
-        return []
-    chain = sturm_chain(sf)
-
-    def val(x):
-        return _q_eval(c, x)
-
-    def vari(x):
-        return _variations(chain, x)
-
-    out = []
-
-    def go(lo, hi, vlo, vhi):
-        k = vlo - vhi  # roots in (lo, hi], endpoints never roots here
-        if k == 0:
-            return
-        if k == 1:
-            out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        if val(mid) == 0:
-            w = (hi - lo) / 4
-            while val(mid - w) == 0 or val(mid + w) == 0 or \
-                    vari(mid - w) - vari(mid + w) != 1:
-                w = w / 2
-            out_left = vari(mid - w)
-            go(lo, mid - w, vlo, out_left)
-            out.append((mid, mid))
-            go(mid + w, hi, vari(mid + w), vhi)
-        else:
-            vm = vari(mid)
-            go(lo, mid, vlo, vm)
-            go(mid, hi, vm, vhi)
-
-    m = cauchy_bound(sf)
-    go(-m, m, vari(-m), vari(m))
-    out.sort(key=lambda iv: iv[0])
-    return out

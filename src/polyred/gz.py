@@ -141,14 +141,8 @@ class PairingReport:
 def _cubic_linear_from(A: RatMatrix) -> PolyMap:
     """X + (A X)^{*3}."""
     n = A.nrows
-    comps = []
-    for i in range(n):
-        form = Poly(n)
-        for j, a in enumerate(A.rows[i]):
-            if a:
-                form = form + Poly.variable(n, j).scale(a)
-        comps.append(Poly.variable(n, i) + form ** 3)
-    return PolyMap(comps)
+    forms = PolyMap.from_matrix(A).components
+    return PolyMap([Poly.variable(n, i) + form ** 3 for i, form in enumerate(forms)])
 
 
 def _bfc(B: RatMatrix, F: PolyMap, C: RatMatrix) -> PolyMap:
@@ -305,13 +299,7 @@ def pairing_to_equivalence(p: GZPairing) -> Certificate:
         cprime = p.C.hstack(kernel.transpose())
         bprime = cprime.inverse()
         ac = p.A * p.C
-        cubes = []
-        for k in range(n):
-            form = Poly(n)
-            for j, a in enumerate(ac.rows[k]):
-                if a:
-                    form = form + Poly.variable(n, j).scale(a)
-            cubes.append(form ** 3)
+        cubes = [form.extend(n) ** 3 for form in PolyMap.from_matrix(ac).components]
         additions = {}
         for j in range(r):
             s = Poly(n)

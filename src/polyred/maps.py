@@ -94,14 +94,9 @@ class PolyMap:
 
     @staticmethod
     def from_matrix(m: RatMatrix) -> "PolyMap":
-        comps = []
-        for row in m.rows:
-            p = Poly(m.ncols)
-            for j, a in enumerate(row):
-                if a:
-                    p = p + Poly.variable(m.ncols, j).scale(a)
-            comps.append(p)
-        return PolyMap(comps)
+        """x -> m x, one linear form per row."""
+        return PolyMap([Poly(m.ncols, {((j, 1),): Fraction(a) for j, a in enumerate(row) if a})
+                        for row in m.rows])
 
     @staticmethod
     def translation(vec: Sequence) -> "PolyMap":
@@ -138,9 +133,6 @@ class PolyMap:
             raise ValueError("shape mismatch")
         return PolyMap([a + b for a, b in zip(self.components, other.components)])
 
-    def extend_vars(self, new_varcount: int) -> "PolyMap":
-        return PolyMap([c.extend(new_varcount) for c in self.components])
-
     def constant_part(self) -> list:
         return [c.constant_term() for c in self.components]
 
@@ -153,9 +145,6 @@ class PolyMap:
                 row[m[0][0]] = coef
             rows.append(row)
         return RatMatrix(rows)
-
-    def homogeneous_component(self, d: int) -> "PolyMap":
-        return PolyMap([c.homogeneous_part(d) for c in self.components])
 
     def is_identity(self) -> bool:
         return self.is_endomorphism() and self == PolyMap.identity(self.n_in)
@@ -440,10 +429,7 @@ def recognize_cube(h: Poly):
         mono = ((pivot, 2), (j, 1)) if pivot < j else ((j, 1), (pivot, 2))
         c = h.terms.get(mono, Fraction(0))
         coeffs[j] = c / (3 * scale)
-    form = Poly(n)
-    for j, c in enumerate(coeffs):
-        if c:
-            form = form + Poly.variable(n, j).scale(c)
+    form = Poly(n, {((j, 1),): c for j, c in enumerate(coeffs) if c})
     if (form ** 3).scale(scale) == h:
         return scale, coeffs
     return None

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 Mono = tuple  # tuple[tuple[int, int], ...], sorted by variable index
 
@@ -52,12 +52,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out)
-
-
-def mono_pow(m: Mono, k: int) -> Mono:
-    if k == 0:
-        return ZERO_MONO
-    return tuple((v, e * k) for v, e in m)
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
@@ -373,7 +367,13 @@ class Poly:
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Substitute images[i] for variable i.  All images must share a
-        variable count, which becomes the result's."""
+        variable count, which becomes the result's.
+
+        One loop serves every kind of image: each power images[var]**e is
+        computed once, each term's product of powers is scaled by the
+        term's coefficient and added straight into the result, and sums
+        that cancel are dropped.  A zero image kills every term using it.
+        """
         if len(images) != self.varcount:
             raise ValueError("need one image per variable")
         if not images:
@@ -382,54 +382,29 @@ class Poly:
         for g in images:
             if g.varcount != target:
                 raise ValueError("images disagree on variable count")
-        if all(len(g.terms) <= 1 for g in images):
-            return self._substitute_monomial(images, target)
-        out = Poly(target)
+        out: dict = {}
         powers: dict = {}
         for m, c in self.terms.items():
-            piece = Poly.const(target, c)
+            piece = None
             for var, e in m:
                 key = (var, e)
                 p = powers.get(key)
                 if p is None:
                     p = images[var] ** e
                     powers[key] = p
-                piece = piece * p
-            out = out + piece
-        return out
-
-    def _substitute_monomial(self, images: Sequence["Poly"], target: int) -> "Poly":
-        # Every image is a single term (or zero): map monomials directly.
-        imgs = []
-        for g in images:
-            if g.terms:
-                ((mono, coef),) = g.terms.items()
-                imgs.append((mono, coef))
-            else:
-                imgs.append(None)
-        out: dict = {}
-        for m, c in self.terms.items():
-            mono = ZERO_MONO
-            coef = c
-            dead = False
-            for var, e in m:
-                img = imgs[var]
-                if img is None:
-                    dead = True
-                    break
-                mono = mono_mul(mono, mono_pow(img[0], e))
-                coef = coef * img[1] ** e
-            if dead:
-                continue
-            s = out.get(mono)
-            if s is None:
-                out[mono] = coef
-            else:
-                s = s + coef
-                if s == 0:
-                    del out[mono]
+                piece = p if piece is None else piece * p
+            items = piece.terms.items() if piece is not None else ((ZERO_MONO, 1),)
+            for pm, pc in items:
+                v = c * pc
+                s = out.get(pm)
+                if s is None:
+                    out[pm] = v
                 else:
-                    out[mono] = s
+                    s = s + v
+                    if s == 0:
+                        del out[pm]
+                    else:
+                        out[pm] = s
         return Poly(target, out)
 
     def exact_divide(self, divisor: "Poly") -> "Poly":

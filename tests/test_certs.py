@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyred.certs import (
@@ -202,6 +202,23 @@ def test_substitute_rational():
     # p(x/y, y/y) = x^2/y^2 + 1 -> (x^2 + y^2) / y^2
     assert k == 2
     assert q == x * x + y * y
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_substitute_rational_clears_the_denominator(data):
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 3))
+    p = data.draw(polys(n, range(n)))
+    nums = data.draw(st.lists(polys(m, range(m)), min_size=n, max_size=n))
+    den = data.draw(polys(m, range(m)))
+    pt = data.draw(st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+                            min_size=m, max_size=m))
+    d = den.eval_at(pt)
+    assume(d != 0)
+    q, k = substitute_rational(p, nums, den)
+    assert k == (p.degree() or 0)
+    assert q.eval_at(pt) == p.eval_at([g.eval_at(pt) / d for g in nums]) * d ** k
 
 
 # -- moves ------------------------------------------------------------------

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyred.elim import (
-    cauchy_bound,
     count_real_roots,
-    isolate_real_roots,
     poly_gcd,
     poly_matrix_det,
     primitive_part,
@@ -195,58 +193,6 @@ def test_wilkinson_fragment():
         p = p * uni([-i, 1])
     assert count_real_roots(p) == 6
     assert sturm_count(p, Fraction(3, 2), Fraction(9, 2)) == 3  # 2, 3, 4
-
-
-def test_cauchy_bound_contains_roots():
-    p = uni([-6, 11, -6, 1])  # (x-1)(x-2)(x-3)
-    m = cauchy_bound(p)
-    assert m > 3
-
-
-def test_isolate_real_roots_simple():
-    p = uni([-2, 0, 1])  # x^2 - 2
-    spans = isolate_real_roots(p)
-    assert len(spans) == 2
-    for lo, hi in spans:
-        assert lo < hi
-        assert p.eval_at([lo]) * p.eval_at([hi]) < 0
-
-
-def test_isolate_with_exact_rational_root_at_center():
-    # roots -sqrt2, 0, sqrt2: the first bisection midpoint is the root 0
-    p = uni([0, -2, 0, 1])
-    spans = isolate_real_roots(p)
-    assert len(spans) == 3
-    exact = [s for s in spans if s[0] == s[1]]
-    assert exact == [(Fraction(0), Fraction(0))]
-
-
-def test_isolate_handles_multiplicity():
-    p = uni([-1, 1]) ** 2 * uni([5, 1])  # (x-1)^2 (x+5)
-    spans = isolate_real_roots(p)
-    assert len(spans) == 2
-
-
-def test_isolate_disjoint_and_ordered():
-    rng = random.Random(9)
-    for _ in range(15):
-        roots = sorted(rng.sample(range(-8, 9), rng.randrange(1, 5)))
-        p = Poly.const(1, 1)
-        for r in roots:
-            p = p * uni([-r, 1])
-        spans = isolate_real_roots(p)
-        assert len(spans) == len(roots)
-        for (l1, h1), (l2, h2) in zip(spans, spans[1:]):
-            assert h1 <= l2
-        # each known root falls in exactly one span
-        for r in roots:
-            hits = [1 for lo, hi in spans if lo <= r <= hi]
-            assert sum(hits) == 1
-
-
-def test_isolate_rejects_zero():
-    with pytest.raises(ValueError):
-        isolate_real_roots(Poly.zero(1))
 
 
 def test_primitive_part_strips_rational_content():

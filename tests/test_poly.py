@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyred.poly import (
     ExactDivisionError,
@@ -172,15 +174,34 @@ def test_substitute_identity():
     assert p.substitute(ids) == p
 
 
-def test_monomial_image_fast_path_matches_general():
-    rng = random.Random(39)
-    p = random_poly(rng, 2, max_deg=4)
-    # single-term images trigger the fast path; compare against a
-    # mathematically equal two-term image reduced back down
-    t = Poly.variable(3, 2)
-    images = [t * t, Poly.variable(3, 0) * t]
-    slow = [t * t + Poly.zero(3), Poly.variable(3, 0) * t + Poly.zero(3)]
-    assert p.substitute(images) == p.substitute(slow)
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+def polys(varcount, min_terms=0, max_terms=4, max_exp=2):
+    exps = st.lists(st.integers(0, max_exp), min_size=varcount, max_size=varcount)
+    nonzero = fractions.filter(bool)
+    return st.dictionaries(exps.map(tuple), nonzero, min_size=min_terms,
+                           max_size=max_terms).map(lambda d: Poly.from_terms(varcount, d))
+
+
+def images_of(varcount):
+    """Zero, single-term and many-term images over `varcount` variables."""
+    return st.one_of(st.just(Poly.zero(varcount)), polys(varcount, 1, 1),
+                     polys(varcount, 2, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_substitute_commutes_with_evaluation(data):
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 3))
+    p = data.draw(polys(n, max_terms=6, max_exp=3))
+    images = data.draw(st.lists(images_of(m), min_size=n, max_size=n))
+    pt = data.draw(st.lists(fractions, min_size=m, max_size=m))
+    q = p.substitute(images)
+    assert q.varcount == m
+    assert q.eval_at(pt) == p.eval_at([g.eval_at(pt) for g in images])
+    assert all(c != 0 for c in q.terms.values())
 
 
 def test_exact_divide_roundtrip():
