@@ -8,9 +8,13 @@ complex fiber and a Sturm count over the whole line counts the real one.
 The real x2 over a simple real root x1 comes from the first subresultant,
 a rational expression in x1, so counting x1 values is counting points.
 
-The fiber computations run in integers: per target each f_i - y_i is
-cleared of denominators once, and the resultant, its squarefree part and
-its Sturm count come from the dense kernel in elim.py.  The witness a
+The fiber computations run in integers.  Each component is cleared of
+denominators once, into dense integer rows over a scale (the shape
+elim.z_rows gives); a rotation is applied to those rows through integer
+linear forms, eliminability is read off the rotated rows, and a target
+is subtracted from their constant entry.  The resultant, its squarefree
+part and its Sturm count come from the dense kernel in elim.py.  Only
+generic_rotation turns rows back into a Poly.  The witness a
 SpecializedFiber carries is the same Poly the Fraction functions there
 give, which the tests hold it to.
 
@@ -40,10 +44,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .certs import Automorphism
-from .elim import (poly_gcd, primitive_part, q_derive, resultant, uni_coeffs,
+from .elim import (_q_trim, poly_gcd, primitive_part, q_derive, resultant,
                    z_count_real_roots, z_gcd, z_resultant, z_rows,
                    z_squarefree, z_to_poly)
 from .linalg import RatMatrix
@@ -111,30 +116,114 @@ def _require_nondegenerate(f: PolyMap) -> None:
         raise ValueError("degenerate map: jacobian determinant is identically zero")
 
 
-def _eliminable(f: PolyMap) -> bool:
-    """True when x2 can be eliminated honestly: every component that
-    moves with x2 has a constant leading x2-coefficient, and at least
-    one component does move."""
-    some = False
-    for comp in f.components:
-        cs = uni_coeffs(comp, 1)
-        if len(cs) - 1 > 0:
-            some = True
-            if not cs[-1].is_constant():
-                return False
-    return some
+def _plane_rows(f: PolyMap) -> list:
+    """z_rows of each component: [(L, rows)] with rows / L the component."""
+    return [z_rows(comp) for comp in f.components]
 
 
-def _rotate_by(f: PolyMap, c: Fraction) -> PolyMap:
-    x1 = Poly.variable(2, 0)
-    x2 = Poly.variable(2, 1)
-    images = [x1 + x2.scale(c), x1.scale(-c) + x2]
-    return PolyMap([comp.substitute(images) for comp in f.components])
+def _rows_poly(comp) -> Poly:
+    """The Poly rows / L for one component (L, rows)."""
+    L, rows = comp
+    terms = {}
+    for j, row in enumerate(rows):
+        for i, c in enumerate(row):
+            if c:
+                terms[tuple((v, e) for v, e in ((0, i), (1, j)) if e)] = Fraction(c, L)
+    return Poly(2, terms)
+
+
+def _reduced(M: int, rows: list) -> tuple:
+    """(M, rows) with their common factor divided out, the way z_rows
+    returns a component: M is then the lcm of its denominators."""
+    g = M
+    for row in rows:
+        for c in row:
+            if g == 1:
+                return M, rows
+            g = gcd(g, c)
+    if g == 1:
+        return M, rows
+    return M // g, [[c // g for c in row] for row in rows]
+
+
+def _rotate(comp, c: Fraction) -> tuple:
+    """z_rows of g(x1 + c*x2, -c*x1 + x2) from g's own (L, rows).
+
+    With c = p/q and D = deg g, q^D * L * g(rotated) is the sum over the
+    homogeneous parts g_d of q^(D-d) * g_d(u, v) for the integer forms
+    u = q*x1 + p*x2 and v = -p*x1 + q*x2.  Each g_d(u, v) is a Horner
+    sum over its x2-powers; a form of degree d is a list of d + 1 ints
+    indexed by the power of x2.
+    """
+    L, rows = comp
+    p, q = c.numerator, c.denominator
+    forms: dict = {}
+    for j, row in enumerate(rows):
+        for i, a in enumerate(row):
+            if a:
+                forms.setdefault(i + j, {})[j] = a
+    D = max(forms, default=0)
+    v_pows = [[1]]
+    for _ in range(D):
+        prev = v_pows[-1]
+        nxt = [0] * (len(prev) + 1)
+        for k, a in enumerate(prev):
+            nxt[k] -= p * a
+            nxt[k + 1] += q * a
+        v_pows.append(nxt)
+    out = [[0] * (D + 1 - k) for k in range(D + 1)]
+    for d, h in forms.items():
+        # P_k = sum over m <= k of h[m] u^(k-m) v^m; P_d = g_d(u, v)
+        k0 = min(h)
+        P = [h[k0] * b for b in v_pows[k0]]
+        for k in range(k0 + 1, d + 1):
+            nxt = [q * a for a in P]
+            nxt.append(0)
+            for m, a in enumerate(P, 1):
+                nxt[m] += p * a
+            a = h.get(k)
+            if a:
+                for m, b in enumerate(v_pows[k]):
+                    nxt[m] += a * b
+            P = nxt
+        scale = q ** (D - d)
+        for k, a in enumerate(P):
+            out[k][d - k] += scale * a
+    for row in out:
+        _q_trim(row)
+    return _reduced(q ** D * L, _q_trim(out))
+
+
+def _eliminable(g: list) -> bool:
+    """True when x2 can be eliminated honestly from the rows g: every
+    component that moves with x2 has a constant leading x2-coefficient,
+    and at least one component does move."""
+    moving = [rows for _, rows in g if len(rows) > 1]
+    return bool(moving) and all(len(rows[-1]) == 1 for rows in moving)
 
 
 def _rotation_automorphism(c: Fraction) -> Automorphism:
     m = RatMatrix([[Fraction(1), c], [-c, Fraction(1)]])
     return Automorphism.from_linear(m, m.inverse(), f"rotation c={c}")
+
+
+def _rotated(fr: list, seed: int, skip_identity: bool = False) -> tuple:
+    """(rows of f o R, c) for the first seeded rotation
+    R = (x1 + c*x2, -c*x1 + x2) under which x2 eliminates; c = 0 is the
+    identity, tried first unless skip_identity."""
+    if not skip_identity and _eliminable(fr):
+        return fr, Fraction(0)
+    rng = random.Random(f"rotation:{seed}")
+    for _ in range(8):
+        c = Fraction(rng.randint(1, 19), rng.randint(1, 3))
+        if rng.randint(0, 1):
+            c = -c
+        g = [_rotate(comp, c) for comp in fr]
+        if _eliminable(g):
+            return g, c
+    raise GenericityError(
+        "no rotation exposed a constant leading coefficient in x2; "
+        "the map is likely degenerate")
 
 
 def generic_rotation(f: PolyMap, seed: int = 0, _skip_identity: bool = False):
@@ -145,20 +234,11 @@ def generic_rotation(f: PolyMap, seed: int = 0, _skip_identity: bool = False):
     candidate works; that usually means the map is degenerate.
     """
     _require_plane(f)
-    if not _skip_identity and _eliminable(f):
+    g, c = _rotated(_plane_rows(f), seed, _skip_identity)
+    if c == 0:
         eye = RatMatrix.identity(2)
         return f, Automorphism.from_linear(eye, eye, "identity rotation")
-    rng = random.Random(f"rotation:{seed}")
-    for _ in range(8):
-        c = Fraction(rng.randint(1, 19), rng.randint(1, 3))
-        if rng.randint(0, 1):
-            c = -c
-        g = _rotate_by(f, c)
-        if _eliminable(g):
-            return g, _rotation_automorphism(c)
-    raise GenericityError(
-        "no rotation exposed a constant leading coefficient in x2; "
-        "the map is likely degenerate")
+    return PolyMap([_rows_poly(comp) for comp in g]), _rotation_automorphism(c)
 
 
 def _free_target(rng: random.Random) -> tuple:
@@ -168,20 +248,32 @@ def _free_target(rng: random.Random) -> tuple:
     return coord(), coord()
 
 
-def _specialized_resultant(g: PolyMap, target: Sequence) -> tuple:
+def _specialize(comp, y: Fraction) -> tuple:
+    """z_rows(g - y) from g's own (L, rows), without building g - y."""
+    L, rows = comp
+    M = L * y.denominator // gcd(L, y.denominator)
+    m = M // L
+    out = [[m * c for c in row] for row in rows] or [[]]
+    row0 = out[0] or [0]
+    row0[0] -= M // y.denominator * y.numerator
+    out[0] = _q_trim(row0)
+    return _reduced(M, _q_trim(out))
+
+
+def _specialized_resultant(g: list, target: Sequence) -> tuple:
     """(scale, R): R is scale * Res_{x2}(g1 - y1, g2 - y2) as an int list in x1.
 
     Each p_i = g_i - y_i is cleared to L_i * p_i over Z, and the resultant
     is homogeneous of degree deg_x2(p2) in p1 and deg_x2(p1) in p2.
     """
-    L1, a = z_rows(g.components[0] - Poly.const(2, target[0]))
-    L2, b = z_rows(g.components[1] - Poly.const(2, target[1]))
+    L1, a = _specialize(g[0], target[0])
+    L2, b = _specialize(g[1], target[1])
     if not a or not b:
         return 1, []
     return L1 ** (len(b) - 1) * L2 ** (len(a) - 1), z_resultant(a, b)
 
 
-def _sqf_degree(g: PolyMap, target: Sequence):
+def _sqf_degree(g: list, target: Sequence):
     """(deg r, deg of its squarefree part), or None when r vanishes."""
     _, r = _specialized_resultant(g, target)
     if not r:
@@ -194,14 +286,15 @@ def _sqf_degree(g: PolyMap, target: Sequence):
 def _dex2_stats(f: PolyMap, seed: int = 0):
     _require_plane(f)
     _require_nondegenerate(f)
+    fr = _plane_rows(f)
     retries = 0
     for round_ in range(4):
         # the identity rotation is only ever offered on the first round;
         # a map whose fibers stack several points over one x1 value in
         # the original coordinates passes the cheap leading-coefficient
         # test and is caught here by disagreement with a true rotation
-        rot_a, _ = generic_rotation(f, seed + 17 * round_, _skip_identity=round_ > 0)
-        rot_b, _ = generic_rotation(f, seed + 17 * round_ + 7, _skip_identity=True)
+        rot_a, _ = _rotated(fr, seed + 17 * round_, round_ > 0)
+        rot_b, _ = _rotated(fr, seed + 17 * round_ + 7, True)
         rng = random.Random(f"dex2:{seed}:{round_}")
         targets = [_free_target(rng), _free_target(rng)]
         degs = []
@@ -236,11 +329,12 @@ def dex2(f: PolyMap, seed: int = 0) -> int:
 def _rotation_context(f: PolyMap, seed: int):
     """A rotation whose probe fiber is squarefree of full degree.
 
-    Returns (rotated map, reference resultant degree).  The reference is
-    what every later specialization is held against.
+    Returns (rows of the rotated map, reference resultant degree).  The
+    reference is what every later specialization is held against.
     """
+    fr = _plane_rows(f)
     for k in range(5):
-        g, _ = generic_rotation(f, seed + k, _skip_identity=k > 0)
+        g, _ = _rotated(fr, seed + k, k > 0)
         rng = random.Random(f"probe:{seed}:{k}")
         out = _sqf_degree(g, _free_target(rng))
         if out is None:

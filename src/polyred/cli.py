@@ -62,6 +62,19 @@ def _add_budget_flags(p):
                    help="largest dimension for symbolic Jacobian determinants")
 
 
+def _count(minimum: int):
+    """argparse type: an integer count of at least `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid count: {text!r}")
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
+        return n
+    return parse
+
+
 def _budget(args) -> Budget:
     return Budget(max_exact_det_dim=args.exact_threshold,
                   max_dim=args.budget_dim, max_ms=args.budget_ms)
@@ -316,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("map", help="map file or built-in example id")
     p.add_argument("--json", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1000,
+    p.add_argument("--samples", type=_count(0), default=1000,
                    help="sample count for verdicts above the exact threshold")
     _add_budget_flags(p)
     p.set_defaults(func=_cmd_analyze)
@@ -368,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-cert", help="replay and check a certificate")
     p.add_argument("cert", help="certificate JSON file")
-    p.add_argument("--fiber-samples", type=int, default=0, metavar="N",
+    p.add_argument("--fiber-samples", type=_count(0), default=0, metavar="N",
                    help="also transport N graph points through the moves")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
@@ -377,7 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attributes", help="dex and sampled mfs of a plane map")
     p.add_argument("map")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_count(1), default=200,
+                   help="sampled fibers; mfs is observed over at least one")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_attributes)
 

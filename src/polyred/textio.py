@@ -95,6 +95,9 @@ def _lex(text: str, lineno: int) -> list:
 # Each parenthesis costs the recursive-descent parser four stack frames;
 # capping the depth keeps hostile input far from the recursion limit.
 MAX_NESTING = 100
+# x^1000 expands in well under a second and the corpus peaks at degree
+# 25; x^10000 already takes seconds, so larger exponents are refused
+MAX_EXPONENT = 1000
 
 
 class _ExprParser:
@@ -171,7 +174,11 @@ class _ExprParser:
         if e is None or e[0] != "int":
             self._fail("expected an integer exponent after '^'", e)
         self._take()
-        return a ** int(e[1])
+        # compare lengths first: int() refuses very long digit strings
+        digits = e[1].lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            self._fail(f"exponent exceeds {MAX_EXPONENT}", e)
+        return a ** int(digits)
 
     def _atom(self) -> Poly:
         t = self._take()

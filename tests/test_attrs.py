@@ -3,11 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyred.attrs import (AttributeReport, _rotation_context, dex2,
-                           fiber_count_real, generic_rotation, mfs_sample,
+from polyred.attrs import (AttributeReport, _eliminable, _plane_rows,
+                           _rotate, _rotation_context, _rows_poly,
+                           _specialize, dex2, fiber_count_real,
+                           generic_rotation, mfs_sample,
                            minimal_poly_coordinate)
-from polyred.elim import count_real_roots, resultant, squarefree_part
+from polyred.elim import (count_real_roots, resultant, squarefree_part,
+                          uni_coeffs, z_rows)
 from polyred.examples import builtin_example
 from polyred.maps import GenericityError, PolyMap
 from polyred.poly import Poly
@@ -23,6 +28,85 @@ def _plane(*exprs):
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
+
+
+# -- the Fraction rotation, kept as the oracle for the integer rows -----------
+
+
+def rotate_by(f: PolyMap, c: Fraction) -> PolyMap:
+    """f(x1 + c*x2, -c*x1 + x2) through Poly.substitute."""
+    images = [X + Y.scale(c), X.scale(-c) + Y]
+    return PolyMap([comp.substitute(images) for comp in f.components])
+
+
+def eliminable_fraction(f: PolyMap) -> bool:
+    """Every component that moves with x2 has a constant leading
+    x2-coefficient, and at least one component does move."""
+    some = False
+    for comp in f.components:
+        cs = uni_coeffs(comp, 1)
+        if len(cs) - 1 > 0:
+            some = True
+            if not cs[-1].is_constant():
+                return False
+    return some
+
+
+@st.composite
+def plane_component(draw):
+    # a constant or x2-free component is drawn as often as a general one
+    kind = draw(st.sampled_from(("general", "x2-free", "constant")))
+    terms = {}
+    for _ in range(draw(st.integers(0 if kind == "constant" else 1, 6))):
+        if kind == "constant":
+            exps = (0, 0)
+        else:
+            i = draw(st.integers(0, 6))
+            j = 0 if kind == "x2-free" else draw(st.integers(0, 6 - i))
+            exps = (i, j)
+        terms[exps] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
+    return Poly.from_terms(2, terms)
+
+
+plane_maps = st.builds(lambda a, b: PolyMap([a, b]), plane_component(), plane_component())
+fractions = st.builds(Fraction, st.integers(-19, 19), st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(plane_maps, fractions)
+def test_integer_rotation_equals_fraction_rotation(f, c):
+    g = rotate_by(f, c)
+    rows = [_rotate(comp, c) for comp in _plane_rows(f)]
+    assert [_rows_poly(comp) for comp in rows] == g.components
+    # and with the very scale z_rows picks: the lcm of the denominators
+    assert rows == _plane_rows(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plane_maps, fractions)
+def test_eliminable_rows_equals_fraction_test(f, c):
+    assert _eliminable(_plane_rows(f)) == eliminable_fraction(f)
+    rows = [_rotate(comp, c) for comp in _plane_rows(f)]
+    assert _eliminable(rows) == eliminable_fraction(rotate_by(f, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(plane_maps, fractions, fractions, fractions)
+def test_specialized_rows_equal_g_minus_y(f, c, y1, y2):
+    g = rotate_by(f, c)
+    rows = [_rotate(comp, c) for comp in _plane_rows(f)]
+    for comp, comp_rows, y in zip(g.components, rows, (y1, y2)):
+        spec = _specialize(comp_rows, y)
+        assert _rows_poly(spec) == comp - Poly.const(2, y)
+        assert spec == z_rows(comp - Poly.const(2, y))
+
+
+def test_specialize_cancels_the_constant():
+    # x + 1/2 at 1/2 is x, cleared by 1 and not by 2
+    assert _specialize(z_rows(X + Poly.const(2, Fraction(1, 2))), Fraction(1, 2)) == (1, [[0, 1]])
+    # a constant component at its own value is the zero polynomial
+    assert _specialize(z_rows(Poly.const(2, 3)), Fraction(3)) == (1, [])
+    assert _specialize(z_rows(Poly(2, {})), Fraction(-2, 3)) == (3, [[2]])
 
 
 # -- generic_rotation ------------------------------------------------------
@@ -140,7 +224,8 @@ def test_fiber_witness_equals_fraction_path():
                 "random-d6-n2", "pinchuk"):
         f = _map(eid)
         ctx = _rotation_context(f, seed=3)
-        g, ref = ctx
+        rows, ref = ctx
+        g = PolyMap([_rows_poly(comp) for comp in rows])
         for target in [(2, 3), (Fraction(-7, 3), Fraction(5, 2)), (0, 0)]:
             t = (Fraction(target[0]), Fraction(target[1]))
             r = resultant(g.components[0] - Poly.const(2, t[0]),

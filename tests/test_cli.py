@@ -194,6 +194,8 @@ def _zero_denominator(blob):
                  id="extends-past-budget"),
     pytest.param(lambda b: _shear(b).update(addends={"0": "(" * 3000 + "x3" + ")" * 3000}),
                  id="addend-nested-3000"),
+    pytest.param(lambda b: _shear(b).update(addends={"0": "x3^99999999999999999999"}),
+                 id="addend-huge-exponent"),
 ])
 def test_verify_cert_malformed_is_invalid(capsys, tmp_path, tamper):
     cert, blob = _plane_quad_cert(capsys, tmp_path)
@@ -298,6 +300,41 @@ def test_deeply_nested_map_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert err.startswith("error: line 2, col ")
+
+
+def test_huge_exponent_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "big.map"
+    path.write_text("vars x\npoly p = x^99999999999999999999\n")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert err.startswith("error: line 2, col 12: exponent exceeds")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "cube-x", "--samples", "-5", "--json"],
+    ["attributes", "cube-x", "--samples", "-3", "--json"],
+    ["attributes", "cube-x", "--samples", "0"],
+    ["attributes", "cube-x", "--samples", "many"],
+])
+def test_bad_sample_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_negative_fiber_samples_is_usage_error(capsys, tmp_path):
+    cert, _ = _plane_quad_cert(capsys, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-cert", str(cert), "--fiber-samples", "-4"])
+    assert exc.value.code == 2
+    assert "--fiber-samples" in capsys.readouterr().err
+
+
+def test_zero_analyze_samples_is_allowed(capsys):
+    data = run_json(capsys, "analyze", "cube-x", "--samples", "0", "--json")
+    jsonschema.validate(data, load_schema("analysis"))
+    assert data["samples"] == 0
 
 
 def test_failed_check_is_exit_1(capsys):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyred.certs import (Automorphism, Certificate, RationalMap,
                            fiber_transport_check, verify_certificate)
@@ -13,7 +15,7 @@ from polyred.linalg import RatMatrix
 from polyred.maps import DEFAULT_BUDGET, PolyMap
 from polyred.poly import Poly
 from polyred.reduce import to_yagzhev
-from polyred.textio import (MAX_NESTING, MapDocument, ParseError,
+from polyred.textio import (MAX_EXPONENT, MAX_NESTING, MapDocument, ParseError,
                             automorphism_from_json, automorphism_to_json,
                             certificate_from_json, certificate_to_json,
                             default_var_names, matrix_from_json,
@@ -91,6 +93,23 @@ def test_error_nesting_too_deep():
     _fails_at("(" * deep + "x" + ")" * deep, 1, deep,
               f"parentheses nest deeper than {MAX_NESTING}")
     assert _expr("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == _expr("x")
+
+
+def test_error_exponent_too_big():
+    x = Poly.variable(2, 0)
+    assert _expr(f"x^{MAX_EXPONENT}") == x ** MAX_EXPONENT
+    assert _expr(f"y*x^000{MAX_EXPONENT}") == _expr(f"x^{MAX_EXPONENT}*y")
+    fragment = f"exponent exceeds {MAX_EXPONENT}"
+    _fails_at(f"x^{MAX_EXPONENT + 1}", 1, 3, fragment)
+    _fails_at("1 + (x + y)^99999999999999999999", 1, 13, fragment)
+    # longer than the digit strings int() converts by default
+    _fails_at("x^" + "9" * 5000, 1, 3, fragment)
+
+
+def test_map_with_huge_exponent_fails_at_its_position():
+    with pytest.raises(ParseError) as exc:
+        parse_map("vars x\npoly p = x^99999999999999999999\n")
+    assert (exc.value.line, exc.value.col) == (2, 12)
 
 
 def test_error_empty_expression():
@@ -234,6 +253,36 @@ def test_random_polynomials_round_trip():
         assert parse_expression(poly_text(p, names), names) == p, k
 
 
+_idents = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True).filter(
+    lambda s: s not in ("vars", "poly", "meta"))
+_meta_words = st.from_regex(r"[A-Za-z0-9=#/.,:()*+-]{1,8}", fullmatch=True)
+
+
+@st.composite
+def map_documents(draw):
+    variables = draw(st.lists(_idents, min_size=1, max_size=4, unique=True))
+    n = len(variables)
+    names = draw(st.lists(_idents, min_size=1, max_size=4, unique=True))
+    exponent = st.one_of(st.integers(0, 4), st.just(MAX_EXPONENT))
+    comps = []
+    for name in names:
+        terms = {}
+        for _ in range(draw(st.integers(0, 5))):
+            exps = tuple(draw(exponent) for _ in range(n))
+            terms[exps] = Fraction(draw(st.integers(-99, 99)), draw(st.integers(1, 12)))
+        comps.append((name, Poly.from_terms(n, terms)))
+    meta = draw(st.dictionaries(
+        st.from_regex(r"[a-z][a-z0-9_-]{0,8}", fullmatch=True).filter(lambda s: s != "meta"),
+        st.lists(_meta_words, min_size=1, max_size=3).map(" ".join), max_size=3))
+    return MapDocument(tuple(variables), tuple(comps), meta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(map_documents())
+def test_parse_inverts_print(doc):
+    assert parse_map(print_map(doc)) == doc
+
+
 # -- JSON ---------------------------------------------------------------------
 
 
@@ -333,6 +382,17 @@ def test_certificate_json_tampered_move_fails_verify():
     back = certificate_from_json(d)
     rep = verify_certificate(back)
     assert not rep.ok
+
+
+def test_certificate_with_huge_addend_exponent_is_rejected():
+    f = builtin_example("plane-quad").document.to_polymap()
+    _, trace = to_yagzhev(f)
+    d = certificate_to_json(trace.certificate)
+    auto = d["moves"][-1]["automorphism"]
+    assert auto["kind"] == "shear"
+    auto["addends"]["0"] = "x3^99999999999999999999"
+    with pytest.raises(ParseError, match=f"exponent exceeds {MAX_EXPONENT}"):
+        certificate_from_json(d)
 
 
 def test_certificate_json_rejects_foreign_document():
