@@ -223,7 +223,7 @@ def _cmd_symmetrize(args) -> int:
 def _cmd_segre(args) -> int:
     doc = _load_document(args.map)
     f = doc.to_polymap()
-    g, cert = segre_step(f, budget=_budget(args))
+    g, cert = segre_step(f)
     out_doc = polymap_to_document(g, metadata={"stage": "segre"})
     _write_text(print_map(out_doc), args.out)
     if args.cert is not None:
@@ -376,6 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("map")
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--cert", metavar="FILE")
+    # accepted so existing command lines parse; the extension needs no budget
     _add_budget_flags(p)
     p.set_defaults(func=_cmd_segre)
 
@@ -403,9 +404,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # built on the first call and reused: parse_args starts every call
+    # from a fresh namespace, so nothing carries over between calls
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as e:

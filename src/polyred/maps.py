@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .elim import poly_matrix_det
 from .linalg import RatMatrix, sparse_det, sparse_matmul, sparse_trace
-from .poly import Poly, eval_scaled_int, mono_degree
+from .poly import Poly, eval_scaled_int, linear_cube, mono_degree
 
 
 @dataclass(frozen=True)
@@ -430,7 +430,7 @@ def recognize_cube(h: Poly):
         c = h.terms.get(mono, Fraction(0))
         coeffs[j] = c / (3 * scale)
     form = Poly(n, {((j, 1),): c for j, c in enumerate(coeffs) if c})
-    if (form ** 3).scale(scale) == h:
+    if linear_cube(form).scale(scale) == h:
         return scale, coeffs
     return None
 

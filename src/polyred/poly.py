@@ -463,6 +463,39 @@ class Poly:
         return f"Poly(vars={self.varcount}, terms={len(self.terms)}, deg={self.degree()})"
 
 
+def linear_cube(form: Poly) -> Poly:
+    """form**3 for a linear form a_1 x_1 + ... + a_k x_k, expanded
+    directly: the term x_i x_j x_l (i <= j <= l) gets a_i a_j a_l times
+    1, 3 or 6 as the indices coincide, so no coefficient can cancel.
+    Each variable's (var, 1) pair is the form's own and its (var, 2) pair
+    is built once, so the cube's monomials share them.  Raises ValueError
+    when form is not a linear form.
+    """
+    items = []
+    for m, c in form.terms.items():
+        if len(m) != 1 or m[0][1] != 1:
+            raise ValueError("linear_cube expects a linear form")
+        items.append((m[0], c))
+    items.sort()
+    ones = [pair for pair, _ in items]
+    twos = [(pair[0], 2) for pair in ones]
+    coeffs = [c for _, c in items]
+    out: dict = {}
+    k = len(items)
+    for i in range(k):
+        ai = coeffs[i]
+        ai2 = ai * ai
+        out[((ones[i][0], 3),)] = ai2 * ai
+        for j in range(i + 1, k):
+            aj = coeffs[j]
+            out[(twos[i], ones[j])] = 3 * ai2 * aj
+            out[(ones[i], twos[j])] = 3 * ai * aj * aj
+            aij = 6 * ai * aj
+            for l in range(j + 1, k):
+                out[(ones[i], ones[j], ones[l])] = aij * coeffs[l]
+    return Poly(form.varcount, out)
+
+
 def eval_scaled_int(int_terms: list, nums: Sequence[int], den: int, deg: int) -> int:
     """Evaluate Σ c·x^e at x_i = nums[i]/den, scaled by den**deg.
 

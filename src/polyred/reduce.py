@@ -251,12 +251,15 @@ def normalize(f: PolyMap, seed: int = 0, budget: Budget = DEFAULT_BUDGET):
 # ---------------------------------------------------------------- stage 3
 
 
-def segre_step(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
+def segre_step(f: PolyMap):
     """Extend a normalized cubic map F = X + Q + C to (X + tQ + t^2 C, t).
 
     Requires every component to be x_i plus homogeneous parts of degree
-    exactly 2 and 3.  When the dimension allows, the determinant
-    identity j(G)(x, t) = j(F)(t x) is also checked symbolically.
+    exactly 2 and 3.  The determinant identity j(G)(x, t) = j(F)(t x)
+    holds by construction: the extension builds each G_i as F_i(t x)/t
+    by exact division, so the top-left block of J(G) is J(F)(t x) and its
+    last row is e_{n+1}.  tests/ checks the identity with symbolic
+    determinants.
     """
     if not f.is_endomorphism():
         raise ValueError("the Segre extension expects an endomorphism")
@@ -270,17 +273,7 @@ def segre_step(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
                     "normalize first")
     builder = CertificateBuilder(f, kind="segre-extension")
     builder.push(SegreExtend())
-    g = builder.current
-    if n <= budget.max_exact_det_dim:
-        jf = jacobian_det(f, budget)
-        jg = jacobian_det(g, budget)
-        if not isinstance(jf, Unknown) and not isinstance(jg, Unknown):
-            t = Poly.variable(n + 1, n)
-            scaled = [t * Poly.variable(n + 1, i) for i in range(n)]
-            if jf.substitute(scaled) != jg:
-                raise AssertionError(
-                    "determinant identity for the Segre extension failed")
-    return g, builder.build()
+    return builder.current, builder.build()
 
 
 # ---------------------------------------------------------------- stage 4
@@ -414,7 +407,7 @@ def to_yagzhev(f: PolyMap, seed: int = 0, budget: Budget = DEFAULT_BUDGET,
         parts.append(c2)
         names.append("normalize")
         dims.append(cur.n_in)
-    cur, c3 = segre_step(cur, budget=budget)
+    cur, c3 = segre_step(cur)
     parts.append(c3)
     names.append("segre-extension")
     dims.append(cur.n_in)

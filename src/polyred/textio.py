@@ -180,12 +180,19 @@ class _ExprParser:
             self._fail(f"exponent exceeds {MAX_EXPONENT}", e)
         return a ** int(digits)
 
+    def _literal(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:
+            # int() refuses more digits than sys.get_int_max_str_digits()
+            self._fail(f"integer literal of {len(tok[1])} digits is too long", tok)
+
     def _atom(self) -> Poly:
         t = self._take()
         if t is None:
             self._fail("expected a value")
         if t[0] == "int":
-            num = int(t[1])
+            num = self._literal(t)
             nxt = self._peek()
             if nxt is not None and nxt[0] == "/":
                 self._take()
@@ -193,9 +200,10 @@ class _ExprParser:
                 if den is None or den[0] != "int":
                     self._fail("expected an integer denominator", den)
                 self._take()
-                if int(den[1]) == 0:
+                d = self._literal(den)
+                if d == 0:
                     self._fail("zero denominator", den)
-                return Poly.const(self.varcount, Fraction(num, int(den[1])))
+                return Poly.const(self.varcount, Fraction(num, d))
             return Poly.const(self.varcount, Fraction(num))
         if t[0] == "ident":
             idx = self.varmap.get(t[1])

@@ -1,13 +1,16 @@
 """Driving the CLI in-process: outputs, schemas, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 
 import jsonschema
 import pytest
 
+from polyred import cli, gz
 from polyred.cli import main
-from polyred.maps import DEFAULT_BUDGET, is_yagzhev
+from polyred.maps import DEFAULT_BUDGET, PolyMap, is_yagzhev
 from polyred.textio import load_schema, parse_map
 
 
@@ -196,6 +199,8 @@ def _zero_denominator(blob):
                  id="addend-nested-3000"),
     pytest.param(lambda b: _shear(b).update(addends={"0": "x3^99999999999999999999"}),
                  id="addend-huge-exponent"),
+    pytest.param(lambda b: _shear(b).update(addends={"0": "9" * 5000 + "*x3"}),
+                 id="addend-long-literal"),
 ])
 def test_verify_cert_malformed_is_invalid(capsys, tmp_path, tamper):
     cert, blob = _plane_quad_cert(capsys, tmp_path)
@@ -235,6 +240,23 @@ def test_pair_round_trip_through_files(capsys, tmp_path):
                     "--json")
     assert back["g"] == data["g"]
     assert back["axioms_ok"]
+
+
+def test_pair_up_reports_failed_axioms(capsys, monkeypatch):
+    # pair_up only builds the pairing; the command's one verify_pairing
+    # sets both axioms_ok and the exit code
+    def tampered(g):
+        p = gz.pair_up(g)
+        p.G = PolyMap([c.scale(2) for c in p.G.components])
+        return p
+
+    monkeypatch.setattr(cli, "pair_up", tampered)
+    code, out, _ = run(capsys, "pair-up", "yagzhev-2d-a", "--json")
+    assert code == 1
+    data = json.loads(out)
+    jsonschema.validate(data, load_schema("pairing"))
+    assert data["axioms_ok"] is False
+    assert "G is not B F(C x)" in data["issues"]
 
 
 def test_pair_up_rejects_non_cubic(capsys):
@@ -302,6 +324,14 @@ def test_deeply_nested_map_is_usage_error(capsys, tmp_path):
     assert err.startswith("error: line 2, col ")
 
 
+def test_long_literal_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "long.map"
+    path.write_text("vars x\npoly p = x + " + "9" * 5000 + "\n")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert err.startswith("error: line 2, col 14: integer literal of 5000 digits")
+
+
 def test_huge_exponent_is_usage_error(capsys, tmp_path):
     path = tmp_path / "big.map"
     path.write_text("vars x\npoly p = x^99999999999999999999\n")
@@ -354,3 +384,35 @@ def test_bad_usage_raises_systemexit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reduce", "cube-x"])      # --to is required
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, tmp_path, monkeypatch):
+    builds = []
+    build = cli._build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    out_map = tmp_path / "o.map"
+    code, out, _ = run(capsys, "reduce", "cube-x", "--to", "cubic",
+                       "--out", str(out_map))
+    assert code == 0 and out.startswith("stages: ")
+    written = out_map.read_text()
+    # the second call sets neither --out nor --json; neither may leak in
+    code, out, _ = run(capsys, "reduce", "cube-x", "--to", "cubic")
+    assert code == 0 and out == written
+    run_json(capsys, "analyze", "cube-x", "--json")
+    code, out, _ = run(capsys, "analyze", "cube-x")
+    assert code == 0 and out.startswith("dimension")
+    assert len(builds) == 1
+    # a usage error still goes to the stderr in place at the time of the call
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["reduce", "cube-x"])
+    assert exc.value.code == 2
+    assert "--to" in err.getvalue()
+    assert capsys.readouterr().err == ""
+    assert len(builds) == 1

@@ -133,6 +133,7 @@ def test_pair_up_dimension_bookkeeping():
     assert p.A.nrows == p.A.ncols == m + r
     assert (p.B.nrows, p.B.ncols) == (m, m + r)
     assert (p.C.nrows, p.C.ncols) == (m + r, m)
+    assert verify_pairing(p).ok
 
 
 # ---------------------------------------------------------------- pair_down
@@ -195,6 +196,7 @@ def test_round_trip_reproduces_g_exactly():
         back = pair_down(p.F, p.A)
         assert back.G == g
         assert back.B == p.B and back.C == p.C
+        assert verify_pairing(p).ok and verify_pairing(back).ok
 
 
 # ----------------------------------------------------------- verification

@@ -11,6 +11,7 @@ from polyred.poly import (
     Poly,
     eval_scaled_int,
     grlex_cmp,
+    linear_cube,
     mono_from_dense,
     mono_to_dense,
 )
@@ -202,6 +203,48 @@ def test_substitute_commutes_with_evaluation(data):
     assert q.varcount == m
     assert q.eval_at(pt) == p.eval_at([g.eval_at(pt) for g in images])
     assert all(c != 0 for c in q.terms.values())
+
+
+def linear_forms(varcount):
+    """Sparse linear forms: zero, single-term or dense, with signed
+    coefficients that are never zero."""
+    nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    return st.dictionaries(st.integers(0, varcount - 1), nonzero,
+                           max_size=varcount).map(
+        lambda d: Poly(varcount, {((i, 1),): c for i, c in d.items()}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_linear_cube_matches_power(data):
+    # form ** 3, the general product, is the oracle for the direct expansion
+    n = data.draw(st.integers(1, 6))
+    form = data.draw(linear_forms(n))
+    cube = linear_cube(form)
+    assert cube == form ** 3
+    assert all(c != 0 for c in cube.terms.values())
+
+
+def test_linear_cube_shares_pairs():
+    x, y, z = (Poly.variable(3, i) for i in range(3))
+    form = x + y.scale(-2) + z.scale(Fraction(1, 3))
+    cube = linear_cube(form)
+    ones = {m[0][0]: m[0] for m in form.terms}
+    pairs = {}
+    for mono in cube.terms:
+        for pair in mono:
+            if pair[1] == 1:
+                assert pair is ones[pair[0]]
+            else:
+                assert pairs.setdefault(pair, pair) is pair
+
+
+def test_linear_cube_rejects_non_linear():
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    assert linear_cube(Poly.zero(2)) == Poly.zero(2)
+    for bad in (x + Poly.const(2, 1), x * y, x ** 2 + y):
+        with pytest.raises(ValueError):
+            linear_cube(bad)
 
 
 def test_exact_divide_roundtrip():

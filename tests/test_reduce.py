@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyred.certs import apply_move, fiber_transport_check, verify_certificate
 from polyred.maps import (
@@ -205,6 +207,29 @@ def test_segre_determinant_identity():
     jg = jacobian_det(g)
     t = V(3, 2)
     assert jf.substitute([t * V(3, 0), t * V(3, 1)]) == jg
+
+
+def normalized_cubic_maps(n):
+    """X + Q + C with Q and C random sparse quadratic and cubic forms."""
+    coeff = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3))
+    monos = [tuple((i, e) for i, e in enumerate(exps) if e)
+             for exps in itertools.product(range(4), repeat=n)
+             if sum(exps) in (2, 3)]
+    part = st.dictionaries(st.sampled_from(monos), coeff, max_size=4)
+    return st.lists(part, min_size=n, max_size=n).map(
+        lambda parts: PolyMap([V(n, i) + Poly(n, terms) for i, terms in enumerate(parts)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(normalized_cubic_maps))
+def test_segre_determinant_identity_random(f):
+    # segre_step no longer checks this itself: the Bareiss determinants
+    # are the oracle for the identity the extension holds by construction
+    g, _ = segre_step(f)
+    n = f.n_in
+    t = V(n + 1, n)
+    assert jacobian_det(g) == jacobian_det(f).substitute(
+        [t * V(n + 1, i) for i in range(n)])
 
 
 # ------------------------------------------------------ eliminate_quadratic

@@ -106,6 +106,16 @@ def test_error_exponent_too_big():
     _fails_at("x^" + "9" * 5000, 1, 3, fragment)
 
 
+def test_error_literal_too_long():
+    # int() refuses digit strings longer than sys.get_int_max_str_digits()
+    big = "9" * 5000
+    assert _expr("9" * 4000 + " + x") == (
+        Poly.variable(2, 0) + Poly.const(2, int("9" * 4000)))
+    _fails_at(f"x + {big}", 1, 5, "integer literal of 5000 digits is too long")
+    _fails_at(f"x + 1/{big}", 1, 7, "too long")
+    _fails_at(f"{big}/2*y", 1, 1, "too long")
+
+
 def test_map_with_huge_exponent_fails_at_its_position():
     with pytest.raises(ParseError) as exc:
         parse_map("vars x\npoly p = x^99999999999999999999\n")
