@@ -223,8 +223,8 @@ def normalized_cubic_maps(n):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3).flatmap(normalized_cubic_maps))
 def test_segre_determinant_identity_random(f):
-    # segre_step no longer checks this itself: the Bareiss determinants
-    # are the oracle for the identity the extension holds by construction
+    # Bareiss determinants are the oracle for the identity segre_step
+    # holds by construction
     g, _ = segre_step(f)
     n = f.n_in
     t = V(n + 1, n)
