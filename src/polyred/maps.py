@@ -218,16 +218,16 @@ class SampleReport:
 
 
 def sample_poly_values(p: Poly, rng: random.Random, samples: int, box: int) -> SampleReport:
-    L, items = p.content_and_integer_terms()
+    _, items = p.content_and_integer_terms()
     d = p.degree() or 0
     zeros = 0
     nonzeros = 0
     first_zero = None
-    seen = None
+    seen = None  # (v, den**d) of the first sample; its value is v / (L den**d)
     distinct = False
     for nums, den in sample_points(rng, p.varcount, samples, box):
         v = eval_scaled_int(items, nums, den, d)
-        value = Fraction(v, L * den ** d) if v else Fraction(0)
+        scale = den ** d
         if v == 0:
             zeros += 1
             if first_zero is None:
@@ -235,8 +235,8 @@ def sample_poly_values(p: Poly, rng: random.Random, samples: int, box: int) -> S
         else:
             nonzeros += 1
         if seen is None:
-            seen = value
-        elif value != seen:
+            seen = (v, scale)
+        elif v * seen[1] != seen[0] * scale:
             distinct = True
     return SampleReport(samples, zeros, nonzeros, first_zero, distinct)
 

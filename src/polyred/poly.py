@@ -14,7 +14,6 @@ polynomial has degree None.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -92,31 +91,11 @@ def mono_exponent(m: Mono, var: int) -> int:
     return 0
 
 
-def grlex_cmp(a: Mono, b: Mono) -> int:
-    """Compare monomials in graded lex order: positive when a > b."""
-    da, db = mono_degree(a), mono_degree(b)
-    if da != db:
-        return 1 if da > db else -1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va < vb:
-            return 1  # a has a positive exponent at an earlier index
-        if vb < va:
-            return -1
-        if ea != eb:
-            return 1 if ea > eb else -1
-        i += 1
-        j += 1
-    if i < len(a):
-        return 1
-    if j < len(b):
-        return -1
-    return 0
-
-
-GRLEX_KEY = functools.cmp_to_key(grlex_cmp)
+def GRLEX_KEY(m: Mono):
+    """Sort key for graded lex order: the larger key is the larger
+    monomial.  Degree comes first; then the pairs are read left to right,
+    and a smaller variable index or a larger exponent wins."""
+    return sum([e for _, e in m]), [(-v, e) for v, e in m]
 
 
 def mono_from_dense(exps: Sequence[int]) -> Mono:
@@ -372,7 +351,8 @@ class Poly:
         One loop serves every kind of image: each power images[var]**e is
         computed once, each term's product of powers is scaled by the
         term's coefficient and added straight into the result, and sums
-        that cancel are dropped.  A zero image kills every term using it.
+        that cancel are dropped.  A term stops at the first power it
+        uses that is zero, and adds nothing.
         """
         if len(images) != self.varcount:
             raise ValueError("need one image per variable")
@@ -392,19 +372,22 @@ class Poly:
                 if p is None:
                     p = images[var] ** e
                     powers[key] = p
+                if not p.terms:
+                    break
                 piece = p if piece is None else piece * p
-            items = piece.terms.items() if piece is not None else ((ZERO_MONO, 1),)
-            for pm, pc in items:
-                v = c * pc
-                s = out.get(pm)
-                if s is None:
-                    out[pm] = v
-                else:
-                    s = s + v
-                    if s == 0:
-                        del out[pm]
+            else:
+                items = piece.terms.items() if piece is not None else ((ZERO_MONO, 1),)
+                for pm, pc in items:
+                    v = c * pc
+                    s = out.get(pm)
+                    if s is None:
+                        out[pm] = v
                     else:
-                        out[pm] = s
+                        s = s + v
+                        if s == 0:
+                            del out[pm]
+                        else:
+                            out[pm] = s
         return Poly(target, out)
 
     def exact_divide(self, divisor: "Poly") -> "Poly":
@@ -467,32 +450,37 @@ def linear_cube(form: Poly) -> Poly:
     """form**3 for a linear form a_1 x_1 + ... + a_k x_k, expanded
     directly: the term x_i x_j x_l (i <= j <= l) gets a_i a_j a_l times
     1, 3 or 6 as the indices coincide, so no coefficient can cancel.
-    Each variable's (var, 1) pair is the form's own and its (var, 2) pair
-    is built once, so the cube's monomials share them.  Raises ValueError
+    The products are taken on integer numerators over the form's common
+    denominator D, and each term becomes one Fraction over D**3.  Each
+    variable's (var, 1) pair is the form's own and its (var, 2) pair is
+    built once, so the cube's monomials share them.  Raises ValueError
     when form is not a linear form.
     """
     items = []
+    den = 1
     for m, c in form.terms.items():
         if len(m) != 1 or m[0][1] != 1:
             raise ValueError("linear_cube expects a linear form")
         items.append((m[0], c))
+        den = den * c.denominator // math.gcd(den, c.denominator)
     items.sort()
     ones = [pair for pair, _ in items]
     twos = [(pair[0], 2) for pair in ones]
-    coeffs = [c for _, c in items]
+    nums = [c.numerator * (den // c.denominator) for _, c in items]
+    den3 = den ** 3
     out: dict = {}
     k = len(items)
     for i in range(k):
-        ai = coeffs[i]
+        ai = nums[i]
         ai2 = ai * ai
-        out[((ones[i][0], 3),)] = ai2 * ai
+        out[((ones[i][0], 3),)] = Fraction(ai2 * ai, den3)
         for j in range(i + 1, k):
-            aj = coeffs[j]
-            out[(twos[i], ones[j])] = 3 * ai2 * aj
-            out[(ones[i], twos[j])] = 3 * ai * aj * aj
+            aj = nums[j]
+            out[(twos[i], ones[j])] = Fraction(3 * ai2 * aj, den3)
+            out[(ones[i], twos[j])] = Fraction(3 * ai * aj * aj, den3)
             aij = 6 * ai * aj
             for l in range(j + 1, k):
-                out[(ones[i], ones[j], ones[l])] = aij * coeffs[l]
+                out[(ones[i], ones[j], ones[l])] = Fraction(aij * nums[l], den3)
     return Poly(form.varcount, out)
 
 

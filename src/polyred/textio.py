@@ -319,17 +319,20 @@ def poly_text(p: Poly, names: Sequence[str]) -> str:
         return "0"
     parts = []
     for mono, coeff in p.sorted_terms():
-        mag = abs(coeff)
+        num, den = coeff.numerator, coeff.denominator
+        positive = num > 0
+        if not positive:
+            num = -num
         factors = []
-        if mag != 1 or not mono:
-            factors.append(str(mag))
+        if num != den or not mono:  # lowest terms: num == den only for 1
+            factors.append(str(num) if den == 1 else f"{num}/{den}")
         for v, e in mono:
             factors.append(names[v] if e == 1 else f"{names[v]}^{e}")
         body = "*".join(factors)
         if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
+            parts.append(body if positive else "-" + body)
         else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
+            parts.append(("+ " if positive else "- ") + body)
     return " ".join(parts)
 
 

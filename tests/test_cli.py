@@ -11,6 +11,7 @@ import pytest
 from polyred import cli, gz
 from polyred.cli import main
 from polyred.maps import DEFAULT_BUDGET, PolyMap, is_yagzhev
+from polyred.poly import Poly
 from polyred.textio import load_schema, parse_map
 
 
@@ -242,21 +243,37 @@ def test_pair_round_trip_through_files(capsys, tmp_path):
     assert back["axioms_ok"]
 
 
+def _tamper_g(p):
+    p.G = PolyMap([c.scale(2) for c in p.G.components])
+
+
+def _tamper_f(p):
+    # x0^3 on F's first component: F is no longer X + (AX)^{*3}, and G,
+    # recomputed from F, no longer matches either
+    n = p.F.n_in
+    p.F = PolyMap([p.F.components[0] + Poly.variable(n, 0) ** 3] + p.F.components[1:])
+
+
 def test_pair_up_reports_failed_axioms(capsys, monkeypatch):
     # pair_up only builds the pairing; the command's one verify_pairing
-    # sets both axioms_ok and the exit code
-    def tampered(g):
-        p = gz.pair_up(g)
-        p.G = PolyMap([c.scale(2) for c in p.G.components])
-        return p
+    # sets both axioms_ok and the exit code, and lists every failed axiom
+    cases = [
+        (_tamper_g, ["G is not identity plus cubic homogeneous", "G is not B F(C x)"]),
+        (_tamper_f, ["F is not X + (A X)^{*3}", "G is not B F(C x)"]),
+    ]
+    for tamper, issues in cases:
+        def tampered(g):
+            p = gz.pair_up(g)
+            tamper(p)
+            return p
 
-    monkeypatch.setattr(cli, "pair_up", tampered)
-    code, out, _ = run(capsys, "pair-up", "yagzhev-2d-a", "--json")
-    assert code == 1
-    data = json.loads(out)
-    jsonschema.validate(data, load_schema("pairing"))
-    assert data["axioms_ok"] is False
-    assert "G is not B F(C x)" in data["issues"]
+        monkeypatch.setattr(cli, "pair_up", tampered)
+        code, out, _ = run(capsys, "pair-up", "yagzhev-2d-a", "--json")
+        assert code == 1
+        data = json.loads(out)
+        jsonschema.validate(data, load_schema("pairing"))
+        assert data["axioms_ok"] is False
+        assert data["issues"] == issues
 
 
 def test_pair_up_rejects_non_cubic(capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyred.elim import poly_matrix_det
 from polyred.linalg import RatMatrix
@@ -20,6 +22,8 @@ from polyred.maps import (
     jacobian_degree_bound,
     jacobian_det,
     recognize_cube,
+    sample_points,
+    sample_poly_values,
 )
 from polyred.poly import Poly
 
@@ -53,6 +57,60 @@ def test_eval_and_compose_consistency():
         g = random_map(rng, n)
         pt = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 3)) for _ in range(n)]
         assert f.compose(g).eval_at(pt) == f.eval_at(g.eval_at(pt))
+
+
+def polys(varcount, max_terms=3, max_exp=2):
+    exps = st.lists(st.integers(0, max_exp), min_size=varcount, max_size=varcount)
+    coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    return st.dictionaries(exps.map(tuple), coeffs, max_size=max_terms).map(
+        lambda d: Poly.from_terms(varcount, d))
+
+
+def polymaps(n_in, n_out):
+    return st.lists(polys(n_in), min_size=n_out, max_size=n_out).map(PolyMap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compose_is_associative(data):
+    # h: Q^k -> Q^l, g: Q^l -> Q^m, f: Q^m -> Q^p
+    k, l, m, p = (data.draw(st.integers(1, 3)) for _ in range(4))
+    h = data.draw(polymaps(k, l))
+    g = data.draw(polymaps(l, m))
+    f = data.draw(polymaps(m, p))
+    assert f.compose(g).compose(h) == f.compose(g.compose(h))
+    assert f.compose(PolyMap.identity(m)) == f
+    assert PolyMap.identity(p).compose(f) == f
+
+
+def sample_poly_values_oracle(p, rng, samples, box):
+    """sample_poly_values with every sample value built as a Fraction."""
+    values = []
+    zeros = 0
+    first_zero = None
+    for nums, den in sample_points(rng, p.varcount, samples, box):
+        value = p.eval_at([Fraction(a, den) for a in nums])
+        values.append(value)
+        if value == 0:
+            zeros += 1
+            if first_zero is None:
+                first_zero = (list(nums), den)
+    distinct = any(v != values[0] for v in values)
+    return samples, zeros, samples - zeros, first_zero, distinct
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sample_poly_values_matches_fraction_values(data):
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(polys(n, max_terms=4, max_exp=3))
+    seed = data.draw(st.integers(0, 1000))
+    samples = data.draw(st.integers(1, 12))
+    box = data.draw(st.integers(1, 4))
+    rep = sample_poly_values(p, random.Random(seed), samples, box)
+    got = (rep.samples, rep.zero_points, rep.nonzero_points, rep.first_zero,
+           rep.distinct_values)
+    assert got == sample_poly_values_oracle(p, random.Random(seed), samples, box)
 
 
 def test_identity_and_linear_parts():

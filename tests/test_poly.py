@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -9,12 +10,59 @@ from polyred.poly import (
     ExactDivisionError,
     GRLEX_KEY,
     Poly,
+    ZERO_MONO,
     eval_scaled_int,
-    grlex_cmp,
     linear_cube,
     mono_from_dense,
     mono_to_dense,
 )
+
+
+def grlex_cmp(a, b):
+    """Graded lex comparison of two monomials, positive when a > b: the
+    comparator GRLEX_KEY replaced, kept as its oracle."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return 1 if da > db else -1
+    i = j = 0
+    while i < len(a) and j < len(b):
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va < vb:
+            return 1  # a has a positive exponent at an earlier index
+        if vb < va:
+            return -1
+        if ea != eb:
+            return 1 if ea > eb else -1
+        i += 1
+        j += 1
+    if i < len(a):
+        return 1
+    if j < len(b):
+        return -1
+    return 0
+
+
+def substitute_oracle(p, images):
+    """Poly.substitute as it was before a term stopped at its first zero
+    power: every power is multiplied in, zero ones included."""
+    out = {}
+    powers = {}
+    for m, c in p.terms.items():
+        piece = None
+        for var, e in m:
+            key = (var, e)
+            if key not in powers:
+                powers[key] = images[var] ** e
+            piece = powers[key] if piece is None else piece * powers[key]
+        items = piece.terms.items() if piece is not None else ((ZERO_MONO, 1),)
+        for pm, pc in items:
+            s = out.get(pm, 0) + c * pc
+            if s == 0:
+                out.pop(pm, None)
+            else:
+                out[pm] = s
+    return Poly(images[0].varcount, out)
 
 
 def random_poly(rng, varcount, max_deg=4, max_terms=6):
@@ -207,8 +255,8 @@ def test_substitute_commutes_with_evaluation(data):
 
 def linear_forms(varcount):
     """Sparse linear forms: zero, single-term or dense, with signed
-    coefficients that are never zero."""
-    nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    coefficients that are never zero and denominators that mix."""
+    nonzero = st.builds(Fraction, st.integers(-99, 99).filter(bool), st.integers(1, 30))
     return st.dictionaries(st.integers(0, varcount - 1), nonzero,
                            max_size=varcount).map(
         lambda d: Poly(varcount, {((i, 1),): c for i, c in d.items()}))
@@ -223,6 +271,17 @@ def test_linear_cube_matches_power(data):
     cube = linear_cube(form)
     assert cube == form ** 3
     assert all(c != 0 for c in cube.terms.values())
+
+
+def test_linear_cube_mixed_denominators():
+    x, y, z, w = (Poly.variable(4, i) for i in range(4))
+    form = (x.scale(Fraction(-1, 2)) + y.scale(Fraction(2, 3))
+            + z.scale(Fraction(-5, 6)) + w.scale(7))
+    cube = linear_cube(form)
+    assert cube == form ** 3
+    assert cube.terms[((0, 3),)] == Fraction(-1, 8)
+    assert cube.terms[((1, 1), (2, 1), (3, 1))] == Fraction(-70, 3)
+    assert all(type(c) is Fraction for c in cube.terms.values())
 
 
 def test_linear_cube_shares_pairs():
@@ -305,6 +364,67 @@ def test_sorted_terms_is_strictly_decreasing():
     terms = p.sorted_terms()
     for (m1, _), (m2, _) in zip(terms, terms[1:]):
         assert grlex_cmp(m1, m2) > 0
+
+
+monomials = st.dictionaries(st.integers(0, 12), st.integers(1, 4), max_size=5).map(
+    lambda d: tuple(sorted(d.items())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(monomials, unique=True, min_size=1, max_size=30))
+def test_grlex_key_matches_comparator(monos):
+    oracle = functools.cmp_to_key(grlex_cmp)
+    assert sorted(monos, key=GRLEX_KEY) == sorted(monos, key=oracle)
+    p = Poly(13, {m: Fraction(i + 1) for i, m in enumerate(monos)})
+    lead = max(monos, key=oracle)
+    assert p.leading_term() == (lead, p.terms[lead])
+    assert [m for m, _ in p.sorted_terms()] == sorted(monos, key=oracle, reverse=True)
+    for a in monos[:5]:
+        for b in monos[:5]:
+            assert (GRLEX_KEY(a) > GRLEX_KEY(b)) == (grlex_cmp(a, b) > 0)
+
+
+def images_with_constants(varcount):
+    """Zero, nonzero constant, single-term and many-term images."""
+    return st.one_of(st.just(Poly.zero(varcount)),
+                     fractions.filter(bool).map(lambda c: Poly.const(varcount, c)),
+                     polys(varcount, 1, 1), polys(varcount, 2, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_substitute_matches_oracle_with_zero_and_constant_images(data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 3))
+    p = data.draw(polys(n, max_terms=8, max_exp=3))
+    images = data.draw(st.lists(images_with_constants(m), min_size=n, max_size=n))
+    got = p.substitute(images)
+    want = substitute_oracle(p, images)
+    assert got == want
+    # same terms in the same order, so printing and hashing agree too
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_substitute_skips_terms_with_a_zero_image():
+    x, y, z = (Poly.variable(3, i) for i in range(3))
+    p = x * y * z + x * x.scale(3) + z + Poly.const(3, 5)
+    images = [Poly.variable(2, 0), Poly.const(2, 2), Poly.zero(2)]
+    assert p.substitute(images) == (Poly.variable(2, 0) ** 2).scale(3) + Poly.const(2, 5)
+    assert p.substitute(images) == substitute_oracle(p, images)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ring_laws(data):
+    n = data.draw(st.integers(1, 3))
+    a, b, c = (data.draw(polys(n, max_terms=5, max_exp=3)) for _ in range(3))
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a - b == -(b - a)
 
 
 def test_extend_keeps_values():

@@ -224,6 +224,59 @@ def test_poly_text_canonical_forms():
     assert poly_text(x.scale(Fraction(1, 2)), ("x", "y")) == "1/2*x"
 
 
+def poly_text_oracle(p, names):
+    """poly_text as it was when it formatted through Fraction: abs, a
+    comparison with 1 and str() of the magnitude."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for mono, coeff in p.sorted_terms():
+        mag = abs(coeff)
+        factors = []
+        if mag != 1 or not mono:
+            factors.append(str(mag))
+        for v, e in mono:
+            factors.append(names[v] if e == 1 else f"{names[v]}^{e}")
+        body = "*".join(factors)
+        if not parts:
+            parts.append(body if coeff > 0 else "-" + body)
+        else:
+            parts.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(parts)
+
+
+_coeffs = st.one_of(
+    st.sampled_from([Fraction(-1), Fraction(1), Fraction(1, 2), Fraction(-1, 2)]),
+    st.builds(Fraction, st.integers(-99, 99).filter(bool), st.integers(1, 12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _coeffs,
+                       max_size=6))
+def test_poly_text_matches_fraction_formatting(terms):
+    # the (0, 0) key is the constant term; it prints its coefficient even at 1
+    p = Poly.from_terms(2, terms)
+    assert poly_text(p, ("x", "y")) == poly_text_oracle(p, ("x", "y"))
+
+
+def test_poly_text_units_halves_and_constants():
+    x = Poly.variable(2, 0)
+    y = Poly.variable(2, 1)
+    names = ("x", "y")
+    cases = [
+        (-x, "-x"),
+        (x.scale(Fraction(-1, 2)) + y.scale(Fraction(1, 2)), "-1/2*x + 1/2*y"),
+        (x - y + Poly.const(2, -1), "x - y - 1"),
+        (Poly.const(2, 1), "1"),
+        (Poly.const(2, -1), "-1"),
+        (Poly.const(2, Fraction(-1, 2)), "-1/2"),
+        (x * y.scale(Fraction(-7, 3)) + Poly.const(2, Fraction(1, 2)), "-7/3*x*y + 1/2"),
+    ]
+    for p, text in cases:
+        assert poly_text(p, names) == text
+        assert poly_text_oracle(p, names) == text
+
+
 def test_print_parse_identity_on_builtins():
     for eid in builtin_ids():
         doc = builtin_example(eid).document
