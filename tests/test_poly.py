@@ -44,24 +44,31 @@ def grlex_cmp(a, b):
 
 
 def substitute_oracle(p, images):
-    """Poly.substitute as it was before a term stopped at its first zero
-    power: every power is multiplied in, zero ones included."""
+    """Poly.substitute's loop as it was before a term stopped at its
+    first zero power: every power is multiplied in, zero ones included."""
     out = {}
     powers = {}
     for m, c in p.terms.items():
         piece = None
         for var, e in m:
             key = (var, e)
-            if key not in powers:
-                powers[key] = images[var] ** e
-            piece = powers[key] if piece is None else piece * powers[key]
+            q = powers.get(key)
+            if q is None:
+                q = images[var] ** e
+                powers[key] = q
+            piece = q if piece is None else piece * q
         items = piece.terms.items() if piece is not None else ((ZERO_MONO, 1),)
         for pm, pc in items:
-            s = out.get(pm, 0) + c * pc
-            if s == 0:
-                out.pop(pm, None)
+            v = c * pc
+            s = out.get(pm)
+            if s is None:
+                out[pm] = v
             else:
-                out[pm] = s
+                s = s + v
+                if s == 0:
+                    del out[pm]
+                else:
+                    out[pm] = s
     return Poly(images[0].varcount, out)
 
 
