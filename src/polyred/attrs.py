@@ -15,8 +15,8 @@ linear forms, eliminability is read off the rotated rows, and a target
 is subtracted from their constant entry.  The resultant, its squarefree
 part and its Sturm count come from the dense kernel in elim.py.  Only
 generic_rotation turns rows back into a Poly.  The witness a
-SpecializedFiber carries is the same Poly the Fraction functions there
-give, which the tests hold it to.
+SpecializedFiber carries is the same Poly the Fraction resultant and
+remainder chain give, which the tests hold it to.
 
 "Generic enough" is earned, not assumed.  A seeded shear-free rotation
 x -> (x1 + c*x2, -c*x1 + x2) is applied until every component that moves
@@ -48,9 +48,11 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .certs import Automorphism
-from .elim import (_q_trim, poly_gcd, primitive_part, q_derive, resultant,
-                   z_count_real_roots, z_gcd, z_resultant, z_rows,
-                   z_squarefree, z_to_poly)
+from .elim import (_q_trim, q_derive, z_count_real_roots, z_gcd, z_resultant,
+                   z_rows, z_squarefree, z_to_poly)
+# perfbench's tracer wraps elim.resultant at every import site, and its
+# tests look for it here
+from .elim import resultant  # noqa: F401
 from .linalg import RatMatrix
 from .maps import GenericityError, PolyMap, jacobian_det
 from .poly import Poly
@@ -58,12 +60,10 @@ from .poly import Poly
 __all__ = [
     "AttributeReport",
     "SpecializedFiber",
-    "MinimalPolyReport",
     "generic_rotation",
     "dex2",
     "fiber_count_real",
     "mfs_sample",
-    "minimal_poly_coordinate",
 ]
 
 
@@ -88,21 +88,6 @@ class SpecializedFiber:
     resultant_sf: Poly
     real_count: int
     complex_count: int
-
-
-@dataclass
-class MinimalPolyReport:
-    """Eliminant of one coordinate, raw and with repeated factors stripped.
-
-    `resultant` lives in Q[x1, x2, Y1, Y2] (the Y's are the target
-    coordinates); `reduced` is its squarefree, content-free part in the
-    chosen coordinate.  deg(reduced) bounds dex from above and equals dex
-    exactly when the coordinate is primitive for the map.
-    """
-
-    resultant: Poly
-    reduced: Poly
-    degree: int
 
 
 def _require_plane(f: PolyMap) -> None:
@@ -414,30 +399,3 @@ def mfs_sample(f: PolyMap, seed: int = 0, samples: int = 200,
         genericity_retries=retries,
         sag_external=sag_external,
     )
-
-
-def minimal_poly_coordinate(f: PolyMap, coord: int) -> MinimalPolyReport:
-    """Eliminant of one coordinate over the target variables.
-
-    Works in Q[x1, x2, Y1, Y2]: the other coordinate is eliminated from
-    (f1 - Y1, f2 - Y2) and the resultant is read as a polynomial in the
-    chosen coordinate with coefficients in Q[Y1, Y2].  The reduced form
-    divides out gcd(r, dr), which strips both the Q[Y]-content and the
-    repeated factors in one go; its degree shows whether the coordinate
-    is primitive.  For (x^3, y) the x-eliminant has degree 3 = dex while
-    the y-eliminant collapses to y - Y2: y separates nothing, which is
-    exactly why dex2 insists on rotations.
-    """
-    _require_plane(f)
-    _require_nondegenerate(f)
-    if coord not in (0, 1):
-        raise ValueError("coord must be 0 or 1")
-    p1 = f.components[0].extend(4) - Poly.variable(4, 2)
-    p2 = f.components[1].extend(4) - Poly.variable(4, 3)
-    raw = resultant(p1, p2, 1 - coord)
-    if raw.is_zero() or raw.degree_in(coord) == 0:
-        raise ValueError("elimination collapsed; the map is degenerate")
-    g = poly_gcd(raw, raw.derive(coord))
-    reduced = primitive_part(raw if g.is_constant() else raw.exact_divide(g))
-    return MinimalPolyReport(resultant=raw, reduced=reduced,
-                             degree=reduced.degree_in(coord))

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import List, Optional, Union
 
 from .maps import PolyMap
-from .poly import Poly, mono_degree
+from .poly import ExactDivisionError, Poly
 
 
 class RationalMap:
@@ -77,19 +77,30 @@ class RationalMap:
 
 def substitute_rational(p: Poly, nums, den: Poly):
     """p(nums/den) written over a single denominator: returns (q, k) with
-    p(nums/den) = q / den**k and k = max(deg p, 0).
+    p(nums/den) = q / den**k.
 
-    q is the homogenization of p in one extra variable h, each term
-    c*x^m becoming c*x^m*h^(k - deg m), with nums substituted for x and
-    den for h.
+    A numerator that den divides exactly is substituted as its quotient.
+    Only the remaining, genuinely rational coordinates are homogenized:
+    k is the largest degree of a term of p in them, and each term c*x^m
+    gains h^(k - that degree) for one extra variable h, with den
+    substituted for h.
     """
-    k = p.degree() or 0
+    images = []
+    rational = set()
+    for i, num in enumerate(nums):
+        try:
+            images.append(num.exact_divide(den))
+        except ExactDivisionError:
+            images.append(num)
+            rational.add(i)
+    degs = {m: sum(e for v, e in m if v in rational) for m in p.terms}
+    k = max(degs.values(), default=0)
     h = p.varcount
     hom = {}
     for m, c in p.terms.items():
-        pad = k - mono_degree(m)
+        pad = k - degs[m]
         hom[m + ((h, pad),) if pad else m] = c
-    return Poly(h + 1, hom).substitute(list(nums) + [den]), k
+    return Poly(h + 1, hom).substitute(images + [den]), k
 
 
 class Automorphism:

@@ -9,24 +9,25 @@ no index shifting happens anywhere.
 classical g*h^delta normalization.  That normalization is not optional:
 the naive pseudo-remainder sequence grows junk factors exponentially and
 is unusable beyond toy degrees, while the normalized divisions keep every
-intermediate the size of an actual subresultant.  `sylvester_resultant`
-computes the same thing as a fraction-free determinant; it is the slow
-reference route and the two are checked against each other in the tests.
+intermediate the size of an actual subresultant.  It is the one resultant
+over Q[x1..xn] and the oracle the integer `z_resultant` is tested
+against; no CLI command reaches it, but perfbench's tracer wraps it by
+name, so it stays here until spans inside polyred replace the tracer.
 
-The last section is a dense integer kernel for plane fibers: polynomials
+The second half is a dense integer kernel for plane fibers: polynomials
 in Z[x1] as int lists, in Z[x1][x2] as lists of those.  `z_resultant` is
 the same g*h^delta loop with exact integer division, `z_squarefree` and
-`z_count_real_roots` run a primitive remainder sequence over Z.  The
-Fraction functions (`resultant`, `squarefree_part`, `count_real_roots`)
-stay the generic path for any Poly and are the oracles the kernel is
-tested against.
+`z_count_real_roots` run a primitive remainder sequence over Z.  It is
+the only squarefree and real-root implementation: `squarefree_part` and
+`count_real_roots` are its entry points for a univariate Poly.  The
+Fraction remainder chain they replaced, and the Sylvester determinant
+route for `resultant`, live on as test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from .poly import ExactDivisionError, Poly
 
@@ -54,15 +55,6 @@ def uni_coeffs(p: Poly, var: int) -> list:
                 rest.append((v, k))
         out[e].terms[tuple(rest)] = out[e].terms.get(tuple(rest), Fraction(0)) + c
     return [Poly(p.varcount, {m: c for m, c in q.terms.items() if c != 0}) for q in out]
-
-
-def uni_assemble(coeffs: list, var: int, varcount: int) -> Poly:
-    out = Poly(varcount)
-    xv = Poly.variable(varcount, var)
-    for e, c in enumerate(coeffs):
-        if not c.is_zero():
-            out = out + c * xv ** e
-    return out
 
 
 def _trim(coeffs: list) -> list:
@@ -141,30 +133,6 @@ def resultant(f: Poly, g: Poly, var: int) -> Poly:
     return res.scale(sign)
 
 
-def sylvester_matrix(f: Poly, g: Poly, var: int) -> list:
-    """Sylvester matrix as nested lists of coefficient Polys."""
-    a = uni_coeffs(f, var)
-    b = uni_coeffs(g, var)
-    da, db = len(a) - 1, len(b) - 1
-    if da < 0 or db < 0:
-        raise ValueError("Sylvester matrix of a zero polynomial")
-    n = f.varcount
-    size = da + db
-    zero = Poly(n)
-    rows = []
-    for i in range(db):
-        row = [zero] * size
-        for k, c in enumerate(reversed(a)):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(da):
-        row = [zero] * size
-        for k, c in enumerate(reversed(b)):
-            row[i + k] = c
-        rows.append(row)
-    return rows
-
-
 def poly_matrix_det(rows: list, varcount: int) -> Poly:
     """Fraction-free (Bareiss) determinant of a matrix of Polys."""
     n = len(rows)
@@ -192,113 +160,14 @@ def poly_matrix_det(rows: list, varcount: int) -> Poly:
     return m[n - 1][n - 1].scale(sign)
 
 
-def sylvester_resultant(f: Poly, g: Poly, var: int) -> Poly:
-    """Reference resultant: determinant of the Sylvester matrix.
-
-    Exponentially slower than `resultant` on real inputs; kept as the
-    independent second route.
-    """
-    if f.varcount != g.varcount:
-        raise ValueError("variable count mismatch")
-    n = f.varcount
-    if f.is_zero() or g.is_zero():
-        return Poly(n)
-    if f.degree_in(var) == 0 and g.degree_in(var) == 0:
-        return Poly.const(n, 1)
-    return poly_matrix_det(sylvester_matrix(f, g, var), n)
-
-
-# -- multivariate gcd ------------------------------------------------------
-
-
-def primitive_part(p: Poly) -> Poly:
-    """p divided by its rational content, graded-lex leading coefficient > 0."""
-    lt = p.leading_term()
-    if lt is None:
-        return p
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = math.gcd(num, c.numerator)
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    content = Fraction(num, den)
-    if lt[1] < 0:
-        content = -content
-    return p.scale(1 / content)
-
-
-def _list_gcd(coeffs: list) -> Poly:
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        if g.is_constant() and not g.is_zero():
-            break
-        g = poly_gcd(g, c)
-    return primitive_part(g)
-
-
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Gcd in Q[x_1..x_n], primitive with positive leading coefficient.
-
-    Primitive PRS: recurse on the content, pseudo-divide the primitive
-    parts in the highest variable either side uses.  Not built for large
-    inputs; the specialized paths all go through `resultant` instead.
-    """
-    if p.varcount != q.varcount:
-        raise ValueError("variable count mismatch in gcd")
-    n = p.varcount
-    if p.is_zero():
-        return primitive_part(q)
-    if q.is_zero():
-        return primitive_part(p)
-    used = p.variables_used() | q.variables_used()
-    if not used:
-        return Poly.const(n, 1)
-    var = max(used)
-    a = uni_coeffs(p, var)
-    b = uni_coeffs(q, var)
-    cont_a, cont_b = _list_gcd(a), _list_gcd(b)
-    cont = poly_gcd(cont_a, cont_b)
-    if len(a) == 1 or len(b) == 1:
-        return cont
-    a = [c.exact_divide(cont_a) for c in a]
-    b = [c.exact_divide(cont_b) for c in b]
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        r = _prem(a, b, n)
-        if not r:
-            cg = _list_gcd(b)
-            g = uni_assemble([c.exact_divide(cg) for c in b], var, n)
-            break
-        if len(r) == 1:
-            return cont
-        cr = _list_gcd(r)
-        a, b = b, [c.exact_divide(cr) for c in r]
-    return primitive_part(cont * g)
-
-
-# -- genuinely univariate polynomials over Q ------------------------------
+# -- dense integer kernel ---------------------------------------------------
 #
-# Here a polynomial must use at most one variable; it is handled through
-# its Fraction coefficient list.
-
-
-def _require_univariate(p: Poly) -> int:
-    used = p.variables_used()
-    if len(used) > 1:
-        raise ValueError("polynomial is not univariate")
-    return next(iter(used)) if used else 0
-
-
-def q_coeffs(p: Poly) -> list:
-    """[c0, c1, ...] as Fractions for a univariate polynomial."""
-    var = _require_univariate(p)
-    if p.is_zero():
-        return []
-    out = [Fraction(0)] * (p.degree_in(var) + 1)
-    for m, c in p.terms.items():
-        out[m[0][1] if m else 0] = c
-    return out
+# A univariate polynomial over Z is a list of ints [c0, c1, ...] whose last
+# entry is nonzero; [] is zero.  A polynomial in Z[x1][x2] is a list, by
+# x2-degree, of such lists in x1, whose last entry is nonempty.  Plane
+# fibers run here (attrs.py), and so does every univariate Poly through
+# squarefree_part and count_real_roots; the tests hold the kernel against
+# the Fraction oracles in tests/oracles.py.
 
 
 def _q_trim(c: list) -> list:
@@ -307,137 +176,8 @@ def _q_trim(c: list) -> list:
     return c
 
 
-def _q_rem(a: list, b: list) -> list:
-    r = list(a)
-    db = len(b) - 1
-    inv = 1 / b[-1]
-    while len(r) - 1 >= db and r:
-        f = r[-1] * inv
-        k = len(r) - 1 - db
-        for i in range(db):
-            r[k + i] -= f * b[i]
-        r.pop()
-        _q_trim(r)
-    return r
-
-
-def q_gcd(a: list, b: list) -> list:
-    """Monic gcd of univariate rational coefficient lists."""
-    a, b = _q_trim(list(a)), _q_trim(list(b))
-    while b:
-        a, b = b, _q_rem(a, b)
-    if not a:
-        return []
-    lc = a[-1]
-    return [c / lc for c in a]
-
-
 def q_derive(a: list) -> list:
     return [c * i for i, c in enumerate(a)][1:]
-
-
-def _q_divide(a: list, b: list) -> list:
-    """Exact quotient of coefficient lists."""
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    r = list(a)
-    db = len(b) - 1
-    while _q_trim(r) and len(r) - 1 >= db:
-        f = r[-1] / b[-1]
-        k = len(r) - 1 - db
-        q[k] = f
-        for i in range(db + 1):
-            r[k + i] -= f * b[i]
-        _q_trim(r)
-    if r:
-        raise ExactDivisionError("univariate division is not exact")
-    return q
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """p with repeated factors collapsed: p / gcd(p, p')."""
-    var = _require_univariate(p)
-    c = q_coeffs(p)
-    if len(c) <= 1:
-        return p
-    g = q_gcd(c, q_derive(c))
-    if len(g) == 1:
-        out = c
-    else:
-        out = _q_divide(c, g)
-    return uni_assemble([Poly.const(p.varcount, x) for x in out], var, p.varcount)
-
-
-def sturm_chain(p: Poly) -> list:
-    """Sturm sequence of a univariate polynomial, as coefficient lists."""
-    c = _q_trim(q_coeffs(p))
-    if not c:
-        raise ValueError("Sturm chain of the zero polynomial")
-    chain = [c]
-    d = q_derive(c)
-    if _q_trim(list(d)):
-        chain.append(d)
-        while True:
-            r = _q_rem(chain[-2], chain[-1])
-            if not r:
-                break
-            chain.append([-x for x in r])
-    return chain
-
-
-def _q_eval(c: list, x: Fraction) -> Fraction:
-    v = Fraction(0)
-    for coef in reversed(c):
-        v = v * x + coef
-    return v
-
-
-def _variations(chain: list, x: Fraction) -> int:
-    signs = []
-    for c in chain:
-        v = _q_eval(c, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
-
-
-def _variations_at_inf(chain: list, positive: bool) -> int:
-    signs = []
-    for c in chain:
-        lc = c[-1]
-        s = 1 if lc > 0 else -1
-        if not positive and (len(c) - 1) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
-
-
-def sturm_count(p: Poly, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None) -> int:
-    """Number of distinct real roots in (lo, hi]; None means +-infinity.
-
-    Endpoints must not be roots of p when finite.
-    """
-    chain = sturm_chain(p)
-    if len(chain[0]) <= 1:
-        return 0
-    va = _variations(chain, Fraction(lo)) if lo is not None else _variations_at_inf(chain, False)
-    vb = _variations(chain, Fraction(hi)) if hi is not None else _variations_at_inf(chain, True)
-    return va - vb
-
-
-def count_real_roots(p: Poly) -> int:
-    """Distinct real roots of a univariate polynomial (no squarefree
-    assumption; the Sturm chain collapses multiplicity by itself)."""
-    return sturm_count(p)
-
-
-# -- dense integer kernel ---------------------------------------------------
-#
-# A univariate polynomial over Z is a list of ints [c0, c1, ...] whose last
-# entry is nonzero; [] is zero.  A polynomial in Z[x1][x2] is a list, by
-# x2-degree, of such lists in x1, whose last entry is nonempty.  Only
-# plane fibers run here (attrs.py); the Fraction functions above stay the
-# generic path and are the oracles the tests hold this kernel against.
-# _q_trim and q_derive serve int lists as they are.
 
 
 def z_rows(p: Poly) -> tuple:
@@ -672,3 +412,38 @@ def z_count_real_roots(a: list) -> int:
     neg = [s != (d % 2 == 1) for d, s in lcs]
     return (sum(1 for s, t in zip(neg, neg[1:]) if s != t)
             - sum(1 for s, t in zip(pos, pos[1:]) if s != t))
+
+
+# -- univariate Polys over Q, through the kernel ------------------------------
+
+
+def _uni_ints(p: Poly) -> tuple:
+    """(var, L, a) for a polynomial in at most one variable: L is the lcm
+    of its coefficient denominators and a the int list of L * p in var."""
+    used = p.variables_used()
+    if len(used) > 1:
+        raise ValueError("polynomial is not univariate")
+    var = next(iter(used)) if used else 0
+    L, items = p.content_and_integer_terms()
+    a = [0] * (p.degree_in(var) + 1 if items else 0)
+    for m, c in items:
+        a[m[0][1] if m else 0] = c
+    return var, L, a
+
+
+def squarefree_part(p: Poly) -> Poly:
+    """p with repeated factors collapsed: p / gcd(p, p') for the monic gcd.
+
+    p must use at most one variable; a constant or zero p comes back as it is.
+    """
+    var, L, a = _uni_ints(p)
+    if len(a) <= 1:
+        return p
+    q, lead = z_squarefree(a)
+    return z_to_poly(q, p.varcount, var, Fraction(lead, L))
+
+
+def count_real_roots(p: Poly) -> int:
+    """Distinct real roots of a nonzero polynomial in at most one variable
+    (no squarefree assumption; the Sturm chain collapses multiplicity)."""
+    return z_count_real_roots(_uni_ints(p)[2])

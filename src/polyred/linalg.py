@@ -8,7 +8,6 @@ would be hopeless; rows there are {column: nonzero Fraction} dicts.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -70,12 +69,6 @@ class RatMatrix:
             raise ValueError("shape mismatch in matrix sum")
         return RatMatrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
-    def apply(self, vec: Sequence) -> list:
-        v = [Fraction(x) for x in vec]
-        if len(v) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in self.rows]
-
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
@@ -88,45 +81,6 @@ class RatMatrix:
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.rows)
-
-    def det(self) -> Fraction:
-        """Determinant by fraction-free (Bareiss) elimination.
-
-        Rows are scaled to integers first so the elimination runs in pure
-        integer arithmetic; the scale comes back out at the end.
-        """
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return Fraction(1)
-        scale = 1
-        m = []
-        for row in self.rows:
-            L = 1
-            for x in row:
-                L = L * x.denominator // math.gcd(L, x.denominator)
-            scale *= L
-            m.append([int(x * L) for x in row])
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                mik = m[i][k]
-                for j in range(k + 1, n):
-                    m[i][j] = (pivot * m[i][j] - mik * m[k][j]) // prev
-                m[i][k] = 0
-            prev = pivot
-        return Fraction(sign * m[n - 1][n - 1], scale)
 
     def rref(self):
         """(reduced rows, pivot column list); self is not modified."""

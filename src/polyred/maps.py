@@ -178,11 +178,6 @@ def jacobian_det(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
     return poly_matrix_det(jacobian(f), f.n_in)
 
 
-def eval_jacobian(f: PolyMap, point: Sequence) -> RatMatrix:
-    jac = jacobian(f)
-    return RatMatrix([[p.eval_at(point) for p in row] for row in jac])
-
-
 def eval_jacobian_sparse(f: PolyMap, point: Sequence) -> list:
     """Jacobian at a point as sparse rows, skipping zero derivatives.
 
@@ -338,11 +333,6 @@ def classify(
 
 
 # -- structural predicates -------------------------------------------------
-
-
-def is_cubic(f: PolyMap) -> bool:
-    d = f.degree()
-    return d is None or d <= 3
 
 
 def has_identity_linear_part(f: PolyMap) -> bool:

@@ -287,14 +287,17 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(self.varcount, 1)
+        if k == 0:
+            return Poly.const(self.varcount, 1)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):

@@ -29,7 +29,7 @@ every automorphism out as a forward and an inverse map, still load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -523,50 +523,16 @@ def certificate_from_json(d: dict) -> Certificate:
 
 
 def attribute_report_to_json(rep) -> dict:
-    return {
-        "dex": rep.dex,
-        "mfs_observed": rep.mfs_observed,
-        "samples": rep.samples,
-        "seed": rep.seed,
-        "parity_consistent": rep.parity_consistent,
-        "genericity_retries": rep.genericity_retries,
-        "sag_external": rep.sag_external,
-    }
+    return asdict(rep)
 
 
 def classification_to_json(c) -> dict:
-    return {
-        "dim": c.dim,
-        "degree": c.degree,
-        "jacobian_degree_bound": c.jacobian_degree_bound,
-        "mode": c.mode,
-        "nondegenerate": c.nondegenerate,
-        "keller": c.keller,
-        "nonsingular_sampled": c.nonsingular_sampled,
-        "samples": c.samples,
-        "seed": c.seed,
-        "notes": list(c.notes),
-    }
+    return asdict(c)
 
 
 def cert_report_to_json(rep: CertReport, fiber: Optional[FiberReport] = None) -> dict:
-    out = {
-        "certificate": {
-            "ok": rep.ok,
-            "moves_checked": rep.moves_checked,
-            "autos_checked": rep.autos_checked,
-            "issues": list(rep.issues),
-        },
-        "fiber": None,
-    }
-    if fiber is not None:
-        out["fiber"] = {
-            "ok": fiber.ok,
-            "samples_run": fiber.samples_run,
-            "samples_skipped": fiber.samples_skipped,
-            "issues": list(fiber.issues),
-        }
-    return out
+    return {"certificate": asdict(rep),
+            "fiber": None if fiber is None else asdict(fiber)}
 
 
 def pairing_to_json(pairing) -> dict:

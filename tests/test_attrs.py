@@ -1,4 +1,4 @@
-"""Fiber statistics: rotations, dex, real fiber counts, eliminants."""
+"""Fiber statistics: rotations, dex, real fiber counts."""
 
 from fractions import Fraction
 
@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from polyred.attrs import (AttributeReport, _eliminable, _plane_rows,
                            _rotate, _rotation_context, _rows_poly,
                            _specialize, dex2, fiber_count_real,
-                           generic_rotation, mfs_sample,
-                           minimal_poly_coordinate)
-from polyred.elim import (count_real_roots, resultant, squarefree_part,
-                          uni_coeffs, z_rows)
+                           generic_rotation, mfs_sample)
+from polyred.elim import resultant, uni_coeffs, z_rows
 from polyred.examples import builtin_example
 from polyred.maps import GenericityError, PolyMap
 from polyred.poly import Poly
@@ -233,9 +232,9 @@ def test_fiber_witness_equals_fraction_path():
             if r.degree_in(0) != ref:
                 continue
             fib = fiber_count_real(f, t, _ctx=ctx)
-            sf = squarefree_part(r)
+            sf = oracles.squarefree_part(r)
             assert fib.resultant_sf == sf, (eid, target)
-            assert fib.real_count == count_real_roots(sf), (eid, target)
+            assert fib.real_count == oracles.count_real_roots(sf), (eid, target)
             assert fib.complex_count == sf.degree_in(0), (eid, target)
             checked += 1
     assert checked >= 15
@@ -280,50 +279,3 @@ def test_mfs_triple_root_attains_three():
     assert rep.mfs_observed == 3
     assert rep.parity_consistent
 
-
-# -- coordinate eliminants ---------------------------------------------------
-
-
-def test_minimal_poly_identity():
-    rep = minimal_poly_coordinate(_map("identity2"), 0)
-    x1 = Poly.variable(4, 0)
-    y1 = Poly.variable(4, 2)
-    assert rep.reduced == x1 - y1
-    assert rep.degree == 1
-
-
-def test_minimal_poly_cube_primitive_coordinate():
-    rep = minimal_poly_coordinate(_map("cube-x"), 0)
-    x1 = Poly.variable(4, 0)
-    y1 = Poly.variable(4, 2)
-    assert rep.reduced == x1 ** 3 - y1
-    assert rep.degree == 3
-
-
-def test_minimal_poly_cube_bad_coordinate_collapses():
-    # y tells the fibers of (x^3, y) apart not at all: the raw eliminant
-    # is (y - Y2)^3 and the reduced form has degree 1 < dex
-    rep = minimal_poly_coordinate(_map("cube-x"), 1)
-    x2 = Poly.variable(4, 1)
-    y2 = Poly.variable(4, 3)
-    assert rep.resultant == (x2 - y2) ** 3
-    assert rep.reduced == x2 - y2
-    assert rep.degree == 1
-
-
-def test_minimal_poly_degree_bounds_dex():
-    for eid in ("identity2", "cube-x", "plane-quad"):
-        f = _map(eid)
-        d = dex2(f)
-        for coord in (0, 1):
-            assert minimal_poly_coordinate(f, coord).degree <= d
-
-
-def test_minimal_poly_rejects_degenerate():
-    with pytest.raises(ValueError):
-        minimal_poly_coordinate(_plane(X, X), 0)
-
-
-def test_minimal_poly_rejects_bad_coordinate_index():
-    with pytest.raises(ValueError):
-        minimal_poly_coordinate(_map("identity2"), 2)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from polyred import certs
 from polyred.certs import (
     Automorphism,
     Certificate,
@@ -21,9 +23,11 @@ from polyred.certs import (
     substitute_rational,
     verify_certificate,
 )
+from polyred.examples import builtin_example
 from polyred.linalg import RatMatrix
 from polyred.maps import PolyMap
-from polyred.poly import Poly
+from polyred.poly import ExactDivisionError, Poly
+from polyred.reduce import meng_symmetrize
 
 
 def V(n, i):
@@ -204,6 +208,14 @@ def test_substitute_rational():
     assert q == x * x + y * y
 
 
+def divides(den, g):
+    try:
+        g.exact_divide(den)
+    except ExactDivisionError:
+        return False
+    return True
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_substitute_rational_clears_the_denominator(data):
@@ -217,8 +229,50 @@ def test_substitute_rational_clears_the_denominator(data):
     d = den.eval_at(pt)
     assume(d != 0)
     q, k = substitute_rational(p, nums, den)
-    assert k == (p.degree() or 0)
+    rational = {i for i, g in enumerate(nums) if not divides(den, g)}
+    assert k == max((sum(e for v, e in m if v in rational) for m in p.terms), default=0)
     assert q.eval_at(pt) == p.eval_at([g.eval_at(pt) / d for g in nums]) * d ** k
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_substitute_rational_matches_full_homogenization(data):
+    # nums mixes multiples of den, which substitute as polynomials, with
+    # arbitrary numerators; clearing the full degree's worth of den, as the
+    # oracle does, differs only by the missing powers of den
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 3))
+    p = data.draw(polys(n, range(n)))
+    den = data.draw(polys(m, range(m)))
+    assume(not den.is_zero())
+    nums = [g * den if data.draw(st.booleans()) else g
+            for g in data.draw(st.lists(polys(m, range(m)), min_size=n, max_size=n))]
+    q, k = substitute_rational(p, nums, den)
+    q_ref, k_ref = oracles.substitute_rational(p, nums, den)
+    assert k <= k_ref
+    assert q * den ** (k_ref - k) == q_ref
+
+
+@pytest.mark.parametrize("eid", ["cube-x", "triple-root", "square-x", "random-d4-n2"])
+def test_rational_inverse_verdicts_match_full_homogenization(eid, monkeypatch):
+    # the Meng twist of a non-Keller map has a rational inverse; true and
+    # tampered inverses get the same verdict, component index included,
+    # from the partial homogenization as from the full one
+    _, cert, _ = meng_symmetrize(builtin_example(eid).document.to_polymap())
+    (auto,) = [mv.auto for mv in cert.moves
+               if isinstance(getattr(mv, "auto", None), Automorphism)
+               and isinstance(mv.auto.inverse, RationalMap)]
+    inv = auto.inverse
+    n = inv.n_in
+    candidates = [auto]
+    for i in (0, n // 2, n - 1):
+        nums = list(inv.nums)
+        nums[i] = nums[i] + V(n, n - 1)
+        candidates.append(Automorphism(auto.forward, RationalMap(nums, inv.den)))
+    verdicts = [a.verify_two_sided() for a in candidates]
+    monkeypatch.setattr(certs, "substitute_rational", oracles.substitute_rational)
+    assert verdicts == [a.verify_two_sided() for a in candidates]
+    assert verdicts[0] is None and all(v is not None for v in verdicts[1:])
 
 
 # -- moves ------------------------------------------------------------------

@@ -5,18 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from polyred.elim import (
     count_real_roots,
-    poly_gcd,
     poly_matrix_det,
-    primitive_part,
-    q_coeffs,
-    q_gcd,
     resultant,
     squarefree_part,
-    sturm_count,
-    sylvester_resultant,
-    uni_assemble,
     uni_coeffs,
     z_count_real_roots,
     z_exact_div,
@@ -54,7 +48,7 @@ def test_uni_coeffs_roundtrip():
         p = random_poly(rng, 3, 4, 8)
         var = rng.randrange(3)
         coeffs = uni_coeffs(p, var)
-        assert uni_assemble(coeffs, var, 3) == p
+        assert oracles.uni_assemble(coeffs, var, 3) == p
         for c in coeffs:
             assert c.degree_in(var) == 0
 
@@ -75,7 +69,7 @@ def test_resultant_matches_sylvester_route():
             continue
         if f.is_zero() or g.is_zero():
             continue
-        assert resultant(f, g, var) == sylvester_resultant(f, g, var)
+        assert resultant(f, g, var) == oracles.sylvester_resultant(f, g, var)
         checked += 1
 
 
@@ -138,7 +132,7 @@ def test_deeper_prs_case():
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
     f = x ** 7 + y * x ** 3 - x + Poly.const(2, 2)
     g = x ** 2 + y
-    assert resultant(f, g, 0) == sylvester_resultant(f, g, 0)
+    assert resultant(f, g, 0) == oracles.sylvester_resultant(f, g, 0)
 
 
 def test_poly_matrix_det_small():
@@ -167,9 +161,9 @@ def test_squarefree_of_squarefree_is_identity_up_to_scalar():
 
 
 def test_q_gcd():
-    a = q_coeffs(uni([-1, 1]) * uni([1, 1]))  # (x-1)(x+1)
-    b = q_coeffs(uni([-1, 1]) * uni([3, 1]))  # (x-1)(x+3)
-    g = q_gcd(a, b)
+    a = oracles.q_coeffs(uni([-1, 1]) * uni([1, 1]))  # (x-1)(x+1)
+    b = oracles.q_coeffs(uni([-1, 1]) * uni([3, 1]))  # (x-1)(x+3)
+    g = oracles.q_gcd(a, b)
     assert g == [Fraction(-1), Fraction(1)]  # monic x - 1
 
 
@@ -178,8 +172,8 @@ def test_sturm_count_known():
     assert count_real_roots(p) == 5
     assert count_real_roots(uni([1, 0, 1])) == 0  # x^2 + 1
     assert count_real_roots(uni([-1, 0, 0, 0, 0, 1])) == 1  # x^5 - 1
-    assert sturm_count(p, Fraction(0), Fraction(2)) == 2  # sqrt2 and sqrt3
-    assert sturm_count(p, Fraction(-1), Fraction(1)) == 1  # just 0
+    assert oracles.sturm_count(p, Fraction(0), Fraction(2)) == 2  # sqrt2 and sqrt3
+    assert oracles.sturm_count(p, Fraction(-1), Fraction(1)) == 1  # just 0
 
 
 def test_sturm_counts_distinct_roots_of_nonsquarefree():
@@ -192,111 +186,49 @@ def test_wilkinson_fragment():
     for i in range(1, 7):
         p = p * uni([-i, 1])
     assert count_real_roots(p) == 6
-    assert sturm_count(p, Fraction(3, 2), Fraction(9, 2)) == 3  # 2, 3, 4
+    assert oracles.sturm_count(p, Fraction(3, 2), Fraction(9, 2)) == 3  # 2, 3, 4
 
 
-def test_primitive_part_strips_rational_content():
-    x = Poly.variable(2, 0)
-    y = Poly.variable(2, 1)
-    p = (x * y).scale(Fraction(4, 6)) + y.scale(Fraction(2, 3))
-    assert primitive_part(p) == x * y + y
+@st.composite
+def univariate(draw):
+    """A rational constant times up to three small rational factors, each
+    raised to a power up to 3, in one variable of a 1 to 3 variable
+    ambient space; zero when the constant is."""
+    n = draw(st.integers(1, 3))
+    x = Poly.variable(n, draw(st.integers(0, n - 1)))
+    p = Poly.const(n, Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 5))))
+    for _ in range(draw(st.integers(0, 3))):
+        factor = Poly(n)
+        for e in range(draw(st.integers(1, 2)) + 1):
+            c = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 3)))
+            factor = factor + (x ** e).scale(c)
+        p = p * factor ** draw(st.integers(1, 3))
+    return p
 
 
-def test_primitive_part_normalizes_sign():
-    x = Poly.variable(1, 0)
-    p = -(x ** 2) + Poly.const(1, 2)
-    assert primitive_part(p).leading_term()[1] > 0
-    assert primitive_part(p) == x ** 2 - Poly.const(1, 2)
+@settings(max_examples=200, deadline=None)
+@given(univariate())
+def test_squarefree_and_root_count_match_fraction_chain(p):
+    assert squarefree_part(p) == oracles.squarefree_part(p)
+    if p.is_zero():
+        for count in (count_real_roots, oracles.count_real_roots):
+            with pytest.raises(ValueError):
+                count(p)
+    else:
+        assert count_real_roots(p) == oracles.count_real_roots(p)
 
 
-def test_primitive_part_zero():
-    z = Poly.zero(3)
-    assert primitive_part(z) == z
-
-
-def test_poly_gcd_shared_linear_factor():
-    x = Poly.variable(2, 0)
-    y = Poly.variable(2, 1)
-    s = x + y
-    p = s * s * (x - y)
-    q = s * y
-    assert poly_gcd(p, q) == s
-
-
-def test_poly_gcd_repeated_factor():
-    x = Poly.variable(2, 0)
-    y = Poly.variable(2, 1)
-    s = x + y.scale(2)
-    assert poly_gcd(s ** 3 * x, s ** 2 * y) == s ** 2
-
-
-def test_poly_gcd_coprime():
-    x = Poly.variable(2, 0)
-    y = Poly.variable(2, 1)
-    g = poly_gcd(x ** 2 + y, x - y ** 2)
-    assert g == Poly.const(2, 1)
-
-
-def test_poly_gcd_with_zero_and_constants():
-    x = Poly.variable(2, 0)
-    p = (x ** 2).scale(Fraction(3, 2))
-    assert poly_gcd(p, Poly.zero(2)) == x ** 2
-    assert poly_gcd(Poly.zero(2), p) == x ** 2
-    assert poly_gcd(Poly.const(2, 5), p) == Poly.const(2, 1)
-
-
-def test_poly_gcd_result_is_primitive():
-    x = Poly.variable(2, 0)
-    y = Poly.variable(2, 1)
-    s = (x + y).scale(Fraction(7, 3))
-    g = poly_gcd(s * x, s * y)
-    assert g == x + y
-
-
-def test_poly_gcd_randomized_divides_both():
-    rng = random.Random(77)
-    names = [Poly.variable(3, i) for i in range(3)]
-
-    def small():
-        p = Poly.const(3, rng.randint(-3, 3))
-        for _ in range(rng.randrange(1, 4)):
-            v = names[rng.randrange(3)]
-            p = p + (v ** rng.randrange(1, 3)).scale(rng.randint(-2, 2))
-        return p
-
-    for _ in range(25):
-        g0, a, b = small(), small(), small()
-        if g0.is_zero():
-            continue
-        p, q = g0 * a, g0 * b
-        g = poly_gcd(p, q)
-        if p.is_zero() or q.is_zero():
-            continue
-        # the common factor we planted must divide the reported gcd,
-        # and the gcd must divide both products
-        for prod in (p, q):
-            assert prod.exact_divide(g) * g == prod
-        assert g.exact_divide(poly_gcd(g, g0)) is not None
-
-
-def test_poly_gcd_univariate_matches_q_gcd():
-    rng = random.Random(13)
-    for _ in range(10):
-        a = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randrange(2, 5))]
-        b = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randrange(2, 5))]
-        if not any(a) or not any(b):
-            continue
-        pa = uni_assemble([Poly.const(1, c) for c in a], 0, 1)
-        pb = uni_assemble([Poly.const(1, c) for c in b], 0, 1)
-        g = poly_gcd(pa, pb)
-        ref = q_gcd(a, b)
-        # same degree; both are gcds up to a unit
-        assert g.degree() == len(ref) - 1
+def test_univariate_entry_points_reject_two_variables():
+    p = Poly.variable(3, 0) * Poly.variable(3, 2) + Poly.const(3, 1)
+    for fn in (squarefree_part, count_real_roots,
+               oracles.squarefree_part, oracles.count_real_roots):
+        with pytest.raises(ValueError, match="not univariate"):
+            fn(p)
 
 
 # -- dense integer kernel against the Fraction path ---------------------------
 #
-# resultant, squarefree_part and count_real_roots are the oracles: the
+# resultant and the Fraction chain in tests/oracles.py are the oracles: the
 # kernel must reproduce them exactly once its denominators are put back.
 
 
@@ -323,8 +255,8 @@ def fraction_fiber(p1, p2):
     r = resultant(p1, p2, 1)
     if r.is_zero():
         return r, None, None
-    sf = squarefree_part(r)
-    return r, sf, count_real_roots(sf)
+    sf = oracles.squarefree_part(r)
+    return r, sf, oracles.count_real_roots(sf)
 
 
 @st.composite
@@ -359,9 +291,9 @@ def test_kernel_real_root_count_matches_sturm(a, b):
         c.pop()
     if not c:
         return
-    assert z_count_real_roots(c) == count_real_roots(uni(c))
+    assert z_count_real_roots(c) == oracles.count_real_roots(uni(c))
     q, lead = z_squarefree(c)
-    assert z_to_poly(q, 1, 0, Fraction(lead)) == squarefree_part(uni(c))
+    assert z_to_poly(q, 1, 0, Fraction(lead)) == oracles.squarefree_part(uni(c))
 
 
 def test_kernel_sturm_sign_after_a_degree_gap():
@@ -372,7 +304,7 @@ def test_kernel_sturm_sign_after_a_degree_gap():
     assert z_count_real_roots([-2, 3, 0, 0, -2]) == 0
     assert z_count_real_roots([0, -3, 1, 0, 0, 1]) == 3
     for c in ([0, 2, 0, 0, 1], [-2, 3, 0, 0, -2], [0, -3, 1, 0, 0, 1]):
-        assert z_count_real_roots(c) == count_real_roots(uni(c))
+        assert z_count_real_roots(c) == oracles.count_real_roots(uni(c))
 
 
 def test_kernel_common_factor_gives_zero_resultant():

@@ -139,15 +139,6 @@ def test_degree_of_product():
             assert (a * b).degree() == a.degree() + b.degree()
 
 
-def test_pow_matches_repeated_multiplication():
-    rng = random.Random(11)
-    p = random_poly(rng, 2, max_deg=3, max_terms=4)
-    acc = Poly.const(2, 1)
-    for k in range(5):
-        assert p ** k == acc
-        acc = acc * p
-
-
 def test_derive_leibniz_random():
     rng = random.Random(31)
     for _ in range(40):
@@ -432,6 +423,18 @@ def test_ring_laws(data):
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
     assert a - b == -(b - a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pow_matches_repeated_multiplication(data):
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(polys(n, max_terms=4, max_exp=2))
+    acc = Poly.const(n, 1)
+    for k in range(6):
+        assert p ** k == acc
+        acc = acc * p
+    assert p ** 1 is p
 
 
 def test_extend_keeps_values():
