@@ -161,8 +161,6 @@ class Automorphism:
 
     @staticmethod
     def from_linear(m, inverse_m=None, label: str = "") -> "Automorphism":
-        from .linalg import RatMatrix
-
         if inverse_m is None:
             inverse_m = m.inverse()
         return Automorphism(

@@ -52,16 +52,6 @@ def _load_document(ref: str):
             "(see `polyred examples list`)")
 
 
-def _add_budget_flags(p):
-    p.add_argument("--budget-dim", type=int, default=DEFAULT_BUDGET.max_dim,
-                   metavar="N", help="abort once a map would exceed N variables")
-    p.add_argument("--budget-ms", type=int, default=DEFAULT_BUDGET.max_ms,
-                   metavar="MS", help="abort after MS milliseconds of pipeline work")
-    p.add_argument("--exact-threshold", type=int,
-                   default=DEFAULT_BUDGET.max_exact_det_dim, metavar="N",
-                   help="largest dimension for symbolic Jacobian determinants")
-
-
 def _count(minimum: int):
     """argparse type: an integer count of at least `minimum`."""
     def parse(text: str) -> int:
@@ -75,9 +65,14 @@ def _count(minimum: int):
     return parse
 
 
-def _budget(args) -> Budget:
-    return Budget(max_exact_det_dim=args.exact_threshold,
-                  max_dim=args.budget_dim, max_ms=args.budget_ms)
+def _add_exact_threshold(p) -> None:
+    p.add_argument("--exact-threshold", type=_count(0),
+                   default=DEFAULT_BUDGET.max_exact_det_dim, metavar="N",
+                   help="largest dimension for symbolic Jacobian determinants")
+
+
+def _exact_budget(args) -> Budget:
+    return Budget(max_exact_det_dim=args.exact_threshold)
 
 
 def _print_json(data) -> None:
@@ -110,7 +105,8 @@ def _write_text(text: str, path) -> None:
 def _cmd_analyze(args) -> int:
     doc = _load_document(args.map)
     f = doc.to_polymap()
-    cls = classify(f, budget=_budget(args), seed=args.seed, samples=args.samples)
+    cls = classify(f, budget=_exact_budget(args), seed=args.seed,
+                   samples=args.samples)
     data = classification_to_json(cls)
     data["yagzhev"] = is_yagzhev(f)
     data["druzkowski"] = is_druzkowski(f)[0]
@@ -138,13 +134,12 @@ def _cmd_analyze(args) -> int:
 def _cmd_reduce(args) -> int:
     doc = _load_document(args.map)
     f = doc.to_polymap()
-    budget = _budget(args)
+    budget = Budget(max_dim=args.budget_dim, max_ms=args.budget_ms)
     if args.to == "cubic":
-        g, cert = lower_degree(f, budget=budget, group_factors=args.group_factors)
+        g, cert = lower_degree(f, budget=budget)
         stages = [("input", f.n_in), ("cubic", g.n_in)]
     else:
-        g, trace = to_yagzhev(f, seed=args.seed, budget=budget,
-                              group_factors=args.group_factors)
+        g, trace = to_yagzhev(f, seed=args.seed, budget=budget)
         cert = trace.certificate
         stages = list(zip(trace.stage_names, trace.stage_dims))
     out_doc = polymap_to_document(g, metadata={"stage": args.to})
@@ -208,7 +203,7 @@ def _cmd_pair_down(args) -> int:
 def _cmd_symmetrize(args) -> int:
     doc = _load_document(args.map)
     f = doc.to_polymap()
-    g, cert, potential = meng_symmetrize(f, budget=_budget(args))
+    g, cert, potential = meng_symmetrize(f, budget=_exact_budget(args))
     names = default_var_names(g.n_in)
     out_doc = polymap_to_document(
         g, metadata={"stage": "symmetrized",
@@ -331,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_count(0), default=1000,
                    help="sample count for verdicts above the exact threshold")
-    _add_budget_flags(p)
+    _add_exact_threshold(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("reduce", help="rewrite into cubic or cubic homogeneous form")
@@ -342,11 +337,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", metavar="FILE", help="write the equivalence "
                    "certificate here as JSON")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--group-factors", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="reuse one fresh variable per distinct factor "
-                        "(default; --no-group-factors expands every cube)")
-    _add_budget_flags(p)
+    p.add_argument("--budget-dim", type=_count(1), default=DEFAULT_BUDGET.max_dim,
+                   metavar="N", help="abort once a map would exceed N variables")
+    p.add_argument("--budget-ms", type=_count(0), default=DEFAULT_BUDGET.max_ms,
+                   metavar="MS", help="abort after MS milliseconds of pipeline "
+                   "work; 0 means no time limit")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("pair-up", help="cubic linear partner of a cubic "
@@ -368,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("map")
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--cert", metavar="FILE")
-    _add_budget_flags(p)
+    _add_exact_threshold(p)
     p.set_defaults(func=_cmd_symmetrize)
 
     p = sub.add_parser("segre", help="one-variable extension of a normalized "
@@ -376,8 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("map")
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--cert", metavar="FILE")
-    # accepted so existing command lines parse; the extension needs no budget
-    _add_budget_flags(p)
     p.set_defaults(func=_cmd_segre)
 
     p = sub.add_parser("verify-cert", help="replay and check a certificate")

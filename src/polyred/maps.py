@@ -272,10 +272,11 @@ def classify(
     if isinstance(det, Poly):
         nondeg = not det.is_zero()
         keller = det.is_constant() and not det.is_zero()
-        report = None
         nonsing = None
         notes = ["jacobian determinant computed exactly"]
-        if nondeg:
+        if keller:
+            nonsing = True  # a nonzero constant has no zero to sample
+        elif nondeg:
             report = sample_poly_values(det, rng, samples, box)
             nonsing = report.zero_points == 0
             if report.first_zero is not None:
@@ -290,7 +291,7 @@ def classify(
             nondegenerate=nondeg,
             keller=keller,
             nonsingular_sampled=nonsing,
-            samples=samples if report else 0,
+            samples=samples if nondeg else 0,
             seed=seed,
             notes=notes,
         )

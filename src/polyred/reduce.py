@@ -11,8 +11,9 @@ taken on faith.  ``to_yagzhev`` chains the four stages:
   4. absorb the quadratic block into fresh variables, leaving an
      identity-plus-cubic-homogeneous map.
 
-The variable count grows along the way and no attempt is made to
-minimize it; the per-stage dimensions are recorded in the trace.
+The variable count grows along the way; stage 1 splits off factors
+shared by many terms to keep it down but does not minimize it.  The
+per-stage dimensions are recorded in the trace.
 """
 
 import random
@@ -84,18 +85,6 @@ def _take_degree(mono, k: int):
     return tuple(out)
 
 
-def _single_term_split(comp: Poly, d: int):
-    """Split the graded-lex leading degree-d term into two monomial
-    factors of degrees ceil(d/2) and floor(d/2); the coefficient rides
-    on the second factor."""
-    n = comp.varcount
-    mono = max((m for m in comp.terms if mono_degree(m) == d), key=GRLEX_KEY)
-    coeff = comp.terms[mono]
-    a = _take_degree(mono, (d + 1) // 2)
-    b = mono_div(mono, a)
-    return Poly(n, {a: Fraction(1)}), Poly(n, {b: coeff})
-
-
 def _grouped_split(comp: Poly, d: int):
     """Split off a monomial factor shared by as many top-degree terms as
     possible, so one round of fresh variables removes them all.
@@ -136,8 +125,7 @@ def _grouped_split(comp: Poly, d: int):
     return a, b
 
 
-def lower_degree(f: PolyMap, budget: Budget = DEFAULT_BUDGET,
-                 group_factors: bool = False):
+def lower_degree(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
     """Rewrite f, two fresh variables at a time, until every component
     has total degree at most three.
 
@@ -161,16 +149,11 @@ def lower_degree(f: PolyMap, budget: Budget = DEFAULT_BUDGET,
         _check_time(start, budget, "degree lowering")
         n = cur.n_in
         if n + 2 > budget.max_dim:
-            hint = ("; grouped splitting (group_factors=True) usually lands "
-                    "far lower" if not group_factors else "")
             raise BudgetExceeded(
                 f"degree lowering wants {n + 2} variables, over the cap of "
-                f"{budget.max_dim}{hint}")
+                f"{budget.max_dim}")
         ci, comp = _component_at_max(cur, d)
-        if group_factors:
-            a, b = _grouped_split(comp, d)
-        else:
-            a, b = _single_term_split(comp, d)
+        a, b = _grouped_split(comp, d)
         m = n + 2
         builder.push(ExtendFreshVars(2))
         builder.push(PreCompose(Automorphism.shear(
@@ -366,7 +349,6 @@ class ReductionTrace:
     certificate: Certificate
     stage_names: list
     stage_dims: list
-    budgets_used: dict
 
 
 def concat_certificates(certs, kind: str) -> Certificate:
@@ -379,8 +361,7 @@ def concat_certificates(certs, kind: str) -> Certificate:
     return Certificate(certs[0].source, certs[-1].target, moves, kind)
 
 
-def to_yagzhev(f: PolyMap, seed: int = 0, budget: Budget = DEFAULT_BUDGET,
-               group_factors: bool = False):
+def to_yagzhev(f: PolyMap, seed: int = 0, budget: Budget = DEFAULT_BUDGET):
     """Run the full reduction and return (yagzhev map, trace).
 
     Stages that would be no-ops are skipped (an already-cubic map skips
@@ -389,15 +370,13 @@ def to_yagzhev(f: PolyMap, seed: int = 0, budget: Budget = DEFAULT_BUDGET,
     """
     if not f.is_endomorphism():
         raise ValueError("the reduction pipeline expects an endomorphism")
-    start = time.monotonic()
     names = ["input"]
     dims = [f.n_in]
     if is_yagzhev(f):
         cert = Certificate(f, f, [], kind="yagzhev-reduction")
-        return f, ReductionTrace(cert, names, dims, {
-            "elapsed_ms": 0, "seed": seed, "group_factors": group_factors})
+        return f, ReductionTrace(cert, names, dims)
     parts = []
-    cur, c1 = lower_degree(f, budget=budget, group_factors=group_factors)
+    cur, c1 = lower_degree(f, budget=budget)
     parts.append(c1)
     names.append("lower-degree")
     dims.append(cur.n_in)
@@ -416,12 +395,7 @@ def to_yagzhev(f: PolyMap, seed: int = 0, budget: Budget = DEFAULT_BUDGET,
     names.append("eliminate-quadratic")
     dims.append(cur.n_in)
     cert = concat_certificates(parts, "yagzhev-reduction")
-    used = {
-        "elapsed_ms": int((time.monotonic() - start) * 1000),
-        "seed": seed,
-        "group_factors": group_factors,
-    }
-    return cur, ReductionTrace(cert, names, dims, used)
+    return cur, ReductionTrace(cert, names, dims)
 
 
 # ---------------------------------------------------------------- Meng

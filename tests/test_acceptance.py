@@ -282,20 +282,19 @@ def test_criterion_10_degree_lowering():
     checked = 0
     for e in corpus("random"):
         f = e.document.to_polymap()
-        for grouped in (False, True):
-            g, cert = lower_degree(f, group_factors=grouped)
-            assert g.degree() <= 3, e.id
-            assert verify_certificate(cert).ok, e.id
-            # each splitting round is three moves; the (max degree,
-            # terms at max) pair must drop strictly round over round
-            stops = itertools.accumulate(cert.moves, apply_move, initial=cert.source)
-            pots = [_potential(g) for g in list(stops)[::3]]
-            for a, b in zip(pots, pots[1:]):
-                assert b < a, (e.id, pots)
+        g, cert = lower_degree(f)
+        assert g.degree() <= 3, e.id
+        assert verify_certificate(cert).ok, e.id
+        # each splitting round is three moves; the (max degree,
+        # terms at max) pair must drop strictly round over round
+        stops = itertools.accumulate(cert.moves, apply_move, initial=cert.source)
+        pots = [_potential(g) for g in list(stops)[::3]]
+        for a, b in zip(pots, pots[1:]):
+            assert b < a, (e.id, pots)
         checked += 1
     assert checked == 9
     print(f"criterion 10: degree <= 3, strictly decreasing potential, and "
-          f"valid certificates on {checked} random maps (both splitting modes)")
+          f"valid certificates on {checked} random maps")
 
 
 # -- criterion 11: parser round trip -------------------------------------------
@@ -340,7 +339,7 @@ def _seeded_snapshot():
              for nums, den in sample_points(rng, 2, 2000, 200)]
     snap["sign-prefix"] = signs
 
-    g, trace = to_yagzhev(_map("pinchuk"), group_factors=True)
+    g, trace = to_yagzhev(_map("pinchuk"))
     snap["pinchuk-cert"] = certificate_to_json(trace.certificate)
     snap["pinchuk-dims"] = list(trace.stage_dims)
 

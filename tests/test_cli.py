@@ -378,6 +378,48 @@ def test_negative_fiber_samples_is_usage_error(capsys, tmp_path):
     assert "--fiber-samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["reduce", "random-d4-n2", "--to", "cubic", "--budget-ms", "-1"], "--budget-ms"),
+    (["reduce", "random-d4-n2", "--to", "cubic", "--budget-dim", "-1"], "--budget-dim"),
+    (["reduce", "random-d4-n2", "--to", "cubic", "--budget-dim", "0"], "--budget-dim"),
+    (["analyze", "cube-x", "--exact-threshold", "-1"], "--exact-threshold"),
+    (["symmetrize", "cube-x", "--exact-threshold", "-2"], "--exact-threshold"),
+])
+def test_bad_budget_values_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["segre", "plane-quad", "--budget-ms", "5"],
+    ["analyze", "cube-x", "--budget-dim", "3"],
+    ["reduce", "cube-x", "--to", "cubic", "--exact-threshold", "3"],
+    ["reduce", "cube-x", "--to", "cubic", "--no-group-factors"],
+    ["symmetrize", "cube-x", "--budget-ms", "5"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_budget_ms_zero_means_no_time_limit(capsys):
+    code, _, err = run(capsys, "reduce", "random-d4-n2", "--to", "cubic",
+                       "--budget-ms", "0")
+    assert code == 0, err
+
+
+def test_exact_threshold_still_acts(capsys):
+    code, _, err = run(capsys, "symmetrize", "cube-x", "--exact-threshold", "1")
+    assert code == 3
+    assert "budget exceeded" in err
+    data = run_json(capsys, "analyze", "mixed-3d", "--exact-threshold", "1", "--json")
+    assert data["mode"] == "sampled"
+
+
 def test_zero_analyze_samples_is_allowed(capsys):
     data = run_json(capsys, "analyze", "cube-x", "--samples", "0", "--json")
     jsonschema.validate(data, load_schema("analysis"))
