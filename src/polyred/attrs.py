@@ -12,11 +12,19 @@ The fiber computations run in integers.  Each component is cleared of
 denominators once, into dense integer rows over a scale (the shape
 elim.z_rows gives); a rotation is applied to those rows through integer
 linear forms, eliminability is read off the rotated rows, and a target
-is subtracted from their constant entry.  The resultant, its squarefree
-part and its Sturm count come from the dense kernel in elim.py.  Only
-generic_rotation turns rows back into a Poly.  The witness a
-SpecializedFiber carries is the same Poly the Fraction resultant and
-remainder chain give, which the tests hold it to.
+is subtracted from their constant entry.  The sample targets F(p) are
+the rows evaluated at the integer point p over the scale.  The
+resultant, its squarefree part and its Sturm count come from the dense
+kernel in elim.py.  Only generic_rotation turns rows back into a Poly.
+The witness a SpecializedFiber carries is the same Poly the Fraction
+resultant and remainder chain give, which the tests hold it to.
+
+Nondegeneracy is decided on the rows too: det J, evaluated exactly at a
+few fixed integer points, proves itself not identically zero by any
+nonzero value.  Only when it vanishes at all of them is the symbolic
+determinant expanded; that settles the rare map whose det J vanishes at
+those points (and every degenerate one) without a grid that would grow
+with the degree.
 
 "Generic enough" is earned, not assumed.  A seeded shear-free rotation
 x -> (x1 + c*x2, -c*x1 + x2) is applied until every component that moves
@@ -48,13 +56,13 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .certs import Automorphism
-from .elim import (_q_trim, q_derive, z_count_real_roots, z_gcd, z_resultant,
-                   z_rows, z_squarefree, z_to_poly)
+from . import maps
+from .elim import _q_trim, z_count_real_roots, z_resultant, z_rows, z_squarefree, z_to_poly
 # perfbench's tracer wraps elim.resultant at every import site, and its
 # tests look for it here
 from .elim import resultant  # noqa: F401
 from .linalg import RatMatrix
-from .maps import GenericityError, PolyMap, jacobian_det
+from .maps import GenericityError, PolyMap
 from .poly import Poly
 
 __all__ = [
@@ -95,15 +103,41 @@ def _require_plane(f: PolyMap) -> None:
         raise ValueError("fiber statistics are implemented for plane maps only")
 
 
-def _require_nondegenerate(f: PolyMap) -> None:
-    j = jacobian_det(f)
-    if isinstance(j, Poly) and j.is_zero():
-        raise ValueError("degenerate map: jacobian determinant is identically zero")
-
-
 def _plane_rows(f: PolyMap) -> list:
     """z_rows of each component: [(L, rows)] with rows / L the component."""
     return [z_rows(comp) for comp in f.components]
+
+
+def _eval_rows(rows: list, s: int, t: int) -> tuple:
+    """(g, dg/dx1, dg/dx2) at the integer point (s, t), for g the sum of
+    rows[j][i] * x1^i * x2^j; nested Horner sums, all in integers."""
+    g = gx = gy = 0
+    for row in reversed(rows):
+        v = dv = 0
+        for c in reversed(row):
+            dv = dv * s + v
+            v = v * s + c
+        gy = gy * t + g
+        g = g * t + v
+        gx = gx * t + dv
+    return g, gx, gy
+
+
+# det J is evaluated at these points before it is ever expanded: a nonzero
+# value proves it is not identically zero
+_DET_POINTS = ((0, 0), (1, 2), (-2, 1), (3, -1))
+
+
+def _require_nondegenerate(f: PolyMap, fr: list) -> None:
+    """Raise ValueError when det J(f) is identically zero; fr is
+    _plane_rows(f), whose Jacobian is f's scaled by L1 * L2 != 0."""
+    for s, t in _DET_POINTS:
+        (_, a, b), (_, c, d) = (_eval_rows(rows, s, t) for _, rows in fr)
+        if a * d != b * c:
+            return
+    j = maps.jacobian_det(f)
+    if isinstance(j, Poly) and j.is_zero():
+        raise ValueError("degenerate map: jacobian determinant is identically zero")
 
 
 def _rows_poly(comp) -> Poly:
@@ -263,15 +297,11 @@ def _sqf_degree(g: list, target: Sequence):
     _, r = _specialized_resultant(g, target)
     if not r:
         return None
-    if len(r) == 1:
-        return 0, 0
-    return len(r) - 1, len(r) - len(z_gcd(r, q_derive(r)))
+    return len(r) - 1, len(z_squarefree(r)[0]) - 1
 
 
-def _dex2_stats(f: PolyMap, seed: int = 0):
-    _require_plane(f)
-    _require_nondegenerate(f)
-    fr = _plane_rows(f)
+def _dex2_stats(fr: list, seed: int = 0):
+    """(dex, retry rounds) for the plane rows fr of a nondegenerate map."""
     retries = 0
     for round_ in range(4):
         # the identity rotation is only ever offered on the first round;
@@ -307,17 +337,20 @@ def dex2(f: PolyMap, seed: int = 0) -> int:
     degree of the specialized resultant must agree across all four runs.
     Disagreement triggers a fresh round of seeds.
     """
-    d, _ = _dex2_stats(f, seed)
+    _require_plane(f)
+    fr = _plane_rows(f)
+    _require_nondegenerate(f, fr)
+    d, _ = _dex2_stats(fr, seed)
     return d
 
 
-def _rotation_context(f: PolyMap, seed: int):
-    """A rotation whose probe fiber is squarefree of full degree.
+def _rotation_context(fr: list, seed: int):
+    """A rotation of the plane rows fr whose probe fiber is squarefree of
+    full degree.
 
     Returns (rows of the rotated map, reference resultant degree).  The
     reference is what every later specialization is held against.
     """
-    fr = _plane_rows(f)
     for k in range(5):
         g, _ = _rotated(fr, seed + k, k > 0)
         rng = random.Random(f"probe:{seed}:{k}")
@@ -339,17 +372,21 @@ def fiber_count_real(f: PolyMap, target: Sequence, seed: int = 0, _ctx=None) -> 
     not proper over this target, part of the complex fiber is missing
     at infinity) and the remaining affine fiber is counted as found.
     Empty real fibers are a normal outcome, recorded as real_count 0.
+    _ctx, from mfs_sample, is (f's plane rows, its rotation context).
     """
     tgt = (Fraction(target[0]), Fraction(target[1]))
     if _ctx is None:
         _require_plane(f)
-        _require_nondegenerate(f)
+        fr = _plane_rows(f)
+        _require_nondegenerate(f, fr)
+    else:
+        fr, ctx = _ctx
     seen = []
     for attempt in range(5):
         if attempt == 0 and _ctx is not None:
-            g, ref = _ctx
+            g, ref = ctx
         else:
-            g, ref = _rotation_context(f, seed + 31 * attempt)
+            g, ref = _rotation_context(fr, seed + 31 * attempt)
         scale, r = _specialized_resultant(g, tgt)
         if not r:
             continue
@@ -377,14 +414,17 @@ def mfs_sample(f: PolyMap, seed: int = 0, samples: int = 200,
     probe for empty fibers too.  The reported mfs_observed is a lower
     bound for the true supremum, never a claim of equality.
     """
-    dex, retries = _dex2_stats(f, seed)
-    ctx = _rotation_context(f, seed)
+    _require_plane(f)
+    fr = _plane_rows(f)
+    _require_nondegenerate(f, fr)
+    dex, retries = _dex2_stats(fr, seed)
+    ctx = (fr, _rotation_context(fr, seed))
     rng = random.Random(f"mfs:{seed}")
     best = 0
     for k in range(samples):
         if k % 2 == 0:
-            point = [Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))]
-            tgt = tuple(comp.eval_at(point) for comp in f.components)
+            s, t = rng.randint(-9, 9), rng.randint(-9, 9)
+            tgt = tuple(Fraction(_eval_rows(rows, s, t)[0], L) for L, rows in fr)
         else:
             tgt = _free_target(rng)
         fib = fiber_count_real(f, tgt, seed=seed + 101 * (k + 1), _ctx=ctx)

@@ -5,29 +5,39 @@ coefficients in the remaining ones.  Coefficient lists keep the ambient
 variable count of the input, with the distinguished variable unused, so
 no index shifting happens anywhere.
 
-`resultant` runs the subresultant polynomial remainder sequence with the
-classical g*h^delta normalization.  That normalization is not optional:
-the naive pseudo-remainder sequence grows junk factors exponentially and
-is unusable beyond toy degrees, while the normalized divisions keep every
-intermediate the size of an actual subresultant.  It is the one resultant
-over Q[x1..xn] and the oracle the integer `z_resultant` is tested
-against; no CLI command reaches it, but perfbench's tracer wraps it by
-name, so it stays here until spans inside polyred replace the tracer.
+One subresultant algorithm computes every resultant, over two
+coefficient rings: Q[x1..xn] as Polys in `resultant`, Z[x1] as int lists
+in `z_resultant`.  After one pseudo-remainder it follows Ducos
+("Optimizations of the subresultant algorithm", JPAA 145, 2000): Lazard's
+repeated squaring turns the top of each block of the remainder sequence
+into its bottom without forming lc^delta, and Ducos' reduction gives the
+next remainder from the last two and that bottom by exact divisions,
+without the lc^(delta+1) scaling of a pseudo-division.  Its
+remainders are those of the classical g*h^delta loop, so it carries that
+loop's sign bookkeeping; the loop itself is the test oracle of
+`z_resultant` in tests/oracles.py, and the Sylvester determinant that of
+`resultant`.  No CLI command reaches `resultant`, but perfbench's tracer
+wraps it by name, so it stays here until spans inside polyred replace
+the tracer.
 
 The second half is a dense integer kernel for plane fibers: polynomials
-in Z[x1] as int lists, in Z[x1][x2] as lists of those.  `z_resultant` is
-the same g*h^delta loop with exact integer division, `z_squarefree` and
-`z_count_real_roots` run a primitive remainder sequence over Z.  It is
-the only squarefree and real-root implementation: `squarefree_part` and
-`count_real_roots` are its entry points for a univariate Poly.  The
-Fraction remainder chain they replaced, and the Sylvester determinant
-route for `resultant`, live on as test oracles in tests/oracles.py.
+in Z[x1] as int lists, in Z[x1][x2] as lists of those.  `z_squarefree`
+and `z_count_real_roots` run a primitive remainder sequence over Z, and
+`z_squarefree` first tries a certificate that needs none: an input that
+is squarefree mod one fixed prime p, with p not dividing its leading
+coefficient, is squarefree over Q.  It is the only squarefree and
+real-root implementation: `squarefree_part` and `count_real_roots` are
+its entry points for a univariate Poly.  The Fraction remainder chain
+they replaced lives on as a test oracle in tests/oracles.py, and so does
+the plain gcd route of `z_squarefree`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from typing import Any, Callable, NamedTuple
 
 from .poly import ExactDivisionError, Poly
 
@@ -57,27 +67,140 @@ def uni_coeffs(p: Poly, var: int) -> list:
     return [Poly(p.varcount, {m: c for m, c in q.terms.items() if c != 0}) for q in out]
 
 
-def _trim(coeffs: list) -> list:
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
+# -- resultants --------------------------------------------------------------
+#
+# One subresultant algorithm serves both coefficient rings: Q[x1..xn] as
+# Polys for `resultant`, Z[x1] as int lists for `z_resultant`.  A
+# coefficient list is trimmed, so [] is the zero polynomial in either.
 
 
-def _prem(a: list, b: list, varcount: int) -> list:
-    """Pseudo-remainder of coefficient lists: lc(b)^(da-db+1) * a mod b."""
+class Ring(NamedTuple):
+    """The coefficient operations the subresultant algorithm uses."""
+
+    zero: Any
+    one: Any
+    add: Callable
+    sub: Callable
+    mul: Callable
+    div: Callable  # exact quotient; ExactDivisionError when it is not
+    is_zero: Callable
+
+
+def _trim(c: list, is_zero) -> list:
+    while c and is_zero(c[-1]):
+        c.pop()
+    return c
+
+
+def _prem(a: list, b: list, R: Ring) -> list:
+    """Pseudo-remainder lc(b)^(da-db+1) * a mod b."""
     da, db = len(a) - 1, len(b) - 1
     d = b[-1]
+    mul, sub = R.mul, R.sub
     r = list(a)
     for j in range(da - db, -1, -1):
         if len(r) - 1 == db + j:
             top = r[-1]
-            r = [d * c for c in r[:-1]]
+            r = [mul(d, c) for c in r[:-1]]
             for i, bc in enumerate(b[:-1]):
-                r[j + i] = r[j + i] - top * bc
-            _trim(r)
+                r[j + i] = sub(r[j + i], mul(top, bc))
+            _trim(r, R.is_zero)
         else:
-            r = [d * c for c in r]
-    return _trim(r)
+            r = [mul(d, c) for c in r]
+    return _trim(r, R.is_zero)
+
+
+def _lazard(x, y, n: int, R: Ring):
+    """x^n / y^(n-1) for n >= 1 by repeated squaring.
+
+    Every intermediate x^k / y^(k-1), k <= n, is exact whenever the
+    result is (the ring is a UFD), so no power of x is ever formed whole.
+    """
+    a = 1 << (n.bit_length() - 1)
+    c, n = x, n - a
+    while a > 1:
+        a >>= 1
+        c = R.div(R.mul(c, c), y)
+        if n >= a:
+            c = R.div(R.mul(c, x), y)
+            n -= a
+    return c
+
+
+def _ducos_step(P: list, Q: list, C: list, s, R: Ring) -> list:
+    """prem(P, Q) / (lc(P) * s^(d-e)) for d = deg P > e = deg Q > 0,
+    without the pseudo-division (Ducos 2000).
+
+    C is Q's Lazard multiple lc(Q)^(d-e-1) * Q / s^(d-e-1), so that
+    c = lc(C).  H_j = c*x^j mod C is c*x^j below degree e and is carried
+    up one degree at a time from H_e = c*x^e - C; then c*P mod C is the
+    sum of P_j * H_j, and the quotient is
+    (lc(Q) * (x*H_(d-1) + D) - h*Q) / s with D = sum_(j<d) P_j H_j / lc(P)
+    and h the x^e-coefficient of x*H_(d-1).  Every division is exact.
+    """
+    zero, add, sub, mul, div = R.zero, R.add, R.sub, R.mul, R.div
+    d, e = len(P) - 1, len(Q) - 1
+    c, lq = C[-1], Q[-1]
+    H = [sub(zero, x) for x in C[:-1]]
+    D = [mul(P[j], c) for j in range(e)]
+    for j in range(e, d):
+        if j > e:
+            h = H[-1]
+            H = [sub(x, div(mul(h, q), lq)) for x, q in zip([zero] + H[:-1], Q)]
+        if not R.is_zero(P[j]):
+            D = [add(x, mul(P[j], y)) for x, y in zip(D, H)]
+    lp, h = P[-1], H[-1]
+    out = [div(sub(mul(lq, add(x, div(y, lp))), mul(h, q)), s)
+           for x, y, q in zip([zero] + H[:-1], D, Q)]
+    return _trim(out, R.is_zero)
+
+
+def _subresultant(a: list, b: list, R: Ring):
+    """Res(a, b) of two coefficient lists over R, sign included.
+
+    The first step is the pseudo-remainder prem(a, b), with
+    s = lc(b)^(deg a - deg b).  Then, while deg Q > 0, Lazard's power
+    gives the bottom S_e of the current block from Q and s, and Ducos'
+    step the next remainder from (P, Q, S_e).  Each remainder is the
+    one the classical g*h^delta loop would divide out; like that loop,
+    the remainders carry no sign, and the sign of the resultant flips
+    on the first step and on each later step whose degrees are both odd.
+    """
+    if not a or not b:
+        return R.zero
+    da, db = len(a) - 1, len(b) - 1
+    sign = 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+        if da % 2 and db % 2:
+            sign = -1
+    if db == 0:
+        r = R.one
+        for _ in range(da):
+            r = R.mul(r, b[0])
+    else:
+        if da % 2 and db % 2:
+            sign = -sign
+        s = R.one
+        for _ in range(da - db):
+            s = R.mul(s, b[-1])
+        P, Q = b, _prem(a, b, R)
+        while True:
+            if not Q:
+                return R.zero  # nonconstant common factor
+            dp, dq = len(P) - 1, len(Q) - 1
+            if dp - dq == 1:
+                C = Q
+            else:
+                t = _lazard(Q[-1], s, dp - dq - 1, R)
+                C = [R.div(R.mul(t, q), s) for q in Q]
+            if dq == 0:
+                r = C[0]
+                break
+            if dp % 2 and dq % 2:
+                sign = -sign
+            P, Q, s = C, _ducos_step(P, Q, C, s, R), C[-1]
+    return r if sign > 0 else R.sub(R.zero, r)
 
 
 def resultant(f: Poly, g: Poly, var: int) -> Poly:
@@ -91,46 +214,9 @@ def resultant(f: Poly, g: Poly, var: int) -> Poly:
     n = f.varcount
     if f.is_zero() or g.is_zero():
         return Poly(n)
-    a = uni_coeffs(f, var)
-    b = uni_coeffs(g, var)
-    da, db = len(a) - 1, len(b) - 1
-    if da == 0 and db == 0:
-        return Poly.const(n, 1)
-    sign = 1
-    if da < db:
-        a, b, da, db = b, a, db, da
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -1
-    if db == 0:
-        return (b[0] ** da).scale(sign)
-    g_ = Poly.const(n, 1)
-    h_ = Poly.const(n, 1)
-    while True:
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -sign
-        r = _prem(a, b, n)
-        if not r:
-            return Poly(n)  # nonconstant common factor
-        divisor = g_ * h_ ** delta
-        a, da = b, db
-        b = [c.exact_divide(divisor) for c in r]
-        db = len(b) - 1
-        g_ = a[-1]
-        if delta == 0:
-            pass
-        elif delta == 1:
-            h_ = g_
-        else:
-            h_ = (g_ ** delta).exact_divide(h_ ** (delta - 1))
-        if db == 0:
-            break
-    c = b[0]
-    if da == 1:
-        res = c
-    else:
-        res = (c ** da).exact_divide(h_ ** (da - 1))
-    return res.scale(sign)
+    ring = Ring(Poly(n), Poly.const(n, 1), operator.add, operator.sub,
+                operator.mul, Poly.exact_divide, Poly.is_zero)
+    return _subresultant(uni_coeffs(f, var), uni_coeffs(g, var), ring)
 
 
 def poly_matrix_det(rows: list, varcount: int) -> Poly:
@@ -241,13 +327,6 @@ def z_mul(a: list, b: list) -> list:
     return out
 
 
-def z_pow(a: list, k: int) -> list:
-    out = [1]
-    for _ in range(k):
-        out = z_mul(out, a)
-    return out
-
-
 def z_exact_div(a: list, b: list) -> list:
     """Quotient a / b over Z; ExactDivisionError unless it is exact."""
     if not b:
@@ -274,65 +353,22 @@ def z_exact_div(a: list, b: list) -> list:
     return q
 
 
-def _zz_prem(a: list, b: list) -> list:
-    """Pseudo-remainder lc(b)^(da-db+1) * a mod b in Z[x1][x2]."""
-    da, db = len(a) - 1, len(b) - 1
-    d = b[-1]
-    r = list(a)
-    for j in range(da - db, -1, -1):
-        if len(r) - 1 == db + j:
-            top = r[-1]
-            r = [z_mul(d, c) for c in r[:-1]]
-            for i, bc in enumerate(b[:-1]):
-                r[j + i] = z_sub(r[j + i], z_mul(top, bc))
-            _q_trim(r)
-        else:
-            r = [z_mul(d, c) for c in r]
-    return _q_trim(r)
+def z_add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _q_trim(out)
+
+
+Z_RING = Ring([], [1], z_add, z_sub, z_mul, z_exact_div, operator.not_)
 
 
 def z_resultant(a: list, b: list) -> list:
-    """Res_{x2}(a, b) in Z[x1], for a, b in Z[x1][x2].
-
-    The same g*h^delta subresultant PRS, sign bookkeeping included, as
-    `resultant`; every division is exact over Z.
-    """
-    if not a or not b:
-        return []
-    da, db = len(a) - 1, len(b) - 1
-    if da == 0 and db == 0:
-        return [1]
-    sign = 1
-    if da < db:
-        a, b, da, db = b, a, db, da
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -1
-    if db == 0:
-        return [sign * c for c in z_pow(b[0], da)]
-    g_ = [1]
-    h_ = [1]
-    while True:
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -sign
-        r = _zz_prem(a, b)
-        if not r:
-            return []  # nonconstant common factor
-        divisor = z_mul(g_, z_pow(h_, delta))
-        a, da = b, db
-        b = [z_exact_div(c, divisor) for c in r]
-        db = len(b) - 1
-        g_ = a[-1]
-        if delta == 1:
-            h_ = g_
-        elif delta > 1:
-            h_ = z_exact_div(z_pow(g_, delta), z_pow(h_, delta - 1))
-        if db == 0:
-            break
-    c = b[0]
-    if da != 1:
-        c = z_exact_div(z_pow(c, da), z_pow(h_, da - 1))
-    return [sign * x for x in c]
+    """Res_{x2}(a, b) in Z[x1], for a, b in Z[x1][x2]: the same
+    subresultant algorithm as `resultant`, every division exact over Z."""
+    return _subresultant(a, b, Z_RING)
 
 
 def _z_primitive(a: list) -> list:
@@ -381,13 +417,45 @@ def z_gcd(a: list, b: list) -> list:
     return a if a[-1] > 0 else [-c for c in a]
 
 
+# the prime of the squarefree certificate: fixed, and far above the degree
+# of any resultant polyred forms
+_P = 2 ** 31 - 1
+
+
+def _fp_coprime(a: list, b: list) -> bool:
+    """True when gcd(a, b) = 1 in F_p[x] for p = _P; a, b are lists of
+    residues, a nonconstant with a nonzero leading entry."""
+    b = _q_trim(b)
+    while b:
+        if len(b) == 1:
+            return True
+        db = len(b) - 1
+        inv = pow(b[-1], -1, _P)
+        while len(a) > db:
+            t = a[-1] * inv % _P
+            k = len(a) - 1 - db
+            for i in range(db):
+                a[k + i] = (a[k + i] - t * b[i]) % _P
+            a.pop()
+            _q_trim(a)
+        a, b = b, a
+    return False
+
+
 def z_squarefree(a: list) -> tuple:
     """(q, lead) with a = q * G for G = z_gcd(a, a') and lead = lc(G).
 
     q is exact over Z by Gauss's lemma, and q * lead is a divided by the
-    monic gcd, which is what `squarefree_part` returns.
+    monic gcd, which is what `squarefree_part` returns.  Most inputs are
+    squarefree, and a cheap certificate proves it: when p does not divide
+    lc(a) and gcd(a, a') = 1 mod p, a square factor s^2 of a would
+    survive mod p as a square of the same degree, so G = 1 and the gcd
+    over Z is skipped.
     """
     if len(a) <= 1:
+        return list(a), 1
+    if a[-1] % _P and _fp_coprime([c % _P for c in a],
+                                  [c * i % _P for i, c in enumerate(a)][1:]):
         return list(a), 1
     g = z_gcd(a, q_derive(a))
     return z_exact_div(a, g), g[-1]

@@ -8,6 +8,10 @@ two on random inputs:
     a univariate polynomial over Q, which elim.squarefree_part and
     elim.count_real_roots replaced with the integer kernel;
   * the Sylvester determinant route for elim.resultant;
+  * the g*h^delta subresultant loop over Z[x1][x2], which elim.z_resultant
+    replaced with Lazard's and Ducos' steps;
+  * the gcd route of elim.z_squarefree, which runs whenever its mod-p
+    certificate does not settle the input;
   * a dense Bareiss determinant for linalg.sparse_det;
   * the fully homogenizing form of certs.substitute_rational.
 """
@@ -18,7 +22,8 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from polyred.elim import _q_trim, poly_matrix_det, q_derive, uni_coeffs
+from polyred.elim import (_q_trim, poly_matrix_det, q_derive, uni_coeffs, z_exact_div,
+                          z_gcd, z_mul, z_sub)
 from polyred.poly import ExactDivisionError, Poly, mono_degree
 
 
@@ -213,6 +218,80 @@ def sylvester_resultant(f: Poly, g: Poly, var: int) -> Poly:
     if f.degree_in(var) == 0 and g.degree_in(var) == 0:
         return Poly.const(n, 1)
     return poly_matrix_det(sylvester_matrix(f, g, var), n)
+
+
+def z_pow(a: list, k: int) -> list:
+    out = [1]
+    for _ in range(k):
+        out = z_mul(out, a)
+    return out
+
+
+def _zz_prem(a: list, b: list) -> list:
+    """Pseudo-remainder lc(b)^(da-db+1) * a mod b in Z[x1][x2]."""
+    da, db = len(a) - 1, len(b) - 1
+    d = b[-1]
+    r = list(a)
+    for j in range(da - db, -1, -1):
+        if len(r) - 1 == db + j:
+            top = r[-1]
+            r = [z_mul(d, c) for c in r[:-1]]
+            for i, bc in enumerate(b[:-1]):
+                r[j + i] = z_sub(r[j + i], z_mul(top, bc))
+            _q_trim(r)
+        else:
+            r = [z_mul(d, c) for c in r]
+    return _q_trim(r)
+
+
+def z_resultant(a: list, b: list) -> list:
+    """Res_{x2}(a, b) in Z[x1], for a, b in Z[x1][x2], by the subresultant
+    PRS with the classical g*h^delta normalization; every division is
+    exact over Z."""
+    if not a or not b:
+        return []
+    da, db = len(a) - 1, len(b) - 1
+    if da == 0 and db == 0:
+        return [1]
+    sign = 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+        if da % 2 == 1 and db % 2 == 1:
+            sign = -1
+    if db == 0:
+        return [sign * c for c in z_pow(b[0], da)]
+    g_ = [1]
+    h_ = [1]
+    while True:
+        delta = da - db
+        if da % 2 == 1 and db % 2 == 1:
+            sign = -sign
+        r = _zz_prem(a, b)
+        if not r:
+            return []  # nonconstant common factor
+        divisor = z_mul(g_, z_pow(h_, delta))
+        a, da = b, db
+        b = [z_exact_div(c, divisor) for c in r]
+        db = len(b) - 1
+        g_ = a[-1]
+        if delta == 1:
+            h_ = g_
+        elif delta > 1:
+            h_ = z_exact_div(z_pow(g_, delta), z_pow(h_, delta - 1))
+        if db == 0:
+            break
+    c = b[0]
+    if da != 1:
+        c = z_exact_div(z_pow(c, da), z_pow(h_, da - 1))
+    return [sign * x for x in c]
+
+
+def z_squarefree(a: list) -> tuple:
+    """(q, lead) with a = q * G for G = z_gcd(a, a') and lead = lc(G)."""
+    if len(a) <= 1:
+        return list(a), 1
+    g = z_gcd(a, q_derive(a))
+    return z_exact_div(a, g), g[-1]
 
 
 def dense_det(rows: list) -> Fraction:

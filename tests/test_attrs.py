@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from polyred import attrs, cli, maps
 from polyred.attrs import (AttributeReport, _eliminable, _plane_rows,
-                           _rotate, _rotation_context, _rows_poly,
-                           _specialize, dex2, fiber_count_real,
+                           _require_nondegenerate, _rotate, _rotation_context,
+                           _rows_poly, _specialize, dex2, fiber_count_real,
                            generic_rotation, mfs_sample)
-from polyred.elim import resultant, uni_coeffs, z_rows
+from polyred.elim import resultant, uni_coeffs, z_mul, z_rows
 from polyred.examples import builtin_example
-from polyred.maps import GenericityError, PolyMap
+from polyred.maps import GenericityError, PolyMap, jacobian_det
 from polyred.poly import Poly
 
 
@@ -153,6 +154,63 @@ def test_dex_degenerate_rejected():
         dex2(_plane(X, X))
 
 
+# -- nondegeneracy -----------------------------------------------------------
+
+
+def test_attributes_rejects_a_dependent_pair(capsys, tmp_path):
+    path = tmp_path / "dependent.map"
+    path.write_text("vars x y\npoly p = x + y^2\npoly q = (x + y^2)^2\n")
+    assert cli.main(["attributes", str(path), "--samples", "4", "--json"]) == 1
+    err = capsys.readouterr().err
+    assert "degenerate map: jacobian determinant is identically zero" in err
+
+
+def test_determinant_zero_at_every_point_goes_symbolic(monkeypatch):
+    # (x1, F(x2)) with F' the product of x2 - t over the points' x2
+    # coordinates: det J = F'(x2) vanishes at every point tried, but it
+    # is not identically zero
+    roots = sorted({t for _, t in attrs._DET_POINTS})
+    dF = [1]
+    for t in roots:
+        dF = z_mul(dF, [-t, 1])
+    F = Poly.from_terms(2, {(0, k + 1): Fraction(c, k + 1) for k, c in enumerate(dF)})
+    f = _plane(X, F)
+    calls = []
+
+    def symbolic(g):
+        calls.append(g)
+        return jacobian_det(g)
+
+    monkeypatch.setattr(maps, "jacobian_det", symbolic)
+    _require_nondegenerate(f, _plane_rows(f))
+    assert calls == [f]
+    assert dex2(f) == len(roots) + 1
+
+
+@st.composite
+def maybe_dependent_maps(draw):
+    """A random plane map, half the time (a, g(a)) for a univariate g."""
+    a = draw(plane_component())
+    if draw(st.booleans()):
+        b = Poly.const(2, draw(fractions))
+        for k, c in enumerate(draw(st.lists(fractions, max_size=3)), 1):
+            b = b + (a ** k).scale(c)
+    else:
+        b = draw(plane_component())
+    return _plane(a, b) if draw(st.booleans()) else _plane(b, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(maybe_dependent_maps())
+def test_nondegeneracy_verdict_equals_symbolic_determinant(f):
+    try:
+        _require_nondegenerate(f, _plane_rows(f))
+    except ValueError:
+        assert jacobian_det(f).is_zero()
+    else:
+        assert not jacobian_det(f).is_zero()
+
+
 def test_dex_sees_through_stacked_fibers():
     # fibers of (x^3, y^3+y) carry three points per x1 value in the raw
     # coordinates; only a genuine rotation separates them
@@ -222,8 +280,8 @@ def test_fiber_witness_equals_fraction_path():
     for eid in ("triple-root", "plane-quad", "yagzhev-2d-b", "random-d4-n2",
                 "random-d6-n2", "pinchuk"):
         f = _map(eid)
-        ctx = _rotation_context(f, seed=3)
-        rows, ref = ctx
+        fr = _plane_rows(f)
+        rows, ref = _rotation_context(fr, seed=3)
         g = PolyMap([_rows_poly(comp) for comp in rows])
         for target in [(2, 3), (Fraction(-7, 3), Fraction(5, 2)), (0, 0)]:
             t = (Fraction(target[0]), Fraction(target[1]))
@@ -231,7 +289,7 @@ def test_fiber_witness_equals_fraction_path():
                           g.components[1] - Poly.const(2, t[1]), 1)
             if r.degree_in(0) != ref:
                 continue
-            fib = fiber_count_real(f, t, _ctx=ctx)
+            fib = fiber_count_real(f, t, _ctx=(fr, (rows, ref)))
             sf = oracles.squarefree_part(r)
             assert fib.resultant_sf == sf, (eid, target)
             assert fib.real_count == oracles.count_real_roots(sf), (eid, target)

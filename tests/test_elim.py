@@ -2,16 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from polyred import elim
 from polyred.elim import (
     count_real_roots,
     poly_matrix_det,
     resultant,
     squarefree_part,
     uni_coeffs,
+    z_add,
     z_count_real_roots,
     z_exact_div,
     z_gcd,
@@ -342,3 +344,154 @@ def test_kernel_exact_division_and_gcd():
         z_exact_div([1, 2], [0, 2])
     # (2x - 2)(x + 3) and -(4x - 4)(x - 5): gcd x - 1, primitive, lc > 0
     assert z_gcd(z_mul([-2, 2], [3, 1]), z_mul([4, -4], [-5, 1])) == [-1, 1]
+
+
+# -- the Lazard-Ducos resultant against the g*h^delta loop ----------------------
+#
+# Degree gaps (delta >= 2) are where signs and exact divisions go wrong, and
+# random dense pairs rarely have one past the first step; a polynomial in
+# x2^k times x2^m has remainders in the same shape, so every step of its
+# chain has a gap of k.
+
+
+def zz_mul(a, b):
+    out = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] = z_add(out[i + j], z_mul(u, v))
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@st.composite
+def zz_poly(draw, deg=None):
+    """An element of Z[x1][x2] of x2-degree deg (drawn when None), as rows
+    by x2-degree; its leading row is often nonconstant in x1, and it is
+    sometimes u(x1, x2^k) * x2^m for a stride k of 2 or 3."""
+    d = draw(st.integers(0, 5)) if deg is None else deg
+    k, m = draw(st.sampled_from([(1, 0), (1, 0), (2, 0), (2, 1), (3, 0), (3, 1)]))
+    if k > 1:
+        if d < m:
+            k, m = 1, 0
+        else:
+            d = (d - m) // k
+    # a nonzero constant row and leading row, so that only a shift m = 1
+    # or a drawn common factor puts x2 into both polynomials of a pair
+    nonzero = st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(lambda r: r[-1] != 0)
+    rows = [draw(nonzero if j == 0 else st.lists(st.integers(-4, 4), max_size=3))
+            for j in range(d)]
+    rows.append(draw(nonzero))
+    out = [[] for _ in range(k * d + m + 1)]
+    for j, r in enumerate(rows):
+        while r and not r[-1]:
+            r.pop()
+        out[k * j + m] = r
+    return out
+
+
+@st.composite
+def zz_pairs(draw):
+    """Two elements of Z[x1][x2]: of equal x2-degree a quarter of the time,
+    and with a common factor that moves with x2 (zero resultant) a fifth."""
+    a = draw(zz_poly())
+    b = draw(zz_poly(len(a) - 1 if draw(st.integers(0, 3)) == 0 else None))
+    if draw(st.integers(0, 4)) == 0:
+        c = draw(zz_poly(draw(st.integers(1, 2))))
+        a, b = zz_mul(a, c), zz_mul(b, c)
+    return a, b
+
+
+# remainder chains 3, 1, 0 and 5, 3, 2, 1, 0 (a gap on the first step),
+# 4, 3, 1, 0 and 5, 4, 2, 1, 0 (a gap on a later step)
+GAPPED = [
+    ([[-2], [], [], [2, -2]], [[2], [3, -1]]),
+    ([[-3], [], [-1], [0, 1]], [[], [], [-1], [3], [-2], [1, -2]]),
+    ([[-1, 2], [], [], [], [0, 3]], [[-3, -2], [], [], [1, 1]]),
+    ([[-3], [-1], [-2, 3], [], [-1], [1, -1]], [[2], [-2, -3], [], [], [3, 1]]),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(zz_pairs())
+@example(GAPPED[0])
+@example(GAPPED[1])
+@example(GAPPED[2])
+@example(GAPPED[3])
+def test_z_resultant_matches_gh_delta_loop(pair):
+    a, b = pair
+    assert z_resultant(a, b) == oracles.z_resultant(a, b)
+    assert z_resultant(b, a) == oracles.z_resultant(b, a)
+
+
+def test_gapped_chains_take_lazard_and_ducos_steps(monkeypatch):
+    # the examples above do reach both steps, so the differential test
+    # covers them and not only the first pseudo-remainder
+    seen = {"lazard": 0, "ducos": 0}
+    lazard, ducos = elim._lazard, elim._ducos_step
+
+    def count(name, fn):
+        def wrapped(*args):
+            seen[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(elim, "_lazard", count("lazard", lazard))
+    monkeypatch.setattr(elim, "_ducos_step", count("ducos", ducos))
+    for a, b in GAPPED:
+        assert z_resultant(a, b) == oracles.z_resultant(a, b) != []
+    assert seen["lazard"] >= 2 and seen["ducos"] >= 4
+    # a stride-2 pair has a gap on every step
+    a, b = [[1], [], [2, 1], [], [0, -1], [], [3]], [[2], [], [1, 1], [], [-1, 2]]
+    before = dict(seen)
+    assert z_resultant(a, b) == oracles.z_resultant(a, b)
+    assert seen["lazard"] - before["lazard"] >= 2
+
+
+# -- the squarefree certificate against the gcd route ----------------------------
+
+
+P = elim._P
+
+
+def _no_gcd(*args):
+    raise AssertionError("the Z gcd ran on a certified squarefree input")
+
+
+def test_squarefree_certificate_skips_the_gcd(monkeypatch):
+    a = z_mul([-2, 0, 1], [1, 3, 0, 5])  # (x^2 - 2)(5x^3 + 3x + 1)
+    want = oracles.z_squarefree(a)
+    monkeypatch.setattr(elim, "z_gcd", _no_gcd)
+    assert z_squarefree(a) == want == (a, 1)
+
+
+@pytest.mark.parametrize("a", [
+    z_mul(z_mul([1, 1], [1, 1]), [-2, 0, 1]),  # (x + 1)^2 (x^2 - 2)
+    z_mul(z_mul([3, -2], [3, -2]), z_mul([1, 0, 1], [1, 0, 1])),  # squares only
+    [1, 0, P],  # p x^2 + 1: squarefree, but p divides its leading coefficient
+    [P, 0, 1],  # x^2 + p: squarefree over Q, but x^2 mod p
+    z_mul([P, 0, 1], [P, 0, 1]),  # (x^2 + p)^2
+])
+def test_squarefree_certificate_defers_to_the_gcd(a):
+    assert z_squarefree(a) == oracles.z_squarefree(a)
+
+
+def test_square_factor_is_never_certified():
+    a = z_mul(z_mul([1, 1], [1, 1]), [-2, 0, 1])
+    assert a[-1] % P and not elim._fp_coprime([c % P for c in a],
+                                              [c * i % P for i, c in enumerate(a)][1:])
+    assert z_squarefree(a) == ([-2, -2, 1, 1], 1)
+
+
+coefficient = st.one_of(st.integers(-9, 9), st.sampled_from([P, -P, 2 * P]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(coefficient, min_size=1, max_size=6),
+       st.lists(st.integers(-9, 9), max_size=3))
+def test_squarefree_matches_gcd_route(a, b):
+    # a * b^2 has a square factor whenever b is not constant
+    c = z_mul(a, z_mul(b, b)) if b else a
+    while c and not c[-1]:
+        c.pop()
+    assert z_squarefree(c) == oracles.z_squarefree(c)
