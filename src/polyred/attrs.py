@@ -140,6 +140,14 @@ def _require_nondegenerate(f: PolyMap, fr: list) -> None:
         raise ValueError("degenerate map: jacobian determinant is identically zero")
 
 
+def _checked_rows(f: PolyMap) -> list:
+    """_plane_rows(f), once f is known to be a nondegenerate plane map."""
+    _require_plane(f)
+    fr = _plane_rows(f)
+    _require_nondegenerate(f, fr)
+    return fr
+
+
 def _rows_poly(comp) -> Poly:
     """The Poly rows / L for one component (L, rows)."""
     L, rows = comp
@@ -337,9 +345,7 @@ def dex2(f: PolyMap, seed: int = 0) -> int:
     degree of the specialized resultant must agree across all four runs.
     Disagreement triggers a fresh round of seeds.
     """
-    _require_plane(f)
-    fr = _plane_rows(f)
-    _require_nondegenerate(f, fr)
+    fr = _checked_rows(f)
     d, _ = _dex2_stats(fr, seed)
     return d
 
@@ -376,9 +382,7 @@ def fiber_count_real(f: PolyMap, target: Sequence, seed: int = 0, _ctx=None) -> 
     """
     tgt = (Fraction(target[0]), Fraction(target[1]))
     if _ctx is None:
-        _require_plane(f)
-        fr = _plane_rows(f)
-        _require_nondegenerate(f, fr)
+        fr = _checked_rows(f)
     else:
         fr, ctx = _ctx
     seen = []
@@ -414,9 +418,7 @@ def mfs_sample(f: PolyMap, seed: int = 0, samples: int = 200,
     probe for empty fibers too.  The reported mfs_observed is a lower
     bound for the true supremum, never a claim of equality.
     """
-    _require_plane(f)
-    fr = _plane_rows(f)
-    _require_nondegenerate(f, fr)
+    fr = _checked_rows(f)
     dex, retries = _dex2_stats(fr, seed)
     ctx = (fr, _rotation_context(fr, seed))
     rng = random.Random(f"mfs:{seed}")
