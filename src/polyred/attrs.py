@@ -31,8 +31,10 @@ x -> (x1 + c*x2, -c*x1 + x2) is applied until every component that moves
 with x2 has a variable-free leading x2-coefficient; then the resultant
 specializes cleanly at every rational target (no leading-term collapse),
 and a probe fiber at a random target must come out squarefree of full
-degree before the rotation is trusted.  Failures raise GenericityError
-and each retry draws fresh coefficients.
+degree before the rotation is trusted.  In mfs_sample the first rotation
+and first target of dex2's round 0 serve as that probe, so the fiber dex2
+has already computed is not computed again.  Failures raise
+GenericityError and each retry draws fresh coefficients.
 
 dex itself is computed twice over: two rotations times two targets, all
 four squarefree degrees must agree.  Agreement of independent seeded runs
@@ -253,7 +255,7 @@ def _rotated(fr: list, seed: int, skip_identity: bool = False) -> tuple:
         "the map is likely degenerate")
 
 
-def generic_rotation(f: PolyMap, seed: int = 0, _skip_identity: bool = False):
+def generic_rotation(f: PolyMap, seed: int = 0):
     """Precompose f with a seeded rotation until x2 eliminates honestly.
 
     Returns (f o R, R as an automorphism).  The identity is tried first,
@@ -261,7 +263,7 @@ def generic_rotation(f: PolyMap, seed: int = 0, _skip_identity: bool = False):
     candidate works; that usually means the map is degenerate.
     """
     _require_plane(f)
-    g, c = _rotated(_plane_rows(f), seed, _skip_identity)
+    g, c = _rotated(_plane_rows(f), seed)
     if c == 0:
         eye = RatMatrix.identity(2)
         return f, Automorphism.from_linear(eye, eye, "identity rotation")
@@ -309,8 +311,11 @@ def _sqf_degree(g: list, target: Sequence):
 
 
 def _dex2_stats(fr: list, seed: int = 0):
-    """(dex, retry rounds) for the plane rows fr of a nondegenerate map."""
+    """(dex, retry rounds, probe) for the plane rows fr of a nondegenerate
+    map; probe is round 0's first rotation with its _sqf_degree at round
+    0's first target, which _rotation_context takes as its first probe."""
     retries = 0
+    probe = None
     for round_ in range(4):
         # the identity rotation is only ever offered on the first round;
         # a map whose fibers stack several points over one x1 value in
@@ -324,6 +329,8 @@ def _dex2_stats(fr: list, seed: int = 0):
         for g in (rot_a, rot_b):
             for t in targets:
                 out = _sqf_degree(g, t)
+                if probe is None:
+                    probe = (g, out)
                 if out is None:
                     degs = None
                     break
@@ -331,7 +338,7 @@ def _dex2_stats(fr: list, seed: int = 0):
             if degs is None:
                 break
         if degs is not None and len(set(degs)) == 1 and degs[0] >= 1:
-            return degs[0], retries
+            return degs[0], retries, probe
         retries += 1
     raise GenericityError(
         "the squarefree fiber degree would not stabilize over four seeded "
@@ -346,21 +353,26 @@ def dex2(f: PolyMap, seed: int = 0) -> int:
     Disagreement triggers a fresh round of seeds.
     """
     fr = _checked_rows(f)
-    d, _ = _dex2_stats(fr, seed)
-    return d
+    return _dex2_stats(fr, seed)[0]
 
 
-def _rotation_context(fr: list, seed: int):
+def _rotation_context(fr: list, seed: int, probe=None):
     """A rotation of the plane rows fr whose probe fiber is squarefree of
     full degree.
 
     Returns (rows of the rotated map, reference resultant degree).  The
-    reference is what every later specialization is held against.
+    reference is what every later specialization is held against.  The
+    k = 0 rotation is _rotated(fr, seed); probe, from _dex2_stats, is that
+    rotation with its _sqf_degree at round 0's first dex2 target, which
+    then serves as the k = 0 probe fiber instead of a target of its own.
     """
     for k in range(5):
-        g, _ = _rotated(fr, seed + k, k > 0)
-        rng = random.Random(f"probe:{seed}:{k}")
-        out = _sqf_degree(g, _free_target(rng))
+        if k == 0 and probe is not None:
+            g, out = probe
+        else:
+            g, _ = _rotated(fr, seed + k, k > 0)
+            rng = random.Random(f"probe:{seed}:{k}")
+            out = _sqf_degree(g, _free_target(rng))
         if out is None:
             continue
         deg_r, deg_sf = out
@@ -378,7 +390,9 @@ def fiber_count_real(f: PolyMap, target: Sequence, seed: int = 0, _ctx=None) -> 
     not proper over this target, part of the complex fiber is missing
     at infinity) and the remaining affine fiber is counted as found.
     Empty real fibers are a normal outcome, recorded as real_count 0.
-    _ctx, from mfs_sample, is (f's plane rows, its rotation context).
+    _ctx, from mfs_sample, is (f's plane rows, its rotation context), whose
+    probe was round 0's first dex2 target; each redraw probes a target of
+    its own.
     """
     tgt = (Fraction(target[0]), Fraction(target[1]))
     if _ctx is None:
@@ -419,8 +433,8 @@ def mfs_sample(f: PolyMap, seed: int = 0, samples: int = 200,
     bound for the true supremum, never a claim of equality.
     """
     fr = _checked_rows(f)
-    dex, retries = _dex2_stats(fr, seed)
-    ctx = (fr, _rotation_context(fr, seed))
+    dex, retries, probe = _dex2_stats(fr, seed)
+    ctx = (fr, _rotation_context(fr, seed, probe))
     rng = random.Random(f"mfs:{seed}")
     best = 0
     for k in range(samples):

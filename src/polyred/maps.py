@@ -207,33 +207,20 @@ def sample_points(rng: random.Random, n: int, count: int, box: int):
 class SampleReport:
     samples: int
     zero_points: int
-    nonzero_points: int
     first_zero: Optional[tuple]
-    distinct_values: bool
 
 
 def sample_poly_values(p: Poly, rng: random.Random, samples: int, box: int) -> SampleReport:
     _, items = p.content_and_integer_terms()
     d = p.degree() or 0
     zeros = 0
-    nonzeros = 0
     first_zero = None
-    seen = None  # (v, den**d) of the first sample; its value is v / (L den**d)
-    distinct = False
     for nums, den in sample_points(rng, p.varcount, samples, box):
-        v = eval_scaled_int(items, nums, den, d)
-        scale = den ** d
-        if v == 0:
+        if eval_scaled_int(items, nums, den, d) == 0:
             zeros += 1
             if first_zero is None:
                 first_zero = (list(nums), den)
-        else:
-            nonzeros += 1
-        if seen is None:
-            seen = (v, scale)
-        elif v * seen[1] != seen[0] * scale:
-            distinct = True
-    return SampleReport(samples, zeros, nonzeros, first_zero, distinct)
+    return SampleReport(samples, zeros, first_zero)
 
 
 @dataclass

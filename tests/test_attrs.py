@@ -1,5 +1,6 @@
 """Fiber statistics: rotations, dex, real fiber counts."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from golden.make_attributes import PATH as GOLDEN_ATTRIBUTES, stdout_of
 from polyred import attrs, cli, maps
 from polyred.attrs import (AttributeReport, _eliminable, _plane_rows,
                            _require_nondegenerate, _rotate, _rotation_context,
                            _rows_poly, _specialize, dex2, fiber_count_real,
                            generic_rotation, mfs_sample)
 from polyred.elim import resultant, uni_coeffs, z_mul, z_rows
-from polyred.examples import builtin_example
+from polyred.examples import builtin_example, corpus
 from polyred.maps import GenericityError, PolyMap, jacobian_det
 from polyred.poly import Poly
 
@@ -337,3 +339,83 @@ def test_mfs_triple_root_attains_three():
     assert rep.mfs_observed == 3
     assert rep.parity_consistent
 
+
+# -- dex2's round 0 doubles as the probe -----------------------------------
+
+PLANE_CORPUS = [e.id for e in corpus() if len(e.document.variables) == 2]
+
+
+def _mfs_contexts(monkeypatch, eid, seeds):
+    """The rotation context mfs_sample hands fiber_count_real, per seed."""
+    seen = []
+    real = attrs.fiber_count_real
+
+    def spy(f, target, seed=0, _ctx=None):
+        seen.append(_ctx[1])
+        return real(f, target, seed=seed, _ctx=_ctx)
+
+    monkeypatch.setattr(attrs, "fiber_count_real", spy)
+    out = []
+    for seed in seeds:
+        seen.clear()
+        mfs_sample(_map(eid), seed=seed, samples=1)
+        out.append(seen[0])
+    return out
+
+
+def test_mfs_context_equals_a_fresh_probe(monkeypatch):
+    assert len(PLANE_CORPUS) == 14
+    for eid in PLANE_CORPUS:
+        fr = _plane_rows(_map(eid))
+        got = _mfs_contexts(monkeypatch, eid, range(16))
+        for seed, ctx in enumerate(got):
+            assert ctx == _rotation_context(fr, seed), (eid, seed)
+
+
+@pytest.mark.parametrize("eid", ["pinchuk", "random-d6-n2"])
+def test_one_sample_costs_five_resultants_and_two_rotations(monkeypatch, eid):
+    counts = {"z_resultant": 0, "_rotated": 0}
+
+    def counted(name):
+        real = getattr(attrs, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(attrs, name, counted(name))
+    f = _map(eid)
+    for seed in range(4):
+        for name in counts:
+            counts[name] = 0
+        rep = mfs_sample(f, seed=seed, samples=1)
+        assert rep.genericity_retries == 0
+        assert counts == {"z_resultant": 5, "_rotated": 2}, (eid, seed)
+
+
+@pytest.mark.parametrize("eid", ["druzkowski-toy", "yagzhev-2d-c"])
+def test_rejected_probe_falls_through_to_the_next_rotation(monkeypatch, eid):
+    # the unrotated rows eliminate, but stack fiber points over one x1
+    # value: round 0's first target is not squarefree, so the context
+    # comes from the k = 1 rotation, as it does without the probe
+    calls = []
+    real = attrs._rotation_context
+
+    def spy(fr, seed, probe=None):
+        ctx = real(fr, seed, probe)
+        calls.append((fr, seed, probe, ctx))
+        return ctx
+
+    monkeypatch.setattr(attrs, "_rotation_context", spy)
+    with open(GOLDEN_ATTRIBUTES, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    for seed in range(4):
+        argv = ["attributes", eid, "--samples", "1", "--seed", str(seed), "--json"]
+        calls.clear()
+        assert stdout_of(argv) == golden[" ".join(argv)]
+        (fr, s, probe, ctx), = calls
+        g, out = probe
+        assert g is fr and out is not None and out[0] != out[1]
+        assert ctx[0] == attrs._rotated(fr, s + 1, True)[0]

@@ -83,18 +83,14 @@ def test_compose_is_associative(data):
 
 def sample_poly_values_oracle(p, rng, samples, box):
     """sample_poly_values with every sample value built as a Fraction."""
-    values = []
     zeros = 0
     first_zero = None
     for nums, den in sample_points(rng, p.varcount, samples, box):
-        value = p.eval_at([Fraction(a, den) for a in nums])
-        values.append(value)
-        if value == 0:
+        if p.eval_at([Fraction(a, den) for a in nums]) == 0:
             zeros += 1
             if first_zero is None:
                 first_zero = (list(nums), den)
-    distinct = any(v != values[0] for v in values)
-    return samples, zeros, samples - zeros, first_zero, distinct
+    return samples, zeros, first_zero
 
 
 @settings(max_examples=150, deadline=None)
@@ -106,8 +102,7 @@ def test_sample_poly_values_matches_fraction_values(data):
     samples = data.draw(st.integers(1, 12))
     box = data.draw(st.integers(1, 4))
     rep = sample_poly_values(p, random.Random(seed), samples, box)
-    got = (rep.samples, rep.zero_points, rep.nonzero_points, rep.first_zero,
-           rep.distinct_values)
+    got = (rep.samples, rep.zero_points, rep.first_zero)
     assert got == sample_poly_values_oracle(p, random.Random(seed), samples, box)
 
 
