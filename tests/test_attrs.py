@@ -345,8 +345,9 @@ def test_mfs_triple_root_attains_three():
 PLANE_CORPUS = [e.id for e in corpus() if len(e.document.variables) == 2]
 
 
-def _mfs_contexts(monkeypatch, eid, seeds):
-    """The rotation context mfs_sample hands fiber_count_real, per seed."""
+def test_mfs_context_equals_a_fresh_probe(monkeypatch):
+    # the context mfs_sample hands fiber_count_real is the one a probe
+    # at a target of its own would have picked
     seen = []
     real = attrs.fiber_count_real
 
@@ -355,21 +356,14 @@ def _mfs_contexts(monkeypatch, eid, seeds):
         return real(f, target, seed=seed, _ctx=_ctx)
 
     monkeypatch.setattr(attrs, "fiber_count_real", spy)
-    out = []
-    for seed in seeds:
-        seen.clear()
-        mfs_sample(_map(eid), seed=seed, samples=1)
-        out.append(seen[0])
-    return out
-
-
-def test_mfs_context_equals_a_fresh_probe(monkeypatch):
     assert len(PLANE_CORPUS) == 14
     for eid in PLANE_CORPUS:
-        fr = _plane_rows(_map(eid))
-        got = _mfs_contexts(monkeypatch, eid, range(16))
-        for seed, ctx in enumerate(got):
-            assert ctx == _rotation_context(fr, seed), (eid, seed)
+        f = _map(eid)
+        fr = _plane_rows(f)
+        for seed in range(16):
+            seen.clear()
+            mfs_sample(f, seed=seed, samples=1)
+            assert seen == [_rotation_context(fr, seed)], (eid, seed)
 
 
 @pytest.mark.parametrize("eid", ["pinchuk", "random-d6-n2"])
