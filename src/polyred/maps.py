@@ -16,11 +16,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice, repeat
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .elim import poly_matrix_det
 from .linalg import RatMatrix, sparse_det, sparse_matmul, sparse_trace
-from .poly import Poly, eval_scaled_int, linear_cube, mono_degree
+from .poly import Poly, linear_cube, mono_degree
 
 
 @dataclass(frozen=True)
@@ -210,17 +212,70 @@ class SampleReport:
     first_zero: Optional[tuple]
 
 
+SAMPLE_BLOCK = 256  # points evaluated together; bounds memory at any --samples
+
+
 def sample_poly_values(p: Poly, rng: random.Random, samples: int, box: int) -> SampleReport:
+    """Count the seeded sample points at which p vanishes.
+
+    The points are those of sample_points, with the same draws, taken in
+    blocks of SAMPLE_BLOCK and evaluated exactly, a block at a time:
+    see _block_values.  first_zero is the first vanishing point, as
+    ([numerators], den).
+    """
     _, items = p.content_and_integer_terms()
-    d = p.degree() or 0
+    by_degree: dict = {}
+    top_exp: dict = {}
+    for m, c in items:
+        by_degree.setdefault(mono_degree(m), []).append((m, c))
+        for v, e in m:
+            top_exp[v] = max(top_exp.get(v, 0), e)
     zeros = 0
     first_zero = None
-    for nums, den in sample_points(rng, p.varcount, samples, box):
-        if eval_scaled_int(items, nums, den, d) == 0:
-            zeros += 1
+    points = sample_points(rng, p.varcount, samples, box)
+    while block := list(islice(points, SAMPLE_BLOCK)):
+        values = _block_values(by_degree, top_exp, block)
+        hits = values.count(0)
+        if hits:
+            zeros += hits
             if first_zero is None:
+                nums, den = block[values.index(0)]
                 first_zero = (list(nums), den)
     return SampleReport(samples, zeros, first_zero)
+
+
+def _block_values(by_degree: dict, top_exp: dict, block: list) -> list:
+    """den**D * p(nums / den) at each (nums, den) of block, in integers.
+
+    p is given by its integer terms grouped by degree, D is its top
+    degree and top_exp[v] the largest exponent of x_v.  Each coordinate
+    becomes a column and its powers nums_v**e columns, each built once;
+    a degree's terms are summed column-wise, and the degrees are
+    combined by Horner in den.
+    """
+    size = len(block)
+    coords = list(zip(*[nums for nums, _ in block]))
+    powers = {}
+    for v, top in top_exp.items():
+        col = coords[v]
+        cols = [col]
+        for _ in range(top - 1):
+            cols.append(list(map(mul, cols[-1], col)))
+        powers[v] = cols
+    dens = [den for _, den in block]
+    values = None
+    for d in range(max(by_degree, default=0) + 1):
+        if values is not None:
+            values = list(map(mul, values, dens))
+        level = None
+        for m, c in by_degree.get(d, ()):
+            col = repeat(c, size)
+            for v, e in m:
+                col = map(mul, col, powers[v][e - 1])
+            level = list(col) if level is None else list(map(add, level, col))
+        if level is not None:
+            values = level if values is None else list(map(add, values, level))
+    return [0] * size if values is None else values
 
 
 @dataclass

@@ -14,6 +14,7 @@ polynomial has degree None.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -96,6 +97,14 @@ def GRLEX_KEY(m: Mono):
     monomial.  Degree comes first; then the pairs are read left to right,
     and a smaller variable index or a larger exponent wins."""
     return sum([e for _, e in m]), [(-v, e) for v, e in m]
+
+
+def _heap_key(m: Mono):
+    """Reverse of GRLEX_KEY, for a min-heap that pops the largest monomial.
+
+    Reversing each pair is enough: two monomials of equal degree never
+    have pair lists where one is a proper prefix of the other."""
+    return -sum([e for _, e in m]), [(v, -e) for v, e in m]
 
 
 def mono_from_dense(exps: Sequence[int]) -> Mono:
@@ -396,8 +405,17 @@ class Poly:
     def exact_divide(self, divisor: "Poly") -> "Poly":
         """Quotient self / divisor when the division is exact.
 
-        Raises ExactDivisionError when any step fails or a remainder is
-        left, ZeroDivisionError for a zero divisor.
+        A one-term divisor divides term by term, and the constant 1
+        returns self.  A longer divisor runs sparse long division in one
+        pass (Johnson 1974): the remainder is one mutable dict, and a
+        heap of its monomials, keyed by the reverse of GRLEX_KEY, yields
+        the leading monomial at each step, so no step rescans or copies
+        the remainder.  Quotient terms come out in graded-lex descending
+        order, which is their insertion order in the result.
+
+        Raises ExactDivisionError at the first leading term the divisor's
+        leading monomial does not divide, ZeroDivisionError for a zero
+        divisor.
         """
         if divisor.varcount != self.varcount:
             raise ValueError("variable count mismatch in exact_divide")
@@ -407,6 +425,8 @@ class Poly:
             return Poly(self.varcount)
         if len(divisor.terms) == 1:
             ((dm, dc),) = divisor.terms.items()
+            if not dm and dc == 1:
+                return self
             out = {}
             for m, c in self.terms.items():
                 if not mono_divides(dm, m):
@@ -414,16 +434,34 @@ class Poly:
                 out[mono_div(m, dm)] = c / dc
             return Poly(self.varcount, out)
         lead_m, lead_c = divisor.leading_term()
-        rem = self
-        quot = Poly(self.varcount)
-        while not rem.is_zero():
-            rm, rc = rem.leading_term()
+        rest = [(m, c) for m, c in divisor.terms.items() if m != lead_m]
+        rem = dict(self.terms)
+        heap = [(_heap_key(m), m) for m in rem]
+        heapq.heapify(heap)
+        quot = {}
+        while rem:
+            rm = heapq.heappop(heap)[1]
+            rc = rem.pop(rm, None)
+            if rc is None:
+                continue  # cancelled, or a second entry for a monomial already done
             if not mono_divides(lead_m, rm):
                 raise ExactDivisionError("leading term not divisible; division is not exact")
-            t = Poly(self.varcount, {mono_div(rm, lead_m): rc / lead_c})
-            quot = quot + t
-            rem = rem - t * divisor
-        return quot
+            qm = mono_div(rm, lead_m)
+            qc = rc / lead_c
+            quot[qm] = qc
+            for dm, dc in rest:
+                m = mono_mul(qm, dm)
+                s = rem.get(m)
+                if s is None:
+                    rem[m] = -(qc * dc)
+                    heapq.heappush(heap, (_heap_key(m), m))
+                else:
+                    s = s - qc * dc
+                    if s == 0:
+                        del rem[m]
+                    else:
+                        rem[m] = s
+        return Poly(self.varcount, quot)
 
     def extend(self, new_varcount: int) -> "Poly":
         """Reinterpret in a larger ambient space (same variable indices).
@@ -485,33 +523,3 @@ def linear_cube(form: Poly) -> Poly:
             for l in range(j + 1, k):
                 out[(ones[i], ones[j], ones[l])] = Fraction(aij * nums[l], den3)
     return Poly(form.varcount, out)
-
-
-def eval_scaled_int(int_terms: list, nums: Sequence[int], den: int, deg: int) -> int:
-    """Evaluate Σ c·x^e at x_i = nums[i]/den, scaled by den**deg.
-
-    `int_terms` is the [(mono, int coeff)] list from
-    content_and_integer_terms; `deg` must be at least the degree of every
-    monomial.  Pure integer arithmetic; the caller untangles the scaling.
-    """
-    total = 0
-    powers: dict = {}
-    den_pows = {0: 1}
-    for m, c in int_terms:
-        v = c
-        d = 0
-        for var, e in m:
-            key = (var, e)
-            p = powers.get(key)
-            if p is None:
-                p = nums[var] ** e
-                powers[key] = p
-            v *= p
-            d += e
-        pad = deg - d
-        dp = den_pows.get(pad)
-        if dp is None:
-            dp = den ** pad
-            den_pows[pad] = dp
-        total += v * dp
-    return total

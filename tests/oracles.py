@@ -13,18 +13,23 @@ two on random inputs:
   * the gcd route of elim.z_squarefree, which runs whenever its mod-p
     certificate does not settle the input;
   * a dense Bareiss determinant for linalg.sparse_det;
-  * the fully homogenizing form of certs.substitute_rational.
+  * the fully homogenizing form of certs.substitute_rational;
+  * the long division that rescans and copies the remainder at every
+    step, which Poly.exact_divide replaced with a one-pass heap loop;
+  * the term-by-term integer evaluation at one point, which
+    maps.sample_poly_values replaced with column-wise evaluation of a
+    block of points.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from polyred.elim import (_q_trim, poly_matrix_det, q_derive, uni_coeffs, z_exact_div,
                           z_gcd, z_mul, z_sub)
-from polyred.poly import ExactDivisionError, Poly, mono_degree
+from polyred.poly import ExactDivisionError, Poly, mono_degree, mono_div, mono_divides
 
 
 def uni_assemble(coeffs: list, var: int, varcount: int) -> Poly:
@@ -354,3 +359,59 @@ def substitute_rational(p: Poly, nums, den: Poly):
         pad = k - mono_degree(m)
         hom[m + ((h, pad),) if pad else m] = c
     return Poly(h + 1, hom).substitute(list(nums) + [den]), k
+
+
+# -- exact division and integer evaluation ------------------------------------
+
+
+def long_divide(a: Poly, b: Poly) -> Poly:
+    """a / b by textbook long division, when the division is exact.
+
+    Each step takes the remainder's leading term by a scan, then forms
+    rem - t*b as a new polynomial.  Raises ExactDivisionError at the
+    first leading term that lead(b) does not divide, ZeroDivisionError
+    for a zero b.
+    """
+    if b.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    lead_m, lead_c = b.leading_term()
+    rem = a
+    quot = Poly(a.varcount)
+    while not rem.is_zero():
+        rm, rc = rem.leading_term()
+        if not mono_divides(lead_m, rm):
+            raise ExactDivisionError("leading term not divisible; division is not exact")
+        t = Poly(a.varcount, {mono_div(rm, lead_m): rc / lead_c})
+        quot = quot + t
+        rem = rem - t * b
+    return quot
+
+
+def eval_scaled_int(int_terms: list, nums: Sequence[int], den: int, deg: int) -> int:
+    """Evaluate sum c*x^e at x_i = nums[i]/den, scaled by den**deg.
+
+    `int_terms` is the [(mono, int coeff)] list from
+    Poly.content_and_integer_terms; `deg` must be at least the degree of
+    every monomial.  Pure integer arithmetic, one point at a time.
+    """
+    total = 0
+    powers: dict = {}
+    den_pows = {0: 1}
+    for m, c in int_terms:
+        v = c
+        d = 0
+        for var, e in m:
+            key = (var, e)
+            p = powers.get(key)
+            if p is None:
+                p = nums[var] ** e
+                powers[key] = p
+            v *= p
+            d += e
+        pad = deg - d
+        dp = den_pows.get(pad)
+        if dp is None:
+            dp = den ** pad
+            den_pows[pad] = dp
+        total += v * dp
+    return total

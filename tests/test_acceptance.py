@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import pytest
 
+from oracles import eval_scaled_int
 from polyred.attrs import dex2, mfs_sample
 from polyred.certs import apply_move, fiber_transport_check, verify_certificate
 from polyred.cli import main as cli_main
@@ -27,7 +28,7 @@ from polyred.linalg import sparse_det
 from polyred.maps import (DEFAULT_BUDGET, PolyMap, eval_jacobian_sparse,
                           is_nilpotent, is_yagzhev, jacobian, jacobian_det,
                           sample_points)
-from polyred.poly import Poly, eval_scaled_int
+from polyred.poly import Poly
 from polyred.reduce import lower_degree, meng_symmetrize, segre_step, to_yagzhev
 from polyred.textio import (attribute_report_to_json, cert_report_to_json,
                             certificate_to_json, default_var_names,

@@ -23,6 +23,8 @@ from polyred.elim import (
     z_squarefree,
     z_to_poly,
 )
+from polyred.examples import builtin_example
+from polyred.maps import jacobian
 from polyred.poly import ExactDivisionError, Poly
 
 
@@ -142,6 +144,18 @@ def test_poly_matrix_det_small():
     one = Poly.const(1, 1)
     m = [[x, one], [one, x]]
     assert poly_matrix_det(m, 1) == x * x - one
+
+
+def test_poly_matrix_det_of_a_jacobian_matches_dense_det():
+    f = builtin_example("yagzhev-4d-b").document.to_polymap()
+    rows = jacobian(f)
+    det = poly_matrix_det(rows, 4)
+    assert not det.is_constant()
+    rng = random.Random(15)
+    for _ in range(6):
+        point = [rng.randrange(-4, 5) for _ in range(4)]
+        values = [[entry.eval_at(point) for entry in row] for row in rows]
+        assert det.eval_at(point) == oracles.dense_det(values)
 
 
 # -- squarefree and Sturm ----------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import eval_scaled_int
 from polyred.elim import poly_matrix_det
 from polyred.linalg import RatMatrix
 from polyred.maps import (
@@ -20,6 +21,7 @@ from polyred.maps import (
     jacobian_degree_bound,
     jacobian_det,
     recognize_cube,
+    SAMPLE_BLOCK,
     sample_points,
     sample_poly_values,
 )
@@ -104,6 +106,58 @@ def test_sample_poly_values_matches_fraction_values(data):
     rep = sample_poly_values(p, random.Random(seed), samples, box)
     got = (rep.samples, rep.zero_points, rep.first_zero)
     assert got == sample_poly_values_oracle(p, random.Random(seed), samples, box)
+
+
+def sample_values_by_point(p, rng, samples, box):
+    """sample_poly_values one point at a time, through the integer
+    evaluation that the block sampler replaced."""
+    _, items = p.content_and_integer_terms()
+    d = p.degree() or 0
+    zeros = 0
+    first_zero = None
+    for nums, den in sample_points(rng, p.varcount, samples, box):
+        if eval_scaled_int(items, nums, den, d) == 0:
+            zeros += 1
+            if first_zero is None:
+                first_zero = (list(nums), den)
+    return samples, zeros, first_zero
+
+
+@pytest.mark.parametrize("samples", [0, 1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK,
+                                     SAMPLE_BLOCK + 1, 600])
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_block_sampler_matches_pointwise_evaluation(samples, data):
+    n = data.draw(st.integers(1, 3))
+    kind = data.draw(st.sampled_from(["any", "constant", "skips"]))
+    if kind == "constant":
+        p = C(n, data.draw(st.integers(-2, 2)))
+    elif kind == "skips" and n > 1:
+        # a polynomial in x_0..x_{n-2} seen in n variables: x_{n-1} unused
+        p = data.draw(polys(n - 1, max_terms=4, max_exp=3)).extend(n)
+    else:
+        p = data.draw(polys(n, max_terms=4, max_exp=3))
+    seed = data.draw(st.integers(0, 1000))
+    box = data.draw(st.integers(1, 4))
+    rep = sample_poly_values(p, random.Random(seed), samples, box)
+    got = (rep.samples, rep.zero_points, rep.first_zero)
+    assert got == sample_values_by_point(p, random.Random(seed), samples, box)
+
+
+def test_block_sampler_finds_a_first_zero_in_a_later_block():
+    # x_0 * x_1 - 7 vanishes only where x_0 * x_1 = 7 den**2; at seed 39
+    # and box 40 the first two such points both fall in the second block
+    x, y = V(2, 0), V(2, 1)
+    p = x * y - C(2, 7)
+    points = list(sample_points(random.Random(39), 2, 600, 40))
+    first = next(i for i, (nums, den) in enumerate(points)
+                 if p.eval_at([Fraction(a, den) for a in nums]) == 0)
+    assert first >= SAMPLE_BLOCK
+    rep = sample_poly_values(p, random.Random(39), 600, 40)
+    assert (rep.samples, rep.zero_points, rep.first_zero) == \
+        sample_values_by_point(p, random.Random(39), 600, 40)
+    assert rep.zero_points == 2
+    assert rep.first_zero == (points[first][0], points[first][1])
 
 
 def test_identity_and_linear_parts():

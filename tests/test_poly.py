@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import eval_scaled_int, long_divide
 from polyred.poly import (
     ExactDivisionError,
     GRLEX_KEY,
     Poly,
     ZERO_MONO,
-    eval_scaled_int,
     linear_cube,
     mono_from_dense,
     mono_to_dense,
@@ -331,6 +331,69 @@ def test_exact_divide_single_term_divisor():
     y = Poly.variable(2, 1)
     p = x * x * y + x * y * y.scale(3)
     assert p.exact_divide(x * y) == x + y.scale(3)
+
+
+def test_exact_divide_by_one_returns_the_dividend():
+    p = Poly.from_terms(2, {(2, 1): Fraction(3, 4), (0, 1): -1})
+    assert p.exact_divide(Poly.const(2, 1)) is p
+    assert p.exact_divide(Poly.const(2, 2)) == p.scale(Fraction(1, 2))
+
+
+def test_exact_divide_cancelled_term_comes_back():
+    # (2x^2 + 2x + 2)(-2x^2 + x - 1) = -4x^4 - 2x^3 - 4x^2 - 2: the first
+    # quotient step cancels the remainder's x^2 term, the second brings
+    # x^2 back, and the third divides it out
+    x = Poly.variable(1, 0)
+    one = Poly.const(1, 1)
+    b = (x * x + x + one).scale(2)
+    a = (x * x).scale(-2) + x - one
+    q = (a * b).exact_divide(b)
+    assert q == a
+    assert list(q.terms.items()) == list(long_divide(a * b, b).terms.items())
+
+
+def _same_division(a, b):
+    """a.exact_divide(b) and the long-division oracle agree: on the
+    quotient and its term order, or on raising ExactDivisionError."""
+    try:
+        want = list(long_divide(a, b).terms.items())
+    except ExactDivisionError:
+        with pytest.raises(ExactDivisionError):
+            a.exact_divide(b)
+        return
+    assert list(a.exact_divide(b).terms.items()) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exact_divide_matches_long_division(data):
+    n = data.draw(st.integers(1, 3))
+    a = data.draw(polys(n, max_terms=6, max_exp=3))
+    b = data.draw(polys(n, 2, 5, max_exp=2))
+    q = (a * b).exact_divide(b)
+    assert q == a
+    _same_division(a * b, b)
+    _same_division(a * b + data.draw(polys(n, 1, 2, max_exp=3)), b)  # usually inexact
+    _same_division(a, b)
+    _same_division(Poly.zero(n), b)
+
+
+def test_exact_divide_scans_for_a_leading_term_once(monkeypatch):
+    calls = []
+    leading_term = Poly.leading_term
+
+    def counted(self):
+        calls.append(len(self.terms))
+        return leading_term(self)
+
+    monkeypatch.setattr(Poly, "leading_term", counted)
+    x, y, z = (Poly.variable(3, i) for i in range(3))
+    b = x * y - z + Poly.const(3, 2)
+    for k in (1, 4, 12):
+        a = (x + y.scale(2) + z) ** k
+        calls.clear()
+        assert (a * b).exact_divide(b) == a
+        assert calls == [len(b.terms)]
 
 
 def test_grlex_order():
