@@ -11,6 +11,7 @@ from polyred.linalg import RatMatrix
 from polyred.maps import (
     Budget,
     PolyMap,
+    SAMPLE_BLOCK,
     Unknown,
     classify,
     eval_jacobian_sparse,
@@ -21,7 +22,6 @@ from polyred.maps import (
     jacobian_degree_bound,
     jacobian_det,
     recognize_cube,
-    SAMPLE_BLOCK,
     sample_points,
     sample_poly_values,
 )
@@ -146,7 +146,7 @@ def test_block_sampler_matches_pointwise_evaluation(samples, data):
 
 def test_block_sampler_finds_a_first_zero_in_a_later_block():
     # x_0 * x_1 - 7 vanishes only where x_0 * x_1 = 7 den**2; at seed 39
-    # and box 40 the first two such points both fall in the second block
+    # and box 40 both such points among 600 fall in the second block
     x, y = V(2, 0), V(2, 1)
     p = x * y - C(2, 7)
     points = list(sample_points(random.Random(39), 2, 600, 40))
@@ -157,7 +157,7 @@ def test_block_sampler_finds_a_first_zero_in_a_later_block():
     assert (rep.samples, rep.zero_points, rep.first_zero) == \
         sample_values_by_point(p, random.Random(39), 600, 40)
     assert rep.zero_points == 2
-    assert rep.first_zero == (points[first][0], points[first][1])
+    assert rep.first_zero == tuple(points[first])
 
 
 def test_identity_and_linear_parts():
