@@ -65,7 +65,7 @@ from .elim import _q_trim, z_count_real_roots, z_resultant, z_rows, z_squarefree
 from .elim import resultant  # noqa: F401
 from .linalg import RatMatrix
 from .maps import GenericityError, PolyMap
-from .poly import Poly
+from .poly import Poly, qdiv
 
 __all__ = [
     "AttributeReport",
@@ -157,7 +157,7 @@ def _rows_poly(comp) -> Poly:
     for j, row in enumerate(rows):
         for i, c in enumerate(row):
             if c:
-                terms[tuple((v, e) for v, e in ((0, i), (1, j)) if e)] = Fraction(c, L)
+                terms[tuple((v, e) for v, e in ((0, i), (1, j)) if e)] = qdiv(c, L)
     return Poly(2, terms)
 
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import List, Optional, Union
 
 from .maps import PolyMap
-from .poly import ExactDivisionError, Poly
+from .poly import ExactDivisionError, Poly, as_coeff
 
 
 class RationalMap:
@@ -175,7 +175,7 @@ class Automorphism:
         def mk(rs):
             comps = []
             for r in rs:
-                p = Poly(n, {((j, 1),): Fraction(v) for j, v in sorted(r.items()) if v})
+                p = Poly(n, {((j, 1),): as_coeff(v) for j, v in sorted(r.items()) if v})
                 comps.append(p)
             return PolyMap(comps)
 

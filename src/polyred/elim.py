@@ -39,7 +39,7 @@ import operator
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
-from .poly import ExactDivisionError, Poly
+from .poly import ExactDivisionError, Poly, as_coeff
 
 
 # -- univariate views ----------------------------------------------------
@@ -54,7 +54,7 @@ def uni_coeffs(p: Poly, var: int) -> list:
     if p.is_zero():
         return []
     d = p.degree_in(var)
-    out = [Poly(p.varcount) for _ in range(d + 1)]
+    out = [{} for _ in range(d + 1)]
     for m, c in p.terms.items():
         e = 0
         rest = []
@@ -63,8 +63,8 @@ def uni_coeffs(p: Poly, var: int) -> list:
                 e = k
             else:
                 rest.append((v, k))
-        out[e].terms[tuple(rest)] = out[e].terms.get(tuple(rest), Fraction(0)) + c
-    return [Poly(p.varcount, {m: c for m, c in q.terms.items() if c != 0}) for q in out]
+        out[e][tuple(rest)] = c  # m -> (e, rest) is one to one
+    return [Poly(p.varcount, t) for t in out]
 
 
 # -- resultants --------------------------------------------------------------
@@ -295,7 +295,7 @@ def z_to_poly(a: list, varcount: int, var: int, factor: Fraction) -> Poly:
     terms = {}
     for e, c in enumerate(a):
         if c:
-            terms[((var, e),) if e else ()] = factor * c
+            terms[((var, e),) if e else ()] = as_coeff(factor * c)
     return Poly(varcount, terms)
 
 

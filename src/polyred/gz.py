@@ -16,7 +16,7 @@ invertible coordinate changes.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .certs import (
     Automorphism,
@@ -28,7 +28,7 @@ from .certs import (
 )
 from .linalg import RatMatrix
 from .maps import PolyMap, is_yagzhev
-from .poly import Poly, linear_cube
+from .poly import Poly, as_coeff, linear_cube, qdiv
 
 
 def _polarize(mono, coeff, m):
@@ -39,7 +39,7 @@ def _polarize(mono, coeff, m):
     """
 
     def vec(*pairs):
-        v = [Fraction(0)] * m
+        v = [0] * m
         for i, a in pairs:
             v[i] += a
         return tuple(v)
@@ -47,7 +47,7 @@ def _polarize(mono, coeff, m):
     exps = list(mono)
     if len(exps) == 1:
         return [(coeff, vec((exps[0][0], 1)))]
-    s = coeff / 6
+    s = qdiv(coeff, 6)
     if len(exps) == 2:
         # u^2 w with u the doubled variable
         if exps[0][1] == 2:
@@ -76,13 +76,9 @@ def _polarize(mono, coeff, m):
 def _primitive(vec):
     """(integer key, scalar) with vec = scalar * key, key primitive and
     its first nonzero entry positive."""
-    den = 1
-    for q in vec:
-        den = den * q.denominator // gcd(den, q.denominator)
+    den = lcm(*[q.denominator for q in vec])
     ints = [int(q * den) for q in vec]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
+    g = gcd(*ints)
     sign = 1
     for a in ints:
         if a:
@@ -110,16 +106,14 @@ def decompose_cubes(h: Poly):
         for c, v in _polarize(mono, coeff, m):
             key, lam = _primitive(v)
             if key not in acc:
-                acc[key] = Fraction(0)
+                acc[key] = 0
                 order.append(key)
             acc[key] += c * lam ** 3
     out = []
     for key in order:
         if acc[key]:
-            form = Poly(
-                m, {((i, 1),): Fraction(a) for i, a in enumerate(key) if a}
-            )
-            out.append((acc[key], form))
+            form = Poly(m, {((i, 1),): a for i, a in enumerate(key) if a})
+            out.append((as_coeff(acc[key]), form))
     return out
 
 
@@ -206,7 +200,7 @@ def pair_up(g: PolyMap) -> GZPairing:
         h = g.components[i] - Poly.variable(m, i)
         row = {}
         for c, form in decompose_cubes(h):
-            vec = tuple(form.terms.get(((j, 1),), Fraction(0)) for j in range(m))
+            vec = tuple(form.terms.get(((j, 1),), 0) for j in range(m))
             key, lam = _primitive(vec)
             k = index.get(key)
             if k is None:

@@ -3,13 +3,16 @@
 Dense RatMatrix covers the small-dimension work (pairings, rotations,
 block checks).  The sparse helpers cover numeric Jacobians of
 high-dimensional but structurally sparse maps, where dense elimination
-would be hopeless; rows there are {column: nonzero Fraction} dicts.
+would be hopeless; rows there are {column: nonzero int or Fraction}
+dicts, and their pivot divisions go through poly.qdiv.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+from .poly import qdiv
 
 
 class RatMatrix:
@@ -215,7 +218,7 @@ def sparse_det(rows: list, n: int) -> Fraction:
             f = ri.get(pc)
             if not f:
                 continue
-            f = f / piv
+            f = qdiv(f, piv)
             for c, v in prow.items():
                 if c not in alive_cols:
                     continue
@@ -273,8 +276,8 @@ def sparse_inverse(rows: list, n: int) -> list:
         _, pi, pc = best
         piv = a[pi][pc]
         if piv != 1:
-            a[pi] = {c: v / piv for c, v in a[pi].items()}
-            inv[pi] = {c: v / piv for c, v in inv[pi].items()}
+            a[pi] = {c: qdiv(v, piv) for c, v in a[pi].items()}
+            inv[pi] = {c: qdiv(v, piv) for c, v in inv[pi].items()}
         for i in range(n):
             if i == pi:
                 continue

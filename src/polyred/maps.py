@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .elim import poly_matrix_det
 from .linalg import RatMatrix, sparse_det, sparse_matmul, sparse_trace
-from .poly import Poly, linear_cube, mono_degree
+from .poly import Poly, as_coeff, linear_cube, mono_degree, qdiv
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,14 @@ class PolyMap:
     @staticmethod
     def from_matrix(m: RatMatrix) -> "PolyMap":
         """x -> m x, one linear form per row."""
-        return PolyMap([Poly(m.ncols, {((j, 1),): Fraction(a) for j, a in enumerate(row) if a})
+        return PolyMap([Poly(m.ncols, {((j, 1),): as_coeff(a) for j, a in enumerate(row) if a})
                         for row in m.rows])
 
     @staticmethod
     def translation(vec: Sequence) -> "PolyMap":
         n = len(vec)
         return PolyMap(
-            [Poly.variable(n, i) + Poly.const(n, Fraction(vec[i])) for i in range(n)]
+            [Poly.variable(n, i) + Poly.const(n, vec[i]) for i in range(n)]
         )
 
     # -- algebra -----------------------------------------------------------
@@ -138,16 +138,6 @@ class PolyMap:
     def constant_part(self) -> list:
         return [c.constant_term() for c in self.components]
 
-    def linear_part(self) -> RatMatrix:
-        rows = []
-        for c in self.components:
-            lin = c.homogeneous_part(1)
-            row = [Fraction(0)] * self.n_in
-            for m, coef in lin.terms.items():
-                row[m[0][0]] = coef
-            rows.append(row)
-        return RatMatrix(rows)
-
     def is_identity(self) -> bool:
         return self.is_endomorphism() and self == PolyMap.identity(self.n_in)
 
@@ -180,17 +170,20 @@ def jacobian_det(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
     return poly_matrix_det(jacobian(f), f.n_in)
 
 
-def eval_jacobian_sparse(f: PolyMap, point: Sequence) -> list:
-    """Jacobian at a point as sparse rows, skipping zero derivatives.
+def sparse_jacobian(f: PolyMap) -> list:
+    """Rows [(v, d f_i / d x_v)] over the variables each f_i uses: the
+    Jacobian's possibly nonzero entries, derived once for many points."""
+    return [[(v, c.derive(v)) for v in sorted(c.variables_used())]
+            for c in f.components]
 
-    Derivatives are taken only with respect to variables a component
-    actually uses, so this stays cheap in high dimension.
-    """
+
+def eval_jacobian_sparse(jac: list, point: Sequence) -> list:
+    """A sparse_jacobian at a point, as {column: nonzero value} rows."""
     rows = []
-    for c in f.components:
+    for entries in jac:
         row = {}
-        for v in sorted(c.variables_used()):
-            val = c.derive(v).eval_at(point)
+        for v, d in entries:
+            val = d.eval_at(point)
             if val:
                 row[v] = val
         rows.append(row)
@@ -342,9 +335,10 @@ def classify(
     zeros = 0
     first_zero = None
     values = set()
+    jac = sparse_jacobian(f)
     for nums, den in sample_points(rng, n, samples, box):
         point = [Fraction(a, den) for a in nums]
-        rows = eval_jacobian_sparse(f, point)
+        rows = eval_jacobian_sparse(jac, point)
         d = sparse_det(rows, n)
         if d == 0:
             zeros += 1
@@ -441,7 +435,7 @@ def recognize_cube(h: Poly):
     """
     n = h.varcount
     if h.is_zero():
-        return Fraction(0), [Fraction(0)] * n
+        return 0, [0] * n
     if h.degree() != 3 or not h.is_homogeneous():
         return None
     pivot = None
@@ -454,14 +448,13 @@ def recognize_cube(h: Poly):
             break
     if pivot is None:
         return None
-    coeffs = [Fraction(0)] * n
-    coeffs[pivot] = Fraction(1)
+    coeffs = [0] * n
+    coeffs[pivot] = 1
     for j in range(n):
         if j == pivot:
             continue
         mono = ((pivot, 2), (j, 1)) if pivot < j else ((j, 1), (pivot, 2))
-        c = h.terms.get(mono, Fraction(0))
-        coeffs[j] = c / (3 * scale)
+        coeffs[j] = qdiv(h.terms.get(mono, 0), 3 * scale)
     form = Poly(n, {((j, 1),): c for j, c in enumerate(coeffs) if c})
     if linear_cube(form).scale(scale) == h:
         return scale, coeffs

@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials over the rationals.
 
-Coefficients are `fractions.Fraction` (always in lowest terms, positive
-denominator).  A monomial is a tuple of (variable_index, exponent) pairs,
-sorted by index, with every exponent positive; the empty tuple is the
-constant monomial.  Variable identity is positional: a polynomial knows
-only its ambient variable count, never variable names.
+A coefficient is an `int` when integral and a `fractions.Fraction` (lowest
+terms, denominator > 1) otherwise; `numerator`, `denominator`, `str`, `==`
+and hashing agree across the two.  Coefficient division goes through qdiv,
+so no float can appear.  A monomial is a tuple of (variable_index,
+exponent) pairs, sorted by index, with every exponent positive; the empty
+tuple is the constant monomial.  Variable identity is positional: a
+polynomial knows only its ambient variable count, never variable names.
 
 Term order, where one is needed, is graded lexicographic: higher total
 degree first, ties broken by the exponent vector read left to right
@@ -111,11 +113,30 @@ def mono_from_dense(exps: Sequence[int]) -> Mono:
     return tuple((i, e) for i, e in enumerate(exps) if e)
 
 
-def mono_to_dense(m: Mono, varcount: int) -> tuple:
-    out = [0] * varcount
-    for v, e in m:
-        out[v] = e
-    return tuple(out)
+def as_coeff(c):
+    """c, or anything Fraction accepts, as a stored coefficient."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def qdiv(a, b):
+    """a / b as a stored coefficient; int / int would give a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return as_coeff(a / b)
+
+
+def _settled(terms: dict) -> dict:
+    """terms, with each integral Fraction replaced by its int in place."""
+    if Fraction in map(type, terms.values()):
+        for m, c in terms.items():
+            if type(c) is not int and c.denominator == 1:
+                terms[m] = c.numerator
+    return terms
 
 
 class ExactDivisionError(ArithmeticError):
@@ -144,7 +165,7 @@ class Poly:
 
     @staticmethod
     def const(varcount: int, c) -> "Poly":
-        c = Fraction(c)
+        c = as_coeff(c)
         if c == 0:
             return Poly(varcount)
         return Poly(varcount, {ZERO_MONO: c})
@@ -156,7 +177,7 @@ class Poly:
         key = (varcount, index)
         p = _VARIABLES.get(key)
         if p is None:
-            p = Poly(varcount, {((index, 1),): Fraction(1)})
+            p = Poly(varcount, {((index, 1),): 1})
             _VARIABLES[key] = p
         return p
 
@@ -165,14 +186,14 @@ class Poly:
         """Build from {dense exponent tuple: coefficient}; zeros are dropped."""
         terms = {}
         for exps, c in dense_terms.items():
-            c = Fraction(c)
+            c = as_coeff(c)
             if c == 0:
                 continue
             if len(exps) != varcount:
                 raise ValueError("exponent tuple length does not match variable count")
             m = mono_from_dense(exps)
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return Poly(varcount, {m: c for m, c in terms.items() if c != 0})
+            terms[m] = terms.get(m, 0) + c
+        return Poly(varcount, _settled({m: c for m, c in terms.items() if c != 0}))
 
     # -- basic queries -------------------------------------------------
 
@@ -197,11 +218,11 @@ class Poly:
     def is_constant(self) -> bool:
         return all(m == ZERO_MONO for m in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(ZERO_MONO, Fraction(0))
+    def constant_term(self):
+        return self.terms.get(ZERO_MONO, 0)
 
-    def coefficient(self, dense_exps: Sequence[int]) -> Fraction:
-        return self.terms.get(mono_from_dense(dense_exps), Fraction(0))
+    def coefficient(self, dense_exps: Sequence[int]):
+        return self.terms.get(mono_from_dense(dense_exps), 0)
 
     def is_homogeneous(self) -> bool:
         degs = {mono_degree(m) for m in self.terms}
@@ -252,8 +273,10 @@ class Poly:
                 s = s + c
                 if s == 0:
                     del out[m]
-                else:
+                elif type(s) is int or s.denominator != 1:
                     out[m] = s
+                else:
+                    out[m] = s.numerator
         return Poly(self.varcount, out)
 
     def __sub__(self, other) -> "Poly":
@@ -283,15 +306,15 @@ class Poly:
                         del out[m]
                     else:
                         out[m] = s
-        return Poly(self.varcount, out)
+        return Poly(self.varcount, _settled(out))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = as_coeff(c)
         if c == 0:
             return Poly(self.varcount)
-        return Poly(self.varcount, {m: c * v for m, v in self.terms.items()})
+        return Poly(self.varcount, _settled({m: c * v for m, v in self.terms.items()}))
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -323,19 +346,7 @@ class Poly:
             if e == 0:
                 continue
             out[mono_div(m, ((var, 1),))] = c * e
-        return Poly(self.varcount, out)
-
-    def homogeneous_components(self) -> dict:
-        """{degree: homogeneous part}; no zero parts, empty for zero."""
-        parts: dict = {}
-        for m, c in self.terms.items():
-            d = mono_degree(m)
-            parts.setdefault(d, {})[m] = c
-        return {d: Poly(self.varcount, t) for d, t in sorted(parts.items())}
-
-    def homogeneous_part(self, d: int) -> "Poly":
-        out = {m: c for m, c in self.terms.items() if mono_degree(m) == d}
-        return Poly(self.varcount, out)
+        return Poly(self.varcount, _settled(out))
 
     def eval_at(self, point: Sequence) -> Fraction:
         """Exact evaluation at a rational point."""
@@ -400,7 +411,7 @@ class Poly:
                             del out[pm]
                         else:
                             out[pm] = s
-        return Poly(target, out)
+        return Poly(target, _settled(out))
 
     def exact_divide(self, divisor: "Poly") -> "Poly":
         """Quotient self / divisor when the division is exact.
@@ -431,7 +442,7 @@ class Poly:
             for m, c in self.terms.items():
                 if not mono_divides(dm, m):
                     raise ExactDivisionError("a term is not divisible by the divisor")
-                out[mono_div(m, dm)] = c / dc
+                out[mono_div(m, dm)] = qdiv(c, dc)
             return Poly(self.varcount, out)
         lead_m, lead_c = divisor.leading_term()
         rest = [(m, c) for m, c in divisor.terms.items() if m != lead_m]
@@ -447,7 +458,7 @@ class Poly:
             if not mono_divides(lead_m, rm):
                 raise ExactDivisionError("leading term not divisible; division is not exact")
             qm = mono_div(rm, lead_m)
-            qc = rc / lead_c
+            qc = qdiv(rc, lead_c)
             quot[qm] = qc
             for dm, dc in rest:
                 m = mono_mul(qm, dm)
@@ -477,9 +488,7 @@ class Poly:
     def content_and_integer_terms(self):
         """(L, [(mono, int_coeff)]): L is the lcm of coefficient denominators,
         so L * self has the given integer coefficients.  Fast-eval helper."""
-        L = 1
-        for c in self.terms.values():
-            L = L * c.denominator // math.gcd(L, c.denominator)
+        L = math.lcm(*[c.denominator for c in self.terms.values()])
         items = [(m, c.numerator * (L // c.denominator)) for m, c in self.terms.items()]
         return L, items
 
@@ -492,10 +501,10 @@ def linear_cube(form: Poly) -> Poly:
     directly: the term x_i x_j x_l (i <= j <= l) gets a_i a_j a_l times
     1, 3 or 6 as the indices coincide, so no coefficient can cancel.
     The products are taken on integer numerators over the form's common
-    denominator D, and each term becomes one Fraction over D**3.  Each
-    variable's (var, 1) pair is the form's own and its (var, 2) pair is
-    built once, so the cube's monomials share them.  Raises ValueError
-    when form is not a linear form.
+    denominator D, then divided by D**3 unless D is 1.  Each variable's
+    (var, 1) pair is the form's own and its (var, 2) pair is built once,
+    so the cube's monomials share them.  Raises ValueError when form is
+    not a linear form.
     """
     items = []
     den = 1
@@ -508,18 +517,21 @@ def linear_cube(form: Poly) -> Poly:
     ones = [pair for pair, _ in items]
     twos = [(pair[0], 2) for pair in ones]
     nums = [c.numerator * (den // c.denominator) for _, c in items]
-    den3 = den ** 3
     out: dict = {}
     k = len(items)
     for i in range(k):
         ai = nums[i]
         ai2 = ai * ai
-        out[((ones[i][0], 3),)] = Fraction(ai2 * ai, den3)
+        out[((ones[i][0], 3),)] = ai2 * ai
         for j in range(i + 1, k):
             aj = nums[j]
-            out[(twos[i], ones[j])] = Fraction(3 * ai2 * aj, den3)
-            out[(ones[i], twos[j])] = Fraction(3 * ai * aj * aj, den3)
+            out[(twos[i], ones[j])] = 3 * ai2 * aj
+            out[(ones[i], twos[j])] = 3 * ai * aj * aj
             aij = 6 * ai * aj
             for l in range(j + 1, k):
-                out[(ones[i], ones[j], ones[l])] = Fraction(aij * nums[l], den3)
+                out[(ones[i], ones[j], ones[l])] = aij * nums[l]
+    if den != 1:
+        den3 = den ** 3
+        for m, c in out.items():
+            out[m] = qdiv(c, den3)
     return Poly(form.varcount, out)

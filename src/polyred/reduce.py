@@ -45,6 +45,7 @@ from .maps import (
     is_yagzhev,
     jacobian,
     jacobian_det,
+    sparse_jacobian,
 )
 from .poly import (
     GRLEX_KEY,
@@ -54,6 +55,7 @@ from .poly import (
     mono_divides,
     mono_exponent,
     mono_gcd,
+    qdiv,
 )
 
 
@@ -63,13 +65,6 @@ def _check_time(start: float, budget: Budget, what: str) -> None:
 
 
 # ---------------------------------------------------------------- stage 1
-
-
-def _component_at_max(f: PolyMap, d: int):
-    for i, c in enumerate(f.components):
-        if c.degree() == d:
-            return i, c
-    raise AssertionError("no component at the maximal degree")
 
 
 def _take_degree(mono, k: int):
@@ -120,7 +115,7 @@ def _grouped_split(comp: Poly, d: int):
         if best is None or score > best[0]:
             best = (score, cand, collected)
     _, cand, collected = best
-    a = Poly(n, {cand: Fraction(1)})
+    a = Poly(n, {cand: 1})
     b = Poly(n, {mono_div(m, cand): c for m, c in collected})
     return a, b
 
@@ -141,19 +136,21 @@ def lower_degree(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
         raise ValueError("degree lowering expects an endomorphism")
     start = time.monotonic()
     builder = CertificateBuilder(f, kind="degree-lowering")
+    # degree of each component (0 for zero); a round changes component ci
+    # and appends two, so only those three are measured again
+    degs = [c.degree() or 0 for c in f.components]
     while True:
-        cur = builder.current
-        d = cur.degree()
-        if d is None or d <= 3:
+        d = max(degs)
+        if d <= 3:
             break
         _check_time(start, budget, "degree lowering")
-        n = cur.n_in
+        n = builder.current.n_in
         if n + 2 > budget.max_dim:
             raise BudgetExceeded(
                 f"degree lowering wants {n + 2} variables, over the cap of "
                 f"{budget.max_dim}")
-        ci, comp = _component_at_max(cur, d)
-        a, b = _grouped_split(comp, d)
+        ci = degs.index(d)
+        a, b = _grouped_split(builder.current.components[ci], d)
         m = n + 2
         builder.push(ExtendFreshVars(2))
         builder.push(PreCompose(Automorphism.shear(
@@ -162,6 +159,9 @@ def lower_degree(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
         prod = Poly.variable(m, n) * Poly.variable(m, n + 1)
         builder.push(PostCompose(Automorphism.shear(
             m, {ci: prod.scale(-1)}, "cancel the split product")))
+        comps = builder.current.components
+        degs[ci] = comps[ci].degree() or 0
+        degs += [comps[n].degree() or 0, comps[n + 1].degree() or 0]
     return builder.current, builder.build()
 
 
@@ -190,9 +190,10 @@ def normalize(f: PolyMap, seed: int = 0, budget: Budget = DEFAULT_BUDGET):
     start = time.monotonic()
     n = f.n_in
     rng = random.Random(seed)
+    jac = sparse_jacobian(f)
 
     def attempt(point):
-        rows = eval_jacobian_sparse(f, point)
+        rows = eval_jacobian_sparse(jac, point)
         if sparse_det(rows, n) != 0:
             return rows
         return None
@@ -442,7 +443,7 @@ def meng_symmetrize(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
     if j.is_constant():
         c = j.constant_term()
         inv = [Poly.variable(big, i) for i in range(n)]
-        inv.extend(p.scale(1 / c) for p in back)
+        inv.extend(p.scale(qdiv(1, c)) for p in back)
         inverse = PolyMap(inv)
     else:
         den = j.extend(big)

@@ -38,7 +38,7 @@ from .certs import (Automorphism, Certificate, CertReport, ExtendFreshVars,
                     SegreExtend, ShearAutomorphism)
 from .linalg import RatMatrix
 from .maps import DEFAULT_BUDGET, PolyMap
-from .poly import Poly
+from .poly import Poly, qdiv
 
 _RESERVED = {"vars", "poly", "meta"}
 
@@ -203,8 +203,8 @@ class _ExprParser:
                 d = self._literal(den)
                 if d == 0:
                     self._fail("zero denominator", den)
-                return Poly.const(self.varcount, Fraction(num, d))
-            return Poly.const(self.varcount, Fraction(num))
+                return Poly.const(self.varcount, qdiv(num, d))
+            return Poly.const(self.varcount, num)
         if t[0] == "ident":
             idx = self.varmap.get(t[1])
             if idx is None:
@@ -319,13 +319,9 @@ def poly_text(p: Poly, names: Sequence[str]) -> str:
         return "0"
     parts = []
     for mono, coeff in p.sorted_terms():
-        num, den = coeff.numerator, coeff.denominator
-        positive = num > 0
-        if not positive:
-            num = -num
-        factors = []
-        if num != den or not mono:  # lowest terms: num == den only for 1
-            factors.append(str(num) if den == 1 else f"{num}/{den}")
+        positive = coeff > 0
+        size = coeff if positive else -coeff
+        factors = [str(size)] if size != 1 or not mono else []
         for v, e in mono:
             factors.append(names[v] if e == 1 else f"{names[v]}^{e}")
         body = "*".join(factors)

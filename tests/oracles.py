@@ -18,7 +18,10 @@ two on random inputs:
     step, which Poly.exact_divide replaced with a one-pass heap loop;
   * the term-by-term integer evaluation at one point, which
     maps.sample_poly_values replaced with column-wise evaluation of a
-    block of points.
+    block of points;
+  * FractionPoly, the Poly whose every coefficient was a Fraction, which
+    int-or-Fraction coefficients replaced, and the Poly helpers only the
+    tests use (mono_to_dense, linear_part, homogeneous_components).
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from typing import Optional, Sequence
 
 from polyred.elim import (_q_trim, poly_matrix_det, q_derive, uni_coeffs, z_exact_div,
                           z_gcd, z_mul, z_sub)
-from polyred.poly import ExactDivisionError, Poly, mono_degree, mono_div, mono_divides
+from polyred.poly import (ExactDivisionError, GRLEX_KEY, Poly, ZERO_MONO, mono_degree,
+                          mono_div, mono_divides, mono_exponent, mono_mul)
 
 
 def uni_assemble(coeffs: list, var: int, varcount: int) -> Poly:
@@ -59,14 +63,14 @@ def q_coeffs(p: Poly) -> list:
         return []
     out = [Fraction(0)] * (p.degree_in(var) + 1)
     for m, c in p.terms.items():
-        out[m[0][1] if m else 0] = c
+        out[m[0][1] if m else 0] = Fraction(c)
     return out
 
 
 def _q_rem(a: list, b: list) -> list:
     r = list(a)
     db = len(b) - 1
-    inv = 1 / b[-1]
+    inv = Fraction(1) / b[-1]
     while len(r) - 1 >= db and r:
         f = r[-1] * inv
         k = len(r) - 1 - db
@@ -85,7 +89,7 @@ def q_gcd(a: list, b: list) -> list:
     if not a:
         return []
     lc = a[-1]
-    return [c / lc for c in a]
+    return [Fraction(c) / lc for c in a]
 
 
 def _q_divide(a: list, b: list) -> list:
@@ -94,7 +98,7 @@ def _q_divide(a: list, b: list) -> list:
     r = list(a)
     db = len(b) - 1
     while _q_trim(r) and len(r) - 1 >= db:
-        f = r[-1] / b[-1]
+        f = Fraction(r[-1]) / b[-1]
         k = len(r) - 1 - db
         q[k] = f
         for i in range(db + 1):
@@ -381,7 +385,7 @@ def long_divide(a: Poly, b: Poly) -> Poly:
         rm, rc = rem.leading_term()
         if not mono_divides(lead_m, rm):
             raise ExactDivisionError("leading term not divisible; division is not exact")
-        t = Poly(a.varcount, {mono_div(rm, lead_m): rc / lead_c})
+        t = Poly(a.varcount, {mono_div(rm, lead_m): Fraction(rc) / lead_c})
         quot = quot + t
         rem = rem - t * b
     return quot
@@ -415,3 +419,174 @@ def eval_scaled_int(int_terms: list, nums: Sequence[int], den: int, deg: int) ->
             den_pows[pad] = dp
         total += v * dp
     return total
+
+
+# -- Fraction-only polynomials -------------------------------------------------
+
+
+def mono_to_dense(m, varcount: int) -> tuple:
+    out = [0] * varcount
+    for v, e in m:
+        out[v] = e
+    return tuple(out)
+
+
+def unsettled_coefficients(p: Poly) -> list:
+    """The coefficients of p that break the storage rule: anything but an
+    int or a Fraction whose denominator is not 1 (a float, say)."""
+    return [c for c in p.terms.values()
+            if not (type(c) is int or type(c) is Fraction and c.denominator != 1)]
+
+
+def linear_part(f) -> list:
+    """The rows of f's degree-one part, as coefficient lists."""
+    rows = [[0] * f.n_in for _ in f.components]
+    for row, c in zip(rows, f.components):
+        for m, coef in c.terms.items():
+            if mono_degree(m) == 1:
+                row[m[0][0]] = coef
+    return rows
+
+
+def homogeneous_components(p: Poly) -> dict:
+    """{degree: homogeneous part of p}; no zero parts, empty for zero."""
+    parts: dict = {}
+    for m, c in p.terms.items():
+        parts.setdefault(mono_degree(m), {})[m] = c
+    return {d: Poly(p.varcount, t) for d, t in sorted(parts.items())}
+
+
+class FractionPoly:
+    """Poly as it was when every coefficient was a Fraction, integral or not.
+
+    The loops are Poly's own, so on equal inputs the two agree term for
+    term, insertion order included; exact_divide is long_divide's
+    rescanning loop, which finds the quotient terms in the same order.
+    """
+
+    __slots__ = ("varcount", "terms")
+
+    def __init__(self, varcount: int, terms: Optional[dict] = None):
+        self.varcount = varcount
+        self.terms = terms if terms is not None else {}
+
+    @staticmethod
+    def of(p: Poly) -> "FractionPoly":
+        return FractionPoly(p.varcount, {m: Fraction(c) for m, c in p.terms.items()})
+
+    def __add__(self, other: "FractionPoly") -> "FractionPoly":
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+            else:
+                s = s + c
+                if s == 0:
+                    del out[m]
+                else:
+                    out[m] = s
+        return FractionPoly(self.varcount, out)
+
+    def __neg__(self) -> "FractionPoly":
+        return FractionPoly(self.varcount, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other: "FractionPoly") -> "FractionPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "FractionPoly") -> "FractionPoly":
+        if not self.terms or not other.terms:
+            return FractionPoly(self.varcount)
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        out: dict = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = mono_mul(ma, mb)
+                s = out.get(m)
+                if s is None:
+                    out[m] = ca * cb
+                else:
+                    s = s + ca * cb
+                    if s == 0:
+                        del out[m]
+                    else:
+                        out[m] = s
+        return FractionPoly(self.varcount, out)
+
+    def scale(self, c) -> "FractionPoly":
+        c = Fraction(c)
+        if c == 0:
+            return FractionPoly(self.varcount)
+        return FractionPoly(self.varcount, {m: c * v for m, v in self.terms.items()})
+
+    def __pow__(self, k: int) -> "FractionPoly":
+        if k == 0:
+            return FractionPoly(self.varcount, {ZERO_MONO: Fraction(1)})
+        result = None
+        base = self
+        while True:
+            if k & 1:
+                result = base if result is None else result * base
+            k >>= 1
+            if not k:
+                return result
+            base = base * base
+
+    def derive(self, var: int) -> "FractionPoly":
+        out = {}
+        for m, c in self.terms.items():
+            e = mono_exponent(m, var)
+            if e:
+                out[mono_div(m, ((var, 1),))] = c * e
+        return FractionPoly(self.varcount, out)
+
+    def eval_at(self, point) -> Fraction:
+        total = Fraction(0)
+        for m, c in self.terms.items():
+            v = c
+            for var, e in m:
+                v = v * Fraction(point[var]) ** e
+            total += v
+        return total
+
+    def substitute(self, images: list) -> "FractionPoly":
+        out: dict = {}
+        for m, c in self.terms.items():
+            piece = None
+            for var, e in m:
+                p = images[var] ** e
+                if not p.terms:
+                    break
+                piece = p if piece is None else piece * p
+            else:
+                items = piece.terms.items() if piece is not None else ((ZERO_MONO, 1),)
+                for pm, pc in items:
+                    v = c * pc
+                    s = out.get(pm)
+                    if s is None:
+                        out[pm] = v
+                    else:
+                        s = s + v
+                        if s == 0:
+                            del out[pm]
+                        else:
+                            out[pm] = s
+        return FractionPoly(images[0].varcount, out)
+
+    def exact_divide(self, divisor: "FractionPoly") -> "FractionPoly":
+        if not divisor.terms:
+            raise ZeroDivisionError("division by the zero polynomial")
+        lead_m = max(divisor.terms, key=GRLEX_KEY)
+        lead_c = divisor.terms[lead_m]
+        rem = self
+        quot = FractionPoly(self.varcount)
+        while rem.terms:
+            rm = max(rem.terms, key=GRLEX_KEY)
+            if not mono_divides(lead_m, rm):
+                raise ExactDivisionError("leading term not divisible; division is not exact")
+            t = FractionPoly(self.varcount, {mono_div(rm, lead_m): rem.terms[rm] / lead_c})
+            quot = quot + t
+            rem = rem - t * divisor
+        return quot

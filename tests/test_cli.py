@@ -39,6 +39,37 @@ def test_analyze_json_validates(capsys):
     assert data["keller"] is False
 
 
+SAMPLED_YAGZHEV_4D_B = """\
+{
+  "degree": 3,
+  "dim": 4,
+  "druzkowski": true,
+  "jacobian_degree_bound": 4,
+  "keller": false,
+  "mode": "sampled",
+  "nondegenerate": true,
+  "nonsingular_sampled": true,
+  "notes": [
+    "dimension 4 exceeds the exact determinant cap 1",
+    "verdicts from seeded sampling; positives are exact",
+    "jacobian determinant takes two distinct sampled values"
+  ],
+  "samples": 200,
+  "seed": 0,
+  "yagzhev": true
+}
+"""
+
+
+def test_sampled_analyze_output_is_pinned(capsys):
+    # the sampled route's bytes as they were while it re-derived the
+    # Jacobian at every point; deriving once must not change them
+    code, out, err = run(capsys, "analyze", "yagzhev-4d-b", "--exact-threshold", "1",
+                         "--samples", "200", "--json")
+    assert (code, err) == (0, "")
+    assert out == SAMPLED_YAGZHEV_4D_B
+
+
 def test_analyze_human_output(capsys):
     code, out, _ = run(capsys, "analyze", "cube-x")
     assert code == 0

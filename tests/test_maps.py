@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eval_scaled_int
+from oracles import eval_scaled_int, linear_part
 from polyred.elim import poly_matrix_det
+from polyred.examples import builtin_example
 from polyred.linalg import RatMatrix
 from polyred.maps import (
     Budget,
@@ -24,6 +25,7 @@ from polyred.maps import (
     recognize_cube,
     sample_points,
     sample_poly_values,
+    sparse_jacobian,
 )
 from polyred.poly import Poly
 
@@ -163,10 +165,10 @@ def test_block_sampler_finds_a_first_zero_in_a_later_block():
 def test_identity_and_linear_parts():
     ident = PolyMap.identity(3)
     assert ident.is_identity()
-    assert ident.linear_part() == RatMatrix.identity(3)
+    assert RatMatrix(linear_part(ident)) == RatMatrix.identity(3)
     m = RatMatrix([[1, 2], [3, 4]])
     lm = PolyMap.from_matrix(m)
-    assert lm.linear_part() == m
+    assert RatMatrix(linear_part(lm)) == m
     assert lm.eval_at([1, 1]) == [3, 7]
     tr = PolyMap.translation([1, -2])
     assert tr.eval_at([0, 0]) == [1, -2]
@@ -219,7 +221,7 @@ def test_eval_jacobian_sparse_matches_dense():
         f = random_map(rng, n)
         pt = [Fraction(rng.randrange(-3, 4)) for _ in range(n)]
         dense = dense_jacobian_at(f, pt)
-        sparse = eval_jacobian_sparse(f, pt)
+        sparse = eval_jacobian_sparse(sparse_jacobian(f), pt)
         for i in range(n):
             for j in range(n):
                 assert dense[i, j] == sparse[i].get(j, Fraction(0))
@@ -268,6 +270,22 @@ def test_classify_sampled_mode():
     assert c2.nondegenerate is True
     assert c2.keller is None  # constant-looking from samples, not provable
     assert c2.nonsingular_sampled is True
+
+
+def test_sampled_classify_derives_each_entry_once(monkeypatch):
+    f = builtin_example("yagzhev-4d-b").document.to_polymap()
+    entries = sum(len(c.variables_used()) for c in f.components)
+    calls = []
+    derive = Poly.derive
+
+    def counted(self, var):
+        calls.append(var)
+        return derive(self, var)
+
+    monkeypatch.setattr(Poly, "derive", counted)
+    c = classify(f, Budget(max_exact_det_dim=1), samples=200)
+    assert c.mode == "sampled"
+    assert len(calls) == entries
 
 
 def test_is_cubic_and_yagzhev():

@@ -18,6 +18,7 @@ from polyred.maps import (
     jacobian,
     jacobian_det,
 )
+from polyred.examples import builtin_example
 from polyred.poly import Poly, mono_degree
 from polyred.reduce import (
     concat_certificates,
@@ -110,6 +111,24 @@ def test_lower_degree_deterministic():
     g1, c1 = lower_degree(f)
     g2, c2 = lower_degree(f)
     assert g1 == g2 and len(c1.moves) == len(c2.moves)
+
+
+def test_lower_degree_measures_only_the_components_a_round_changes(monkeypatch):
+    # Pinchuk's map takes 123 rounds; each changes one component and adds
+    # two, so the degrees of 2 + 3 * 123 components are all it needs
+    f = builtin_example("pinchuk").document.to_polymap()
+    calls = []
+    degree = Poly.degree
+
+    def counted(self):
+        calls.append(len(self.terms))
+        return degree(self)
+
+    monkeypatch.setattr(Poly, "degree", counted)
+    g, _ = lower_degree(f)
+    rounds = (g.n_in - f.n_in) // 2
+    assert rounds == 123
+    assert len(calls) <= f.n_in + 3 * rounds
 
 
 def test_lower_degree_budget_cap():
