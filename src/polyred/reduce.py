@@ -136,8 +136,7 @@ def lower_degree(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
         raise ValueError("degree lowering expects an endomorphism")
     start = time.monotonic()
     builder = CertificateBuilder(f, kind="degree-lowering")
-    # degree of each component (0 for zero); a round changes component ci
-    # and appends two, so only those three are measured again
+    # component degrees (0 for zero); a round changes only ci and the two it adds
     degs = [c.degree() or 0 for c in f.components]
     while True:
         d = max(degs)

@@ -319,9 +319,11 @@ def poly_text(p: Poly, names: Sequence[str]) -> str:
         return "0"
     parts = []
     for mono, coeff in p.sorted_terms():
-        positive = coeff > 0
-        size = coeff if positive else -coeff
-        factors = [str(size)] if size != 1 or not mono else []
+        text = str(coeff)
+        positive = text[0] != "-"
+        if not positive:
+            text = text[1:]
+        factors = [text] if text != "1" or not mono else []
         for v, e in mono:
             factors.append(names[v] if e == 1 else f"{names[v]}^{e}")
         body = "*".join(factors)
