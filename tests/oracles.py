@@ -368,27 +368,10 @@ def substitute_rational(p: Poly, nums, den: Poly):
 # -- exact division and integer evaluation ------------------------------------
 
 
-def long_divide(a: Poly, b: Poly) -> Poly:
-    """a / b by textbook long division, when the division is exact.
-
-    Each step takes the remainder's leading term by a scan, then forms
-    rem - t*b as a new polynomial.  Raises ExactDivisionError at the
-    first leading term that lead(b) does not divide, ZeroDivisionError
-    for a zero b.
-    """
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    lead_m, lead_c = b.leading_term()
-    rem = a
-    quot = Poly(a.varcount)
-    while not rem.is_zero():
-        rm, rc = rem.leading_term()
-        if not mono_divides(lead_m, rm):
-            raise ExactDivisionError("leading term not divisible; division is not exact")
-        t = Poly(a.varcount, {mono_div(rm, lead_m): Fraction(rc) / lead_c})
-        quot = quot + t
-        rem = rem - t * b
-    return quot
+def long_divide(a: Poly, b: Poly) -> "FractionPoly":
+    """a / b by textbook long division (FractionPoly.exact_divide), when
+    the division is exact."""
+    return FractionPoly.of(a).exact_divide(FractionPoly.of(b))
 
 
 def eval_scaled_int(int_terms: list, nums: Sequence[int], den: int, deg: int) -> int:
@@ -576,6 +559,11 @@ class FractionPoly:
         return FractionPoly(images[0].varcount, out)
 
     def exact_divide(self, divisor: "FractionPoly") -> "FractionPoly":
+        """Each step takes the remainder's leading term by a scan, then
+        forms rem - t*divisor as a new polynomial.  Raises
+        ExactDivisionError at the first leading term that the divisor's
+        leading monomial does not divide, ZeroDivisionError for a zero
+        divisor."""
         if not divisor.terms:
             raise ZeroDivisionError("division by the zero polynomial")
         lead_m = max(divisor.terms, key=GRLEX_KEY)
