@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import List, Optional, Union
 
 from .maps import PolyMap
-from .poly import ExactDivisionError, Poly, as_coeff
+from .poly import ExactDivisionError, Poly, as_coeff, mono_degree
 
 
 class RationalMap:
@@ -318,12 +318,11 @@ def apply_move(f: PolyMap, move: Move) -> PolyMap:
             raise ValueError("the Segre move needs an endomorphism")
         if any(c.constant_term() != 0 for c in f.components):
             raise ValueError("the Segre move needs zero constant terms")
+        # F_i(t x)/t: each term c*x^m of degree d gains t^(d - 1)
         n = f.n_in
-        t = Poly.variable(n + 1, n)
-        scaled = [Poly.variable(n + 1, i) * t for i in range(n)]
-        comps = [c.extend(n + 1).substitute(scaled + [t]).exact_divide(t) for c in f.components]
-        comps.append(t)
-        return PolyMap(comps)
+        comps = [Poly(n + 1, {(m + ((n, d - 1),) if (d := mono_degree(m)) > 1 else m): c
+                              for m, c in comp.terms.items()}) for comp in f.components]
+        return PolyMap(comps + [Poly.variable(n + 1, n)])
     raise TypeError(f"unknown move {move!r}")
 
 

@@ -94,23 +94,21 @@ def mono_exponent(m: Mono, var: int) -> int:
     return 0
 
 
-def GRLEX_KEY(m: Mono):
-    """Sort key for graded lex order: the larger key is the larger
-    monomial.  Degree comes first; then the pairs are read left to right,
-    and a smaller variable index or a larger exponent wins."""
-    return sum([e for _, e in m]), [(-v, e) for v, e in m]
+def GRLEX_KEY(m: Mono) -> tuple:
+    """Graded lex sort key, larger for the larger monomial: the flat tuple
+    (degree, -v1, e1, -v2, e2, ...).  At equal degree no key is a proper
+    prefix of another, so the pairs compare as pairs."""
+    deg = 0
+    flat = []
+    for v, e in m:
+        deg += e
+        flat += (-v, e)
+    return (deg, *flat)
 
 
-def _heap_key(m: Mono):
-    """Reverse of GRLEX_KEY, for a min-heap that pops the largest monomial.
-
-    Reversing each pair is enough: two monomials of equal degree never
-    have pair lists where one is a proper prefix of the other."""
-    return -sum([e for _, e in m]), [(v, -e) for v, e in m]
-
-
-def mono_from_dense(exps: Sequence[int]) -> Mono:
-    return tuple((i, e) for i, e in enumerate(exps) if e)
+def _heap_key(m: Mono) -> tuple:
+    """Reverse of GRLEX_KEY, for a min-heap that pops the largest monomial."""
+    return tuple([-x for x in GRLEX_KEY(m)])
 
 
 def as_coeff(c):
@@ -181,20 +179,6 @@ class Poly:
             _VARIABLES[key] = p
         return p
 
-    @staticmethod
-    def from_terms(varcount: int, dense_terms: dict) -> "Poly":
-        """Build from {dense exponent tuple: coefficient}; zeros are dropped."""
-        terms = {}
-        for exps, c in dense_terms.items():
-            c = as_coeff(c)
-            if c == 0:
-                continue
-            if len(exps) != varcount:
-                raise ValueError("exponent tuple length does not match variable count")
-            m = mono_from_dense(exps)
-            terms[m] = terms.get(m, 0) + c
-        return Poly(varcount, _settled({m: c for m, c in terms.items() if c != 0}))
-
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -220,9 +204,6 @@ class Poly:
 
     def constant_term(self):
         return self.terms.get(ZERO_MONO, 0)
-
-    def coefficient(self, dense_exps: Sequence[int]):
-        return self.terms.get(mono_from_dense(dense_exps), 0)
 
     def is_homogeneous(self) -> bool:
         degs = {mono_degree(m) for m in self.terms}

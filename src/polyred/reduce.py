@@ -239,10 +239,10 @@ def segre_step(f: PolyMap):
 
     Requires every component to be x_i plus homogeneous parts of degree
     exactly 2 and 3.  The determinant identity j(G)(x, t) = j(F)(t x)
-    holds by construction: the extension builds each G_i as F_i(t x)/t
-    by exact division, so the top-left block of J(G) is J(F)(t x) and its
-    last row is e_{n+1}.  tests/ checks the identity with symbolic
-    determinants.
+    holds by construction: the extension builds each G_i as F_i(t x)/t,
+    giving each term of degree d the factor t^(d - 1), so the top-left
+    block of J(G) is J(F)(t x) and its last row is e_{n+1}.  tests/
+    checks the identity with symbolic determinants.
     """
     if not f.is_endomorphism():
         raise ValueError("the Segre extension expects an endomorphism")

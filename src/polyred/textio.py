@@ -22,8 +22,9 @@ Rationals inside JSON are strings like "-3/2", never floats; the whole
 pipeline stays exact through a round trip.  Certificates embed their
 source and target as document strings next to the recorded moves; decoding
 only parses and checks shapes, and verify_certificate does the one replay.
-Certificate format version 2 stores a shear as its addends alone, as
-expressions over default_var_names(dim); version 1 files, which spell
+Certificate format version 2 stores a shear as its addends alone, over
+the default names of its dim (one table of x1, x2, ... serves every dim,
+so decoding takes time linear in the text); version 1 files, which spell
 every automorphism out as a forward and an inverse map, still load.
 """
 
@@ -38,7 +39,7 @@ from .certs import (Automorphism, Certificate, CertReport, ExtendFreshVars,
                     SegreExtend, ShearAutomorphism)
 from .linalg import RatMatrix
 from .maps import DEFAULT_BUDGET, PolyMap
-from .poly import Poly, qdiv
+from .poly import Poly, as_coeff, mono_mul, qdiv
 
 _RESERVED = {"vars", "poly", "meta"}
 
@@ -105,13 +106,19 @@ class _ExprParser:
     term := factor ('*' factor)*
     factor := atom ['^' int]
     atom := int ['/' int] | variable | '(' expr ')'
+
+    varmap sends a name to its index, undeclared at or past varcount.  A
+    term folds literals and variable powers into one coefficient and one
+    monomial, multiplying Polys only for parenthesised factors, and an
+    expression adds its terms into one dict, in the order and with the
+    types of Poly arithmetic.  A bare variable is Poly.variable's.
     """
 
-    def __init__(self, toks: list, varmap: dict, lineno: int, line_len: int):
+    def __init__(self, toks: list, varmap: dict, varcount: int, lineno: int, line_len: int):
         self.toks = toks
         self.pos = 0
         self.varmap = varmap
-        self.varcount = len(varmap)
+        self.varcount = varcount
         self.lineno = lineno
         self.end_col = line_len + 1
         self.depth = 0
@@ -142,31 +149,50 @@ class _ExprParser:
         negate = t is not None and t[0] == "-"
         if negate:
             self._take()
-        p = self._term()
-        if negate:
-            p = -p
+        out: dict = {}
         while True:
+            for m, c in self._term():
+                c = -c if negate else c
+                s = out.get(m)
+                if s is None:
+                    out[m] = c
+                elif s := s + c:
+                    out[m] = as_coeff(s)
+                else:
+                    del out[m]
             t = self._peek()
             if t is None or t[0] not in "+-":
-                return p
+                break
             self._take()
-            q = self._term()
-            p = p + q if t[0] == "+" else p - q
+            negate = t[0] == "-"
+        ((m, c),) = out.items() if len(out) == 1 else (((), 0),)
+        if c == 1 and len(m) == 1 and m[0][1] == 1:
+            return Poly.variable(self.varcount, m[0][0])
+        return Poly(self.varcount, out)
 
-    def _term(self) -> Poly:
-        p = self._factor()
+    def _term(self):
+        """The term's (monomial, coefficient) pairs; none for zero."""
+        coeff, mono, prod = 1, (), None
         while True:
+            atom, k = self._factor()
+            if isinstance(atom, Poly):
+                prod = atom ** k if prod is None else prod * atom ** k
+            elif type(atom) is not tuple:
+                coeff = atom if coeff == 1 and k == 1 else coeff * atom ** k
+            elif k:
+                mono = mono_mul(mono, atom if k == 1 else ((atom[0][0], k),))
             t = self._peek()
             if t is None or t[0] != "*":
-                return p
+                break
             self._take()
-            p = p * self._factor()
+        term = Poly(self.varcount, {mono: as_coeff(coeff)} if coeff else {})
+        return (term if prod is None else prod * term).terms.items()
 
-    def _factor(self) -> Poly:
+    def _factor(self):
         a = self._atom()
         t = self._peek()
         if t is None or t[0] != "^":
-            return a
+            return a, 1
         self._take()
         e = self._peek()
         if e is not None and e[0] == "-":
@@ -178,7 +204,7 @@ class _ExprParser:
         digits = e[1].lstrip("0") or "0"
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
             self._fail(f"exponent exceeds {MAX_EXPONENT}", e)
-        return a ** int(digits)
+        return a, int(digits)
 
     def _literal(self, tok) -> int:
         try:
@@ -187,7 +213,8 @@ class _ExprParser:
             # int() refuses more digits than sys.get_int_max_str_digits()
             self._fail(f"integer literal of {len(tok[1])} digits is too long", tok)
 
-    def _atom(self) -> Poly:
+    def _atom(self):
+        """A number, a variable's monomial or a parenthesised Poly."""
         t = self._take()
         if t is None:
             self._fail("expected a value")
@@ -203,13 +230,13 @@ class _ExprParser:
                 d = self._literal(den)
                 if d == 0:
                     self._fail("zero denominator", den)
-                return Poly.const(self.varcount, qdiv(num, d))
-            return Poly.const(self.varcount, num)
+                return qdiv(num, d)
+            return num
         if t[0] == "ident":
             idx = self.varmap.get(t[1])
-            if idx is None:
+            if idx is None or idx >= self.varcount:
                 self._fail(f"undeclared variable '{t[1]}'", t)
-            return Poly.variable(self.varcount, idx)
+            return next(iter(Poly.variable(self.varcount, idx).terms))
         if t[0] == "(":
             if self.depth == MAX_NESTING:
                 self._fail(f"parentheses nest deeper than {MAX_NESTING}", t)
@@ -225,8 +252,7 @@ class _ExprParser:
 
 def parse_expression(text: str, variables: Sequence[str], lineno: int = 1) -> Poly:
     varmap = {name: i for i, name in enumerate(variables)}
-    toks = _lex(text, lineno)
-    return _ExprParser(toks, varmap, lineno, len(text)).parse()
+    return _ExprParser(_lex(text, lineno), varmap, len(varmap), lineno, len(text)).parse()
 
 
 # -- documents ---------------------------------------------------------------
@@ -249,7 +275,7 @@ class MapDocument:
 
 def parse_map(text: str) -> MapDocument:
     variables = None
-    varmap = {}
+    varmap, varcount = {}, 0
     comps = []
     seen_names = set()
     meta = {}
@@ -277,7 +303,7 @@ def parse_map(text: str) -> MapDocument:
             if not names:
                 raise ParseError("vars line declares no variables", lineno, len(raw) + 1)
             variables = names
-            varmap = {name: i for i, name in enumerate(names)}
+            varmap, varcount = {name: i for i, name in enumerate(names)}, len(names)
         elif head == "meta":
             parts = stripped.split(None, 2)
             if len(parts) < 3:
@@ -300,7 +326,7 @@ def parse_map(text: str) -> MapDocument:
             if len(toks) < 3 or toks[2][0] != "=":
                 raise ParseError("expected '=' after the component name", lineno,
                                  toks[1][3] + len(name))
-            p = _ExprParser(toks[3:], varmap, lineno, len(raw)).parse()
+            p = _ExprParser(toks[3:], varmap, varcount, lineno, len(raw)).parse()
             seen_names.add(name)
             comps.append((name, p))
         else:
@@ -343,10 +369,24 @@ def print_map(doc: MapDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def default_var_names(n: int) -> tuple:
+# x, y, z name up to three variables and x1 ... xn more; one table of
+# x1, x2, ..., grown as needed, serves every n (parsers reject names past n)
+_XYZ, _XYZ_INDEX = ("x", "y", "z"), {"x": 0, "y": 1, "z": 2}
+_X_NAMES, _X_INDEX = [], {}
+
+
+def _default_names(n: int):
+    """(names, name -> index), covering the default names of n variables."""
     if n <= 3:
-        return ("x", "y", "z")[:n]
-    return tuple(f"x{i + 1}" for i in range(n))
+        return _XYZ, _XYZ_INDEX
+    for i in range(len(_X_NAMES), n):
+        _X_NAMES.append(f"x{i + 1}")
+        _X_INDEX[_X_NAMES[i]] = i
+    return _X_NAMES, _X_INDEX
+
+
+def default_var_names(n: int) -> tuple:
+    return tuple(_default_names(n)[0][:n])
 
 
 def polymap_to_document(f: PolyMap, var_names: Optional[Sequence[str]] = None,
@@ -403,7 +443,7 @@ def _dim_field(d: dict, key: str) -> int:
 
 def automorphism_to_json(a) -> dict:
     if isinstance(a, ShearAutomorphism):
-        names = default_var_names(a.n)
+        names = _default_names(a.n)[0]
         return {"kind": "shear", "label": a.label, "dim": a.n,
                 "addends": {str(i): poly_text(g, names)
                             for i, g in sorted(a.additions.items())}}
@@ -427,13 +467,13 @@ def automorphism_from_json(d: dict):
     label = d.get("label", "")
     if d.get("kind") == "shear":
         n = _dim_field(d, "dim")
-        names = default_var_names(n)
+        varmap = _default_names(n)[1]
         additions = {}
         for key, text in _field(d, "addends", dict).items():
             if not (key.isdecimal() and str(int(key)) == key and isinstance(text, str)):
                 raise ValueError(f"shear addend {key!r} needs an index key and "
                                  "an expression string")
-            additions[int(key)] = parse_expression(text, names)
+            additions[int(key)] = _ExprParser(_lex(text, 1), varmap, n, 1, len(text)).parse()
         return Automorphism.shear(n, additions, label)
     fwd = _map_from_text(_field(d, "forward", str))
     inv_d = _field(d, "inverse", dict)

@@ -19,9 +19,14 @@ two on random inputs:
   * the term-by-term integer evaluation at one point, which
     maps.sample_poly_values replaced with column-wise evaluation of a
     block of points;
+  * the parser that evaluated an expression with Poly arithmetic, which
+    textio._ExprParser replaced with one that builds terms directly;
+  * the Segre move by substitution and exact division, which
+    certs.apply_move replaced with a monomial rewrite;
   * FractionPoly, the Poly whose every coefficient was a Fraction, which
     int-or-Fraction coefficients replaced, and the Poly helpers only the
-    tests use (mono_to_dense, linear_part, homogeneous_components).
+    tests use (mono_to_dense, mono_from_dense, from_terms, coefficient,
+    linear_part, homogeneous_components).
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ from typing import Optional, Sequence
 
 from polyred.elim import (_q_trim, poly_matrix_det, q_derive, uni_coeffs, z_exact_div,
                           z_gcd, z_mul, z_sub)
-from polyred.poly import (ExactDivisionError, GRLEX_KEY, Poly, ZERO_MONO, mono_degree,
-                          mono_div, mono_divides, mono_exponent, mono_mul)
+from polyred.poly import (ExactDivisionError, GRLEX_KEY, Poly, ZERO_MONO, as_coeff,
+                          mono_degree, mono_div, mono_divides, mono_exponent, mono_mul, qdiv)
+from polyred.textio import MAX_EXPONENT, MAX_NESTING, ParseError, _lex
 
 
 def uni_assemble(coeffs: list, var: int, varcount: int) -> Poly:
@@ -404,6 +410,155 @@ def eval_scaled_int(int_terms: list, nums: Sequence[int], den: int, deg: int) ->
     return total
 
 
+# -- expression parsing by Poly arithmetic --------------------------------------
+
+
+class PolyExprParser:
+    """The grammar of textio._ExprParser evaluated with Poly arithmetic:
+    every factor is a Poly, a term multiplies them left to right and an
+    expression adds its terms with Poly +, one dict copy per term.
+
+    expr := ['-'] term (('+'|'-') term)*
+    term := factor ('*' factor)*
+    factor := atom ['^' int]
+    atom := int ['/' int] | variable | '(' expr ')'
+    """
+
+    def __init__(self, toks: list, varmap: dict, lineno: int, line_len: int):
+        self.toks = toks
+        self.pos = 0
+        self.varmap = varmap
+        self.varcount = len(varmap)
+        self.lineno = lineno
+        self.end_col = line_len + 1
+        self.depth = 0
+
+    def _peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def _take(self):
+        t = self._peek()
+        if t is not None:
+            self.pos += 1
+        return t
+
+    def _fail(self, message: str, tok=None):
+        if tok is None:
+            raise ParseError(message, self.lineno, self.end_col)
+        raise ParseError(message, tok[2], tok[3])
+
+    def parse(self) -> Poly:
+        p = self._expr()
+        left = self._peek()
+        if left is not None:
+            self._fail(f"unexpected token '{left[1]}'", left)
+        return p
+
+    def _expr(self) -> Poly:
+        t = self._peek()
+        negate = t is not None and t[0] == "-"
+        if negate:
+            self._take()
+        p = self._term()
+        if negate:
+            p = -p
+        while True:
+            t = self._peek()
+            if t is None or t[0] not in "+-":
+                return p
+            self._take()
+            q = self._term()
+            p = p + q if t[0] == "+" else p - q
+
+    def _term(self) -> Poly:
+        p = self._factor()
+        while True:
+            t = self._peek()
+            if t is None or t[0] != "*":
+                return p
+            self._take()
+            p = p * self._factor()
+
+    def _factor(self) -> Poly:
+        a = self._atom()
+        t = self._peek()
+        if t is None or t[0] != "^":
+            return a
+        self._take()
+        e = self._peek()
+        if e is not None and e[0] == "-":
+            self._fail("negative exponents are not allowed", e)
+        if e is None or e[0] != "int":
+            self._fail("expected an integer exponent after '^'", e)
+        self._take()
+        # compare lengths first: int() refuses very long digit strings
+        digits = e[1].lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            self._fail(f"exponent exceeds {MAX_EXPONENT}", e)
+        return a ** int(digits)
+
+    def _literal(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:
+            # int() refuses more digits than sys.get_int_max_str_digits()
+            self._fail(f"integer literal of {len(tok[1])} digits is too long", tok)
+
+    def _atom(self) -> Poly:
+        t = self._take()
+        if t is None:
+            self._fail("expected a value")
+        if t[0] == "int":
+            num = self._literal(t)
+            nxt = self._peek()
+            if nxt is not None and nxt[0] == "/":
+                self._take()
+                den = self._peek()
+                if den is None or den[0] != "int":
+                    self._fail("expected an integer denominator", den)
+                self._take()
+                d = self._literal(den)
+                if d == 0:
+                    self._fail("zero denominator", den)
+                return Poly.const(self.varcount, qdiv(num, d))
+            return Poly.const(self.varcount, num)
+        if t[0] == "ident":
+            idx = self.varmap.get(t[1])
+            if idx is None:
+                self._fail(f"undeclared variable '{t[1]}'", t)
+            return Poly.variable(self.varcount, idx)
+        if t[0] == "(":
+            if self.depth == MAX_NESTING:
+                self._fail(f"parentheses nest deeper than {MAX_NESTING}", t)
+            self.depth += 1
+            p = self._expr()
+            self.depth -= 1
+            close = self._take()
+            if close is None or close[0] != ")":
+                self._fail("expected ')'", close)
+            return p
+        self._fail(f"unexpected token '{t[1]}'", t)
+
+
+def parse_by_poly_arithmetic(text: str, varmap: dict, lineno: int = 1) -> Poly:
+    """The old parse_expression on a name -> index map; the variable count
+    is len(varmap)."""
+    return PolyExprParser(_lex(text, lineno), varmap, lineno, len(text)).parse()
+
+
+# -- the Segre move by substitution ----------------------------------------------
+
+
+def segre_by_division(f) -> list:
+    """The components of apply_move(f, SegreExtend()) as the move first
+    computed them: F_i(t x) by substitution, then exact division by t."""
+    n = f.n_in
+    t = Poly.variable(n + 1, n)
+    scaled = [Poly.variable(n + 1, i) * t for i in range(n)]
+    comps = [c.extend(n + 1).substitute(scaled + [t]).exact_divide(t) for c in f.components]
+    return comps + [t]
+
+
 # -- Fraction-only polynomials -------------------------------------------------
 
 
@@ -412,6 +567,29 @@ def mono_to_dense(m, varcount: int) -> tuple:
     for v, e in m:
         out[v] = e
     return tuple(out)
+
+
+def mono_from_dense(exps: Sequence[int]) -> tuple:
+    return tuple((i, e) for i, e in enumerate(exps) if e)
+
+
+def from_terms(varcount: int, dense_terms: dict) -> Poly:
+    """A Poly from {dense exponent tuple: coefficient}; zeros are dropped."""
+    terms = {}
+    for exps, c in dense_terms.items():
+        c = as_coeff(c)
+        if c == 0:
+            continue
+        if len(exps) != varcount:
+            raise ValueError("exponent tuple length does not match variable count")
+        m = mono_from_dense(exps)
+        terms[m] = terms.get(m, 0) + c
+    return Poly(varcount, {m: as_coeff(c) for m, c in terms.items() if c != 0})
+
+
+def coefficient(p: Poly, dense_exps: Sequence[int]):
+    """The coefficient of one monomial, given by its dense exponents."""
+    return p.terms.get(mono_from_dense(dense_exps), 0)
 
 
 def unsettled_coefficients(p: Poly) -> list:

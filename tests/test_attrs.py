@@ -67,7 +67,7 @@ def plane_component(draw):
             j = 0 if kind == "x2-free" else draw(st.integers(0, 6 - i))
             exps = (i, j)
         terms[exps] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
-    return Poly.from_terms(2, terms)
+    return oracles.from_terms(2, terms)
 
 
 plane_maps = st.builds(lambda a, b: PolyMap([a, b]), plane_component(), plane_component())
@@ -175,7 +175,7 @@ def test_determinant_zero_at_every_point_goes_symbolic(monkeypatch):
     dF = [1]
     for t in roots:
         dF = z_mul(dF, [-t, 1])
-    F = Poly.from_terms(2, {(0, k + 1): Fraction(c, k + 1) for k, c in enumerate(dF)})
+    F = oracles.from_terms(2, {(0, k + 1): Fraction(c, k + 1) for k, c in enumerate(dF)})
     f = _plane(X, F)
     calls = []
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -26,7 +27,7 @@ from polyred.certs import (
 from polyred.examples import builtin_example
 from polyred.linalg import RatMatrix
 from polyred.maps import PolyMap
-from polyred.poly import ExactDivisionError, Poly
+from polyred.poly import ExactDivisionError, Poly, as_coeff
 from polyred.reduce import meng_symmetrize
 
 
@@ -314,6 +315,28 @@ def test_segre_move():
     assert g.n_in == 2
     assert g.components[0] == V(2, 0) + V(2, 1) * V(2, 0) ** 2
     assert g.components[1] == V(2, 1)
+
+
+@st.composite
+def cubic_maps(draw):
+    """An endomorphism of 1..4 variables whose components have terms of
+    degree 1 to 3 and int or Fraction coefficients, no constant term."""
+    n = draw(st.integers(1, 4))
+    monos = st.lists(st.integers(0, n - 1), min_size=1, max_size=3).map(
+        lambda vs: tuple(sorted(collections.Counter(vs).items())))
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool)
+    return PolyMap([Poly(n, {m: as_coeff(c) for m, c in draw(
+        st.dictionaries(monos, coeffs, max_size=6)).items()}) for _ in range(n)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(cubic_maps())
+def test_segre_rewrite_matches_substitution_and_division(f):
+    got = apply_move(f, SegreExtend()).components
+    want = oracles.segre_by_division(f)
+    assert ([[(m, c, type(c)) for m, c in p.terms.items()] for p in got]
+            == [[(m, c, type(c)) for m, c in p.terms.items()] for p in want])
+    assert got[-1] is Poly.variable(f.n_in + 1, f.n_in)
 
 
 def test_segre_needs_zero_constant():

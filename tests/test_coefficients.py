@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionPoly, unsettled_coefficients
+from oracles import FractionPoly, from_terms, unsettled_coefficients
 from polyred import cli
 from polyred.examples import corpus
 from polyred.poly import ExactDivisionError, Poly, as_coeff, linear_cube, qdiv
@@ -102,7 +102,7 @@ def polys(varcount, min_terms=0, max_terms=4, max_exp=2):
     """Polys whose coefficients mix ints, integral Fractions and proper ones."""
     exps = st.lists(st.integers(0, max_exp), min_size=varcount, max_size=varcount)
     return st.dictionaries(exps.map(tuple), coeffs, min_size=min_terms,
-                           max_size=max_terms).map(lambda d: Poly.from_terms(varcount, d))
+                           max_size=max_terms).map(lambda d: from_terms(varcount, d))
 
 
 def same(p, ref, ordered=True):

@@ -30,7 +30,7 @@ from polyred.poly import ExactDivisionError, Poly
 
 def uni(coeffs):
     """Univariate helper: coeffs[i] multiplies x^i, one ambient variable."""
-    return Poly.from_terms(1, {(i,): c for i, c in enumerate(coeffs)})
+    return oracles.from_terms(1, {(i,): c for i, c in enumerate(coeffs)})
 
 
 def random_poly(rng, varcount, max_deg, max_terms):
@@ -40,7 +40,7 @@ def random_poly(rng, varcount, max_deg, max_terms):
         for _ in range(rng.randrange(max_deg + 1)):
             exps[rng.randrange(varcount)] += 1
         terms[tuple(exps)] = Fraction(rng.randrange(-5, 6))
-    return Poly.from_terms(varcount, terms)
+    return oracles.from_terms(varcount, terms)
 
 
 # -- univariate views ------------------------------------------------------
@@ -281,7 +281,7 @@ def bivariate(draw, max_deg=3):
     for _ in range(draw(st.integers(1, 5))):
         exps = (draw(st.integers(0, max_deg)), draw(st.integers(0, max_deg)))
         terms[exps] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
-    return Poly.from_terms(2, terms)
+    return oracles.from_terms(2, terms)
 
 
 fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))

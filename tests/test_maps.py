@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eval_scaled_int, linear_part
+from oracles import eval_scaled_int, from_terms, linear_part
 from polyred.elim import poly_matrix_det
 from polyred.examples import builtin_example
 from polyred.linalg import RatMatrix
@@ -47,7 +47,7 @@ def random_map(rng, n, max_deg=3):
             for _ in range(rng.randrange(max_deg + 1)):
                 exps[rng.randrange(n)] += 1
             terms[tuple(exps)] = Fraction(rng.randrange(-4, 5))
-        comps.append(Poly.from_terms(n, terms))
+        comps.append(from_terms(n, terms))
     return PolyMap(comps)
 
 
@@ -65,7 +65,7 @@ def polys(varcount, max_terms=3, max_exp=2):
     exps = st.lists(st.integers(0, max_exp), min_size=varcount, max_size=varcount)
     coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
     return st.dictionaries(exps.map(tuple), coeffs, max_size=max_terms).map(
-        lambda d: Poly.from_terms(varcount, d))
+        lambda d: from_terms(varcount, d))
 
 
 def polymaps(n_in, n_out):
@@ -344,8 +344,8 @@ def test_is_nilpotent_exact():
 def test_is_nilpotent_exact_nontrivial():
     # nilpotent but with no zero entries: conjugate a strict upper form
     n = 2
-    a = [[Poly.from_terms(n, {(1, 0): 1}), Poly.from_terms(n, {(1, 0): 1})],
-         [Poly.from_terms(n, {(1, 0): -1}), Poly.from_terms(n, {(1, 0): -1})]]
+    a = [[from_terms(n, {(1, 0): 1}), from_terms(n, {(1, 0): 1})],
+         [from_terms(n, {(1, 0): -1}), from_terms(n, {(1, 0): -1})]]
     verdict, _ = is_nilpotent(a, n)
     assert verdict is True
 

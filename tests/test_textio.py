@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyred.certs import (Automorphism, Certificate, RationalMap,
+from oracles import from_terms, parse_by_poly_arithmetic
+from polyred import textio
+from polyred.certs import (Automorphism, Certificate, RationalMap, ShearAutomorphism,
                            fiber_transport_check, verify_certificate)
 from polyred.examples import builtin_example, builtin_ids
 from polyred.linalg import RatMatrix
@@ -139,6 +141,94 @@ def test_parse_error_message_carries_position():
         pytest.fail("no error raised")
 
 
+# -- the parser against Poly arithmetic ----------------------------------------
+
+
+def _outcome(parse, text, varmap, varcount, lineno=1):
+    """A parse's Poly as (varcount, [(monomial, coefficient, its type)]),
+    in term order, or its ParseError as (message, line, col)."""
+    try:
+        p = parse(text, varmap, varcount, lineno)
+    except ParseError as e:
+        return e.message, e.line, e.col
+    return p.varcount, [(m, c, type(c)) for m, c in p.terms.items()]
+
+
+def _by_terms(text, varmap, varcount, lineno):
+    toks = textio._lex(text, lineno)
+    return textio._ExprParser(toks, varmap, varcount, lineno, len(text)).parse()
+
+
+def _by_poly_arithmetic(text, varmap, varcount, lineno):
+    # the old parser knows no varcount: it sees only the names below it
+    return parse_by_poly_arithmetic(
+        text, {name: i for name, i in varmap.items() if i < varcount}, lineno)
+
+
+XY = ({"x": 0, "y": 1}, 2)
+
+
+def _assert_parsers_agree(text, cases, lineno=1):
+    """Same terms, order and types, or the same error, for each (varmap,
+    varcount) case."""
+    for varmap, varcount in cases:
+        assert (_outcome(_by_terms, text, varmap, varcount, lineno)
+                == _outcome(_by_poly_arithmetic, text, varmap, varcount, lineno)), text
+
+
+def _expressions(names):
+    atoms = st.sampled_from(names * 3 + ["0", "1", "2", "7", "1/2", "3/4", "4/2", "0/3"])
+
+    def extend(inner):
+        factor = st.one_of(inner, inner.map(lambda e: f"({e})"))
+        powered = st.tuples(factor, st.sampled_from(["", "", "^0", "^1", "^2", "^3"]))
+        term = st.lists(powered.map("".join), min_size=1, max_size=3).map("*".join)
+        ops = st.lists(st.sampled_from([" + ", " - "]), min_size=4, max_size=4)
+        return st.tuples(st.sampled_from(["", "-"]), st.lists(term, min_size=2, max_size=5),
+                         ops).map(lambda t: t[0] + t[1][0] + "".join(
+                             op + term for op, term in zip(t[2], t[1][1:])))
+
+    return st.recursive(atoms, extend, max_leaves=8)
+
+
+SOUP = ["x", "y", "z", "x1", "x5", "x6", "x7", "é", "x²", "٣", "²", "_", "0", "1", "3",
+        "12345678901234567890", "/", "+", "-", "*", "^", "(", ")", "^0", "^2",
+        f"^{MAX_EXPONENT + 1}", "^-1", " ", "\t", "#", "$", "="]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_parser_matches_poly_arithmetic(data, lineno):
+    """Arbitrary text, token soup and well-formed expressions, over x, y
+    and over the shared table of default names handed a dim of 5 (x6 and
+    x7 are in the table but undeclared)."""
+    case, names = data.draw(st.sampled_from([
+        (XY, ["x", "y", "y", "z"]),
+        ((textio._default_names(7)[1], 5), ["x1", "x4", "x5", "x5", "x6"])]))
+    text = data.draw(st.one_of(st.text(max_size=20), _expressions(names), _expressions(names),
+                               st.lists(st.sampled_from(SOUP), max_size=12).map("".join)))
+    _assert_parsers_agree(text, [case], lineno)
+
+
+def test_parser_matches_poly_arithmetic_at_the_edges():
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    for text in ["0^0", "(x - x)^0", "(x + y)^0", "0^3*(x + y)", "(x + y)*0", "x*0 + y",
+                 "0*(x + y)^3 - x", "2*x*(y + 1)*3", "(x + 1)*(x - 1)*2*(y + 1)", "1/2*2*x",
+                 "4/2*x - 1/3*y*3", "1/2*x*y + 1/2*y*x", "1/2 + 1/2 - y", "1/2*x + 1/2*x",
+                 "x + y - y", "x - x + x", "x*x*y^0*x1", "(x)", "x^1",
+                 "1*x", "-x + 2*x", "-(x - y)^2 + (x + y)^2*(x - y)", "x1*x5^2 - x5^2*x1",
+                 "x6", "x7", deep, "(" + deep + ")", f"x^{MAX_EXPONENT}*y^0",
+                 f"y*x^000{MAX_EXPONENT}", f"x^{MAX_EXPONENT + 1}",
+                 f"(x + y)^{MAX_EXPONENT + 1}", "9" * 5000 + "*x"]:
+        _assert_parsers_agree(text, [XY, (textio._default_names(7)[1], 5)])
+
+
+def test_bare_variable_is_the_shared_instance():
+    for text in ["x", " (y) ", "x^1", "1*x", "((x))"]:
+        p = parse_expression(text, ("x", "y"))
+        assert p is Poly.variable(2, next(iter(p.terms))[0][0]), text
+
+
 # -- documents ---------------------------------------------------------------
 
 GOOD_DOC = """\
@@ -255,7 +345,7 @@ _coeffs = st.one_of(
                        max_size=6))
 def test_poly_text_matches_fraction_formatting(terms):
     # the (0, 0) key is the constant term; it prints its coefficient even at 1
-    p = Poly.from_terms(2, terms)
+    p = from_terms(2, terms)
     assert poly_text(p, ("x", "y")) == poly_text_oracle(p, ("x", "y"))
 
 
@@ -333,7 +423,7 @@ def map_documents(draw):
         for _ in range(draw(st.integers(0, 5))):
             exps = tuple(draw(exponent) for _ in range(n))
             terms[exps] = Fraction(draw(st.integers(-99, 99)), draw(st.integers(1, 12)))
-        comps.append((name, Poly.from_terms(n, terms)))
+        comps.append((name, from_terms(n, terms)))
     meta = draw(st.dictionaries(
         st.from_regex(r"[a-z][a-z0-9_-]{0,8}", fullmatch=True).filter(lambda s: s != "meta"),
         st.lists(_meta_words, min_size=1, max_size=3).map(" ".join), max_size=3))
@@ -396,10 +486,11 @@ def test_move_json_rejects_unknown_kind():
 
 def test_move_json_bounds_sizes_before_building(monkeypatch):
     # a few bytes of JSON must not make the loader build a million names
-    from polyred import textio
     built = []
     monkeypatch.setattr(textio, "default_var_names",
                         lambda n: built.append(n) or ())
+    monkeypatch.setattr(textio, "_default_names",
+                        lambda n: built.append(n) or ((), {}))
     for size in (0, -1, DEFAULT_BUDGET.max_dim + 1, 10 ** 6, 10 ** 12):
         with pytest.raises(ValueError):
             automorphism_from_json({"kind": "shear", "dim": size, "addends": {}})
@@ -461,3 +552,43 @@ def test_certificate_with_huge_addend_exponent_is_rejected():
 def test_certificate_json_rejects_foreign_document():
     with pytest.raises(ValueError):
         certificate_from_json({"format": "something-else"})
+
+
+def test_pinchuk_decode_formats_each_default_name_once(monkeypatch):
+    f = builtin_example("pinchuk").document.to_polymap()
+    _, trace = to_yagzhev(f)
+    blob = json.loads(json.dumps(certificate_to_json(trace.certificate)))
+    formatted = []
+
+    class CountingList(list):
+        def append(self, name):
+            formatted.append(name)
+            super().append(name)
+
+    monkeypatch.setattr(textio, "_X_NAMES", CountingList())
+    monkeypatch.setattr(textio, "_X_INDEX", {})
+    per_dim = []
+    default_var_names = textio.default_var_names
+    monkeypatch.setattr(textio, "default_var_names",
+                        lambda n: per_dim.append(n) or default_var_names(n))
+    cert = certificate_from_json(blob)
+    assert per_dim == []
+    dims = [m["automorphism"]["dim"] for m in blob["moves"]
+            if m.get("automorphism", {}).get("kind") == "shear"]
+    assert len(dims) == 248
+    assert formatted == [f"x{i + 1}" for i in range(max(dims))]
+    polys = list(cert.source.components) + list(cert.target.components)
+    for move in cert.moves:
+        auto = getattr(move, "auto", None)
+        if isinstance(auto, ShearAutomorphism):
+            polys.extend(auto.additions.values())
+        elif auto is not None:
+            polys.extend(auto.forward.components + auto.inverse.components)
+    bare = [p for p in polys if len(p.terms) == 1 and next(iter(p.terms.items()))[1] == 1
+            and len(next(iter(p.terms))) == 1 and next(iter(p.terms))[0][1] == 1]
+    assert len(bare) > 1000
+    for p in bare:
+        assert p is Poly.variable(p.varcount, next(iter(p.terms))[0][0])
+    # encoding reuses the table: nothing is formatted again
+    assert certificate_to_json(cert) == blob
+    assert len(formatted) == max(dims)
