@@ -24,8 +24,8 @@ source and target as document strings next to the recorded moves; decoding
 only parses and checks shapes, and verify_certificate does the one replay.
 Certificate format version 2 stores a shear as its addends alone, over
 the default names of its dim (one table of x1, x2, ... serves every dim,
-so decoding takes time linear in the text); version 1 files, which spell
-every automorphism out as a forward and an inverse map, still load.
+so a shear's decode costs its text, not its dim); version 1 files, which
+spell every automorphism out as a forward and an inverse map, still load.
 """
 
 from __future__ import annotations
