@@ -69,9 +69,9 @@ def _lex(text: str, lineno: int) -> list:
         if ch == "#":
             break
         col = i + 1
-        if ch.isdigit():
+        if ch.isdecimal():  # int() reads decimal digits only, not '²'
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             toks.append(("int", text[i:j], lineno, col))
             i = j

@@ -78,6 +78,14 @@ def test_error_zero_denominator():
     _fails_at("1/0 + x", 1, 3, "zero denominator")
 
 
+def test_error_digit_int_cannot_read():
+    # '²' is a digit to str.isdigit but not a decimal int() reads
+    _fails_at("x^²", 1, 3, "unexpected character '²'")
+    _fails_at("x + 3²", 1, 6, "unexpected character '²'")
+    _fails_at("x + ²", 1, 5, "unexpected character '²'")
+    assert _expr("٣*x") == _expr("3*x")
+
+
 def test_error_undeclared_variable():
     _fails_at("x + z", 1, 5, "undeclared variable 'z'")
 
