@@ -5,20 +5,27 @@ coefficients in the remaining ones.  Coefficient lists keep the ambient
 variable count of the input, with the distinguished variable unused, so
 no index shifting happens anywhere.
 
-One subresultant algorithm computes every resultant, over two
-coefficient rings: Q[x1..xn] as Polys in `resultant`, Z[x1] as int lists
-in `z_resultant`.  After one pseudo-remainder it follows Ducos
+One subresultant algorithm ends every resultant, over two coefficient
+rings: Q[x1..xn] as Polys in `resultant`, Z[x1] as int lists in
+`z_resultant`.  After one pseudo-remainder it follows Ducos
 ("Optimizations of the subresultant algorithm", JPAA 145, 2000): Lazard's
 repeated squaring turns the top of each block of the remainder sequence
 into its bottom without forming lc^delta, and Ducos' reduction gives the
 next remainder from the last two and that bottom by exact divisions,
 without the lc^(delta+1) scaling of a pseudo-division.  Its
 remainders are those of the classical g*h^delta loop, so it carries that
-loop's sign bookkeeping; the loop itself is the test oracle of
-`z_resultant` in tests/oracles.py, and the Sylvester determinant that of
-`resultant`.  No CLI command reaches `resultant`, but perfbench's tracer
-wraps it by name, so it stays here until spans inside polyred replace
-the tracer.
+loop's sign bookkeeping.  Over Z a prefix of Euclidean steps comes
+first.  While the divisor leads with an integer constant c,
+Res(P, Q) = (-1)^(mn) c^(m-k) Res(Q, P mod Q) (Collins, J. ACM 14,
+1967) replaces P by the remainder with its integer content divided out,
+and the dropped scalars are kept as one fraction.  The rotated rows of a
+plane fiber lead with constants, so their chain starts without the
+content lc^(delta+1) of a pseudo-remainder.  In tests/oracles.py the
+g*h^delta loop is the test oracle of `z_resultant`, `_subresultant`
+alone is the route its prefix is held against, and the Sylvester
+determinant is the oracle of `resultant`.  No CLI command reaches
+`resultant`, but perfbench's tracer wraps it by name, so it stays here
+until spans inside polyred replace the tracer.
 
 The second half is a dense integer kernel for plane fibers: polynomials
 in Z[x1] as int lists, in Z[x1][x2] as lists of those.  `z_squarefree`
@@ -365,10 +372,75 @@ def z_add(a: list, b: list) -> list:
 Z_RING = Ring([], [1], z_add, z_sub, z_mul, z_exact_div, operator.not_)
 
 
+def _zz_rem(a: list, b: list) -> tuple:
+    """(lam, lam * a mod b) for a, b in Z[x1][x2], lc(b) a constant c.
+
+    The rule of `_z_rem` one level up: a step scales the remainder by
+    |c| / gcd(c, content of its top row) only when that is not 1, so
+    lam > 0 is the product of those factors and often 1.
+    """
+    c = b[-1][0]
+    ac = abs(c)
+    db = len(b) - 1
+    lam = 1
+    r = list(a)
+    while len(r) > db:
+        top = r.pop()
+        g = math.gcd(ac, *top)
+        m = ac // g
+        if m != 1:
+            r = [[m * x for x in row] for row in r]
+            lam *= m
+        t = [x // g for x in top] if c > 0 else [-(x // g) for x in top]
+        k = len(r) - db
+        for i, row in enumerate(b[:-1]):
+            if row:
+                r[k + i] = z_sub(r[k + i], z_mul(t, row))
+        _q_trim(r)
+    return lam, r
+
+
 def z_resultant(a: list, b: list) -> list:
-    """Res_{x2}(a, b) in Z[x1], for a, b in Z[x1][x2]: the same
-    subresultant algorithm as `resultant`, every division exact over Z."""
-    return _subresultant(a, b, Z_RING)
+    """Res_{x2}(a, b) in Z[x1], for a, b in Z[x1][x2], sign included.
+
+    The Euclidean prefix runs while the divisor Q of degree n leads with
+    a constant c.  `_zz_rem` gives lam * (P mod Q) of degree k; with its
+    integer content e divided out it is the next Q, and the step's
+    scalar c^(m-k) (e / lam)^n, m = deg P, joins one fraction.  A zero
+    remainder means a common factor; one of degree 0, R', gives R'^n in
+    `_subresultant`.  A remainder with a nonconstant leading coefficient
+    is dropped, and (P, Q) goes to `_subresultant`, whose first
+    pseudo-remainder then divides by c.  The fraction goes back on by
+    one exact division.
+    """
+    if not a or not b:
+        return []
+    sign = num = den = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            sign = -1
+    while len(b) > 1 and len(b[-1]) == 1:
+        lam, r = _zz_rem(a, b)
+        if not r:
+            return []
+        if len(r) > 1 and len(r[-1]) > 1:
+            break
+        m, n = len(a) - 1, len(b) - 1
+        e = math.gcd(*(math.gcd(*row) for row in r))
+        if e != 1:
+            r = [[x // e for x in row] for row in r]
+        num *= b[-1][0] ** (m - len(r) + 1) * e ** n
+        den *= lam ** n
+        if m % 2 and n % 2:
+            sign = -sign
+        a, b = b, r
+    res = _subresultant(a, b, Z_RING)
+    g = math.gcd(num, den)
+    num, den = sign * num // g, den // g
+    if any(x % den for x in res):
+        raise ExactDivisionError("resultant scalar does not divide out")
+    return [num * (x // den) for x in res]
 
 
 def _z_primitive(a: list) -> list:

@@ -9,7 +9,9 @@ two on random inputs:
     elim.count_real_roots replaced with the integer kernel;
   * the Sylvester determinant route for elim.resultant;
   * the g*h^delta subresultant loop over Z[x1][x2], which elim.z_resultant
-    replaced with Lazard's and Ducos' steps;
+    replaced with Lazard's and Ducos' steps; elim._subresultant alone,
+    the Ducos-only route, is what z_resultant's Euclidean prefix is held
+    against;
   * the gcd route of elim.z_squarefree, which runs whenever its mod-p
     certificate does not settle the input;
   * a dense Bareiss determinant for linalg.sparse_det;

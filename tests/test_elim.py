@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from polyred import elim
+from polyred import attrs, elim
 from polyred.elim import (
     count_real_roots,
     poly_matrix_det,
@@ -460,6 +460,182 @@ def test_gapped_chains_take_lazard_and_ducos_steps(monkeypatch):
     before = dict(seen)
     assert z_resultant(a, b) == oracles.z_resultant(a, b)
     assert seen["lazard"] - before["lazard"] >= 2
+
+
+# -- the Euclidean prefix against the Ducos chain alone -----------------------
+#
+# z_resultant takes Euclidean steps while the divisor leads with an integer
+# constant and the remainder does too; _subresultant, which starts with a
+# pseudo-remainder, is the route without them.  A chain built from its
+# bottom up fixes where the prefix stops: E_(i-1) = q_i * E_i + E_(i+1)
+# has E_(i+1) as its remainder by E_i, and the prefix sees each E_i up to
+# a scalar.  Its quotients are integral, so it never scales a step; short
+# random pairs led by constants do.
+
+
+def zz_add(a, b):
+    out = [z_add(u, v) for u, v in zip(a, b)] + a[len(b):] + b[len(a):]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def chain_up(bottom, divisor, quotients):
+    """(E_0, E_1) of the chain whose last two entries are divisor and
+    bottom, with E_(i-1) = q * E_i + E_(i+1) for q in quotients, the
+    last quotient applied first."""
+    lo, hi = bottom, divisor
+    for q in reversed(quotients):
+        lo, hi = hi, zz_add(zz_mul(q, hi), lo)
+    return hi, lo
+
+
+LEADS = [1, -1, 2, -2, 3, -4, 6, -12]
+
+
+@st.composite
+def zz_poly_led(draw, deg, lead, width=3):
+    """An element of Z[x1][x2] of x2-degree deg with leading row lead and
+    other rows of up to width coefficients."""
+    rows = [draw(st.lists(st.integers(-4, 4), max_size=width)) for _ in range(deg)]
+    for r in rows:
+        while r and not r[-1]:
+            r.pop()
+    return rows + [lead]
+
+
+@st.composite
+def prefix_chains(draw):
+    """(a, b) whose Euclidean chain has `steps` + 1 divisions by divisors
+    that lead with constants from LEADS, at x2-degree gaps of 1 to 3, and
+    ends in a zero remainder (a common factor), a remainder of degree 0,
+    or one whose leading row is not constant, where Ducos takes over."""
+    steps = draw(st.integers(0, 2))
+    end = draw(st.sampled_from(["zero", "degree 0", "ducos"]))
+    lead = st.sampled_from(LEADS).map(lambda c: [c])
+    du = draw(st.integers(2 if end == "ducos" else 1, 4))
+    divisor = draw(zz_poly_led(du, draw(lead)))
+    if end == "zero":
+        bottom = []
+    elif end == "degree 0":
+        bottom = [draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3)
+                       .filter(lambda r: r[-1] != 0))]
+    else:
+        top = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=3)
+                   .filter(lambda r: r[-1] != 0))
+        bottom = draw(zz_poly_led(draw(st.integers(1, du - 1)), top))
+    # the top quotient may be a constant, so that a and b have one degree
+    quotients = [draw(zz_poly_led(draw(st.integers(0 if i == 0 else 1, 3)), draw(lead)))
+                 for i in range(steps + 1)]
+    return chain_up(bottom, divisor, quotients)
+
+
+@st.composite
+def constant_led_pairs(draw):
+    """(a, b) led by constants from LEADS, with rows of at most 2
+    coefficients in x1 and mostly 1.  Their remainders have denominators,
+    so the prefix scales its steps, and their leading rows turn
+    nonconstant, or never do, at any step."""
+    lead = st.sampled_from(LEADS).map(lambda c: [c])
+    width = draw(st.sampled_from([1, 1, 2]))
+    return tuple(draw(zz_poly_led(draw(st.integers(1, 5)), draw(lead), width))
+                 for _ in range(2))
+
+
+prefix_pairs = st.one_of(prefix_chains(), constant_led_pairs())
+
+
+def count_calls(monkeypatch, names):
+    """Wrap the named elim functions; returns {name: [(args, result)]}."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapped(*args, _fn=getattr(elim, name), _name=name):
+            out = _fn(*args)
+            calls[_name].append((args, out))
+            return out
+        monkeypatch.setattr(elim, name, wrapped)
+    return calls
+
+
+def prefix_steps(calls):
+    """The Euclidean steps whose remainder z_resultant kept: nonzero, and
+    of degree 0 or led by a constant."""
+    return sum(1 for _, (_, r) in calls["_zz_rem"] if r and (len(r) == 1 or len(r[-1]) == 1))
+
+
+# one chain per shape the prefix must handle: 0, 1 and 2 steps before
+# Ducos; a common factor; a degree-0 remainder; a prefix step, then a
+# Ducos chain whose first remainder leaves a gap of 3 (a Lazard step)
+PREFIX = {
+    "ducos after 0": chain_up([[1], [2, 1]], [[3], [1, -1], [-2]], [[[1], [-1], [2]]]),
+    "ducos after 1": chain_up([[1], [2, 1]], [[3], [1, -1], [-2]],
+                              [[[], [6]], [[1], [-1], [2]]]),
+    "ducos after 2": chain_up([[1], [2, 1]], [[3], [1, -1], [-2]],
+                              [[[1, 1], [], [-1]], [[], [6]], [[1], [-1], [2]]]),
+    "common factor": chain_up([], [[1, 2], [], [-3]], [[[2], [1, -1], [4]], [[], [-1]]]),
+    "degree 0": chain_up([[3, 0, 1]], [[1, 2], [], [-3]], [[[5], [0, 1], [6]], [[2], [2]]]),
+    "lazard": chain_up([[1], [-2, 1]], [[0, 1], [], [], [], [1]],
+                       [[[1, -1], [1], [2]], [[2], [1]]]),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(prefix_pairs)
+@example(PREFIX["ducos after 0"])
+@example(PREFIX["ducos after 1"])
+@example(PREFIX["ducos after 2"])
+@example(PREFIX["common factor"])
+@example(PREFIX["degree 0"])
+@example(PREFIX["lazard"])
+def test_z_resultant_prefix_matches_ducos_chain(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        assert z_resultant(x, y) == oracles.z_resultant(x, y) == elim._subresultant(x, y, elim.Z_RING)
+
+
+@pytest.mark.parametrize("name, steps", [
+    ("ducos after 0", 0), ("ducos after 1", 1), ("ducos after 2", 2),
+    ("common factor", 1), ("degree 0", 2), ("lazard", 1)])
+def test_prefix_examples_take_their_steps(name, steps, monkeypatch):
+    a, b = PREFIX[name]
+    calls = count_calls(monkeypatch, ["_zz_rem", "_prem", "_lazard"])
+    r = z_resultant(a, b)
+    assert prefix_steps(calls) == steps
+    assert (r == []) == (name == "common factor")
+    if name.startswith("ducos") or name == "lazard":
+        # one pseudo-remainder, by the last divisor the prefix saw
+        (P, Q), = [args[:2] for args, _ in calls["_prem"]]
+        assert len(Q[-1]) == 1 and ((P, Q) == (a, b)) == (steps == 0)
+    else:
+        assert calls["_prem"] == []
+    assert bool(calls["_lazard"]) == (name == "lazard")
+
+
+def test_prefix_scalar_that_does_not_divide_out_raises(monkeypatch):
+    # a wrong lam makes the final division inexact; it must not be floored
+    rem = elim._zz_rem
+    monkeypatch.setattr(elim, "_zz_rem", lambda a, b: (3 * rem(a, b)[0], rem(a, b)[1]))
+    a, b = PREFIX["ducos after 1"]
+    with pytest.raises(ExactDivisionError):
+        z_resultant(a, b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pinchuk_fibers_start_with_two_euclidean_steps(seed, monkeypatch):
+    # the rotated Pinchuk rows lead in x2 with constants, and so do the
+    # first two remainders: no pseudo-remainder runs on the rows themselves
+    fr = attrs._plane_rows(builtin_example("pinchuk").document.to_polymap())
+    g, _ = attrs._rotated(fr, seed, seed > 0)
+    y1, y2 = attrs._free_target(random.Random(seed))
+    a, b = attrs._specialize(g[0], y1)[1], attrs._specialize(g[1], y2)[1]
+    assert len(a[-1]) == len(b[-1]) == 1
+    calls = count_calls(monkeypatch, ["_zz_rem", "_prem"])
+    r = z_resultant(a, b)
+    assert prefix_steps(calls) == 2
+    (P, Q), = [args[:2] for args, _ in calls["_prem"]]
+    assert (len(P) - 1, len(Q) - 1) == (9, 8) and len(Q[-1]) == 1
+    monkeypatch.undo()
+    assert r == elim._subresultant(a, b, elim.Z_RING)
 
 
 # -- the squarefree certificate against the gcd route ----------------------------
