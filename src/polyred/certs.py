@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import List, Optional, Union
 
 from .maps import PolyMap
-from .poly import ExactDivisionError, Poly, as_coeff, mono_degree
+from .poly import ExactDivisionError, Poly, as_coeff, mono_degree, qdiv
 
 
 class RationalMap:
@@ -66,10 +66,12 @@ class RationalMap:
         return len(self.nums)
 
     def eval_at(self, point):
+        """The value at an exact point, or None where the denominator
+        vanishes; each quotient is exact (qdiv), never a float."""
         d = self.den.eval_at(point)
         if d == 0:
             return None
-        return [p.eval_at(point) / d for p in self.nums]
+        return [qdiv(p.eval_at(point), d) for p in self.nums]
 
     def __repr__(self) -> str:
         return f"RationalMap({self.n_in}->{self.n_out})"

@@ -123,8 +123,8 @@ def _cmd_analyze(args) -> int:
         ("nonsingular (sampled)", _yesno(cls.nonsingular_sampled)),
         ("samples", cls.samples),
         ("seed", cls.seed),
-        ("cubic homogeneous form", _yesno(is_yagzhev(f))),
-        ("cubic linear form", _yesno(is_druzkowski(f)[0])),
+        ("cubic homogeneous form", _yesno(data["yagzhev"])),
+        ("cubic linear form", _yesno(data["druzkowski"])),
     ])
     for note in cls.notes:
         print(f"note: {note}")

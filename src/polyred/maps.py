@@ -178,7 +178,8 @@ def sparse_jacobian(f: PolyMap) -> list:
 
 
 def eval_jacobian_sparse(jac: list, point: Sequence) -> list:
-    """A sparse_jacobian at a point, as {column: nonzero value} rows."""
+    """A sparse_jacobian, or any rows of (column, Poly) entries, at a
+    point, as {column: nonzero value} rows in the ring of the point."""
     rows = []
     for entries in jac:
         row = {}
@@ -305,6 +306,7 @@ def classify(
     rng = random.Random(seed)
     box = 2 * max(bound, 1) * 10
     if isinstance(det, Poly):
+        mode = "exact"
         nondeg = not det.is_zero()
         keller = det.is_constant() and not det.is_zero()
         nonsing = None
@@ -318,52 +320,45 @@ def classify(
                 notes.append(
                     f"jacobian vanishes at sampled point {report.first_zero}"
                 )
-        return Classification(
-            dim=n,
-            degree=f.degree(),
-            jacobian_degree_bound=bound,
-            mode="exact",
-            nondegenerate=nondeg,
-            keller=keller,
-            nonsingular_sampled=nonsing,
-            samples=samples if nondeg else 0,
-            seed=seed,
-            notes=notes,
-        )
-    # sampled route: evaluate the Jacobian numerically, point by point
-    notes = [det.reason, "verdicts from seeded sampling; positives are exact"]
-    zeros = 0
-    first_zero = None
-    values = set()
-    jac = sparse_jacobian(f)
-    for nums, den in sample_points(rng, n, samples, box):
-        point = [Fraction(a, den) for a in nums]
-        rows = eval_jacobian_sparse(jac, point)
-        d = sparse_det(rows, n)
-        if d == 0:
-            zeros += 1
-            if first_zero is None:
-                first_zero = (nums, den)
-        if len(values) < 2:
-            values.add(d)
-    nondeg = True if len(values - {Fraction(0)}) >= 1 else None
-    keller: Optional[bool] = None
-    if len(values) >= 2:
-        keller = False  # two distinct determinant values, exactly computed
-        notes.append("jacobian determinant takes two distinct sampled values")
-    if first_zero is not None:
-        notes.append(f"jacobian vanishes at sampled point {first_zero}")
-        if any(v != 0 for v in values):
-            keller = False
+        used = samples if nondeg else 0
+    else:
+        # sampled route: evaluate the Jacobian numerically, point by point
+        mode = "sampled"
+        notes = [det.reason, "verdicts from seeded sampling; positives are exact"]
+        zeros = 0
+        first_zero = None
+        values = set()
+        jac = sparse_jacobian(f)
+        for nums, den in sample_points(rng, n, samples, box):
+            point = [Fraction(a, den) for a in nums]
+            rows = eval_jacobian_sparse(jac, point)
+            d = sparse_det(rows, n)
+            if d == 0:
+                zeros += 1
+                if first_zero is None:
+                    first_zero = (nums, den)
+            if len(values) < 2:
+                values.add(d)
+        nondeg = True if len(values - {Fraction(0)}) >= 1 else None
+        keller = None
+        if len(values) >= 2:
+            keller = False  # two distinct determinant values, exactly computed
+            notes.append("jacobian determinant takes two distinct sampled values")
+        if first_zero is not None:
+            notes.append(f"jacobian vanishes at sampled point {first_zero}")
+            if any(v != 0 for v in values):
+                keller = False
+        nonsing = zeros == 0
+        used = samples
     return Classification(
         dim=n,
         degree=f.degree(),
         jacobian_degree_bound=bound,
-        mode="sampled",
+        mode=mode,
         nondegenerate=nondeg,
         keller=keller,
-        nonsingular_sampled=zeros == 0,
-        samples=samples,
+        nonsingular_sampled=nonsing,
+        samples=used,
         seed=seed,
         notes=notes,
     )
@@ -538,19 +533,11 @@ def is_nilpotent(
         return True, f"all power traces through {n} vanish"
     rng = random.Random(seed)
     box = 20
+    entries = [[(j, p) for j, p in enumerate(row) if not p.is_zero()]
+               for row in m]
     for attempt in range(3):
         nums = [rng.randrange(-box, box + 1) for _ in range(varcount)]
-        point = [Fraction(a) for a in nums]
-        numeric = []
-        for row in m:
-            r = {}
-            for j, p in enumerate(row):
-                if p.is_zero():
-                    continue
-                v = p.eval_at(point)
-                if v:
-                    r[j] = v
-            numeric.append(r)
+        numeric = eval_jacobian_sparse(entries, nums)
         power = numeric
         for k in range(1, min(n, budget.power_probe_cap) + 1):
             tr = sparse_trace(power)

@@ -3,10 +3,12 @@
 A coefficient is an `int` when integral and a `fractions.Fraction` (lowest
 terms, denominator > 1) otherwise; `numerator`, `denominator`, `str`, `==`
 and hashing agree across the two.  Coefficient division goes through qdiv,
-so no float can appear.  A monomial is a tuple of (variable_index,
-exponent) pairs, sorted by index, with every exponent positive; the empty
-tuple is the constant monomial.  Variable identity is positional: a
-polynomial knows only its ambient variable count, never variable names.
+so no float can appear.  Evaluation computes in the ring of the point:
+int points give ints, Fraction points exact Fractions.  A monomial is a
+tuple of (variable_index, exponent) pairs, sorted by index, with every
+exponent positive; the empty tuple is the constant monomial.  Variable
+identity is positional: a polynomial knows only its ambient variable
+count, never variable names.
 
 Term order, where one is needed, is graded lexicographic: higher total
 degree first, ties broken by the exponent vector read left to right
@@ -329,11 +331,15 @@ class Poly:
             out[mono_div(m, ((var, 1),))] = c * e
         return Poly(self.varcount, _settled(out))
 
-    def eval_at(self, point: Sequence) -> Fraction:
-        """Exact evaluation at a rational point."""
+    def eval_at(self, point: Sequence):
+        """The value at a point, computed in the ring of its coordinates.
+
+        Integer points give ints and Fraction points exact Fractions;
+        any element with + - * works (a float point gives a float).
+        """
         if len(point) != self.varcount:
             raise ValueError("point length does not match variable count")
-        total = Fraction(0)
+        total = 0
         powers: dict = {}
         for m, c in self.terms.items():
             v = c
@@ -341,8 +347,7 @@ class Poly:
                 key = (var, e)
                 p = powers.get(key)
                 if p is None:
-                    # only the coordinates a monomial uses are converted
-                    p = Fraction(point[var]) ** e
+                    p = point[var] ** e
                     powers[key] = p
                 v = v * p
             total += v

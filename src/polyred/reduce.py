@@ -19,7 +19,6 @@ per-stage dimensions are recorded in the trace.
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .certs import (
     Automorphism,
@@ -31,7 +30,7 @@ from .certs import (
     RationalMap,
     SegreExtend,
 )
-from .linalg import sparse_det, sparse_inverse
+from .linalg import sparse_inverse
 from .maps import (
     Budget,
     BudgetExceeded,
@@ -181,8 +180,10 @@ def normalize(f: PolyMap, seed: int = 0, budget: Budget = DEFAULT_BUDGET):
     J(G)(0) = I.
 
     The origin is tried first, then seeded integer points in an
-    expanding box; the acceptance test (an exact sparse determinant) is
-    never probabilistic, only the point choice is.
+    expanding box.  Each candidate costs one exact sparse elimination,
+    which both accepts the point (J(f)(x0) is invertible) and yields the
+    straightening inverse; the acceptance is never probabilistic, only
+    the point choice is.
     """
     if not f.is_endomorphism():
         raise ValueError("normalization expects an endomorphism")
@@ -190,31 +191,24 @@ def normalize(f: PolyMap, seed: int = 0, budget: Budget = DEFAULT_BUDGET):
     n = f.n_in
     rng = random.Random(seed)
     jac = sparse_jacobian(f)
-
-    def attempt(point):
-        rows = eval_jacobian_sparse(jac, point)
-        if sparse_det(rows, n) != 0:
-            return rows
-        return None
-
-    x0 = [Fraction(0)] * n
-    rows = attempt(x0)
-    if rows is None:
-        found = False
-        for box in (1, 2, 4, 8, 16, 64, 256, 1024):
-            for _ in range(12):
-                _check_time(start, budget, "base point search")
-                x0 = [Fraction(rng.randrange(-box, box + 1)) for _ in range(n)]
-                rows = attempt(x0)
-                if rows is not None:
-                    found = True
-                    break
-            if found:
-                break
+    # the origin (box 0), then twelve seeded draws from each box in turn
+    boxes = (1, 2, 4, 8, 16, 64, 256, 1024)
+    for box in [0] + [b for b in boxes for _ in range(12)]:
+        if box:
+            _check_time(start, budget, "base point search")
+            x0 = [rng.randrange(-box, box + 1) for _ in range(n)]
         else:
-            raise GenericityError(
-                "no base point with invertible differential was found; "
-                "the map looks degenerate")
+            x0 = [0] * n
+        rows = eval_jacobian_sparse(jac, x0)
+        try:
+            inv_rows = sparse_inverse(rows, n)
+        except ZeroDivisionError:
+            continue  # J(f)(x0) is singular
+        break
+    else:
+        raise GenericityError(
+            "no base point with invertible differential was found; "
+            "the map looks degenerate")
 
     builder = CertificateBuilder(f, kind="normalization")
     if any(x0):
@@ -225,7 +219,6 @@ def normalize(f: PolyMap, seed: int = 0, budget: Budget = DEFAULT_BUDGET):
         builder.push(PostCompose(Automorphism.translation(
             [-v for v in fx0], "send the base value to the origin")))
     if not _sparse_is_identity(rows, n):
-        inv_rows = sparse_inverse(rows, n)
         builder.push(PostCompose(Automorphism.from_sparse_linear(
             inv_rows, rows, "straighten the differential at the origin")))
     return builder.current, builder.build()

@@ -25,6 +25,9 @@ two on random inputs:
     textio._ExprParser replaced with one that builds terms directly;
   * the Segre move by substitution and exact division, which
     certs.apply_move replaced with a monomial rewrite;
+  * the base-point search of reduce.normalize that accepted a Fraction
+    point by sparse_det and then eliminated the same Jacobian again with
+    sparse_inverse, which one sparse_inverse per candidate replaced;
   * FractionPoly, the Poly whose every coefficient was a Fraction, which
     int-or-Fraction coefficients replaced, and the Poly helpers only the
     tests use (mono_to_dense, mono_from_dense, from_terms, coefficient,
@@ -34,13 +37,19 @@ two on random inputs:
 from __future__ import annotations
 
 import math
+import random
+import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from polyred.certs import Automorphism, CertificateBuilder, PostCompose, PreCompose
 from polyred.elim import (_q_trim, poly_matrix_det, q_derive, uni_coeffs, z_exact_div,
                           z_gcd, z_mul, z_sub)
+from polyred.linalg import sparse_det, sparse_inverse
+from polyred.maps import DEFAULT_BUDGET, GenericityError, eval_jacobian_sparse, sparse_jacobian
 from polyred.poly import (ExactDivisionError, GRLEX_KEY, Poly, ZERO_MONO, as_coeff,
                           mono_degree, mono_div, mono_divides, mono_exponent, mono_mul, qdiv)
+from polyred.reduce import _check_time, _sparse_is_identity
 from polyred.textio import MAX_EXPONENT, MAX_NESTING, ParseError, _lex
 
 
@@ -758,3 +767,57 @@ class FractionPoly:
             quot = quot + t
             rem = rem - t * divisor
         return quot
+
+
+# -- base point search ----------------------------------------------------------
+
+
+def normalize_by_det_then_inverse(f, seed: int = 0, budget=DEFAULT_BUDGET):
+    """reduce.normalize with two eliminations per accepted point: each
+    Fraction candidate is accepted by sparse_det != 0, and the accepted
+    point's Jacobian is then inverted by sparse_inverse."""
+    if not f.is_endomorphism():
+        raise ValueError("normalization expects an endomorphism")
+    start = time.monotonic()
+    n = f.n_in
+    rng = random.Random(seed)
+    jac = sparse_jacobian(f)
+
+    def attempt(point):
+        rows = eval_jacobian_sparse(jac, point)
+        if sparse_det(rows, n) != 0:
+            return rows
+        return None
+
+    x0 = [Fraction(0)] * n
+    rows = attempt(x0)
+    if rows is None:
+        found = False
+        for box in (1, 2, 4, 8, 16, 64, 256, 1024):
+            for _ in range(12):
+                _check_time(start, budget, "base point search")
+                x0 = [Fraction(rng.randrange(-box, box + 1)) for _ in range(n)]
+                rows = attempt(x0)
+                if rows is not None:
+                    found = True
+                    break
+            if found:
+                break
+        else:
+            raise GenericityError(
+                "no base point with invertible differential was found; "
+                "the map looks degenerate")
+
+    builder = CertificateBuilder(f, kind="normalization")
+    if any(x0):
+        builder.push(PreCompose(Automorphism.translation(
+            x0, "recenter the domain at the base point")))
+    fx0 = f.eval_at(x0)
+    if any(fx0):
+        builder.push(PostCompose(Automorphism.translation(
+            [-v for v in fx0], "send the base value to the origin")))
+    if not _sparse_is_identity(rows, n):
+        inv_rows = sparse_inverse(rows, n)
+        builder.push(PostCompose(Automorphism.from_sparse_linear(
+            inv_rows, rows, "straighten the differential at the origin")))
+    return builder.current, builder.build()

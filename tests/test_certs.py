@@ -27,7 +27,7 @@ from polyred.certs import (
 from polyred.examples import builtin_example
 from polyred.linalg import RatMatrix
 from polyred.maps import PolyMap
-from polyred.poly import ExactDivisionError, Poly, as_coeff
+from polyred.poly import ExactDivisionError, Poly, as_coeff, qdiv
 from polyred.reduce import meng_symmetrize
 
 
@@ -232,7 +232,7 @@ def test_substitute_rational_clears_the_denominator(data):
     q, k = substitute_rational(p, nums, den)
     rational = {i for i, g in enumerate(nums) if not divides(den, g)}
     assert k == max((sum(e for v, e in m if v in rational) for m in p.terms), default=0)
-    assert q.eval_at(pt) == p.eval_at([g.eval_at(pt) / d for g in nums]) * d ** k
+    assert q.eval_at(pt) == p.eval_at([qdiv(g.eval_at(pt), d) for g in nums]) * d ** k
 
 
 @settings(max_examples=150, deadline=None)

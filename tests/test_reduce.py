@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyred.certs import apply_move, fiber_transport_check, verify_certificate
+from polyred.certs import PreCompose, apply_move, fiber_transport_check, verify_certificate
 from polyred.maps import (
     Budget,
     BudgetExceeded,
@@ -18,7 +18,8 @@ from polyred.maps import (
     jacobian,
     jacobian_det,
 )
-from polyred.examples import builtin_example
+import oracles
+from polyred.examples import builtin_example, corpus
 from polyred.poly import Poly, mono_degree
 from polyred.reduce import (
     concat_certificates,
@@ -29,6 +30,7 @@ from polyred.reduce import (
     segre_step,
     to_yagzhev,
 )
+from polyred.textio import certificate_to_json
 
 
 def V(n, i):
@@ -170,6 +172,28 @@ def test_normalize_degenerate_map_raises():
     x, y = V(2, 0), V(2, 1)
     with pytest.raises(GenericityError):
         normalize(PolyMap([x + y, x + y]), seed=1)
+
+
+SINGULAR_ORIGIN = {"cube-x", "square-x", "random-d5-n1", "random-d6-n1",
+                   "random-d4-n2", "random-d4-n3", "random-d5-n3", "random-d6-n3"}
+
+
+@pytest.mark.parametrize("eid", [e.id for e in corpus()])
+def test_normalize_matches_the_det_then_inverse_search(eid):
+    """One sparse_inverse per candidate picks the same base point, and
+    writes the same map and certificate, as accepting by sparse_det and
+    inverting afterwards; the corpus maps and their cubic lowerings are
+    the inputs, over eight seeds."""
+    f = builtin_example(eid).document.to_polymap()
+    lowered, _ = lower_degree(f)
+    for h in ([f] if lowered == f else [f, lowered]):
+        for seed in range(8):
+            g, cert = normalize(h, seed=seed)
+            want_g, want_cert = oracles.normalize_by_det_then_inverse(h, seed=seed)
+            assert g == want_g
+            assert certificate_to_json(cert) == certificate_to_json(want_cert)
+            recentred = any(isinstance(m, PreCompose) for m in cert.moves)
+            assert recentred == (eid in SINGULAR_ORIGIN)
 
 
 # --------------------------------------------------------------- segre_step
