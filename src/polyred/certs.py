@@ -310,7 +310,9 @@ def apply_move(f: PolyMap, move: Move) -> PolyMap:
             raise ValueError("pre-composition shape mismatch")
         if not isinstance(a, ShearAutomorphism):
             return f.compose(a.forward)
-        images = [Poly.variable(a.n, i) for i in range(a.n)]
+        # fresh identity images, not Poly.variable's: its cache would keep
+        # one Poly per (dimension, index) for every dimension a chain visits
+        images = [Poly(a.n, {((i, 1),): 1}) for i in range(a.n)]
         for i, g in a.additions.items():
             images[i] = images[i] + g
         return PolyMap([c if c.variables_used().isdisjoint(a.additions) else c.substitute(images)

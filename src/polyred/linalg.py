@@ -167,9 +167,9 @@ class RatMatrix:
 
 # -- sparse routines ---------------------------------------------------
 #
-# A sparse square matrix is a list of {column: Fraction} row dicts.  The
-# elimination picks pivots greedily by Markowitz cost, which keeps
-# fill-in negligible on the near-triangular matrices the reduction
+# A sparse square matrix is a list of {column: int or Fraction} row
+# dicts.  The elimination picks pivots greedily by Markowitz cost, which
+# keeps fill-in negligible on the near-triangular matrices the reduction
 # pipeline produces.
 
 
@@ -254,10 +254,12 @@ def sparse_det(rows: list, n: int) -> Fraction:
 
 
 def sparse_inverse(rows: list, n: int) -> list:
-    """Inverse of a sparse matrix, as sparse rows.  Gauss-Jordan with
-    sparsity-greedy pivoting; raises ZeroDivisionError when singular."""
+    """Inverse of a sparse matrix, as sparse rows, in the ring of its
+    entries: int rows stay ints wherever qdiv divides exactly.
+    Gauss-Jordan with sparsity-greedy pivoting; raises ZeroDivisionError
+    when singular."""
     a = [dict(r) for r in rows]
-    inv = [{i: Fraction(1)} for i in range(n)]
+    inv = [{i: 1} for i in range(n)]
     pivot_of_col = {}
     done_rows = set()
     for _ in range(n):
@@ -285,13 +287,13 @@ def sparse_inverse(rows: list, n: int) -> list:
             if not f:
                 continue
             for c, v in a[pi].items():
-                nv = a[i].get(c, Fraction(0)) - f * v
+                nv = a[i].get(c, 0) - f * v
                 if nv == 0:
                     a[i].pop(c, None)
                 else:
                     a[i][c] = nv
             for c, v in inv[pi].items():
-                nv = inv[i].get(c, Fraction(0)) - f * v
+                nv = inv[i].get(c, 0) - f * v
                 if nv == 0:
                     inv[i].pop(c, None)
                 else:
