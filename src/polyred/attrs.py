@@ -16,8 +16,9 @@ is subtracted from their constant entry.  The sample targets F(p) are
 the rows evaluated at the integer point p over the scale.  The
 resultant, its squarefree part and its Sturm count come from the dense
 kernel in elim.py.  Only generic_rotation turns rows back into a Poly.
-The witness a SpecializedFiber carries is the same Poly the Fraction
-resultant and remainder chain give, which the tests hold it to.
+The witness a SpecializedFiber carries is the same Poly the Sylvester
+determinant and the Fraction remainder chain of tests/oracles.py give,
+which the tests hold it to.
 
 Nondegeneracy is decided on the rows too: det J, evaluated exactly at a
 few fixed integer points, proves itself not identically zero by any

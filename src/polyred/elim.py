@@ -1,140 +1,88 @@
 """Elimination tools: resultants, squarefree parts, real root counting.
 
-A polynomial is viewed as univariate in one distinguished variable with
-coefficients in the remaining ones.  Coefficient lists keep the ambient
-variable count of the input, with the distinguished variable unused, so
-no index shifting happens anywhere.
+Everything runs in one dense integer kernel: a polynomial in Z[x1] is an
+int list, one in Z[x1][x2] a list of those by x2-degree.
 
-One subresultant algorithm ends every resultant, over two coefficient
-rings: Q[x1..xn] as Polys in `resultant`, Z[x1] as int lists in
-`z_resultant`.  After one pseudo-remainder it follows Ducos
-("Optimizations of the subresultant algorithm", JPAA 145, 2000): Lazard's
-repeated squaring turns the top of each block of the remainder sequence
-into its bottom without forming lc^delta, and Ducos' reduction gives the
-next remainder from the last two and that bottom by exact divisions,
-without the lc^(delta+1) scaling of a pseudo-division.  Its
-remainders are those of the classical g*h^delta loop, so it carries that
-loop's sign bookkeeping.  Over Z a prefix of Euclidean steps comes
-first.  While the divisor leads with an integer constant c,
-Res(P, Q) = (-1)^(mn) c^(m-k) Res(Q, P mod Q) (Collins, J. ACM 14,
-1967) replaces P by the remainder with its integer content divided out,
-and the dropped scalars are kept as one fraction.  The rotated rows of a
-plane fiber lead with constants, so their chain starts without the
-content lc^(delta+1) of a pseudo-remainder.  In tests/oracles.py the
-g*h^delta loop is the test oracle of `z_resultant`, `_subresultant`
-alone is the route its prefix is held against, and the Sylvester
-determinant is the oracle of `resultant`.  No CLI command reaches
-`resultant`, but perfbench's tracer wraps it by name, so it stays here
-until spans inside polyred replace the tracer.
+One subresultant algorithm, over Z[x1], ends every resultant.  After one
+pseudo-remainder it follows Ducos ("Optimizations of the subresultant
+algorithm", JPAA 145, 2000): Lazard's repeated squaring turns the top of
+each block of the remainder sequence into its bottom without forming
+lc^delta, and Ducos' reduction gives the next remainder from the last
+two and that bottom by exact divisions, without the lc^(delta+1) scaling
+of a pseudo-division.  Its remainders are those of the classical
+g*h^delta loop, so it carries that loop's sign bookkeeping.  A prefix of
+Euclidean steps comes first.  While the divisor leads with an integer
+constant c, Res(P, Q) = (-1)^(mn) c^(m-k) Res(Q, P mod Q) (Collins,
+J. ACM 14, 1967) replaces P by the remainder with its integer content
+divided out, and the dropped scalars are kept as one fraction.  The
+rotated rows of a plane fiber lead with constants, so their chain starts
+without the content lc^(delta+1) of a pseudo-remainder.  `resultant` is
+the kernel's entry point for two Polys in two variables: it clears
+denominators with `z_rows`, calls `z_resultant` and divides the clearing
+scale back out.  In tests/oracles.py the g*h^delta loop is the test
+oracle of `z_resultant`, `_subresultant` alone is the route its prefix
+is held against, and the Sylvester determinant is the independent route
+for `resultant`.
 
-The second half is a dense integer kernel for plane fibers: polynomials
-in Z[x1] as int lists, in Z[x1][x2] as lists of those.  `z_squarefree`
-and `z_count_real_roots` run a primitive remainder sequence over Z, and
-`z_squarefree` first tries a certificate that needs none: an input that
-is squarefree mod one fixed prime p, with p not dividing its leading
-coefficient, is squarefree over Q.  It is the only squarefree and
-real-root implementation: `squarefree_part` and `count_real_roots` are
-its entry points for a univariate Poly.  The Fraction remainder chain
-they replaced lives on as a test oracle in tests/oracles.py, and so does
-the plain gcd route of `z_squarefree`.
+`z_squarefree` and `z_count_real_roots` run a primitive remainder
+sequence over Z, and `z_squarefree` first tries a certificate that needs
+none: an input that is squarefree mod one fixed prime p, with p not
+dividing its leading coefficient, is squarefree over Q.  It is the only
+squarefree and real-root implementation: `squarefree_part` and
+`count_real_roots` are its entry points for a univariate Poly.  The
+Fraction remainder chain they replaced lives on as a test oracle in
+tests/oracles.py, and so does the plain gcd route of `z_squarefree`.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple
 
 from .poly import ExactDivisionError, Poly, as_coeff
 
 
-# -- univariate views ----------------------------------------------------
-
-
-def uni_coeffs(p: Poly, var: int) -> list:
-    """Coefficient list [c0, c1, ...] of p in the distinguished variable.
-
-    Coefficients are Poly values in the same ambient space that do not
-    use `var`.  The zero polynomial gives [].
-    """
-    if p.is_zero():
-        return []
-    d = p.degree_in(var)
-    out = [{} for _ in range(d + 1)]
-    for m, c in p.terms.items():
-        e = 0
-        rest = []
-        for v, k in m:
-            if v == var:
-                e = k
-            else:
-                rest.append((v, k))
-        out[e][tuple(rest)] = c  # m -> (e, rest) is one to one
-    return [Poly(p.varcount, t) for t in out]
-
-
 # -- resultants --------------------------------------------------------------
 #
-# One subresultant algorithm serves both coefficient rings: Q[x1..xn] as
-# Polys for `resultant`, Z[x1] as int lists for `z_resultant`.  A
-# coefficient list is trimmed, so [] is the zero polynomial in either.
+# The subresultant algorithm, on polynomials in Z[x1][x2] in the layout of
+# the dense kernel below.
 
 
-class Ring(NamedTuple):
-    """The coefficient operations the subresultant algorithm uses."""
-
-    zero: Any
-    one: Any
-    add: Callable
-    sub: Callable
-    mul: Callable
-    div: Callable  # exact quotient; ExactDivisionError when it is not
-    is_zero: Callable
-
-
-def _trim(c: list, is_zero) -> list:
-    while c and is_zero(c[-1]):
-        c.pop()
-    return c
-
-
-def _prem(a: list, b: list, R: Ring) -> list:
+def _prem(a: list, b: list) -> list:
     """Pseudo-remainder lc(b)^(da-db+1) * a mod b."""
     da, db = len(a) - 1, len(b) - 1
     d = b[-1]
-    mul, sub = R.mul, R.sub
     r = list(a)
     for j in range(da - db, -1, -1):
         if len(r) - 1 == db + j:
             top = r[-1]
-            r = [mul(d, c) for c in r[:-1]]
+            r = [z_mul(d, c) for c in r[:-1]]
             for i, bc in enumerate(b[:-1]):
-                r[j + i] = sub(r[j + i], mul(top, bc))
-            _trim(r, R.is_zero)
+                r[j + i] = z_sub(r[j + i], z_mul(top, bc))
+            _q_trim(r)
         else:
-            r = [mul(d, c) for c in r]
-    return _trim(r, R.is_zero)
+            r = [z_mul(d, c) for c in r]
+    return _q_trim(r)
 
 
-def _lazard(x, y, n: int, R: Ring):
+def _lazard(x: list, y: list, n: int) -> list:
     """x^n / y^(n-1) for n >= 1 by repeated squaring.
 
     Every intermediate x^k / y^(k-1), k <= n, is exact whenever the
-    result is (the ring is a UFD), so no power of x is ever formed whole.
+    result is (Z[x1] is a UFD), so no power of x is ever formed whole.
     """
     a = 1 << (n.bit_length() - 1)
     c, n = x, n - a
     while a > 1:
         a >>= 1
-        c = R.div(R.mul(c, c), y)
+        c = z_exact_div(z_mul(c, c), y)
         if n >= a:
-            c = R.div(R.mul(c, x), y)
+            c = z_exact_div(z_mul(c, x), y)
             n -= a
     return c
 
 
-def _ducos_step(P: list, Q: list, C: list, s, R: Ring) -> list:
+def _ducos_step(P: list, Q: list, C: list, s: list) -> list:
     """prem(P, Q) / (lc(P) * s^(d-e)) for d = deg P > e = deg Q > 0,
     without the pseudo-division (Ducos 2000).
 
@@ -145,25 +93,25 @@ def _ducos_step(P: list, Q: list, C: list, s, R: Ring) -> list:
     (lc(Q) * (x*H_(d-1) + D) - h*Q) / s with D = sum_(j<d) P_j H_j / lc(P)
     and h the x^e-coefficient of x*H_(d-1).  Every division is exact.
     """
-    zero, add, sub, mul, div = R.zero, R.add, R.sub, R.mul, R.div
     d, e = len(P) - 1, len(Q) - 1
     c, lq = C[-1], Q[-1]
-    H = [sub(zero, x) for x in C[:-1]]
-    D = [mul(P[j], c) for j in range(e)]
+    H = [[-v for v in x] for x in C[:-1]]
+    D = [z_mul(P[j], c) for j in range(e)]
     for j in range(e, d):
         if j > e:
             h = H[-1]
-            H = [sub(x, div(mul(h, q), lq)) for x, q in zip([zero] + H[:-1], Q)]
-        if not R.is_zero(P[j]):
-            D = [add(x, mul(P[j], y)) for x, y in zip(D, H)]
+            H = [z_sub(x, z_exact_div(z_mul(h, q), lq))
+                 for x, q in zip([[]] + H[:-1], Q)]
+        if P[j]:
+            D = [z_add(x, z_mul(P[j], y)) for x, y in zip(D, H)]
     lp, h = P[-1], H[-1]
-    out = [div(sub(mul(lq, add(x, div(y, lp))), mul(h, q)), s)
-           for x, y, q in zip([zero] + H[:-1], D, Q)]
-    return _trim(out, R.is_zero)
+    out = [z_exact_div(z_sub(z_mul(lq, z_add(x, z_exact_div(y, lp))), z_mul(h, q)), s)
+           for x, y, q in zip([[]] + H[:-1], D, Q)]
+    return _q_trim(out)
 
 
-def _subresultant(a: list, b: list, R: Ring):
-    """Res(a, b) of two coefficient lists over R, sign included.
+def _subresultant(a: list, b: list) -> list:
+    """Res(a, b) of two polynomials over Z[x1], sign included.
 
     The first step is the pseudo-remainder prem(a, b), with
     s = lc(b)^(deg a - deg b).  Then, while deg Q > 0, Lazard's power
@@ -174,7 +122,7 @@ def _subresultant(a: list, b: list, R: Ring):
     on the first step and on each later step whose degrees are both odd.
     """
     if not a or not b:
-        return R.zero
+        return []
     da, db = len(a) - 1, len(b) - 1
     sign = 1
     if da < db:
@@ -182,48 +130,54 @@ def _subresultant(a: list, b: list, R: Ring):
         if da % 2 and db % 2:
             sign = -1
     if db == 0:
-        r = R.one
+        r = [1]
         for _ in range(da):
-            r = R.mul(r, b[0])
+            r = z_mul(r, b[0])
     else:
         if da % 2 and db % 2:
             sign = -sign
-        s = R.one
+        s = [1]
         for _ in range(da - db):
-            s = R.mul(s, b[-1])
-        P, Q = b, _prem(a, b, R)
+            s = z_mul(s, b[-1])
+        P, Q = b, _prem(a, b)
         while True:
             if not Q:
-                return R.zero  # nonconstant common factor
+                return []  # nonconstant common factor
             dp, dq = len(P) - 1, len(Q) - 1
             if dp - dq == 1:
                 C = Q
             else:
-                t = _lazard(Q[-1], s, dp - dq - 1, R)
-                C = [R.div(R.mul(t, q), s) for q in Q]
+                t = _lazard(Q[-1], s, dp - dq - 1)
+                C = [z_exact_div(z_mul(t, q), s) for q in Q]
             if dq == 0:
                 r = C[0]
                 break
             if dp % 2 and dq % 2:
                 sign = -sign
-            P, Q, s = C, _ducos_step(P, Q, C, s, R), C[-1]
-    return r if sign > 0 else R.sub(R.zero, r)
+            P, Q, s = C, _ducos_step(P, Q, C, s), C[-1]
+    return r if sign > 0 else [-x for x in r]
 
 
 def resultant(f: Poly, g: Poly, var: int) -> Poly:
-    """Resultant of f and g with respect to one variable.
+    """Res_var(f, g) for two polynomials in two variables, sign included.
 
-    Equals the determinant of the Sylvester matrix, sign included.
-    Returns a polynomial in the same ambient space not using `var`.
+    The entry point onto `z_resultant` for Polys: each input is cleared
+    of denominators by `z_rows`, and the scale L1^deg(g) * L2^deg(f)
+    that clearing puts on the resultant is divided back out.  Equals the
+    Sylvester determinant: 0 when either input is zero, 1 when both have
+    degree 0 in `var`.  The result is a polynomial in the other variable.
     """
-    if f.varcount != g.varcount:
-        raise ValueError("variable count mismatch in resultant")
-    n = f.varcount
+    if f.varcount != 2 or g.varcount != 2 or var not in (0, 1):
+        raise ValueError("resultant takes two polynomials in two variables")
     if f.is_zero() or g.is_zero():
-        return Poly(n)
-    ring = Ring(Poly(n), Poly.const(n, 1), operator.add, operator.sub,
-                operator.mul, Poly.exact_divide, Poly.is_zero)
-    return _subresultant(uni_coeffs(f, var), uni_coeffs(g, var), ring)
+        return Poly(2)
+    if var == 0:
+        swap = [Poly.variable(2, 1), Poly.variable(2, 0)]
+        f, g = f.substitute(swap), g.substitute(swap)
+    L1, a = z_rows(f)
+    L2, b = z_rows(g)
+    scale = L1 ** (len(b) - 1) * L2 ** (len(a) - 1)
+    return z_to_poly(z_resultant(a, b), 2, 1 - var, Fraction(1, scale))
 
 
 def poly_matrix_det(rows: list, varcount: int) -> Poly:
@@ -259,8 +213,9 @@ def poly_matrix_det(rows: list, varcount: int) -> Poly:
 # entry is nonzero; [] is zero.  A polynomial in Z[x1][x2] is a list, by
 # x2-degree, of such lists in x1, whose last entry is nonempty.  Plane
 # fibers run here (attrs.py), and so does every univariate Poly through
-# squarefree_part and count_real_roots; the tests hold the kernel against
-# the Fraction oracles in tests/oracles.py.
+# squarefree_part and count_real_roots and every bivariate pair through
+# resultant; the tests hold the kernel against the Fraction oracles in
+# tests/oracles.py.
 
 
 def _q_trim(c: list) -> list:
@@ -369,9 +324,6 @@ def z_add(a: list, b: list) -> list:
     return _q_trim(out)
 
 
-Z_RING = Ring([], [1], z_add, z_sub, z_mul, z_exact_div, operator.not_)
-
-
 def _zz_rem(a: list, b: list) -> tuple:
     """(lam, lam * a mod b) for a, b in Z[x1][x2], lc(b) a constant c.
 
@@ -435,7 +387,7 @@ def z_resultant(a: list, b: list) -> list:
         if m % 2 and n % 2:
             sign = -sign
         a, b = b, r
-    res = _subresultant(a, b, Z_RING)
+    res = _subresultant(a, b)
     g = math.gcd(num, den)
     num, den = sign * num // g, den // g
     if any(x % den for x in res):

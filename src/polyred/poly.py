@@ -354,8 +354,9 @@ class Poly:
         return total
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
-        """Substitute images[i] for variable i.  All images must share a
-        variable count, which becomes the result's.
+        """Substitute images[i] for variable i.  The result has the
+        variable count of images[0], and every image a term reads must
+        have it too; an image that no term reads is not checked.
 
         One loop serves every kind of image: each power images[var]**e is
         computed once, each term's product of powers is scaled by the
@@ -368,9 +369,6 @@ class Poly:
         if not images:
             return Poly(0, dict(self.terms))
         target = images[0].varcount
-        for g in images:
-            if g.varcount != target:
-                raise ValueError("images disagree on variable count")
         out: dict = {}
         powers: dict = {}
         for m, c in self.terms.items():
@@ -379,7 +377,10 @@ class Poly:
                 key = (var, e)
                 p = powers.get(key)
                 if p is None:
-                    p = images[var] ** e
+                    g = images[var]
+                    if g.varcount != target:
+                        raise ValueError("images disagree on variable count")
+                    p = g ** e
                     powers[key] = p
                 if not p.terms:
                     break

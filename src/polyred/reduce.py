@@ -256,33 +256,30 @@ def segre_step(f: PolyMap):
 
 
 def _split_t_shape(f: PolyMap):
-    """Check f = (X + t*Q(X) + t^2*C(X), t) and return (n, Q, C) with
-    the quadratic and cubic blocks as term dicts over the X variables."""
+    """Check f = (X + t*Q(X) + t^2*C(X), t) and return (n, C) with the
+    cubic block as term dicts over the X variables."""
     if not f.is_endomorphism() or f.n_in < 2:
         raise ValueError("expected (X + t Q + t^2 C, t) with t last")
     m = f.n_in
     n = m - 1
     if f.components[n] != Poly.variable(m, n):
         raise ValueError("the last component must be the extension variable")
-    q_parts, c_parts = [], []
+    c_parts = []
     for i in range(n):
         h = f.components[i] - Poly.variable(m, i)
-        q_terms, c_terms = {}, {}
+        c_terms = {}
         for mono, coeff in h.terms.items():
             e = mono_exponent(mono, n)
             rest = tuple(p for p in mono if p[0] != n)
             rd = mono_degree(rest)
-            if e == 1 and rd == 2:
-                q_terms[rest] = coeff
-            elif e == 2 and rd == 3:
+            if e == 2 and rd == 3:
                 c_terms[rest] = coeff
-            else:
+            elif e != 1 or rd != 2:
                 raise ValueError(
                     f"component {i} is not x + t*(quadratic in X) "
                     "+ t^2*(cubic in X)")
-        q_parts.append(q_terms)
         c_parts.append(c_terms)
-    return n, q_parts, c_parts
+    return n, c_parts
 
 
 def eliminate_quadratic(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
@@ -294,7 +291,7 @@ def eliminate_quadratic(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
     the range side; the t^2 C block cancels between them.  The output
     passes is_yagzhev exactly.
     """
-    n, _, c_parts = _split_t_shape(f)
+    n, c_parts = _split_t_shape(f)
     big = 2 * n + 1
     if big > budget.max_dim:
         raise BudgetExceeded(

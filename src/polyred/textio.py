@@ -581,11 +581,3 @@ def pairing_to_json(pairing) -> dict:
         "f": _map_text(pairing.F),
         "g": _map_text(pairing.G),
     }
-
-
-def load_schema(name: str) -> dict:
-    """One of the shipped JSON schemas, by base name ('certificate', ...)."""
-    import json
-    from importlib import resources
-    path = resources.files("polyred").joinpath(f"schemas/{name}.schema.json")
-    return json.loads(path.read_text(encoding="utf-8"))

@@ -7,7 +7,10 @@ two on random inputs:
   * the Fraction remainder chain (gcd, squarefree part, Sturm count) of
     a univariate polynomial over Q, which elim.squarefree_part and
     elim.count_real_roots replaced with the integer kernel;
-  * the Sylvester determinant route for elim.resultant;
+  * the Sylvester determinant, built from uni_coeffs (the coefficients
+    of a Poly in one distinguished variable): the independent route for
+    elim.resultant and for the fiber witness of attrs, both of which run
+    the integer kernel;
   * the g*h^delta subresultant loop over Z[x1][x2], which elim.z_resultant
     replaced with Lazard's and Ducos' steps; elim._subresultant alone,
     the Ducos-only route, is what z_resultant's Euclidean prefix is held
@@ -43,8 +46,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from polyred.certs import Automorphism, CertificateBuilder, PostCompose, PreCompose
-from polyred.elim import (_q_trim, poly_matrix_det, q_derive, uni_coeffs, z_exact_div,
-                          z_gcd, z_mul, z_sub)
+from polyred.elim import _q_trim, poly_matrix_det, q_derive, z_exact_div, z_gcd, z_mul, z_sub
 from polyred.linalg import sparse_det, sparse_inverse
 from polyred.maps import DEFAULT_BUDGET, GenericityError, eval_jacobian_sparse, sparse_jacobian
 from polyred.poly import (ExactDivisionError, GRLEX_KEY, Poly, ZERO_MONO, as_coeff,
@@ -53,8 +55,30 @@ from polyred.reduce import _check_time, _sparse_is_identity
 from polyred.textio import MAX_EXPONENT, MAX_NESTING, ParseError, _lex
 
 
+def uni_coeffs(p: Poly, var: int) -> list:
+    """Coefficient list [c0, c1, ...] of p in the distinguished variable.
+
+    Coefficients are Poly values in the same ambient space that do not
+    use `var`.  The zero polynomial gives [].
+    """
+    if p.is_zero():
+        return []
+    d = p.degree_in(var)
+    out = [{} for _ in range(d + 1)]
+    for m, c in p.terms.items():
+        e = 0
+        rest = []
+        for v, k in m:
+            if v == var:
+                e = k
+            else:
+                rest.append((v, k))
+        out[e][tuple(rest)] = c  # m -> (e, rest) is one to one
+    return [Poly(p.varcount, t) for t in out]
+
+
 def uni_assemble(coeffs: list, var: int, varcount: int) -> Poly:
-    """The Poly sum coeffs[e] * x_var^e, inverse to elim.uni_coeffs."""
+    """The Poly sum coeffs[e] * x_var^e, inverse to uni_coeffs."""
     out = Poly(varcount)
     xv = Poly.variable(varcount, var)
     for e, c in enumerate(coeffs):

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import uni_coeffs
 from golden.make_attributes import PATH as GOLDEN_ATTRIBUTES, stdout_of
 from polyred import attrs, cli, maps
 from polyred.attrs import (AttributeReport, _eliminable, _plane_rows,
                            _require_nondegenerate, _rotate, _rotation_context,
                            _rows_poly, _specialize, dex2, fiber_count_real,
                            generic_rotation, mfs_sample)
-from polyred.elim import resultant, uni_coeffs, z_mul, z_rows
+from polyred.elim import z_mul, z_rows
 from polyred.examples import builtin_example, corpus
 from polyred.maps import GenericityError, PolyMap, jacobian_det
 from polyred.poly import Poly
@@ -129,7 +130,6 @@ def test_rotation_fixes_bad_leading_coefficient():
     composed = PolyMap([c.substitute(auto.forward.components) for c in f.components])
     assert g == composed
     # and now the top coefficient in x2 is a constant for both components
-    from polyred.elim import uni_coeffs
     for comp in g.components:
         cs = uni_coeffs(comp, 1)
         assert cs[-1].is_constant()
@@ -276,8 +276,9 @@ def test_fiber_counts_bounded_by_dex():
 
 
 def test_fiber_witness_equals_fraction_path():
-    # the integer kernel's witness is exactly the squarefree part of the
-    # Fraction resultant over the same rotation and target
+    # the integer kernel's witness is exactly the squarefree part, by the
+    # Fraction chain, of the Sylvester resultant over the same rotation
+    # and target
     checked = 0
     for eid in ("triple-root", "plane-quad", "yagzhev-2d-b", "random-d4-n2",
                 "random-d6-n2", "pinchuk"):
@@ -287,8 +288,8 @@ def test_fiber_witness_equals_fraction_path():
         g = PolyMap([_rows_poly(comp) for comp in rows])
         for target in [(2, 3), (Fraction(-7, 3), Fraction(5, 2)), (0, 0)]:
             t = (Fraction(target[0]), Fraction(target[1]))
-            r = resultant(g.components[0] - Poly.const(2, t[0]),
-                          g.components[1] - Poly.const(2, t[1]), 1)
+            r = oracles.sylvester_resultant(g.components[0] - Poly.const(2, t[0]),
+                                            g.components[1] - Poly.const(2, t[1]), 1)
             if r.degree_in(0) != ref:
                 continue
             fib = fiber_count_real(f, t, _ctx=(fr, (rows, ref)))

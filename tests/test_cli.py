@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+from importlib import resources
 
 import jsonschema
 import pytest
@@ -12,7 +13,13 @@ from polyred import cli, gz
 from polyred.cli import main
 from polyred.maps import DEFAULT_BUDGET, PolyMap, is_yagzhev
 from polyred.poly import Poly
-from polyred.textio import load_schema, parse_map
+from polyred.textio import parse_map
+
+
+def load_schema(name: str) -> dict:
+    """One of the shipped JSON schemas, by base name ('certificate', ...)."""
+    path = resources.files("polyred").joinpath(f"schemas/{name}.schema.json")
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):

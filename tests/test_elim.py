@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import uni_coeffs
 from polyred import attrs, elim
 from polyred.elim import (
     count_real_roots,
     poly_matrix_det,
     resultant,
     squarefree_part,
-    uni_coeffs,
     z_add,
     z_count_real_roots,
     z_exact_div,
@@ -60,32 +60,58 @@ def test_uni_coeffs_roundtrip():
 # -- resultants ------------------------------------------------------------
 
 
+def random_rational(rng):
+    """A polynomial in two variables of degree at most 3 in each, with
+    rational coefficients; zero now and then."""
+    terms = {}
+    for _ in range(rng.randrange(1, 5)):
+        exps = (rng.randrange(4), rng.randrange(4))
+        terms[exps] = Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
+    return oracles.from_terms(2, terms)
+
+
 def test_resultant_matches_sylvester_route():
     # the two routes are independent implementations; they must agree
-    # exactly, sign included
+    # exactly, sign included, in either variable, with rational
+    # coefficients, and when an input has degree 0 in that variable
     rng = random.Random(2)
-    checked = 0
-    while checked < 40:
-        f = random_poly(rng, 2, 3, 4)
-        g = random_poly(rng, 2, 3, 4)
-        var = rng.randrange(2)
-        if f.degree_in(var) == 0 and g.degree_in(var) == 0:
-            continue
-        if f.is_zero() or g.is_zero():
-            continue
-        assert resultant(f, g, var) == oracles.sylvester_resultant(f, g, var)
-        checked += 1
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    pairs = [(random_rational(rng), random_rational(rng)) for _ in range(40)]
+    pairs += [
+        (Poly.const(2, Fraction(3, 2)), x * x * y - y.scale(Fraction(1, 3)) + Poly.const(2, 1)),
+        (x + Poly.const(2, 2), y * x - Poly.const(2, 1)),
+        (Poly.const(2, 5), Poly.const(2, Fraction(-1, 7))),
+        (x.scale(Fraction(2, 3)) + y, y * y),
+    ]
+    low_degree = 0
+    for f, g in pairs:
+        for var in (0, 1):
+            for a, b in ((f, g), (g, f)):
+                assert resultant(a, b, var) == oracles.sylvester_resultant(a, b, var)
+            low_degree += min(f.degree_in(var), g.degree_in(var)) == 0
+    assert low_degree >= 4
+    # `resultant` takes two polynomials in two variables, and nothing else
+    x3 = Poly.variable(3, 0)
+    for f, g, var in ((x3, x3 + Poly.const(3, 1), 0), (x, x3, 0), (x3, x, 1),
+                      (Poly(3), Poly(3), 0), (x, y, 2), (x, y, -1)):
+        with pytest.raises(ValueError):
+            resultant(f, g, var)
 
 
 def test_resultant_known_values():
-    # res_x(x^2 - a, x^2 - b) = (a - b)^2
-    x, a, b = (Poly.variable(3, i) for i in range(3))
-    r = resultant(x * x - a, x * x - b, 0)
-    assert r == (a - b) * (a - b)
-    # res_x(f, x - c) = f(c)
-    f = x * x - Poly.const(3, 2)
-    r2 = resultant(f, x - a, 0)
-    assert r2 == a * a - Poly.const(3, 2)
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    two = Poly.const(2, 2)
+    # res_x(x^2 - a, x^2 - b) = (a - b)^2, here with a = y, b = 2
+    assert resultant(x * x - y, x * x - two, 0) == (y - two) * (y - two)
+    # res_x(f, x - c) = f(c), here with c = y
+    assert resultant(x * x - two, x - y, 0) == y * y - two
+    # res_y(y - x^2, y - x) = -(x - x^2), the sign from swapping two odd degrees
+    assert resultant(y - x * x, y - x, 1) == x * x - x
+    # Sylvester conventions: a zero input gives 0, two constants give 1,
+    # and a constant c against a degree-d polynomial gives c^d
+    assert resultant(Poly(2), x - y, 0).is_zero()
+    assert resultant(two, Poly.const(2, Fraction(1, 3)), 1) == Poly.const(2, 1)
+    assert resultant(Poly.const(2, Fraction(1, 2)), x ** 3 + y, 0) == Poly.const(2, Fraction(1, 8))
 
 
 def test_resultant_detects_common_factor():
@@ -268,7 +294,7 @@ def kernel_fiber(p1, p2):
 
 
 def fraction_fiber(p1, p2):
-    r = resultant(p1, p2, 1)
+    r = oracles.sylvester_resultant(p1, p2, 1)
     if r.is_zero():
         return r, None, None
     sf = oracles.squarefree_part(r)
@@ -590,7 +616,7 @@ PREFIX = {
 def test_z_resultant_prefix_matches_ducos_chain(pair):
     a, b = pair
     for x, y in ((a, b), (b, a)):
-        assert z_resultant(x, y) == oracles.z_resultant(x, y) == elim._subresultant(x, y, elim.Z_RING)
+        assert z_resultant(x, y) == oracles.z_resultant(x, y) == elim._subresultant(x, y)
 
 
 @pytest.mark.parametrize("name, steps", [
@@ -635,7 +661,7 @@ def test_pinchuk_fibers_start_with_two_euclidean_steps(seed, monkeypatch):
     (P, Q), = [args[:2] for args, _ in calls["_prem"]]
     assert (len(P) - 1, len(Q) - 1) == (9, 8) and len(Q[-1]) == 1
     monkeypatch.undo()
-    assert r == elim._subresultant(a, b, elim.Z_RING)
+    assert r == elim._subresultant(a, b)
 
 
 # -- the squarefree certificate against the gcd route ----------------------------

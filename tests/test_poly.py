@@ -476,6 +476,17 @@ def test_substitute_skips_terms_with_a_zero_image():
     assert p.substitute(images) == substitute_oracle(p, images)
 
 
+def test_substitute_checks_every_image_it_reads():
+    x, y, z = (Poly.variable(3, i) for i in range(3))
+    good, bad = Poly.variable(2, 0), Poly.variable(3, 0)
+    with pytest.raises(ValueError):
+        (x * y).substitute([good, bad, good])
+    with pytest.raises(ValueError):
+        (z + Poly.const(3, 1)).substitute([good, good, bad])
+    # an image that no term reads is not checked
+    assert (x + Poly.const(3, 1)).substitute([good, bad, bad]) == good + Poly.const(2, 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_ring_laws(data):
