@@ -283,9 +283,17 @@ Move = Union[ExtendFreshVars, PostCompose, PreCompose, SegreExtend]
 
 
 def apply_move(f: PolyMap, move: Move) -> PolyMap:
-    """The map after one move.  Components a shear does not touch are
-    carried over as the same objects, which keeps replaying long chained
-    certificates cheap."""
+    """The map after one move.
+
+    Components a shear does not touch are carried over as the same
+    objects, and a shear costs what it rewrites.  A pre-composed shear
+    reads f's summary (PolyMap.top_indices), scans exactly only the
+    components whose highest index reaches the smallest shifted one, and
+    builds identity images only for the variables the components it
+    substitutes into read.  Extensions and shears hand the summary on,
+    updated where they change a component; the other moves drop it, and
+    the next pre-composed shear rebuilds it.
+    """
     if isinstance(move, ExtendFreshVars):
         k = move.count
         if k < 1:
@@ -293,7 +301,8 @@ def apply_move(f: PolyMap, move: Move) -> PolyMap:
         n = f.n_in + k
         comps = [c.extend(n) for c in f.components]
         comps.extend(Poly.variable(n, f.n_in + i) for i in range(k))
-        return PolyMap(comps)
+        tops = None if f.tops is None else f.tops + list(range(f.n_in, n))
+        return PolyMap(comps, tops)
     if isinstance(move, PostCompose):
         a = move.auto
         if a.dim != f.n_out:
@@ -301,22 +310,44 @@ def apply_move(f: PolyMap, move: Move) -> PolyMap:
         if not isinstance(a, ShearAutomorphism):
             return a.forward.compose(f)
         out = list(f.components)
+        tops = None if f.tops is None else list(f.tops)
         for i, g in a.additions.items():
             out[i] = f.components[i] + g.substitute(f.components)
-        return PolyMap(out)
+            if tops is not None:
+                tops[i] = out[i].top_index()
+        return PolyMap(out, tops)
     if isinstance(move, PreCompose):
         a = move.auto
         if a.dim != f.n_in:
             raise ValueError("pre-composition shape mismatch")
         if not isinstance(a, ShearAutomorphism):
             return f.compose(a.forward)
-        # fresh identity images, not Poly.variable's: its cache would keep
-        # one Poly per (dimension, index) for every dimension a chain visits
-        images = [Poly(a.n, {((i, 1),): 1}) for i in range(a.n)]
-        for i, g in a.additions.items():
-            images[i] = images[i] + g
-        return PolyMap([c if c.variables_used().isdisjoint(a.additions) else c.substitute(images)
-                        for c in f.components])
+        n, shifted = a.n, a.additions
+        lowest = min(shifted, default=n)
+        out = list(f.components)
+        tops = list(f.top_indices())
+        images = None
+        for i, top in enumerate(tops):
+            if top < lowest:
+                continue
+            used = out[i].variables_used()
+            if used.isdisjoint(shifted):
+                continue
+            if images is None:
+                # a slot that no rewritten component reads keeps this shared
+                # zero, which substitute never looks at; the identity images
+                # are fresh, not Poly.variable's, whose cache would keep one
+                # Poly per (dimension, index) for every dimension a chain visits
+                unread = Poly(n)
+                images = [unread] * n
+                for j, g in shifted.items():
+                    images[j] = Poly(n, {((j, 1),): 1}) + g
+            for v in used:
+                if images[v] is unread:
+                    images[v] = Poly(n, {((v, 1),): 1})
+            out[i] = out[i].substitute(images)
+            tops[i] = out[i].top_index()
+        return PolyMap(out, tops)
     if isinstance(move, SegreExtend):
         if not f.is_endomorphism():
             raise ValueError("the Segre move needs an endomorphism")

@@ -99,6 +99,14 @@ def _write_text(text: str, path) -> None:
             fh.write(text)
 
 
+def _write_json(data, path) -> None:
+    """data as indented JSON and a newline, streamed to the file rather
+    than built as one string first."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -145,8 +153,7 @@ def _cmd_reduce(args) -> int:
     out_doc = polymap_to_document(g, metadata={"stage": args.to})
     _write_text(print_map(out_doc), args.out)
     if args.cert is not None:
-        _write_text(json.dumps(certificate_to_json(cert), indent=2) + "\n",
-                    args.cert)
+        _write_json(certificate_to_json(cert), args.cert)
     # keep the summary off stdout when the document itself goes there
     log = sys.stdout if args.out is not None else sys.stderr
     print("stages: " + " -> ".join(f"{name} ({dim})" for name, dim in stages),
@@ -210,8 +217,7 @@ def _cmd_symmetrize(args) -> int:
                      "potential": poly_text(potential, names)})
     _write_text(print_map(out_doc), args.out)
     if args.cert is not None:
-        _write_text(json.dumps(certificate_to_json(cert), indent=2) + "\n",
-                    args.cert)
+        _write_json(certificate_to_json(cert), args.cert)
     return 0
 
 
@@ -222,8 +228,7 @@ def _cmd_segre(args) -> int:
     out_doc = polymap_to_document(g, metadata={"stage": "segre"})
     _write_text(print_map(out_doc), args.out)
     if args.cert is not None:
-        _write_text(json.dumps(certificate_to_json(cert), indent=2) + "\n",
-                    args.cert)
+        _write_json(certificate_to_json(cert), args.cert)
     return 0
 
 

@@ -57,11 +57,18 @@ class GenericityError(RuntimeError):
 
 
 class PolyMap:
-    """An ordered tuple of polynomials R^m -> R^n, exact coefficients."""
+    """An ordered tuple of polynomials R^m -> R^n, exact coefficients.
 
-    __slots__ = ("components",)
+    `tops` summarizes the components for shear replay: entry i is the
+    highest variable index component i reads (Poly.top_index), so a
+    component whose entry is below every shifted index cannot read a
+    shifted variable.  It is None until top_indices() builds it; a caller
+    that passes it vouches for it, since it is not checked.
+    """
 
-    def __init__(self, components: Sequence[Poly]):
+    __slots__ = ("components", "tops")
+
+    def __init__(self, components: Sequence[Poly], tops: Optional[list] = None):
         comps = list(components)
         if not comps:
             raise ValueError("a map needs at least one component")
@@ -70,6 +77,13 @@ class PolyMap:
             if c.varcount != vc:
                 raise ValueError("components disagree on variable count")
         self.components = comps
+        self.tops = tops
+
+    def top_indices(self) -> list:
+        """The summary `tops`, built on first use."""
+        if self.tops is None:
+            self.tops = [c.top_index() for c in self.components]
+        return self.tops
 
     # -- shape ---------------------------------------------------------
 

@@ -218,6 +218,11 @@ class Poly:
                 used.add(v)
         return used
 
+    def top_index(self) -> int:
+        """The highest variable index any term reads, -1 for a constant:
+        the last pair of each sorted monomial names its highest index."""
+        return max((m[-1][0] for m in self.terms if m), default=-1)
+
     def sorted_terms(self) -> list:
         """Terms as (monomial, coefficient), graded lex descending."""
         return [(m, self.terms[m]) for m in sorted(self.terms, key=GRLEX_KEY, reverse=True)]

@@ -28,6 +28,10 @@ two on random inputs:
     textio._ExprParser replaced with one that builds terms directly;
   * the Segre move by substitution and exact division, which
     certs.apply_move replaced with a monomial rewrite;
+  * the pre-composed shear that builds all n identity images and scans
+    every component's variables, which certs.apply_move replaced with a
+    scan of only the components whose highest index reaches a shifted
+    one;
   * the base-point search of reduce.normalize that accepted a Fraction
     point by sparse_det and then eliminated the same Jacobian again with
     sparse_inverse, which one sparse_inverse per candidate replaced;
@@ -48,7 +52,8 @@ from typing import Optional, Sequence
 from polyred.certs import Automorphism, CertificateBuilder, PostCompose, PreCompose
 from polyred.elim import _q_trim, poly_matrix_det, q_derive, z_exact_div, z_gcd, z_mul, z_sub
 from polyred.linalg import sparse_det, sparse_inverse
-from polyred.maps import DEFAULT_BUDGET, GenericityError, eval_jacobian_sparse, sparse_jacobian
+from polyred.maps import (DEFAULT_BUDGET, GenericityError, PolyMap, eval_jacobian_sparse,
+                          sparse_jacobian)
 from polyred.poly import (ExactDivisionError, GRLEX_KEY, Poly, ZERO_MONO, as_coeff,
                           mono_degree, mono_div, mono_divides, mono_exponent, mono_mul, qdiv)
 from polyred.reduce import _check_time, _sparse_is_identity
@@ -592,6 +597,20 @@ def segre_by_division(f) -> list:
     scaled = [Poly.variable(n + 1, i) * t for i in range(n)]
     comps = [c.extend(n + 1).substitute(scaled + [t]).exact_divide(t) for c in f.components]
     return comps + [t]
+
+
+# -- the pre-composed shear over full identity images ----------------------------
+
+
+def pre_shear_by_full_images(f, shear):
+    """apply_move(f, PreCompose(shear)) as the move first computed it:
+    all n identity images, the shifted ones plus their addends, and a
+    variable scan of every component."""
+    images = [Poly(shear.n, {((i, 1),): 1}) for i in range(shear.n)]
+    for i, g in shear.additions.items():
+        images[i] = images[i] + g
+    return PolyMap([c if c.variables_used().isdisjoint(shear.additions) else c.substitute(images)
+                    for c in f.components])
 
 
 # -- Fraction-only polynomials -------------------------------------------------

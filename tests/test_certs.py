@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -18,6 +18,7 @@ from polyred.certs import (
     PreCompose,
     RationalMap,
     SegreExtend,
+    ShearAutomorphism,
     _transport,
     apply_move,
     fiber_transport_check,
@@ -28,7 +29,7 @@ from polyred.examples import builtin_example
 from polyred.linalg import RatMatrix
 from polyred.maps import PolyMap
 from polyred.poly import ExactDivisionError, Poly, as_coeff, qdiv
-from polyred.reduce import meng_symmetrize
+from polyred.reduce import meng_symmetrize, to_yagzhev
 
 
 def V(n, i):
@@ -359,6 +360,129 @@ def test_segre_jacobian_identity_small():
     assert jg == jf.extend(n).substitute(scaled + [t])
 
 
+# -- pre-composed shears against the full-images oracle ----------------------
+
+
+@st.composite
+def small_polys(draw, n, allowed):
+    """Up to two terms, each a coefficient times at most two of `allowed`;
+    zero and constants included."""
+    allowed = list(allowed)
+    p = Poly(n)
+    for _ in range(draw(st.integers(0, 2))):
+        term = C(n, Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2))))
+        for _ in range(draw(st.integers(0, 2)) if allowed else 0):
+            term = term * V(n, draw(st.sampled_from(allowed)))
+        p = p + term
+    return p
+
+
+@st.composite
+def shear_additions(draw, n, where):
+    """Addends of a valid shear of n variables whose shifted indices sit
+    low, in the middle, at the top, or anywhere."""
+    shifted = {"low": {0}, "middle": {n // 2}, "top": {n - 1}}.get(where)
+    if shifted is None:
+        shifted = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    free = [v for v in range(n) if v not in shifted]
+    return {i: draw(small_polys(n, free)) for i in sorted(shifted)}
+
+
+def _rational_move(n, i, j):
+    """x_j -> x_j (1 + x_i^2), whose inverse divides by 1 + x_i^2."""
+    w = C(n, 1) + V(n, i) * V(n, i)
+    fwd = PolyMap([V(n, k) * w if k == j else V(n, k) for k in range(n)])
+    inv = RationalMap([V(n, k) if k == j else V(n, k) * w for k in range(n)], w)
+    return PreCompose(Automorphism(fwd, inv))
+
+
+@st.composite
+def move_chains(draw):
+    """An endomorphism with zero, constant and polynomial components, and
+    a chain of moves over it: pre- and post-composed shears, extensions,
+    lower_degree-shaped rounds (extend by two, attach two factors, cancel
+    their product), and the linear, rational and Segre moves that drop
+    the replay summary, so a later shear rebuilds it."""
+    n = draw(st.integers(1, 4))
+    kinds = st.sampled_from(["poly", "poly", "poly", "zero", "const"])
+    comps = []
+    for _ in range(n):
+        kind = draw(kinds)
+        comps.append(draw(small_polys(n, range(n))) if kind == "poly"
+                     else Poly(n) if kind == "zero" else C(n, draw(st.integers(1, 3))))
+    f = cur = PolyMap(comps)
+    moves = []
+    for _ in range(draw(st.integers(1, 7))):
+        n = cur.n_in
+        kind = draw(st.sampled_from(["pre", "pre", "pre", "post", "extend", "round",
+                                     "linear", "rational", "segre"]))
+        if kind == "pre":
+            where = draw(st.sampled_from(["low", "middle", "top", "any"]))
+            step = [PreCompose(Automorphism.shear(n, draw(shear_additions(n, where))))]
+        elif kind == "post":
+            step = [PostCompose(Automorphism.shear(n, draw(shear_additions(n, "any"))))]
+        elif kind == "extend":
+            step = [ExtendFreshVars(draw(st.integers(1, 2)))]
+        elif kind == "round":
+            m = n + 2
+            a, b = draw(small_polys(m, range(n))), draw(small_polys(m, range(n)))
+            ci = draw(st.integers(0, n - 1))
+            step = [ExtendFreshVars(2),
+                    PreCompose(Automorphism.shear(m, {n: a, n + 1: b})),
+                    PostCompose(Automorphism.shear(m, {ci: (V(m, n) * V(m, n + 1)).scale(-1)}))]
+        elif kind == "linear":
+            perm = draw(st.permutations(range(n)))
+            move = draw(st.sampled_from([PreCompose, PostCompose]))
+            step = [move(Automorphism.permutation(n, perm))]
+        elif kind == "rational" and n > 1:
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            step = [_rational_move(n, i, j)]
+        elif kind == "segre" and all(c == 0 for c in cur.constant_part()):
+            step = [SegreExtend()]
+        else:
+            continue
+        for move in step:
+            cur = apply_move(cur, move)
+        moves += step
+    return f, moves
+
+
+def _oracle_move(f, move):
+    if isinstance(move, PreCompose) and isinstance(move.auto, ShearAutomorphism):
+        return oracles.pre_shear_by_full_images(f, move.auto)
+    return apply_move(f, move)
+
+
+def _terms_in_order(f):
+    return [(p.varcount, [(m, c, type(c)) for m, c in p.terms.items()])
+            for p in f.components]
+
+
+def _below_top_chain():
+    """With x1 shifted: x1 x4 reads it below its top index 4, x0 + x4
+    reaches it with its top but reads nothing shifted, x0 stays below it,
+    and the zero and the constant read nothing.  A permutation then drops
+    the summary, and the next shear rebuilds it."""
+    x = [V(5, i) for i in range(5)]
+    f = PolyMap([x[1] * x[4], x[0] + x[4], x[0], Poly(5), C(5, 3)])
+    return f, [PreCompose(Automorphism.shear(5, {1: x[0] * x[0] + C(5, 1)})),
+               PostCompose(Automorphism.permutation(5, [4, 0, 1, 2, 3])),
+               PreCompose(Automorphism.shear(5, {4: x[0] + C(5, 1)}))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(move_chains())
+@example(_below_top_chain())
+def test_pre_shear_replay_matches_full_images(case):
+    f, moves = case
+    fast = slow = f
+    for move in moves:
+        fast, slow = apply_move(fast, move), _oracle_move(slow, move)
+        assert _terms_in_order(fast) == _terms_in_order(slow)
+        if fast.tops is not None:
+            assert fast.tops == [max(c.variables_used(), default=-1) for c in fast.components]
+
+
 # -- certificates ------------------------------------------------------------
 
 
@@ -458,3 +582,19 @@ def test_builder_intermediates_complete():
     assert len(stops) == len(cert.moves) + 1
     assert stops[0] == cert.source
     assert stops[-1] == cert.target
+
+
+def test_pinchuk_replay_scans_few_variable_sets(monkeypatch):
+    """Replay reads each pre-composed shear's summary instead of scanning
+    every component: the full-images route scans 16 712 variable sets on
+    this certificate.  The substitutions stay the same ones."""
+    _, trace = to_yagzhev(builtin_example("pinchuk").document.to_polymap(), seed=0)
+    calls = collections.Counter()
+    for name in ("variables_used", "substitute"):
+        def counted(self, *args, _name=name, _original=getattr(Poly, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(Poly, name, counted)
+    assert verify_certificate(trace.certificate).ok
+    assert calls["variables_used"] < 2000
+    assert calls["substitute"] == 5187

@@ -11,9 +11,11 @@ import pytest
 
 from polyred import cli, gz
 from polyred.cli import main
+from polyred.examples import builtin_example
 from polyred.maps import DEFAULT_BUDGET, PolyMap, is_yagzhev
 from polyred.poly import Poly
-from polyred.textio import parse_map
+from polyred.reduce import meng_symmetrize, segre_step, to_yagzhev
+from polyred.textio import certificate_to_json, parse_map
 
 
 def load_schema(name: str) -> dict:
@@ -336,6 +338,20 @@ def test_segre_output_parses(capsys):
     assert code == 0
     doc = parse_map(out)
     assert len(doc.variables) == 3
+
+
+@pytest.mark.parametrize("argv, build", [
+    (["reduce", "random-d5-n2", "--to", "yagzhev"], lambda f: to_yagzhev(f)[1].certificate),
+    (["symmetrize", "cube-x"], lambda f: meng_symmetrize(f)[1]),
+    (["segre", "yagzhev-2d-a"], lambda f: segre_step(f)[1]),
+])
+def test_cert_file_is_the_indented_certificate(capsys, tmp_path, argv, build):
+    path = tmp_path / "out.cert.json"
+    code, _, err = run(capsys, *argv, "--cert", str(path))
+    assert code == 0, err
+    cert = build(builtin_example(argv[1]).document.to_polymap())
+    want = json.dumps(certificate_to_json(cert), indent=2) + "\n"
+    assert path.read_text(encoding="utf-8") == want
 
 
 # -- examples ----------------------------------------------------------------

@@ -10,10 +10,14 @@ tracer is loaded from its file and nothing in perfbench/ is modified.
 import importlib.util
 import os
 import sys
+from collections import Counter
 
 import polyred.attrs
 import polyred.cli  # noqa: F401  (install wraps cli.main from sys.modules)
 import polyred.elim
+from polyred.certs import CertificateBuilder, verify_certificate
+from polyred.examples import builtin_example
+from polyred.reduce import to_yagzhev
 
 TRACING = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "perfbench", "tracing.py")
@@ -49,3 +53,29 @@ def test_every_tracer_target_resolves_and_undoes():
     assert [_holder(mod, owner).__dict__[attr]
             for mod, owner, attr, _, _ in tracing.TARGETS] == originals
     assert polyred.attrs.resultant is resultant
+
+
+def test_push_and_replay_make_one_traced_call_per_move():
+    """CertificateBuilder.push and verify_certificate call apply_move by
+    its module name, so the tracer's wrapper sees every move, by kind."""
+    tracing = _load_tracing()
+    _, trace = to_yagzhev(builtin_example("random-d5-n2").document.to_polymap())
+    cert = trace.certificate
+    per_kind = Counter(tracing._MOVE_KIND[type(m).__name__] for m in cert.moves)
+    assert set(per_kind) == {"extend", "pre", "post", "segre"}
+    rec = tracing.Recorder()
+    undo = tracing.install(rec)
+    try:
+        rec.active = True
+        builder = CertificateBuilder(cert.source)
+        for move in cert.moves:
+            builder.push(move)
+        pushed = rec.summary()["calls"]
+        assert verify_certificate(cert).ok
+        replayed = rec.summary()["calls"]
+    finally:
+        rec.active = False
+        undo()
+    for kind, k in per_kind.items():
+        assert pushed[f"certs.apply_move.{kind}"] == k
+        assert replayed[f"certs.apply_move.{kind}"] == 2 * k
