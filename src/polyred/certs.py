@@ -23,7 +23,14 @@ A shear x -> x + g is the exception: it is stored as its addends g_i
 alone, and it is checked by their shape.  When every addend lives in the
 shear's variables and none reads a shifted variable, x - g is an exact
 two-sided inverse, so that test proves what the symbolic composition
-would.  Replay and transport touch only the shifted coordinates.
+would.  Replay and transport touch only the shifted coordinates.  On the
+domain side that needs to know which components read a shifted
+variable: a map carries a summary, the highest variable index each
+component reads (PolyMap.tops), and whenever a map has one it is exact
+for that map's components.  Extensions and shears keep it exact for the
+components they add or rewrite; any other move leaves it unbuilt.  A
+component whose highest index is below every shifted index is neither
+scanned nor substituted.
 
 Each move also induces a correspondence of graph points: given x and
 y = F(x), it says which (x', y') witnesses the next map.  Pushing
@@ -335,9 +342,10 @@ def apply_move(f: PolyMap, move: Move) -> PolyMap:
                 continue
             if images is None:
                 # a slot that no rewritten component reads keeps this shared
-                # zero, which substitute never looks at; the identity images
-                # are fresh, not Poly.variable's, whose cache would keep one
-                # Poly per (dimension, index) for every dimension a chain visits
+                # zero, of which substitute reads only the variable count; the
+                # identity images are fresh, not Poly.variable's, whose cache
+                # would keep one Poly per (dimension, index) for every
+                # dimension a chain visits
                 unread = Poly(n)
                 images = [unread] * n
                 for j, g in shifted.items():
