@@ -19,18 +19,27 @@ inverses and are checked two-sided and symbolically; an inverse may be
 rational, in which case the identity is checked in the fraction field
 (denominators cleared, exactly).
 
-A shear x -> x + g is the exception: it is stored as its addends g_i
-alone, and it is checked by their shape.  When every addend lives in the
-shear's variables and none reads a shifted variable, x - g is an exact
-two-sided inverse, so that test proves what the symbolic composition
-would.  Replay and transport touch only the shifted coordinates.  On the
-domain side that needs to know which components read a shifted
-variable: a map carries a summary, the highest variable index each
-component reads (PolyMap.tops), and whenever a map has one it is exact
-for that map's components.  Extensions and shears keep it exact for the
-components they add or rewrite; any other move leaves it unbuilt.  A
-component whose highest index is below every shifted index is neither
-scanned nor substituted.
+Two kinds of automorphism are the exception: each is stored by its
+structure and checked by its shape, which proves what the symbolic
+composition would.
+
+  * A shear x -> x + g is stored as its addends g_i alone.  When every
+    addend lives in the shear's variables and none reads a shifted
+    variable, x - g is an exact two-sided inverse.  Replay and transport
+    touch only the shifted coordinates.  On the domain side that needs
+    to know which components read a shifted variable: a map carries a
+    summary, the highest variable index each component reads
+    (PolyMap.tops), and whenever a map has one it is exact for that
+    map's components.  A component whose highest index is below every
+    shifted index is neither scanned nor substituted.
+  * A coordinate permutation x -> x[perm] is stored as its index list.
+    When the list is a permutation of range(n), its inverse list is an
+    exact two-sided inverse.  Replay reorders components or relabels
+    the variables of each monomial, and transport reorders coordinates;
+    no coefficient is touched.
+
+Extensions, shears and permutations keep the summary exact for the
+components they add, rewrite or move; any other move leaves it unbuilt.
 
 Each move also induces a correspondence of graph points: given x and
 y = F(x), it says which (x', y') witnesses the next map.  Pushing
@@ -206,16 +215,9 @@ class Automorphism:
         return ShearAutomorphism(n, additions, label)
 
     @staticmethod
-    def permutation(n: int, perm, label: str = "") -> "Automorphism":
+    def permutation(n: int, perm, label: str = "") -> "PermutationAutomorphism":
         """Sends x to (x[perm[0]], ..., x[perm[n-1]])."""
-        if sorted(perm) != list(range(n)):
-            raise ValueError("not a permutation")
-        fwd = PolyMap([Poly.variable(n, perm[i]) for i in range(n)])
-        inv_perm = [0] * n
-        for i, p in enumerate(perm):
-            inv_perm[p] = i
-        inv = PolyMap([Poly.variable(n, inv_perm[i]) for i in range(n)])
-        return Automorphism(fwd, inv, label)
+        return PermutationAutomorphism(n, perm, label)
 
     def __repr__(self) -> str:
         tag = self.label or ("poly" if self.is_polynomial() else "rational-inverse")
@@ -266,6 +268,64 @@ class ShearAutomorphism:
         return f"ShearAutomorphism(dim={self.n}, shifts={sorted(self.additions)})"
 
 
+def _permutation_defect(n: int, perm) -> Optional[str]:
+    if len(perm) != n or set(perm) != set(range(n)):
+        return "not a permutation"
+    return None
+
+
+class PermutationAutomorphism:
+    """x -> (x[perm[0]], ..., x[perm[n-1]]), stored as its index list.
+
+    Moves, JSON and transport all read the list: post-composition reorders
+    components, pre-composition relabels variables, and neither builds
+    the forward or the inverse map.
+    """
+
+    __slots__ = ("n", "perm", "label")
+
+    def __init__(self, n: int, perm, label: str = ""):
+        perm = tuple(perm)
+        reason = _permutation_defect(n, perm)
+        if reason is not None:
+            raise ValueError(reason)
+        self.n = n
+        self.perm = perm
+        self.label = label
+
+    @property
+    def dim(self) -> int:
+        return self.n
+
+    def inverse_perm(self) -> list:
+        """The index list of the inverse permutation."""
+        inv = [0] * self.n
+        for i, j in enumerate(self.perm):
+            inv[j] = i
+        return inv
+
+    @property
+    def forward(self) -> PolyMap:
+        """The realized forward map, built on each call; replay, checks,
+        transport and JSON never read it."""
+        return PolyMap([Poly.variable(self.n, j) for j in self.perm])
+
+    @property
+    def inverse(self) -> PolyMap:
+        """The realized inverse map, built on each call."""
+        return PolyMap([Poly.variable(self.n, j) for j in self.inverse_perm()])
+
+    def verify_two_sided(self) -> Optional[str]:
+        """None when perm is a permutation of range(n), else the reason.
+        That shape proves the inverse list inverts it exactly: sending x
+        to x[perm] and back to x[inverse_perm()] moves every coordinate
+        to its own place, in either order."""
+        return _permutation_defect(self.n, self.perm)
+
+    def __repr__(self) -> str:
+        return f"PermutationAutomorphism(dim={self.n}, {self.label or 'perm'})"
+
+
 @dataclass(frozen=True)
 class ExtendFreshVars:
     count: int
@@ -297,9 +357,12 @@ def apply_move(f: PolyMap, move: Move) -> PolyMap:
     reads f's summary (PolyMap.top_indices), scans exactly only the
     components whose highest index reaches the smallest shifted one, and
     builds identity images only for the variables the components it
-    substitutes into read.  Extensions and shears hand the summary on,
-    updated where they change a component; the other moves drop it, and
-    the next pre-composed shear rebuilds it.
+    substitutes into read.  A post-composed permutation reorders the
+    components, the same objects, and a pre-composed one relabels each
+    monomial's variables (_relabel); neither substitutes.  Extensions,
+    shears and permutations hand the summary on, updated where they
+    change a component; the other moves drop it, and the next
+    pre-composed shear rebuilds it.
     """
     if isinstance(move, ExtendFreshVars):
         k = move.count
@@ -314,6 +377,10 @@ def apply_move(f: PolyMap, move: Move) -> PolyMap:
         a = move.auto
         if a.dim != f.n_out:
             raise ValueError("post-composition shape mismatch")
+        if isinstance(a, PermutationAutomorphism):
+            comps = f.components
+            tops = None if f.tops is None else [f.tops[j] for j in a.perm]
+            return PolyMap([comps[j] for j in a.perm], tops)
         if not isinstance(a, ShearAutomorphism):
             return a.forward.compose(f)
         out = list(f.components)
@@ -327,6 +394,8 @@ def apply_move(f: PolyMap, move: Move) -> PolyMap:
         a = move.auto
         if a.dim != f.n_in:
             raise ValueError("pre-composition shape mismatch")
+        if isinstance(a, PermutationAutomorphism):
+            return _relabel(f, a.perm)
         if not isinstance(a, ShearAutomorphism):
             return f.compose(a.forward)
         n, shifted = a.n, a.additions
@@ -367,6 +436,37 @@ def apply_move(f: PolyMap, move: Move) -> PolyMap:
                               for m, c in comp.terms.items()}) for comp in f.components]
         return PolyMap(comps + [Poly.variable(n + 1, n)])
     raise TypeError(f"unknown move {move!r}")
+
+
+def _relabel(f: PolyMap, perm) -> PolyMap:
+    """f after x -> x[perm]: variable v of every monomial becomes perm[v],
+    the pairs re-sorted by index, coefficients and term order untouched.
+    Each (v, e) pair is rewritten once per call and the new pair shared by
+    every monomial that reads it, as Poly.variable shares the pairs of a
+    substitution; the summary is rebuilt on the way."""
+    n = len(perm)
+    pairs: dict = {}
+    comps = []
+    tops = []
+    for c in f.components:
+        terms = {}
+        top = -1
+        for m, coeff in c.terms.items():
+            rel = []
+            for pair in m:
+                q = pairs.get(pair)
+                if q is None:
+                    q = pairs[pair] = (perm[pair[0]], pair[1])
+                rel.append(q)
+            if rel:
+                if len(rel) > 1:
+                    rel.sort()
+                if rel[-1][0] > top:
+                    top = rel[-1][0]
+            terms[tuple(rel)] = coeff
+        comps.append(Poly(n, terms))
+        tops.append(top)
+    return PolyMap(comps, tops)
 
 
 class Certificate:
@@ -448,6 +548,8 @@ def _transport(move: Move, x: list, y: list, rng: random.Random):
         return x + z, y + z
     if isinstance(move, PostCompose):
         a = move.auto
+        if isinstance(a, PermutationAutomorphism):
+            return x, [y[j] for j in a.perm]
         if not isinstance(a, ShearAutomorphism):
             return x, a.forward.eval_at(y)
         ny = list(y)
@@ -456,6 +558,8 @@ def _transport(move: Move, x: list, y: list, rng: random.Random):
         return x, ny
     if isinstance(move, PreCompose):
         a = move.auto
+        if isinstance(a, PermutationAutomorphism):
+            return [x[i] for i in a.inverse_perm()], y
         if not isinstance(a, ShearAutomorphism):
             nx = a.inverse.eval_at(x)
             return None if nx is None else (nx, y)

@@ -28,7 +28,7 @@ from .certs import (
 )
 from .linalg import RatMatrix
 from .maps import PolyMap, is_yagzhev
-from .poly import Poly, as_coeff, linear_cube, qdiv
+from .poly import Poly, as_coeff, cube_numerators, linear_cube, qdiv
 
 
 def _polarize(mono, coeff, m):
@@ -140,6 +140,28 @@ def _cubic_linear_from(A: RatMatrix) -> PolyMap:
                     for i, form in enumerate(forms)])
 
 
+def _is_cubic_linear_from(f: PolyMap, A: RatMatrix) -> bool:
+    """f == _cubic_linear_from(A), decided term by term without expanding
+    a cube into Fractions: component i must hold x_i with coefficient 1
+    and exactly the terms of (A_i x)^3, each coefficient c checked against
+    its integer numerator t over D**3 (cube_numerators) as
+    c.numerator * D**3 == t * c.denominator."""
+    n = A.nrows
+    if f.n_out != n or f.n_in != n:
+        return False
+    for i, form in enumerate(PolyMap.from_matrix(A).components):
+        den, cube = cube_numerators(form)
+        terms = f.components[i].terms
+        if len(terms) != len(cube) + 1 or terms.get(((i, 1),)) != 1:
+            return False
+        den3 = den ** 3
+        for m, t in cube.items():
+            c = terms.get(m)
+            if c is None or c.numerator * den3 != t * c.denominator:
+                return False
+    return True
+
+
 def _bfc(B: RatMatrix, F: PolyMap, C: RatMatrix) -> PolyMap:
     inner = F.compose(PolyMap.from_matrix(C))
     m = B.nrows
@@ -168,7 +190,7 @@ def verify_pairing(p: GZPairing) -> PairingReport:
         issues.append(f"rank of A is {ra}, not the partner dimension {m}")
     if not (ra == p.B.rank() == p.A.vstack(p.B).rank()):
         issues.append("kernel of B differs from kernel of A")
-    if p.F != _cubic_linear_from(p.A):
+    if not _is_cubic_linear_from(p.F, p.A):
         issues.append("F is not X + (A X)^{*3}")
     if not is_yagzhev(p.G):
         issues.append("G is not identity plus cubic homogeneous")
@@ -252,7 +274,7 @@ def pair_down(f: PolyMap, A: RatMatrix) -> GZPairing:
     n = f.n_in
     if (A.nrows, A.ncols) != (n, n):
         raise ValueError("coefficient matrix shape does not match the map")
-    if f != _cubic_linear_from(A):
+    if not _is_cubic_linear_from(f, A):
         raise ValueError("map is not X + (A X)^{*3} for the given matrix")
     m = A.rank()
     if m == 0:

@@ -488,15 +488,14 @@ class Poly:
         return f"Poly(vars={self.varcount}, terms={len(self.terms)}, deg={self.degree()})"
 
 
-def linear_cube(form: Poly) -> Poly:
-    """form**3 for a linear form a_1 x_1 + ... + a_k x_k, expanded
-    directly: the term x_i x_j x_l (i <= j <= l) gets a_i a_j a_l times
-    1, 3 or 6 as the indices coincide, so no coefficient can cancel.
-    The products are taken on integer numerators over the form's common
-    denominator D, then divided by D**3 unless D is 1.  Each variable's
-    (var, 1) pair is the form's own and its (var, 2) pair is built once,
-    so the cube's monomials share them.  Raises ValueError when form is
-    not a linear form.
+def cube_numerators(form: Poly):
+    """(D, terms) with form**3 = terms / D**3, for a linear form
+    a_1 x_1 + ... + a_k x_k with common denominator D: the term
+    x_i x_j x_l (i <= j <= l) gets the integer n_i n_j n_l, n = D a,
+    times 1, 3 or 6 as the indices coincide, so no coefficient can cancel
+    and none is zero.  Each variable's (var, 1) pair is the form's own and
+    its (var, 2) pair is built once, so the cube's monomials share them.
+    Raises ValueError when form is not a linear form.
     """
     items = []
     den = 1
@@ -522,6 +521,13 @@ def linear_cube(form: Poly) -> Poly:
             aij = 6 * ai * aj
             for l in range(j + 1, k):
                 out[(ones[i], ones[j], ones[l])] = aij * nums[l]
+    return den, out
+
+
+def linear_cube(form: Poly) -> Poly:
+    """form**3 for a linear form, expanded directly: cube_numerators'
+    integer terms, divided by D**3 unless D is 1."""
+    den, out = cube_numerators(form)
     if den != 1:
         den3 = den ** 3
         for m, c in out.items():

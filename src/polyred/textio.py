@@ -26,6 +26,10 @@ Certificate format version 2 stores a shear as its addends alone, over
 the default names of its dim (one table of x1, x2, ... serves every dim,
 so a shear's decode costs its text, not its dim); version 1 files, which
 spell every automorphism out as a forward and an inverse map, still load.
+A coordinate permutation is written as a forward and an inverse map of
+bare variables, printed straight from its index list; in either version
+such a pair of maps decodes as a permutation only when the two are
+mutual inverses, and as a general automorphism otherwise.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .certs import (Automorphism, Certificate, CertReport, ExtendFreshVars,
-                    FiberReport, PostCompose, PreCompose, RationalMap,
-                    SegreExtend, ShearAutomorphism)
+                    FiberReport, PermutationAutomorphism, PostCompose,
+                    PreCompose, RationalMap, SegreExtend, ShearAutomorphism)
 from .linalg import RatMatrix
 from .maps import DEFAULT_BUDGET, PolyMap
 from .poly import Poly, as_coeff, mono_mul, qdiv
@@ -291,19 +295,19 @@ def parse_map(text: str) -> MapDocument:
             if variables is not None:
                 self_col = toks[0][3]
                 raise ParseError("duplicate vars line", lineno, self_col)
-            names = []
+            varmap = {}
             for t in toks[1:]:
                 if t[0] != "ident":
                     raise ParseError("variable names must be identifiers", t[2], t[3])
                 if t[1] in _RESERVED:
                     raise ParseError(f"'{t[1]}' is a reserved word", t[2], t[3])
-                if t[1] in names:
+                if t[1] in varmap:
                     raise ParseError(f"duplicate variable '{t[1]}'", t[2], t[3])
-                names.append(t[1])
-            if not names:
+                varmap[t[1]] = len(varmap)
+            if not varmap:
                 raise ParseError("vars line declares no variables", lineno, len(raw) + 1)
-            variables = names
-            varmap, varcount = {name: i for i, name in enumerate(names)}, len(names)
+            variables = list(varmap)
+            varcount = len(variables)
         elif head == "meta":
             parts = stripped.split(None, 2)
             if len(parts) < 3:
@@ -441,12 +445,51 @@ def _dim_field(d: dict, key: str) -> int:
     return n
 
 
+def _index_map_text(indices: Sequence[int], names: Sequence[str]) -> str:
+    """_map_text of the map whose component i is the variable indices[i]."""
+    lines = ["vars " + " ".join(names[:len(indices)])]
+    lines.extend(f"poly f{i + 1} = {names[j]}" for i, j in enumerate(indices))
+    return "\n".join(lines) + "\n"
+
+
+def _variable_indices(f: PolyMap) -> Optional[list]:
+    """[j_0, j_1, ...] when component i of f is the bare variable x_{j_i}
+    with coefficient 1, else None."""
+    out = []
+    for c in f.components:
+        if len(c.terms) != 1:
+            return None
+        ((m, coeff),) = c.terms.items()
+        if coeff != 1 or len(m) != 1 or m[0][1] != 1:
+            return None
+        out.append(m[0][0])
+    return out
+
+
+def _as_permutation(fwd: PolyMap, inv: PolyMap) -> Optional[list]:
+    """The index list of fwd when fwd and inv are mutually inverse
+    coordinate permutations, else None."""
+    n = fwd.n_in
+    if fwd.n_out != n or inv.n_in != n or inv.n_out != n:
+        return None
+    perm, back = _variable_indices(fwd), _variable_indices(inv)
+    # back[perm[i]] == i for every i makes perm injective, so a bijection
+    if perm is None or back is None or any(back[j] != i for i, j in enumerate(perm)):
+        return None
+    return perm
+
+
 def automorphism_to_json(a) -> dict:
     if isinstance(a, ShearAutomorphism):
         names = _default_names(a.n)[0]
         return {"kind": "shear", "label": a.label, "dim": a.n,
                 "addends": {str(i): poly_text(g, names)
                             for i, g in sorted(a.additions.items())}}
+    if isinstance(a, PermutationAutomorphism):
+        names = _default_names(a.n)[0]
+        return {"label": a.label, "forward": _index_map_text(a.perm, names),
+                "inverse": {"kind": "polynomial",
+                            "map": _index_map_text(a.inverse_perm(), names)}}
     fwd = a.forward
     inv = a.inverse
     out = {"label": a.label, "forward": _map_text(fwd)}
@@ -462,8 +505,11 @@ def automorphism_to_json(a) -> dict:
 
 
 def automorphism_from_json(d: dict):
-    """An Automorphism, or a ShearAutomorphism for a "shear" entry; every
-    shape error raises ValueError."""
+    """A ShearAutomorphism for a "shear" entry, a PermutationAutomorphism
+    for a polynomial entry whose two maps are mutually inverse lists of
+    bare variables, and an Automorphism for any other entry, which
+    verify_two_sided then checks symbolically; every shape error raises
+    ValueError."""
     label = d.get("label", "")
     if d.get("kind") == "shear":
         n = _dim_field(d, "dim")
@@ -483,6 +529,9 @@ def automorphism_from_json(d: dict):
         inv = RationalMap(nums, den)
     elif inv_d.get("kind") == "polynomial":
         inv = _map_from_text(_field(inv_d, "map", str))
+        perm = _as_permutation(fwd, inv)
+        if perm is not None:
+            return PermutationAutomorphism(fwd.n_in, perm, label)
     else:
         raise ValueError(f"unknown inverse kind {inv_d.get('kind')!r}")
     return Automorphism(fwd, inv, label)

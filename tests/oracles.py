@@ -32,6 +32,10 @@ two on random inputs:
     every component's variables, which certs.apply_move replaced with a
     scan of only the components whose highest index reaches a shifted
     one;
+  * the coordinate permutation stored as its forward and inverse maps of
+    bare variables, replayed by PolyMap.compose, checked by symbolic
+    two-sided composition and transported by eval_at, which
+    certs.PermutationAutomorphism replaced with its index list;
   * the base-point search of reduce.normalize that accepted a Fraction
     point by sparse_det and then eliminated the same Jacobian again with
     sparse_inverse, which one sparse_inverse per candidate replaced;
@@ -611,6 +615,24 @@ def pre_shear_by_full_images(f, shear):
         images[i] = images[i] + g
     return PolyMap([c if c.variables_used().isdisjoint(shear.additions) else c.substitute(images)
                     for c in f.components])
+
+
+# -- the coordinate permutation as two polynomial maps ----------------------------
+
+
+def permutation_by_maps(n: int, perm, label: str = "") -> Automorphism:
+    """Automorphism.permutation as it first was: a general Automorphism
+    whose forward map sends x to x[perm] and whose inverse map undoes it,
+    so apply_move composes, verify_two_sided composes both ways and
+    _transport evaluates them."""
+    if sorted(perm) != list(range(n)):
+        raise ValueError("not a permutation")
+    fwd = PolyMap([Poly.variable(n, perm[i]) for i in range(n)])
+    inv_perm = [0] * n
+    for i, p in enumerate(perm):
+        inv_perm[p] = i
+    inv = PolyMap([Poly.variable(n, inv_perm[i]) for i in range(n)])
+    return Automorphism(fwd, inv, label)
 
 
 # -- Fraction-only polynomials -------------------------------------------------

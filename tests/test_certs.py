@@ -14,6 +14,7 @@ from polyred.certs import (
     Certificate,
     CertificateBuilder,
     ExtendFreshVars,
+    PermutationAutomorphism,
     PostCompose,
     PreCompose,
     RationalMap,
@@ -177,6 +178,83 @@ def test_permutation_automorphism():
     a = Automorphism.permutation(3, [2, 0, 1])
     assert a.verify_two_sided() is None
     assert a.forward.eval_at([10, 20, 30]) == [30, 10, 20]
+
+
+# -- permutation fast paths against the general maps ------------------------
+
+
+def _terms_and_types(f):
+    return [(p.varcount, [(m, c, type(c)) for m, c in p.terms.items()])
+            for p in f.components]
+
+
+@st.composite
+def perm_and_maps(draw):
+    """A permutation of n <= 5 coordinates (n <= 3 half the time), a map
+    into its domain and one out of it, each with its summary built or
+    not."""
+    n = draw(st.integers(1, 3) if draw(st.booleans()) else st.integers(4, 5))
+    perm = draw(st.permutations(range(n)))
+    m = draw(st.integers(1, 4))
+    into = PolyMap([draw(polys(m, range(m))) for _ in range(n)])   # m -> n
+    out_of = PolyMap([draw(polys(n, range(n)))
+                      for _ in range(draw(st.integers(1, 4)))])    # n -> k
+    for f in (into, out_of):
+        if draw(st.booleans()):
+            f.top_indices()
+    return n, perm, into, out_of
+
+
+@settings(max_examples=150, deadline=None)
+@given(perm_and_maps())
+def test_permutation_moves_match_composition(case):
+    n, perm, into, out_of = case
+    a, general = Automorphism.permutation(n, perm), oracles.permutation_by_maps(n, perm)
+    post = apply_move(into, PostCompose(a))
+    assert _terms_and_types(post) == _terms_and_types(general.forward.compose(into))
+    assert all(p is into.components[j] for p, j in zip(post.components, perm))
+    pre = apply_move(out_of, PreCompose(a))
+    assert _terms_and_types(pre) == _terms_and_types(out_of.compose(general.forward))
+    for f in (post, pre):
+        if f.tops is not None:
+            assert f.tops == [max(c.variables_used(), default=-1) for c in f.components]
+    assert pre.tops is not None
+    assert (post.tops is None) == (into.tops is None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.permutations(range(n))),
+       st.randoms(use_true_random=False))
+def test_permutation_transport_matches_general_evaluation(perm, rng):
+    n = len(perm)
+    a, general = Automorphism.permutation(n, perm), oracles.permutation_by_maps(n, perm)
+    x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(n)]
+    y = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(n)]
+    for move in (PostCompose, PreCompose):
+        assert _transport(move(a), x, y, rng) == _transport(move(general), x, y, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_permutation_verdict_matches_symbolic_composition(data):
+    # a genuine permutation passes both checks; with one entry overwritten
+    # the list repeats an index and misses another, x -> x[perm] is not
+    # injective, and no map inverts it
+    n = data.draw(st.integers(1, 5))
+    perm = data.draw(st.permutations(range(n)))
+    a = Automorphism.permutation(n, perm)
+    if n > 1 and data.draw(st.booleans()):
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                  unique=True))
+        a.perm = a.perm[:i] + (a.perm[j],) + a.perm[i + 1:]
+    fwd = PolyMap([V(n, j) for j in a.perm])
+    inv = PolyMap([V(n, j) for j in a.inverse_perm()])
+    symbolic = fwd.compose(inv).is_identity() and inv.compose(fwd).is_identity()
+    assert (a.verify_two_sided() is None) == symbolic
+    if not symbolic:
+        assert a.verify_two_sided() == "not a permutation"
+        with pytest.raises(ValueError, match="not a permutation"):
+            PermutationAutomorphism(n, a.perm)
 
 
 def test_translation_automorphism():
@@ -401,8 +479,9 @@ def move_chains(draw):
     """An endomorphism with zero, constant and polynomial components, and
     a chain of moves over it: pre- and post-composed shears, extensions,
     lower_degree-shaped rounds (extend by two, attach two factors, cancel
-    their product), and the linear, rational and Segre moves that drop
-    the replay summary, so a later shear rebuilds it."""
+    their product), permutations, which carry the replay summary on, and
+    the rational and Segre moves that drop it, so a later shear rebuilds
+    it."""
     n = draw(st.integers(1, 4))
     kinds = st.sampled_from(["poly", "poly", "poly", "zero", "const"])
     comps = []
@@ -415,7 +494,7 @@ def move_chains(draw):
     for _ in range(draw(st.integers(1, 7))):
         n = cur.n_in
         kind = draw(st.sampled_from(["pre", "pre", "pre", "post", "extend", "round",
-                                     "linear", "rational", "segre"]))
+                                     "perm", "rational", "segre"]))
         if kind == "pre":
             where = draw(st.sampled_from(["low", "middle", "top", "any"]))
             step = [PreCompose(Automorphism.shear(n, draw(shear_additions(n, where))))]
@@ -430,7 +509,7 @@ def move_chains(draw):
             step = [ExtendFreshVars(2),
                     PreCompose(Automorphism.shear(m, {n: a, n + 1: b})),
                     PostCompose(Automorphism.shear(m, {ci: (V(m, n) * V(m, n + 1)).scale(-1)}))]
-        elif kind == "linear":
+        elif kind == "perm":
             perm = draw(st.permutations(range(n)))
             move = draw(st.sampled_from([PreCompose, PostCompose]))
             step = [move(Automorphism.permutation(n, perm))]
@@ -448,8 +527,11 @@ def move_chains(draw):
 
 
 def _oracle_move(f, move):
-    if isinstance(move, PreCompose) and isinstance(move.auto, ShearAutomorphism):
-        return oracles.pre_shear_by_full_images(f, move.auto)
+    auto = getattr(move, "auto", None)
+    if isinstance(move, PreCompose) and isinstance(auto, ShearAutomorphism):
+        return oracles.pre_shear_by_full_images(f, auto)
+    if isinstance(auto, PermutationAutomorphism):
+        return apply_move(f, type(move)(oracles.permutation_by_maps(auto.n, auto.perm)))
     return apply_move(f, move)
 
 
@@ -461,8 +543,9 @@ def _terms_in_order(f):
 def _below_top_chain():
     """With x1 shifted: x1 x4 reads it below its top index 4, x0 + x4
     reaches it with its top but reads nothing shifted, x0 stays below it,
-    and the zero and the constant read nothing.  A permutation then drops
-    the summary, and the next shear rebuilds it."""
+    and the zero and the constant read nothing.  A permutation then
+    reorders the summary with the components, and the next shear reads
+    it."""
     x = [V(5, i) for i in range(5)]
     f = PolyMap([x[1] * x[4], x[0] + x[4], x[0], Poly(5), C(5, 3)])
     return f, [PreCompose(Automorphism.shear(5, {1: x[0] * x[0] + C(5, 1)})),
@@ -587,7 +670,10 @@ def test_builder_intermediates_complete():
 def test_pinchuk_replay_scans_few_variable_sets(monkeypatch):
     """Replay reads each pre-composed shear's summary instead of scanning
     every component: the full-images route scans 16 712 variable sets on
-    this certificate.  The substitutions stay the same ones."""
+    this certificate.  The two coordinate permutations substitute
+    nothing: composing their 497-wide maps, as the general route does,
+    adds 497 substitutions to each replay and 497 to each of the four
+    one-sided compositions of their checks, 2 982 in all."""
     _, trace = to_yagzhev(builtin_example("pinchuk").document.to_polymap(), seed=0)
     calls = collections.Counter()
     for name in ("variables_used", "substitute"):
@@ -597,4 +683,4 @@ def test_pinchuk_replay_scans_few_variable_sets(monkeypatch):
         monkeypatch.setattr(Poly, name, counted)
     assert verify_certificate(trace.certificate).ok
     assert calls["variables_used"] < 2000
-    assert calls["substitute"] == 5187
+    assert calls["substitute"] == 2205

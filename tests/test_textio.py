@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import from_terms, parse_by_poly_arithmetic
-from polyred import textio
-from polyred.certs import (Automorphism, Certificate, RationalMap, ShearAutomorphism,
-                           fiber_transport_check, verify_certificate)
+from oracles import from_terms, parse_by_poly_arithmetic, permutation_by_maps
+from polyred import poly, textio
+from polyred.certs import (Automorphism, Certificate, PermutationAutomorphism, RationalMap,
+                           ShearAutomorphism, fiber_transport_check, verify_certificate)
 from polyred.examples import builtin_example, builtin_ids
 from polyred.linalg import RatMatrix
 from polyred.maps import DEFAULT_BUDGET, PolyMap
@@ -290,6 +290,35 @@ def test_doc_error_duplicate_variable():
     _doc_fails("vars x x\n", 1, "duplicate variable 'x'")
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(["x", "y", "z", "x1", "x10", "t_2"]), min_size=1, max_size=12))
+def test_vars_line_reports_the_first_repeated_name(names):
+    text = "vars " + " ".join(names) + "\npoly p = 1\n"
+    seen = []
+    for k, name in enumerate(names):
+        if name in seen:
+            col = len("vars ") + sum(len(n) + 1 for n in names[:k]) + 1
+            with pytest.raises(ParseError) as exc:
+                parse_map(text)
+            assert (exc.value.message, exc.value.line, exc.value.col) == (
+                f"duplicate variable '{name}'", 1, col)
+            return
+        seen.append(name)
+    assert parse_map(text).variables == tuple(names)
+
+
+def test_long_vars_line_keeps_order_and_finds_a_late_duplicate():
+    names = [f"x{i + 1}" for i in range(497)]
+    doc = parse_map("vars " + " ".join(names) + "\npoly p = x497\n")
+    assert doc.variables == tuple(names)
+    assert doc.to_polymap().components[0] is Poly.variable(497, 496)
+    line = "vars " + " ".join(names + ["x3"])
+    with pytest.raises(ParseError) as exc:
+        parse_map(line + "\n")
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        "duplicate variable 'x3'", 1, len(line) - 1)
+
+
 def test_doc_error_reserved_variable():
     _doc_fails("vars x poly\n", 1, "reserved word")
 
@@ -490,6 +519,69 @@ def test_move_json_round_trip():
     assert isinstance(back.auto, ShearAutomorphism)
     assert back.auto.n == 2 and back.auto.additions == shear.additions
     assert move_from_json(move_to_json(moves[0])).count == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 7, 30]).flatmap(lambda n: st.permutations(range(n))),
+       st.sampled_from(["", "read the domain as (X, Y, t)"]))
+def test_permutation_json_matches_the_general_encoding(perm, label):
+    n = len(perm)
+    a = Automorphism.permutation(n, perm, label)
+    d = automorphism_to_json(a)
+    assert json.dumps(d) == json.dumps(automorphism_to_json(permutation_by_maps(n, perm, label)))
+    back = automorphism_from_json(json.loads(json.dumps(d)))
+    assert isinstance(back, PermutationAutomorphism)
+    assert (back.n, back.perm, back.label) == (n, tuple(perm), label)
+    assert back.verify_two_sided() is None
+
+
+def test_permutation_encoding_builds_no_variables():
+    n = 1777
+    perm = list(range(1, n)) + [0]
+    cached = len(poly._VARIABLES)
+    d = automorphism_to_json(Automorphism.permutation(n, perm))
+    assert len(poly._VARIABLES) == cached
+    assert d["forward"].splitlines()[1:3] == ["poly f1 = x2", "poly f2 = x3"]
+    assert d["inverse"]["map"].splitlines()[1] == f"poly f1 = x{n}"
+
+
+def test_forged_permutation_inverse_stays_general_and_fails():
+    # a 3-cycle is not an involution: its forward map as its own inverse
+    # is a map pair of bare variables, but not a mutually inverse one
+    d = automorphism_to_json(Automorphism.permutation(3, [1, 2, 0], "cycle"))
+    d["inverse"]["map"] = d["forward"]
+    back = automorphism_from_json(d)
+    assert type(back) is Automorphism
+    assert back.verify_two_sided() == "forward after inverse is not the identity"
+    # an involution is its own inverse, so the same edit leaves a permutation
+    d = automorphism_to_json(Automorphism.permutation(3, [1, 0, 2]))
+    d["inverse"]["map"] = d["forward"]
+    assert isinstance(automorphism_from_json(d), PermutationAutomorphism)
+
+
+@pytest.mark.parametrize("forward, inverse", [
+    ("vars x y\npoly f1 = y\npoly f2 = 2*x\n", "vars x y\npoly f1 = y\npoly f2 = x\n"),
+    ("vars x y\npoly f1 = y\npoly f2 = x^2\n", "vars x y\npoly f1 = y\npoly f2 = x\n"),
+    ("vars x y\npoly f1 = y\npoly f2 = y\n", "vars x y\npoly f1 = y\npoly f2 = x\n"),
+    ("vars x y\npoly f1 = y\npoly f2 = x\n", "vars x y z\npoly f1 = y\npoly f2 = x\n"),
+])
+def test_near_permutation_maps_stay_general(forward, inverse):
+    d = {"label": "", "forward": forward, "inverse": {"kind": "polynomial", "map": inverse}}
+    back = automorphism_from_json(d)
+    assert type(back) is Automorphism
+    assert back.verify_two_sided() is not None
+
+
+def test_plane_quad_certificate_decodes_its_cycle_as_a_permutation():
+    _, trace = to_yagzhev(builtin_example("plane-quad").document.to_polymap())
+    blob = json.loads(json.dumps(certificate_to_json(trace.certificate)))
+    cert = certificate_from_json(blob)
+    perms = [k for k, m in enumerate(cert.moves)
+             if isinstance(getattr(m, "auto", None), PermutationAutomorphism)]
+    assert perms == [k for k, m in enumerate(trace.certificate.moves)
+                     if isinstance(getattr(m, "auto", None), PermutationAutomorphism)]
+    assert 2 in perms and cert.moves[2].auto.perm == (0, 1, 4, 2, 3)  # a 3-cycle
+    assert certificate_to_json(cert) == blob
 
 
 def test_move_json_rejects_unknown_kind():
