@@ -183,11 +183,6 @@ def test_permutation_automorphism():
 # -- permutation fast paths against the general maps ------------------------
 
 
-def _terms_and_types(f):
-    return [(p.varcount, [(m, c, type(c)) for m, c in p.terms.items()])
-            for p in f.components]
-
-
 @st.composite
 def perm_and_maps(draw):
     """A permutation of n <= 5 coordinates (n <= 3 half the time), a map
@@ -211,10 +206,10 @@ def test_permutation_moves_match_composition(case):
     n, perm, into, out_of = case
     a, general = Automorphism.permutation(n, perm), oracles.permutation_by_maps(n, perm)
     post = apply_move(into, PostCompose(a))
-    assert _terms_and_types(post) == _terms_and_types(general.forward.compose(into))
+    assert _terms_in_order(post) == _terms_in_order(general.forward.compose(into))
     assert all(p is into.components[j] for p, j in zip(post.components, perm))
     pre = apply_move(out_of, PreCompose(a))
-    assert _terms_and_types(pre) == _terms_and_types(out_of.compose(general.forward))
+    assert _terms_in_order(pre) == _terms_in_order(out_of.compose(general.forward))
     for f in (post, pre):
         if f.tops is not None:
             assert f.tops == [max(c.variables_used(), default=-1) for c in f.components]
