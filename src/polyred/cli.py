@@ -22,8 +22,9 @@ from .reduce import lower_degree, meng_symmetrize, segre_step, to_yagzhev
 from .textio import (ParseError, attribute_report_to_json,
                      cert_report_to_json, certificate_from_json,
                      certificate_to_json, classification_to_json,
-                     default_var_names, matrix_from_json, pairing_to_json,
-                     parse_map, poly_text, polymap_to_document, print_map)
+                     cubic_linear_text, default_var_names, matrix_from_json,
+                     pairing_to_json, parse_map, poly_text,
+                     polymap_to_document, print_map)
 
 
 class UsageError(Exception):
@@ -179,8 +180,7 @@ def _cmd_pairing(args, pairing) -> int:
         for issue in rep.issues:
             print(f"issue: {issue}")
         print()
-        sys.stdout.write(print_map(polymap_to_document(
-            pairing.F, component_names=None)))
+        sys.stdout.write(cubic_linear_text(pairing.F))
     return 0 if rep.ok else 1
 
 
@@ -200,9 +200,11 @@ def _cmd_pair_down(args) -> int:
         raise UsageError(f"cannot read '{args.matrix}': {e.strerror}")
     except json.JSONDecodeError as e:
         raise UsageError(f"'{args.matrix}' is not JSON: {e}")
+    except ValueError:  # an integer longer than int() reads
+        raise UsageError(f"'{args.matrix}' is not a matrix of rationals")
     try:
         a = matrix_from_json(rows)
-    except (ValueError, TypeError):
+    except ValueError:
         raise UsageError(f"'{args.matrix}' is not a matrix of rationals")
     return _cmd_pairing(args, pair_down(f, a))
 

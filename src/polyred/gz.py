@@ -12,6 +12,10 @@ does this monomial by monomial), pair_down recovers G from F's
 coefficient matrix, and pairing_to_equivalence turns a verified pairing
 into a certificate that the two maps agree up to fresh variables and
 invertible coordinate changes.
+
+F is stored as its matrix A (CubicLinearMap): the pairing axioms are
+checked in G's dimension m, and textio prints F from A, so neither
+expands F's cubes in n variables.
 """
 
 from dataclasses import dataclass
@@ -117,13 +121,70 @@ def decompose_cubes(h: Poly):
     return out
 
 
+class CubicLinearMap:
+    """F(X) = X + (A X)^{*3} on Q^n, stored as its n x n matrix A.
+
+    Pairing checks, equality and printing all read A.  F determines A:
+    over Q, l'^3 = l^3 forces l' = l for linear forms, because
+    l'^2 + l' l + l^2 is positive definite.  So two CubicLinearMaps are
+    equal when their matrices are, and a PolyMap equals one when it holds
+    exactly the terms of X + (A X)^{*3} (_is_cubic_linear_from).
+    """
+
+    __slots__ = ("A",)
+
+    def __init__(self, A: RatMatrix):
+        if A.nrows != A.ncols:
+            raise ValueError("a cubic linear map needs a square matrix")
+        self.A = A
+
+    @property
+    def n_in(self) -> int:
+        return self.A.ncols
+
+    @property
+    def n_out(self) -> int:
+        return self.A.nrows
+
+    def to_polymap(self) -> PolyMap:
+        """The realized map, expanded on each call; pairing, equality and
+        printing never build it."""
+        n = self.A.nrows
+        forms = PolyMap.from_matrix(self.A).components
+        return PolyMap([Poly.variable(n, i) + linear_cube(form)
+                        for i, form in enumerate(forms)])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CubicLinearMap):
+            return self.A == other.A
+        if isinstance(other, PolyMap):
+            return _is_cubic_linear_from(other, self.A)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"CubicLinearMap(dim={self.A.nrows})"
+
+
 @dataclass
 class GZPairing:
+    """A pairing of G (m variables) with F = X + (A X)^{*3} (n variables).
+
+    F holds its own matrix, which verify_pairing checks against A.  A
+    PolyMap F is refused; pair_down pairs one with its matrix.
+    """
+
     A: RatMatrix
     B: RatMatrix
     C: RatMatrix
-    F: PolyMap
+    F: CubicLinearMap
     G: PolyMap
+
+    def __post_init__(self):
+        if not isinstance(self.F, CubicLinearMap):
+            raise TypeError("GZPairing.F must be a CubicLinearMap; pair a "
+                            "PolyMap with its matrix through pair_down")
 
 
 @dataclass
@@ -132,20 +193,12 @@ class PairingReport:
     issues: list
 
 
-def _cubic_linear_from(A: RatMatrix) -> PolyMap:
-    """X + (A X)^{*3}."""
-    n = A.nrows
-    forms = PolyMap.from_matrix(A).components
-    return PolyMap([Poly.variable(n, i) + linear_cube(form)
-                    for i, form in enumerate(forms)])
-
-
 def _is_cubic_linear_from(f: PolyMap, A: RatMatrix) -> bool:
-    """f == _cubic_linear_from(A), decided term by term without expanding
-    a cube into Fractions: component i must hold x_i with coefficient 1
-    and exactly the terms of (A_i x)^3, each coefficient c checked against
-    its integer numerator t over D**3 (cube_numerators) as
-    c.numerator * D**3 == t * c.denominator."""
+    """f == CubicLinearMap(A).to_polymap(), decided term by term without
+    expanding a cube into Fractions: component i must hold x_i with
+    coefficient 1 and exactly the terms of (A_i x)^3, each coefficient c
+    checked against its integer numerator t over D**3 (cube_numerators)
+    as c.numerator * D**3 == t * c.denominator."""
     n = A.nrows
     if f.n_out != n or f.n_in != n:
         return False
@@ -162,21 +215,25 @@ def _is_cubic_linear_from(f: PolyMap, A: RatMatrix) -> bool:
     return True
 
 
-def _bfc(B: RatMatrix, F: PolyMap, C: RatMatrix) -> PolyMap:
-    inner = F.compose(PolyMap.from_matrix(C))
-    m = B.nrows
+def _pushed_down(B: RatMatrix, A: RatMatrix, C: RatMatrix) -> PolyMap:
+    """B F(C x) for F = X + (A X)^{*3}, computed in dimension m = C.ncols
+    as (B C) x + B ((A C) x)^{*3}: the n forms of A C are cubed in m
+    variables, and B C is multiplied out, not assumed to be I."""
+    cubes = [linear_cube(form) for form in PolyMap.from_matrix(A * C).components]
     comps = []
-    for i in range(m):
-        p = Poly(C.ncols)
-        for j, b in enumerate(B.rows[i]):
-            if b:
-                p = p + inner.components[j].scale(b)
+    for row, p in zip(B.rows, PolyMap.from_matrix(B * C).components):
+        for b, cube in zip(row, cubes):
+            if b and cube.terms:
+                p = p + cube.scale(b)
         comps.append(p)
     return PolyMap(comps)
 
 
 def verify_pairing(p: GZPairing) -> PairingReport:
-    """Check every pairing axiom exactly; verdicts, never exceptions."""
+    """Check every pairing axiom exactly; verdicts, never exceptions.
+
+    F's axiom is its matrix being A, and G's is computed in dimension m
+    (_pushed_down), so F is never expanded."""
     issues = []
     m = p.G.n_in
     n = p.F.n_in
@@ -190,11 +247,11 @@ def verify_pairing(p: GZPairing) -> PairingReport:
         issues.append(f"rank of A is {ra}, not the partner dimension {m}")
     if not (ra == p.B.rank() == p.A.vstack(p.B).rank()):
         issues.append("kernel of B differs from kernel of A")
-    if not _is_cubic_linear_from(p.F, p.A):
+    if p.F.A != p.A:
         issues.append("F is not X + (A X)^{*3}")
     if not is_yagzhev(p.G):
         issues.append("G is not identity plus cubic homogeneous")
-    if p.G != _bfc(p.B, p.F, p.C):
+    if p.G != _pushed_down(p.B, p.F.A, p.C):
         issues.append("G is not B F(C x)")
     return PairingReport(not issues, issues)
 
@@ -260,7 +317,7 @@ def pair_up(g: PolyMap) -> GZPairing:
     A = RatMatrix(a_rows)
     B = RatMatrix.identity(m).hstack(P)
     C = RatMatrix.identity(m).vstack(RatMatrix.zero(r, m))
-    return GZPairing(A, B, C, _cubic_linear_from(A), g)
+    return GZPairing(A, B, C, CubicLinearMap(A), g)
 
 
 def pair_down(f: PolyMap, A: RatMatrix) -> GZPairing:
@@ -268,8 +325,9 @@ def pair_down(f: PolyMap, A: RatMatrix) -> GZPairing:
 
     B is the reduced row basis of A, C its right inverse with free
     coordinates zeroed; both are deterministic, so the round trip
-    through pair_up reproduces its G exactly.  The pairing is only
-    built; verify_pairing checks its axioms.
+    through pair_up reproduces its G exactly.  f is checked term by
+    term against A and then stored as CubicLinearMap(A).  The pairing is
+    only built; verify_pairing checks its axioms.
     """
     n = f.n_in
     if (A.nrows, A.ncols) != (n, n):
@@ -284,7 +342,7 @@ def pair_down(f: PolyMap, A: RatMatrix) -> GZPairing:
     C = B.right_inverse()
     if C is None:
         raise AssertionError("row basis lost full row rank")
-    return GZPairing(A, B, C, f, _bfc(B, f, C))
+    return GZPairing(A, B, C, CubicLinearMap(A), _pushed_down(B, A, C))
 
 
 def pairing_to_equivalence(p: GZPairing) -> Certificate:
@@ -331,6 +389,6 @@ def pairing_to_equivalence(p: GZPairing) -> Certificate:
             cprime, bprime, "return to the partner's coordinates")))
         builder.push(PreCompose(Automorphism.from_linear(
             bprime, cprime, "match the partner's parametrization")))
-    if builder.current != p.F:
+    if p.F != builder.current:
         raise AssertionError("equivalence replay missed the partner map")
     return builder.build()

@@ -55,16 +55,14 @@ class RatMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                s = Fraction(0)
-                for k in range(self.ncols):
-                    a = self.rows[i][k]
-                    if a:
-                        s += a * other.rows[k][j]
-                row.append(s)
-            out.append(row)
+        for row in self.rows:
+            acc = [0] * other.ncols  # only nonzero products are added
+            for a, orow in zip(row, other.rows):
+                if a:
+                    for j, b in enumerate(orow):
+                        if b:
+                            acc[j] += a * b
+            out.append(acc)
         return RatMatrix(out)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":

@@ -35,7 +35,7 @@ mutual inverses, and as a general automorphism otherwise.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .certs import (Automorphism, Certificate, CertReport, ExtendFreshVars,
@@ -343,25 +343,36 @@ def parse_map(text: str) -> MapDocument:
     return MapDocument(tuple(variables), tuple(comps), meta)
 
 
+def _terms_text(terms) -> str:
+    """A sum of (coefficient text, monomial text) terms: the coefficient
+    as str() prints an int or a Fraction, the monomial '' for a constant.
+    A unit coefficient is left out before a monomial, and each term's
+    sign is written between the terms."""
+    parts = []
+    for text, mono in terms:
+        positive = text[0] != "-"
+        if not positive:
+            text = text[1:]
+        if mono:
+            text = mono if text == "1" else f"{text}*{mono}"
+        if not parts:
+            parts.append(text if positive else "-" + text)
+        else:
+            parts.append(("+ " if positive else "- ") + text)
+    return " ".join(parts)
+
+
 def poly_text(p: Poly, names: Sequence[str]) -> str:
     """Canonical expression: graded-lex descending, explicit '*'."""
     if p.is_zero():
         return "0"
-    parts = []
-    for mono, coeff in p.sorted_terms():
-        text = str(coeff)
-        positive = text[0] != "-"
-        if not positive:
-            text = text[1:]
-        factors = [text] if text != "1" or not mono else []
-        for v, e in mono:
+    terms = []
+    for m, c in p.sorted_terms():
+        factors = []
+        for v, e in m:
             factors.append(names[v] if e == 1 else f"{names[v]}^{e}")
-        body = "*".join(factors)
-        if not parts:
-            parts.append(body if positive else "-" + body)
-        else:
-            parts.append(("+ " if positive else "- ") + body)
-    return " ".join(parts)
+        terms.append((str(c), "*".join(factors)))
+    return _terms_text(terms)
 
 
 def print_map(doc: MapDocument) -> str:
@@ -404,6 +415,48 @@ def polymap_to_document(f: PolyMap, var_names: Optional[Sequence[str]] = None,
     return MapDocument(tuple(var_names), comps, dict(metadata or {}))
 
 
+def cubic_linear_text(f) -> str:
+    """_map_text(f.to_polymap()) for a CubicLinearMap f, written from its
+    matrix A with no Poly built or sorted.  Component i is the cube of
+    the form A_i, with integer numerators n = D A_i over D**3 (as in
+    poly.cube_numerators), in graded-lex descending order: x_j^3, then
+    x_j^2 x_k for each k > j, then for each k > j, x_j x_k^2 followed by
+    x_j x_k x_l for each l > k.  x_i comes last."""
+    names = default_var_names(f.n_in)
+    squares = [v + "^2" for v in names]
+    lines = ["vars " + " ".join(names)]
+    for i, row in enumerate(f.A.rows):
+        support = [j for j, a in enumerate(row) if a]
+        den = lcm(*[row[j].denominator for j in support])
+        den3 = den ** 3
+        nums = [row[j].numerator * (den // row[j].denominator) for j in support]
+        k = len(support)
+        terms = []
+        for p in range(k):
+            a, u = nums[p], names[support[p]]
+            terms.append((_ratio_text(a * a * a, den3), u + "^3"))
+            u2 = squares[support[p]]
+            for q in range(p + 1, k):
+                terms.append((_ratio_text(3 * a * a * nums[q], den3),
+                              f"{u2}*{names[support[q]]}"))
+            for q in range(p + 1, k):
+                b, v = nums[q], names[support[q]]
+                terms.append((_ratio_text(3 * a * b * b, den3),
+                              f"{u}*{squares[support[q]]}"))
+                for r in range(q + 1, k):
+                    terms.append((_ratio_text(6 * a * b * nums[r], den3),
+                                  f"{u}*{v}*{names[support[r]]}"))
+        terms.append(("1", names[i]))
+        lines.append(f"poly f{i + 1} = {_terms_text(terms)}")
+    return "\n".join(lines) + "\n"
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """num/den in lowest terms, as str() prints the Fraction; den > 0."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def _map_text(f: PolyMap) -> str:
     return print_map(polymap_to_document(f))
 
@@ -422,8 +475,29 @@ def _matrix_to_json(m: RatMatrix) -> list:
     return [[str(c) for c in row] for row in m.rows]
 
 
+def _rational_from_json(c):
+    """A JSON int (not a bool), or a string -?digits(/digits)? with a
+    nonzero denominator, as a stored coefficient.  Digits are decimal
+    digits, as the map lexer reads them, and a digit string longer than
+    int() reads is refused, as the lexer refuses it.  Anything else
+    raises ValueError before a number is built."""
+    if type(c) is int:
+        return c
+    if type(c) is str:
+        num, slash, den = c.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdecimal() \
+                and (not slash or den.isdecimal()):
+            d = int(den) if slash else 1
+            if d:
+                return qdiv(int(num), d)
+    raise ValueError(f"{c!r} is not an integer or a rational string")
+
+
 def matrix_from_json(rows: list) -> RatMatrix:
-    return RatMatrix([[Fraction(c) for c in row] for row in rows])
+    """A list of rows, each a list of _rational_from_json entries."""
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise ValueError("a matrix is a list of rows, each a list")
+    return RatMatrix([[_rational_from_json(c) for c in row] for row in rows])
 
 
 def _field(d, key: str, kind: type):
@@ -627,6 +701,6 @@ def pairing_to_json(pairing) -> dict:
         "a": _matrix_to_json(pairing.A),
         "b": _matrix_to_json(pairing.B),
         "c": _matrix_to_json(pairing.C),
-        "f": _map_text(pairing.F),
+        "f": cubic_linear_text(pairing.F),
         "g": _map_text(pairing.G),
     }

@@ -39,6 +39,9 @@ two on random inputs:
   * the base-point search of reduce.normalize that accepted a Fraction
     point by sparse_det and then eliminated the same Jacobian again with
     sparse_inverse, which one sparse_inverse per candidate replaced;
+  * B F(C x) of a pairing by composing the expanded cubic linear map F
+    with C, which gz._pushed_down replaced with the cubes of A C's forms
+    in the small dimension;
   * FractionPoly, the Poly whose every coefficient was a Fraction, which
     int-or-Fraction coefficients replaced, and the Poly helpers only the
     tests use (mono_to_dense, mono_from_dense, from_terms, coefficient,
@@ -633,6 +636,23 @@ def permutation_by_maps(n: int, perm, label: str = "") -> Automorphism:
         inv_perm[p] = i
     inv = PolyMap([Poly.variable(n, inv_perm[i]) for i in range(n)])
     return Automorphism(fwd, inv, label)
+
+
+# -- B F(C x) by composition ------------------------------------------------------
+
+
+def bfc_by_compose(B, F: PolyMap, C) -> PolyMap:
+    """B F(C x) as verify_pairing first computed it: F, expanded in n
+    variables, composed with x -> C x, then combined by B's rows."""
+    inner = F.compose(PolyMap.from_matrix(C))
+    comps = []
+    for row in B.rows:
+        p = Poly(C.ncols)
+        for j, b in enumerate(row):
+            if b:
+                p = p + inner.components[j].scale(b)
+        comps.append(p)
+    return PolyMap(comps)
 
 
 # -- Fraction-only polynomials -------------------------------------------------

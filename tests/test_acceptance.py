@@ -246,7 +246,7 @@ def test_criterion_08_gz_round_trip():
         p = pair_up(g)
         rep = verify_pairing(p)
         assert rep.ok, (e.id, rep.issues)
-        back = pair_down(p.F, p.A)
+        back = pair_down(p.F.to_polymap(), p.A)
         assert back.G == p.G and back.B == p.B and back.C == p.C, e.id
         crep = verify_certificate(pairing_to_equivalence(p))
         assert crep.ok, (e.id, crep.issues)

@@ -12,8 +12,8 @@ import pytest
 from polyred import cli, gz
 from polyred.cli import main
 from polyred.examples import builtin_example
+from polyred.linalg import RatMatrix
 from polyred.maps import DEFAULT_BUDGET, PolyMap, is_yagzhev
-from polyred.poly import Poly
 from polyred.reduce import meng_symmetrize, segre_step, to_yagzhev
 from polyred.textio import certificate_to_json, parse_map
 
@@ -283,15 +283,70 @@ def test_pair_round_trip_through_files(capsys, tmp_path):
     assert back["axioms_ok"]
 
 
+def _matrix_text(rows, last_entry=None) -> str:
+    """rows as a JSON array, the first entry of the last row replaced by
+    the raw JSON text last_entry when given."""
+    cells = [[json.dumps(c) for c in row] for row in rows]
+    if last_entry is not None:
+        cells[-1][0] = last_entry
+    return "[" + ", ".join("[" + ", ".join(r) + "]" for r in cells) + "]"
+
+
+@pytest.mark.parametrize("entry", [
+    '"1/0"',          # was an uncaught ZeroDivisionError
+    '"1e999999999"',  # was a 10**999999999 in the making
+    "true", "false",  # were read as 1 and 0
+    "0.1",            # was read at its binary value
+    '"1.5"', '"1_0"', '"+1"', '" 1"', '"1/-2"', '"-"', '""', "null", "[1]",
+    '"' + "7" * 5000 + '"', "7" * 5000,
+])
+def test_pair_down_refuses_a_matrix_entry_that_is_not_rational(capsys, tmp_path, entry):
+    data = run_json(capsys, "pair-up", "yagzhev-2d-a", "--json")
+    dru = tmp_path / "dru.map"
+    dru.write_text(data["f"])
+    amat = tmp_path / "a.json"
+    amat.write_text(_matrix_text(data["a"], entry))
+    code, out, err = run(capsys, "pair-down", str(dru), "--matrix", str(amat))
+    assert code == 2 and out == ""
+    assert "is not a matrix of rationals" in err
+
+
+@pytest.mark.parametrize("rows", ['"abc"', '{"a": [1]}', '["12", "34"]', "[[1, 2], [3]]"])
+def test_pair_down_refuses_a_matrix_of_the_wrong_shape(capsys, tmp_path, rows):
+    dru = tmp_path / "dru.map"
+    dru.write_text("vars x y\npoly f1 = x\npoly f2 = y\n")
+    amat = tmp_path / "a.json"
+    amat.write_text(rows)
+    code, _, err = run(capsys, "pair-down", str(dru), "--matrix", str(amat))
+    assert code == 2 and "is not a matrix of rationals" in err
+
+
+def test_pair_down_reads_json_ints_and_signed_fraction_strings(capsys, tmp_path):
+    g = tmp_path / "g.map"
+    g.write_text("vars x y\npoly f1 = x - 1/2*x^2*y\npoly f2 = y + x^3\n")
+    data = run_json(capsys, "pair-up", str(g), "--json")
+    assert any(c.startswith("-") and "/" in c for row in data["a"] for c in row)
+    dru = tmp_path / "dru.map"
+    dru.write_text(data["f"])
+    amat = tmp_path / "a.json"
+    # integral entries as JSON ints, the others as "-p/q" strings
+    rows = [[int(c) if "/" not in c else c for c in row] for row in data["a"]]
+    amat.write_text(json.dumps(rows))
+    back = run_json(capsys, "pair-down", str(dru), "--matrix", str(amat), "--json")
+    assert back["g"] == data["g"] and back["axioms_ok"]
+
+
 def _tamper_g(p):
     p.G = PolyMap([c.scale(2) for c in p.G.components])
 
 
 def _tamper_f(p):
-    # x0^3 on F's first component: F is no longer X + (AX)^{*3}, and G,
-    # recomputed from F, no longer matches either
-    n = p.F.n_in
-    p.F = PolyMap([p.F.components[0] + Poly.variable(n, 0) ** 3] + p.F.components[1:])
+    # x0^3 on F's first component (pair_up's first rows of A are zero):
+    # F is no longer X + (AX)^{*3}, and G, recomputed from F, no longer
+    # matches either
+    rows = p.A.copy_rows()
+    rows[0] = [int(j == 0) for j in range(p.A.ncols)]
+    p.F = gz.CubicLinearMap(RatMatrix(rows))
 
 
 def test_pair_up_reports_failed_axioms(capsys, monkeypatch):
@@ -314,6 +369,24 @@ def test_pair_up_reports_failed_axioms(capsys, monkeypatch):
         jsonschema.validate(data, load_schema("pairing"))
         assert data["axioms_ok"] is False
         assert data["issues"] == issues
+
+
+def test_pairing_commands_never_expand_the_partner(capsys, monkeypatch, tmp_path):
+    # build, check and print F from its matrix, in both output modes
+    data = run_json(capsys, "pair-up", "yagzhev-3d-a", "--json")
+    dru = tmp_path / "dru.map"
+    dru.write_text(data["f"])
+    amat = tmp_path / "a.json"
+    amat.write_text(json.dumps(data["a"]))
+
+    def refuse(self):
+        raise AssertionError("the partner was expanded")
+
+    monkeypatch.setattr(gz.CubicLinearMap, "to_polymap", refuse)
+    assert run_json(capsys, "pair-up", "yagzhev-3d-a", "--json")["f"] == data["f"]
+    for argv in (["pair-up", "yagzhev-3d-a"], ["pair-down", str(dru), "--matrix", str(amat)]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.endswith("\n\n" + data["f"])
 
 
 def test_pair_up_rejects_non_cubic(capsys):

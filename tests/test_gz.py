@@ -2,10 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import bfc_by_compose
 from polyred.certs import fiber_transport_check, verify_certificate
 from polyred.gz import (
+    CubicLinearMap,
     GZPairing,
+    _pushed_down,
     decompose_cubes,
     pair_down,
     pair_up,
@@ -14,7 +19,8 @@ from polyred.gz import (
 )
 from polyred.linalg import RatMatrix
 from polyred.maps import PolyMap, is_druzkowski, is_yagzhev
-from polyred.poly import Poly
+from polyred.poly import Poly, as_coeff
+from polyred.textio import cubic_linear_text, polymap_to_document, print_map
 
 
 def V(n, i):
@@ -114,7 +120,7 @@ def test_pair_up_identity_pads_to_full_rank():
     p = pair_up(g)
     assert p.F.n_in == 6
     assert p.A.rank() == 3
-    assert is_druzkowski(p.F)[0]
+    assert is_druzkowski(p.F.to_polymap())[0]
     assert verify_pairing(p).ok
 
 
@@ -193,7 +199,7 @@ def test_round_trip_reproduces_g_exactly():
         rng = random.Random(seed)
         g = random_yagzhev(rng, rng.randrange(1, 4))
         p = pair_up(g)
-        back = pair_down(p.F, p.A)
+        back = pair_down(p.F.to_polymap(), p.A)
         assert back.G == g
         assert back.B == p.B and back.C == p.C
         assert verify_pairing(p).ok and verify_pairing(back).ok
@@ -203,9 +209,8 @@ def test_round_trip_reproduces_g_exactly():
 
 
 def test_verify_catches_kernel_mismatch():
-    u, v = V(2, 0), V(2, 1)
-    F = PolyMap([u, v + (u + v) ** 3])
     A = RatMatrix([[0, 0], [1, 1]])
+    F = CubicLinearMap(A)
     B = RatMatrix([[1, 0]])
     C = RatMatrix([[1], [0]])
     x = V(1, 0)
@@ -260,3 +265,102 @@ def test_equivalence_refuses_invalid_pairing():
     bad = GZPairing(p.A, p.B, RatMatrix([[2], [0]]), p.F, p.G)
     with pytest.raises(ValueError):
         pairing_to_equivalence(bad)
+
+
+# ------------------------------------------- the partner stored as its matrix
+
+# n <= 3 prints over x y z, n >= 4 over x1 x2 ...
+SIZES = pytest.mark.parametrize("sizes", [(1, 3), (4, 6)])
+
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-99, 99), st.integers(1, 12)),
+)
+
+
+def matrices(nrows, ncols):
+    """Rational matrices with zero rows, negative, integral and fractional
+    entries."""
+    row = st.one_of(st.just([0] * ncols),
+                    st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+    return st.lists(row, min_size=nrows, max_size=nrows).map(RatMatrix)
+
+
+def perturbed(f: PolyMap, data) -> PolyMap:
+    """f with one term of one component changed: an existing coefficient
+    moved (or cancelled) or a new cubic, quadratic or linear term added."""
+    n = f.n_in
+    i = data.draw(st.integers(0, n - 1))
+    terms = dict(f.components[i].terms)
+    monos = sorted(terms) + [((j, 2),) for j in range(n)]
+    mono = data.draw(st.sampled_from(monos))
+    c = data.draw(st.integers(-3, 3).filter(bool))
+    terms[mono] = as_coeff(terms.get(mono, 0) + c)
+    if not terms[mono]:
+        del terms[mono]
+    comps = list(f.components)
+    comps[i] = Poly(n, terms)
+    return PolyMap(comps)
+
+
+@SIZES
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cubic_linear_text_matches_the_printed_expansion(sizes, data):
+    n = data.draw(st.integers(*sizes))
+    F = CubicLinearMap(data.draw(matrices(n, n)))
+    assert cubic_linear_text(F) == print_map(polymap_to_document(F.to_polymap()))
+
+
+@SIZES
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pushed_down_matches_composition(sizes, data):
+    # B F(C x) in dimension m against F expanded and composed with C;
+    # B C is rarely the identity here
+    n = data.draw(st.integers(*sizes))
+    m = data.draw(st.integers(1, n))
+    A = data.draw(matrices(n, n))
+    B = data.draw(matrices(m, n))
+    C = data.draw(matrices(n, m))
+    expected = bfc_by_compose(B, CubicLinearMap(A).to_polymap(), C)
+    assert _pushed_down(B, A, C) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_g_axiom_matches_composition_under_tampering(seed, data):
+    # pair_up's pairing, C replaced or kept: the G issue appears exactly
+    # when the composition oracle says G differs from B F(C x)
+    rng = random.Random(seed)
+    p = pair_up(random_yagzhev(rng, rng.randrange(1, 4)))
+    n, m = p.F.n_in, p.G.n_in
+    C = data.draw(st.one_of(st.just(p.C), matrices(n, m)))
+    bad = GZPairing(p.A, p.B, C, p.F, p.G)
+    differs = p.G != bfc_by_compose(p.B, p.F.to_polymap(), C)
+    assert ("G is not B F(C x)" in verify_pairing(bad).issues) == differs
+    assert differs == (p.G != _pushed_down(p.B, p.A, C))
+
+
+@SIZES
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cubic_linear_equality_matches_expanded_equality(sizes, data):
+    n = data.draw(st.integers(*sizes))
+    A = data.draw(matrices(n, n))
+    F = CubicLinearMap(A)
+    expanded = F.to_polymap()
+    other = CubicLinearMap(data.draw(st.one_of(st.just(A), matrices(n, n))))
+    assert (F == other) == (expanded == other.to_polymap())
+    assert (F == other.to_polymap()) == (expanded == other.to_polymap())
+    assert (other.to_polymap() == F) == (F == other)
+    changed = perturbed(expanded, data)
+    assert F != changed and changed != F and not F == changed
+    assert (F == changed) == (expanded == changed)
+
+
+def test_pairing_refuses_an_expanded_partner():
+    p = pair_up(PolyMap([V(1, 0) + V(1, 0) ** 3]))
+    with pytest.raises(TypeError, match="pair_down"):
+        GZPairing(p.A, p.B, p.C, p.F.to_polymap(), p.G)
