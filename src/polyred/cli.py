@@ -184,6 +184,19 @@ def _cmd_pairing(args, pairing) -> int:
     return 0 if rep.ok else 1
 
 
+def _read_json(path: str):
+    """The JSON value in the file at path.  A file that cannot be read, is
+    not UTF-8 JSON, nests deeper than the decoder's recursion limit or
+    holds an integer longer than int() reads is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise UsageError(f"cannot read '{path}': {e.strerror}")
+    except (ValueError, RecursionError) as e:
+        raise UsageError(f"'{path}' is not JSON: {e}")
+
+
 def _cmd_pair_up(args) -> int:
     doc = _load_document(args.map)
     f = doc.to_polymap()
@@ -193,15 +206,7 @@ def _cmd_pair_up(args) -> int:
 def _cmd_pair_down(args) -> int:
     doc = _load_document(args.map)
     f = doc.to_polymap()
-    try:
-        with open(args.matrix, encoding="utf-8") as fh:
-            rows = json.load(fh)
-    except OSError as e:
-        raise UsageError(f"cannot read '{args.matrix}': {e.strerror}")
-    except json.JSONDecodeError as e:
-        raise UsageError(f"'{args.matrix}' is not JSON: {e}")
-    except ValueError:  # an integer longer than int() reads
-        raise UsageError(f"'{args.matrix}' is not a matrix of rationals")
+    rows = _read_json(args.matrix)
     try:
         a = matrix_from_json(rows)
     except ValueError:
@@ -235,13 +240,7 @@ def _cmd_segre(args) -> int:
 
 
 def _cmd_verify_cert(args) -> int:
-    try:
-        with open(args.cert, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise UsageError(f"cannot read '{args.cert}': {e.strerror}")
-    except json.JSONDecodeError as e:
-        raise UsageError(f"'{args.cert}' is not JSON: {e}")
+    data = _read_json(args.cert)
     if not isinstance(data, dict) or data.get("format") != "polyred-certificate":
         raise UsageError(f"'{args.cert}' is not a certificate document")
     try:

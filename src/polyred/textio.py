@@ -17,6 +17,8 @@ error carries the line and column it was found at.
 `print_map` emits a canonical form (terms graded-lex descending,
 coefficients in lowest terms, single spaces) and `parse_map` inverts it
 exactly, so parse(print(doc)) == doc is an identity the tests lean on.
+`cubic_linear_text` writes the same form for a cubic linear partner
+straight from its matrix, without building its terms as a Poly.
 
 Rationals inside JSON are strings like "-3/2", never floats; the whole
 pipeline stays exact through a round trip.  Certificates embed their

@@ -298,7 +298,7 @@ def _matrix_text(rows, last_entry=None) -> str:
     "true", "false",  # were read as 1 and 0
     "0.1",            # was read at its binary value
     '"1.5"', '"1_0"', '"+1"', '" 1"', '"1/-2"', '"-"', '""', "null", "[1]",
-    '"' + "7" * 5000 + '"', "7" * 5000,
+    '"' + "7" * 5000 + '"',
 ])
 def test_pair_down_refuses_a_matrix_entry_that_is_not_rational(capsys, tmp_path, entry):
     data = run_json(capsys, "pair-up", "yagzhev-2d-a", "--json")
@@ -319,6 +319,24 @@ def test_pair_down_refuses_a_matrix_of_the_wrong_shape(capsys, tmp_path, rows):
     amat.write_text(rows)
     code, _, err = run(capsys, "pair-down", str(dru), "--matrix", str(amat))
     assert code == 2 and "is not a matrix of rationals" in err
+
+
+@pytest.mark.parametrize("command", [["verify-cert"], ["pair-down", "MAP", "--matrix"]])
+@pytest.mark.parametrize("content", [
+    b"[" * 100000 + b"]" * 100000,  # past the decoder's recursion limit
+    b"[[" + b"7" * 5000 + b"]]",     # an integer longer than int() reads
+    b"[[\"1\"]]\xff",              # not UTF-8
+])
+def test_json_inputs_that_python_cannot_hold_are_usage_errors(capsys, tmp_path,
+                                                              command, content):
+    dru = tmp_path / "dru.map"
+    dru.write_text("vars x\npoly f1 = x\n")
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = [str(dru) if a == "MAP" else a for a in command] + [str(bad)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: '{bad}' is not JSON: ")
 
 
 def test_pair_down_reads_json_ints_and_signed_fraction_strings(capsys, tmp_path):

@@ -289,7 +289,7 @@ def matrices(nrows, ncols):
 
 def perturbed(f: PolyMap, data) -> PolyMap:
     """f with one term of one component changed: an existing coefficient
-    moved (or cancelled) or a new cubic, quadratic or linear term added."""
+    moved or cancelled, or a square x_j^2 added."""
     n = f.n_in
     i = data.draw(st.integers(0, n - 1))
     terms = dict(f.components[i].terms)
