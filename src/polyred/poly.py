@@ -493,7 +493,10 @@ def cube_numerators(form: Poly):
     a_1 x_1 + ... + a_k x_k with common denominator D: the term
     x_i x_j x_l (i <= j <= l) gets the integer n_i n_j n_l, n = D a,
     times 1, 3 or 6 as the indices coincide, so no coefficient can cancel
-    and none is zero.  Each variable's (var, 1) pair is the form's own and
+    and none is zero.  The terms come in graded-lex descending order, the
+    order textio.cubic_linear_text prints them in: x_i^3, then x_i^2 x_j
+    for each j > i, then for each j > i, x_i x_j^2 followed by x_i x_j x_l
+    for each l > j.  Each variable's (var, 1) pair is the form's own and
     its (var, 2) pair is built once, so the cube's monomials share them.
     Raises ValueError when form is not a linear form.
     """
@@ -515,8 +518,9 @@ def cube_numerators(form: Poly):
         ai2 = ai * ai
         out[((ones[i][0], 3),)] = ai2 * ai
         for j in range(i + 1, k):
+            out[(twos[i], ones[j])] = 3 * ai2 * nums[j]
+        for j in range(i + 1, k):
             aj = nums[j]
-            out[(twos[i], ones[j])] = 3 * ai2 * aj
             out[(ones[i], twos[j])] = 3 * ai * aj * aj
             aij = 6 * ai * aj
             for l in range(j + 1, k):

@@ -37,7 +37,7 @@ mutual inverses, and as a general automorphism otherwise.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from .certs import (Automorphism, Certificate, CertReport, ExtendFreshVars,
@@ -45,7 +45,7 @@ from .certs import (Automorphism, Certificate, CertReport, ExtendFreshVars,
                     PreCompose, RationalMap, SegreExtend, ShearAutomorphism)
 from .linalg import RatMatrix
 from .maps import DEFAULT_BUDGET, PolyMap
-from .poly import Poly, as_coeff, mono_mul, qdiv
+from .poly import Poly, as_coeff, cube_numerators, mono_mul, qdiv
 
 _RESERVED = {"vars", "poly", "meta"}
 
@@ -419,35 +419,18 @@ def polymap_to_document(f: PolyMap, var_names: Optional[Sequence[str]] = None,
 
 def cubic_linear_text(f) -> str:
     """_map_text(f.to_polymap()) for a CubicLinearMap f, written from its
-    matrix A with no Poly built or sorted.  Component i is the cube of
-    the form A_i, with integer numerators n = D A_i over D**3 (as in
-    poly.cube_numerators), in graded-lex descending order: x_j^3, then
-    x_j^2 x_k for each k > j, then for each k > j, x_j x_k^2 followed by
-    x_j x_k x_l for each l > k.  x_i comes last."""
+    matrix A with no Poly built or sorted: component i is the cube of the
+    form A_i, whose integer numerators over D**3 cube_numerators gives in
+    graded-lex descending order, followed by x_i."""
     names = default_var_names(f.n_in)
-    squares = [v + "^2" for v in names]
     lines = ["vars " + " ".join(names)]
-    for i, row in enumerate(f.A.rows):
-        support = [j for j, a in enumerate(row) if a]
-        den = lcm(*[row[j].denominator for j in support])
+    # powers[e][v] is the text of x_v^e
+    powers = (None, names, [v + "^2" for v in names], [v + "^3" for v in names])
+    for i, form in enumerate(PolyMap.from_matrix(f.A).components):
+        den, cube = cube_numerators(form)
         den3 = den ** 3
-        nums = [row[j].numerator * (den // row[j].denominator) for j in support]
-        k = len(support)
-        terms = []
-        for p in range(k):
-            a, u = nums[p], names[support[p]]
-            terms.append((_ratio_text(a * a * a, den3), u + "^3"))
-            u2 = squares[support[p]]
-            for q in range(p + 1, k):
-                terms.append((_ratio_text(3 * a * a * nums[q], den3),
-                              f"{u2}*{names[support[q]]}"))
-            for q in range(p + 1, k):
-                b, v = nums[q], names[support[q]]
-                terms.append((_ratio_text(3 * a * b * b, den3),
-                              f"{u}*{squares[support[q]]}"))
-                for r in range(q + 1, k):
-                    terms.append((_ratio_text(6 * a * b * nums[r], den3),
-                                  f"{u}*{v}*{names[support[r]]}"))
+        terms = [(_ratio_text(t, den3), "*".join([powers[e][v] for v, e in m]))
+                 for m, t in cube.items()]
         terms.append(("1", names[i]))
         lines.append(f"poly f{i + 1} = {_terms_text(terms)}")
     return "\n".join(lines) + "\n"
