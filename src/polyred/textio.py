@@ -345,25 +345,22 @@ def parse_map(text: str) -> MapDocument:
     return MapDocument(tuple(variables), tuple(comps), meta)
 
 
-def _terms_text(terms, names: Sequence[str]) -> str:
-    """(monomial, coefficient) pairs as canonical text: the coefficient as
-    str() prints it, so an int, a Fraction or that text itself, is left
-    out when it is 1 before a monomial, and each sign goes between the
-    terms."""
+def _terms_text(terms) -> str:
+    """A sum of (coefficient text, monomial text) terms: the coefficient
+    as str() prints an int or a Fraction, the monomial '' for a constant.
+    A unit coefficient is left out before a monomial, and each term's
+    sign is written between the terms."""
     parts = []
-    for mono, coeff in terms:
-        text = str(coeff)
+    for text, mono in terms:
         positive = text[0] != "-"
         if not positive:
             text = text[1:]
-        factors = [text] if text != "1" or not mono else []
-        for v, e in mono:
-            factors.append(names[v] if e == 1 else f"{names[v]}^{e}")
-        body = "*".join(factors)
+        if mono:
+            text = mono if text == "1" else f"{text}*{mono}"
         if not parts:
-            parts.append(body if positive else "-" + body)
+            parts.append(text if positive else "-" + text)
         else:
-            parts.append(("+ " if positive else "- ") + body)
+            parts.append(("+ " if positive else "- ") + text)
     return " ".join(parts)
 
 
@@ -371,7 +368,13 @@ def poly_text(p: Poly, names: Sequence[str]) -> str:
     """Canonical expression: graded-lex descending, explicit '*'."""
     if p.is_zero():
         return "0"
-    return _terms_text(p.sorted_terms(), names)
+    terms = []
+    for m, c in p.sorted_terms():
+        factors = []
+        for v, e in m:
+            factors.append(names[v] if e == 1 else f"{names[v]}^{e}")
+        terms.append((str(c), "*".join(factors)))
+    return _terms_text(terms)
 
 
 def print_map(doc: MapDocument) -> str:
@@ -421,12 +424,15 @@ def cubic_linear_text(f) -> str:
     graded-lex descending order, followed by x_i."""
     names = default_var_names(f.n_in)
     lines = ["vars " + " ".join(names)]
+    # powers[e][v] is the text of x_v^e
+    powers = (None, names, [v + "^2" for v in names], [v + "^3" for v in names])
     for i, form in enumerate(PolyMap.from_matrix(f.A).components):
         den, cube = cube_numerators(form)
         den3 = den ** 3
-        terms = [(m, _ratio_text(t, den3)) for m, t in cube.items()]
-        terms.append((((i, 1),), 1))
-        lines.append(f"poly f{i + 1} = {_terms_text(terms, names)}")
+        terms = [(_ratio_text(t, den3), "*".join([powers[e][v] for v, e in m]))
+                 for m, t in cube.items()]
+        terms.append(("1", names[i]))
+        lines.append(f"poly f{i + 1} = {_terms_text(terms)}")
     return "\n".join(lines) + "\n"
 
 
