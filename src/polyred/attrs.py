@@ -233,7 +233,7 @@ def _eliminable(g: list) -> bool:
 
 
 def _rotation_automorphism(c: Fraction) -> Automorphism:
-    m = RatMatrix([[Fraction(1), c], [-c, Fraction(1)]])
+    m = RatMatrix.dense([[1, c], [-c, 1]])
     return Automorphism.from_linear(m, m.inverse(), f"rotation c={c}")
 
 

@@ -56,7 +56,7 @@ from fractions import Fraction
 from typing import List, Optional, Union
 
 from .maps import PolyMap
-from .poly import ExactDivisionError, Poly, as_coeff, mono_degree, qdiv
+from .poly import ExactDivisionError, Poly, mono_degree, qdiv
 
 
 class RationalMap:
@@ -184,20 +184,6 @@ class Automorphism:
         return Automorphism(
             PolyMap.from_matrix(m), PolyMap.from_matrix(inverse_m), label
         )
-
-    @staticmethod
-    def from_sparse_linear(rows, inv_rows, label: str = "") -> "Automorphism":
-        """Linear automorphism from sparse {col: coeff} rows."""
-        n = len(rows)
-
-        def mk(rs):
-            comps = []
-            for r in rs:
-                p = Poly(n, {((j, 1),): as_coeff(v) for j, v in sorted(r.items()) if v})
-                comps.append(p)
-            return PolyMap(comps)
-
-        return Automorphism(mk(rows), mk(inv_rows), label)
 
     @staticmethod
     def translation(vec, label: str = "") -> "Automorphism":

@@ -77,7 +77,10 @@ def _exact_budget(args) -> Budget:
 
 
 def _print_json(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+    """data as sorted, indented JSON and a newline, streamed to stdout
+    rather than built as one string first."""
+    json.dump(data, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
 
 
 def _table(pairs) -> None:

@@ -222,9 +222,9 @@ def _pushed_down(B: RatMatrix, A: RatMatrix, C: RatMatrix) -> PolyMap:
     cubes = [linear_cube(form) for form in PolyMap.from_matrix(A * C).components]
     comps = []
     for row, p in zip(B.rows, PolyMap.from_matrix(B * C).components):
-        for b, cube in zip(row, cubes):
-            if b and cube.terms:
-                p = p + cube.scale(b)
+        for k, b in sorted(row.items()):
+            if cubes[k].terms:
+                p = p + cubes[k].scale(b)
         comps.append(p)
     return PolyMap(comps)
 
@@ -254,6 +254,19 @@ def verify_pairing(p: GZPairing) -> PairingReport:
     if p.G != _pushed_down(p.B, p.F.A, p.C):
         issues.append("G is not B F(C x)")
     return PairingReport(not issues, issues)
+
+
+def _basis_padding(q_rows: list, m: int) -> list:
+    """The rows e_i, i ascending, that pad the rows of Q to rank m, each
+    e_i kept when it is not in the span of Q and the e_j before it.
+
+    That happens exactly when e_i is not in Q's row space cut to columns
+    i..m-1, that is when column i is not a pivot of Q eliminated from its
+    last column to its first: one elimination, not a rank per e_i.
+    """
+    flipped = RatMatrix([{m - 1 - j: a for j, a in row.items()} for row in q_rows], m)
+    pivots = {m - 1 - c for c in flipped.rref()[1]}
+    return [{i: 1} for i in range(m) if i not in pivots]
 
 
 def pair_up(g: PolyMap) -> GZPairing:
@@ -289,32 +302,15 @@ def pair_up(g: PolyMap) -> GZPairing:
             row[k] = row.get(k, Fraction(0)) + c * lam ** 3
         coeff_rows.append(row)
 
-    q_rows = [[Fraction(a) for a in key] for key in pool]
-    used = RatMatrix(q_rows) if q_rows else RatMatrix.zero(0, m)
-    rank = used.rank()
-    padded = list(q_rows)
-    for i in range(m):
-        if rank == m:
-            break
-        e = [Fraction(0)] * m
-        e[i] = Fraction(1)
-        trial = RatMatrix(padded + [e])
-        if trial.rank() > rank:
-            padded.append(e)
-            rank += 1
-    r = len(padded)
+    q_rows = [{j: a for j, a in enumerate(key) if a} for key in pool]
+    q_rows += _basis_padding(q_rows, m)
+    r = len(q_rows)
     n = m + r
 
-    Q = RatMatrix(padded)
-    P = RatMatrix(
-        [[coeff_rows[i].get(k, Fraction(0)) for k in range(r)]
-         for i in range(m)]
-    )
+    Q = RatMatrix(q_rows, m)
+    P = RatMatrix([{k: as_coeff(c) for k, c in row.items() if c} for row in coeff_rows], r)
     QP = Q * P
-    a_rows = [[Fraction(0)] * n for _ in range(m)]
-    for k in range(r):
-        a_rows.append(list(Q.rows[k]) + list(QP.rows[k]))
-    A = RatMatrix(a_rows)
+    A = RatMatrix.zero(m, n).vstack(Q.hstack(QP))
     B = RatMatrix.identity(m).hstack(P)
     C = RatMatrix.identity(m).vstack(RatMatrix.zero(r, m))
     return GZPairing(A, B, C, CubicLinearMap(A), g)
@@ -372,9 +368,8 @@ def pairing_to_equivalence(p: GZPairing) -> Certificate:
         additions = {}
         for j in range(r):
             s = Poly(n)
-            for k in range(n):
-                e = bprime.rows[m + j][k]
-                if e and not cubes[k].is_zero():
+            for k, e in sorted(bprime.rows[m + j].items()):
+                if not cubes[k].is_zero():
                     s = s + cubes[k].scale(e)
             if not s.is_zero():
                 additions[m + j] = s

@@ -1,326 +1,254 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse rows.
 
-Dense RatMatrix covers the small-dimension work (pairings, rotations,
-block checks).  The sparse helpers cover numeric Jacobians of
-high-dimensional but structurally sparse maps, where dense elimination
-would be hopeless; rows there are {column: nonzero int or Fraction}
-dicts, and their pivot divisions go through poly.qdiv.
+A RatMatrix is a list of rows {column: nonzero entry} beside its shape
+(nrows, ncols).  Entries follow Poly's coefficient rule: an int when
+integral and a Fraction otherwise, every division going through
+poly.qdiv, so an int matrix stays int wherever its pivots divide
+exactly.
+
+One routine, _eliminate, does every elimination: Gauss-Jordan in column
+order, where a column -> rows index finds the live rows holding each
+column and the shortest of them pivots, which keeps fill-in small on the
+near-triangular Jacobians of the reduction pipeline (Davis, Direct
+Methods for Sparse Linear Systems, SIAM 2006).  The reduced row echelon
+form does not depend on which row pivots, and neither does a rank, a
+kernel basis read off it, an inverse or a determinant.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .poly import qdiv
+from .poly import as_coeff, qdiv
+
+
+def _eliminate(rows: list, ncols: int) -> tuple:
+    """(reduced rows, pivots, product of the pivots) for copies of rows.
+
+    Column by column, the shortest live row holding the column becomes
+    its pivot row, is scaled to lead with 1 and clears the column from
+    the other live rows; then, last pivot first, each pivot row clears
+    its column from the pivot rows above it, which at that point only
+    removes entries when the matrix is square and invertible.  pivots
+    lists (column, row index) in column order, so the pivot rows in that
+    order are the reduced row echelon form and every other row ends
+    empty; the product is taken before scaling.
+    """
+    rows = [dict(r) for r in rows]
+    holders = [set() for _ in range(ncols)]  # column -> rows holding it
+    for i, r in enumerate(rows):
+        for c in r:
+            holders[c].add(i)
+    live = {i for i, r in enumerate(rows) if r}
+    pivots = []
+    product = 1
+    for c in range(ncols):
+        if not live:
+            break
+        candidates = [i for i in holders[c] if i in live]
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        live.discard(p)
+        pivots.append((c, p))
+        piv = rows[p][c]
+        product *= piv
+        if piv != 1:
+            rows[p] = {k: qdiv(v, piv) for k, v in rows[p].items()}
+        _clear(rows, holders, c, p, candidates)
+        live.difference_update([i for i in candidates if not rows[i]])
+    for c, p in reversed(pivots):
+        _clear(rows, holders, c, p, list(holders[c]))
+    return rows, pivots, product
+
+
+def _clear(rows: list, holders: list, c: int, p: int, targets: list) -> None:
+    """Subtract from each target row but p its multiple of pivot row p
+    that zeroes column c, keeping holders in step."""
+    prow = rows[p]
+    for i in targets:
+        if i == p:
+            continue
+        row = rows[i]
+        f = row[c]
+        for k, v in prow.items():
+            old = row.get(k)
+            if old is None:
+                row[k] = as_coeff(-f * v)
+                holders[k].add(i)
+            else:
+                new = old - f * v
+                if new:
+                    row[k] = as_coeff(new)
+                else:
+                    del row[k]  # column c itself lands here
+                    holders[k].discard(i)
 
 
 class RatMatrix:
+    """An nrows x ncols matrix kept as rows {column: nonzero entry}.
+
+    The constructor takes the rows as they are, so each entry must
+    already be stored by Poly's rule; RatMatrix.dense reads nested
+    sequences of anything Fraction accepts.
+    """
+
     __slots__ = ("rows", "nrows", "ncols")
 
-    def __init__(self, rows: Sequence[Sequence]):
-        self.rows = [[Fraction(x) for x in row] for row in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged matrix")
+    def __init__(self, rows: list, ncols: int):
+        self.rows = rows
+        self.nrows = len(rows)
+        self.ncols = ncols
+
+    @staticmethod
+    def dense(rows: Sequence[Sequence], ncols: Optional[int] = None) -> "RatMatrix":
+        """The matrix of a list of equal-length rows; ncols is needed
+        only when there are no rows."""
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged matrix")
+        return RatMatrix([{j: c for j, c in enumerate(map(as_coeff, row)) if c}
+                          for row in rows], ncols)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return RatMatrix([{i: 1} for i in range(n)], n)
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "RatMatrix":
-        return RatMatrix([[Fraction(0)] * ncols for _ in range(nrows)])
+        return RatMatrix([{} for _ in range(nrows)], ncols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.ncols == other.ncols and self.rows == other.rows
 
     __hash__ = None
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
-
-    def copy_rows(self) -> list:
-        return [list(row) for row in self.rows]
+        return self.rows[i].get(j, 0)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, a in row.items():
+                cols[j][i] = a
+        return RatMatrix(cols, self.nrows)
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         out = []
         for row in self.rows:
-            acc = [0] * other.ncols  # only nonzero products are added
-            for a, orow in zip(row, other.rows):
-                if a:
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] += a * b
-            out.append(acc)
-        return RatMatrix(out)
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in matrix sum")
-        return RatMatrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+            acc: dict = {}
+            for k, a in row.items():
+                for j, b in other.rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: as_coeff(v) for j, v in acc.items() if v})
+        return RatMatrix(out, other.ncols)
 
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
-        return RatMatrix([r1 + r2 for r1, r2 in zip(self.rows, other.rows)])
+        n = self.ncols
+        return RatMatrix([{**r1, **{n + j: a for j, a in r2.items()}}
+                          for r1, r2 in zip(self.rows, other.rows)], n + other.ncols)
 
     def vstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.ncols != other.ncols:
             raise ValueError("column count mismatch in vstack")
-        return RatMatrix(self.rows + other.rows)
+        return RatMatrix(self.rows + other.rows, self.ncols)
 
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.rows)
-
-    def rref(self):
-        """(reduced rows, pivot column list); self is not modified."""
-        rows = self.copy_rows()
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, self.nrows):
-                if rows[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
-            for i in range(self.nrows):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return rows, pivots
+    def rref(self) -> tuple:
+        """(R, pivot columns), R the reduced row echelon form of self with
+        its zero rows last; self is not modified."""
+        rows, pivots, _ = _eliminate(self.rows, self.ncols)
+        reduced = [rows[i] for _, i in pivots]
+        reduced += [{} for _ in range(self.nrows - len(pivots))]
+        return RatMatrix(reduced, self.ncols), [c for c, _ in pivots]
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_eliminate(self.rows, self.ncols)[1])
 
     def row_basis(self) -> "RatMatrix":
         """Rows spanning the row space (nonzero rows of the rref)."""
-        rows, pivots = self.rref()
-        return RatMatrix(rows[: len(pivots)])
+        reduced, pivots = self.rref()
+        return RatMatrix(reduced.rows[:len(pivots)], self.ncols)
 
     def nullspace_basis(self) -> "RatMatrix":
-        """Columns... returned as a matrix whose ROWS are kernel basis vectors."""
-        rows, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * self.ncols
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -rows[r][fc]
-            basis.append(v)
-        return RatMatrix(basis) if basis else RatMatrix.zero(0, self.ncols)
+        """A matrix whose rows are a kernel basis: one per free column fc,
+        with 1 at fc and minus the rref's column fc at the pivots."""
+        rows, pivots, _ = _eliminate(self.rows, self.ncols)
+        pivot_cols = {c for c, _ in pivots}
+        basis = {fc: {fc: 1} for fc in range(self.ncols) if fc not in pivot_cols}
+        for pc, i in pivots:
+            for fc, a in rows[i].items():
+                if fc != pc:  # every other entry of a pivot row is free
+                    basis[fc][pc] = -a
+        return RatMatrix(list(basis.values()), self.ncols)
+
+    def solve_right(self, rhs: "RatMatrix") -> Optional["RatMatrix"]:
+        """One X with self @ X = rhs (free unknowns 0), or None when
+        inconsistent."""
+        if rhs.nrows != self.nrows:
+            raise ValueError("shape mismatch in solve")
+        n = self.ncols
+        rows, pivots, _ = _eliminate(self.hstack(rhs).rows, n + rhs.ncols)
+        if pivots and pivots[-1][0] >= n:
+            return None
+        out = [{} for _ in range(n)]
+        for pc, i in pivots:
+            out[pc] = {j - n: a for j, a in rows[i].items() if j >= n}
+        return RatMatrix(out, rhs.ncols)
+
+    def right_inverse(self) -> Optional["RatMatrix"]:
+        """C with self @ C = I, or None when rows are dependent."""
+        return self.solve_right(RatMatrix.identity(self.nrows))
 
     def inverse(self) -> "RatMatrix":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        aug = RatMatrix([list(r) for r in self.rows]).hstack(RatMatrix.identity(n))
-        rows, pivots = aug.rref()
-        if pivots != list(range(n)):
+        inv = self.right_inverse()
+        if inv is None:
             raise ZeroDivisionError("matrix is singular")
-        return RatMatrix([row[n:] for row in rows[:n]])
-
-    def solve_right(self, rhs: "RatMatrix"):
-        """One X with self @ X = rhs, or None when inconsistent."""
-        if rhs.nrows != self.nrows:
-            raise ValueError("shape mismatch in solve")
-        aug = self.hstack(rhs)
-        rows, pivots = aug.rref()
-        good = [p for p in pivots if p < self.ncols]
-        if len(good) != len(pivots):
-            return None
-        out = [[Fraction(0)] * rhs.ncols for _ in range(self.ncols)]
-        for r, pc in enumerate(pivots):
-            for j in range(rhs.ncols):
-                out[pc][j] = rows[r][self.ncols + j]
-        return RatMatrix(out)
-
-    def right_inverse(self):
-        """C with self @ C = I, or None when rows are dependent."""
-        return self.solve_right(RatMatrix.identity(self.nrows))
+        return inv
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.nrows}x{self.ncols})"
 
 
-# -- sparse routines ---------------------------------------------------
-#
-# A sparse square matrix is a list of {column: int or Fraction} row
-# dicts.  The elimination picks pivots greedily by Markowitz cost, which
-# keeps fill-in negligible on the near-triangular matrices the reduction
-# pipeline produces.
+# Entry points on the bare rows of an n x n matrix, for the Jacobians
+# that maps.classify and reduce.normalize evaluate at points.
 
 
-def sparse_det(rows: list, n: int) -> Fraction:
-    rows = [dict(r) for r in rows]
+def sparse_det(rows: list, n: int):
+    """The determinant, as a stored coefficient: the product of
+    _eliminate's pivots times the sign of the permutation that sends
+    each pivot row to its column."""
     if len(rows) != n:
         raise ValueError("row count mismatch")
-    col_count = [0] * n
-    for r in rows:
-        for c in r:
-            col_count[c] += 1
-    alive_rows = set(range(n))
-    alive_cols = set(range(n))
-    det = Fraction(1)
-    perm_rows = []
-    perm_cols = []
-    for _ in range(n):
-        best = None
-        for i in range(n):
-            if i not in alive_rows:
-                continue
-            ri = rows[i]
-            nz = [c for c in ri if c in alive_cols and ri[c] != 0]
-            if not nz:
-                return Fraction(0)
-            for c in nz:
-                cost = (len(nz) - 1) * (col_count[c] - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, i, c)
-            if best is not None and best[0] == 0:
-                break
-        _, pi, pc = best
-        piv = rows[pi][pc]
-        det *= piv
-        perm_rows.append(pi)
-        perm_cols.append(pc)
-        alive_rows.discard(pi)
-        alive_cols.discard(pc)
-        prow = rows[pi]
-        for c in prow:
-            col_count[c] -= 1
-        for i in range(n):
-            if i not in alive_rows:
-                continue
-            ri = rows[i]
-            f = ri.get(pc)
-            if not f:
-                continue
-            f = qdiv(f, piv)
-            for c, v in prow.items():
-                if c not in alive_cols:
-                    continue
-                nv = ri.get(c, Fraction(0)) - f * v
-                if nv == 0:
-                    if c in ri:
-                        del ri[c]
-                        col_count[c] -= 1
-                else:
-                    if c not in ri:
-                        col_count[c] += 1
-                    ri[c] = nv
-            del ri[pc]
-            col_count[pc] -= 1
-    # det = product of pivots times the sign of the permutation that
-    # pairs each pivot row with its pivot column
-    order = {r: c for r, c in zip(perm_rows, perm_cols)}
-    seq = [order[r] for r in sorted(order)]
-    sign = 1
+    _, pivots, product = _eliminate(rows, n)
+    if len(pivots) < n:
+        return 0
+    col_of = [0] * n
+    for c, i in pivots:
+        col_of[i] = c
+    # a cycle of length L is L - 1 transpositions
+    transpositions = n
     seen = [False] * n
     for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = seq[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return det * sign
+        if not seen[start]:
+            transpositions -= 1
+            k = start
+            while not seen[k]:
+                seen[k] = True
+                k = col_of[k]
+    return as_coeff(-product if transpositions % 2 else product)
 
 
 def sparse_inverse(rows: list, n: int) -> list:
-    """Inverse of a sparse matrix, as sparse rows, in the ring of its
-    entries: int rows stay ints wherever qdiv divides exactly.
-    Gauss-Jordan with sparsity-greedy pivoting; raises ZeroDivisionError
-    when singular."""
-    a = [dict(r) for r in rows]
-    inv = [{i: 1} for i in range(n)]
-    pivot_of_col = {}
-    done_rows = set()
-    for _ in range(n):
-        best = None
-        for i in range(n):
-            if i in done_rows:
-                continue
-            live = sorted(c for c in a[i] if c not in pivot_of_col)
-            if not live:
-                raise ZeroDivisionError("matrix is singular")
-            cost = len(live) + len(a[i])
-            if best is None or cost < best[0]:
-                best = (cost, i, live[0])
-            if cost <= 2:
-                break
-        _, pi, pc = best
-        piv = a[pi][pc]
-        if piv != 1:
-            a[pi] = {c: qdiv(v, piv) for c, v in a[pi].items()}
-            inv[pi] = {c: qdiv(v, piv) for c, v in inv[pi].items()}
-        for i in range(n):
-            if i == pi:
-                continue
-            f = a[i].get(pc)
-            if not f:
-                continue
-            for c, v in a[pi].items():
-                nv = a[i].get(c, 0) - f * v
-                if nv == 0:
-                    a[i].pop(c, None)
-                else:
-                    a[i][c] = nv
-            for c, v in inv[pi].items():
-                nv = inv[i].get(c, 0) - f * v
-                if nv == 0:
-                    inv[i].pop(c, None)
-                else:
-                    inv[i][c] = nv
-        pivot_of_col[pc] = pi
-        done_rows.add(pi)
-    out = [None] * n
-    for c, i in pivot_of_col.items():
-        out[c] = inv[i]
-    return out
-
-
-def sparse_matmul(a: list, b: list) -> list:
-    """Product of two sparse matrices given as row dicts."""
-    out = []
-    for ra in a:
-        acc: dict = {}
-        for k, v in ra.items():
-            if not v:
-                continue
-            for c, w in b[k].items():
-                nv = acc.get(c, Fraction(0)) + v * w
-                if nv == 0:
-                    acc.pop(c, None)
-                else:
-                    acc[c] = nv
-        out.append(acc)
-    return out
-
-
-def sparse_trace(a: list) -> Fraction:
-    return sum((r.get(i, Fraction(0)) for i, r in enumerate(a)), Fraction(0))
+    """The rows of the inverse, int wherever qdiv divides exactly;
+    raises ZeroDivisionError when singular."""
+    return RatMatrix(rows, n).inverse().rows

@@ -21,7 +21,7 @@ from operator import add, mul
 from typing import Optional, Sequence
 
 from .elim import poly_matrix_det
-from .linalg import RatMatrix, sparse_det, sparse_matmul, sparse_trace
+from .linalg import RatMatrix, sparse_det
 from .poly import Poly, as_coeff, linear_cube, mono_degree, qdiv
 
 
@@ -111,7 +111,7 @@ class PolyMap:
     @staticmethod
     def from_matrix(m: RatMatrix) -> "PolyMap":
         """x -> m x, one linear form per row."""
-        return PolyMap([Poly(m.ncols, {((j, 1),): as_coeff(a) for j, a in enumerate(row) if a})
+        return PolyMap([Poly(m.ncols, {((j, 1),): a for j, a in sorted(row.items())})
                         for row in m.rows])
 
     @staticmethod
@@ -193,14 +193,14 @@ def sparse_jacobian(f: PolyMap) -> list:
 
 def eval_jacobian_sparse(jac: list, point: Sequence) -> list:
     """A sparse_jacobian, or any rows of (column, Poly) entries, at a
-    point, as {column: nonzero value} rows in the ring of the point."""
+    rational point, as {column: nonzero value} rows of a RatMatrix."""
     rows = []
     for entries in jac:
         row = {}
         for v, d in entries:
             val = d.eval_at(point)
             if val:
-                row[v] = val
+                row[v] = as_coeff(val)
         rows.append(row)
     return rows
 
@@ -551,18 +551,18 @@ def is_nilpotent(
                for row in m]
     for attempt in range(3):
         nums = [rng.randrange(-box, box + 1) for _ in range(varcount)]
-        numeric = eval_jacobian_sparse(entries, nums)
+        numeric = RatMatrix(eval_jacobian_sparse(entries, nums), n)
         power = numeric
         for k in range(1, min(n, budget.power_probe_cap) + 1):
-            tr = sparse_trace(power)
+            tr = sum(row.get(i, 0) for i, row in enumerate(power.rows))
             if tr != 0:
                 return False, {
                     "point": nums,
                     "power": k,
                     "trace": str(tr),
                 }
-            if all(not r for r in power):
+            if not any(power.rows):
                 break
             if k < min(n, budget.power_probe_cap):
-                power = sparse_matmul(power, numeric)
+                power = power * numeric
     return None, "no non-nilpotency witness found by sampling"

@@ -30,7 +30,7 @@ from .certs import (
     RationalMap,
     SegreExtend,
 )
-from .linalg import sparse_inverse
+from .linalg import RatMatrix, sparse_inverse
 from .maps import (
     Budget,
     BudgetExceeded,
@@ -166,14 +166,6 @@ def lower_degree(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
 # ---------------------------------------------------------------- stage 2
 
 
-def _sparse_is_identity(rows: list, n: int) -> bool:
-    for i in range(n):
-        r = rows[i]
-        if len(r) != 1 or r.get(i) != 1:
-            return False
-    return True
-
-
 def normalize(f: PolyMap, seed: int = 0, budget: Budget = DEFAULT_BUDGET):
     """Find x0 with det J(f)(x0) != 0, move it to the origin, and
     straighten the differential, so the result G has G(0) = 0 and
@@ -218,9 +210,10 @@ def normalize(f: PolyMap, seed: int = 0, budget: Budget = DEFAULT_BUDGET):
     if any(fx0):
         builder.push(PostCompose(Automorphism.translation(
             [-v for v in fx0], "send the base value to the origin")))
-    if not _sparse_is_identity(rows, n):
-        builder.push(PostCompose(Automorphism.from_sparse_linear(
-            inv_rows, rows, "straighten the differential at the origin")))
+    jac_x0 = RatMatrix(rows, n)
+    if jac_x0 != RatMatrix.identity(n):
+        builder.push(PostCompose(Automorphism.from_linear(
+            RatMatrix(inv_rows, n), jac_x0, "straighten the differential at the origin")))
     return builder.current, builder.build()
 
 

@@ -383,7 +383,8 @@ def print_map(doc: MapDocument) -> str:
         lines.append(f"meta {key} {doc.metadata[key]}")
     for name, p in doc.components:
         lines.append(f"poly {name} = {poly_text(p, doc.variables)}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # one join, ending the text with a newline
+    return "\n".join(lines)
 
 
 # x, y, z name up to three variables and x1 ... xn more; one table of
@@ -433,7 +434,8 @@ def cubic_linear_text(f) -> str:
                  for m, t in cube.items()]
         terms.append(("1", names[i]))
         lines.append(f"poly f{i + 1} = {_terms_text(terms)}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # one join, ending the text with a newline
+    return "\n".join(lines)
 
 
 def _ratio_text(num: int, den: int) -> str:
@@ -457,7 +459,7 @@ def _map_from_text(text: str) -> PolyMap:
 
 
 def _matrix_to_json(m: RatMatrix) -> list:
-    return [[str(c) for c in row] for row in m.rows]
+    return [[str(row.get(j, 0)) for j in range(m.ncols)] for row in m.rows]
 
 
 def _rational_from_json(c):
@@ -482,7 +484,7 @@ def matrix_from_json(rows: list) -> RatMatrix:
     """A list of rows, each a list of _rational_from_json entries."""
     if type(rows) is not list or any(type(row) is not list for row in rows):
         raise ValueError("a matrix is a list of rows, each a list")
-    return RatMatrix([[_rational_from_json(c) for c in row] for row in rows])
+    return RatMatrix.dense([[_rational_from_json(c) for c in row] for row in rows])
 
 
 def _field(d, key: str, kind: type):
@@ -508,7 +510,8 @@ def _index_map_text(indices: Sequence[int], names: Sequence[str]) -> str:
     """_map_text of the map whose component i is the variable indices[i]."""
     lines = ["vars " + " ".join(names[:len(indices)])]
     lines.extend(f"poly f{i + 1} = {names[j]}" for i, j in enumerate(indices))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # one join, ending the text with a newline
+    return "\n".join(lines)
 
 
 def _variable_indices(f: PolyMap) -> Optional[list]:

@@ -18,6 +18,15 @@ two on random inputs:
   * the gcd route of elim.z_squarefree, which runs whenever its mod-p
     certificate does not settle the input;
   * a dense Bareiss determinant for linalg.sparse_det;
+  * DenseRatMatrix, the matrix that held a Fraction in every entry and
+    ran its own rref, with everything built on it (rank, row basis,
+    kernel, solve, inverses), and the Markowitz determinant and the
+    sparsity-greedy Gauss-Jordan inverse that sparse_det and
+    sparse_inverse ran; linalg's one column-order elimination replaced
+    all three;
+  * the padding of gz.pair_up that re-ranked Q with each trial basis row
+    appended, which one elimination of Q with its columns reversed
+    replaced;
   * the fully homogenizing form of certs.substitute_rational;
   * the long division that rescans and copies the remainder at every
     step, which Poly.exact_divide replaced with a one-pass heap loop;
@@ -58,12 +67,12 @@ from typing import Optional, Sequence
 
 from polyred.certs import Automorphism, CertificateBuilder, PostCompose, PreCompose
 from polyred.elim import _q_trim, poly_matrix_det, q_derive, z_exact_div, z_gcd, z_mul, z_sub
-from polyred.linalg import sparse_det, sparse_inverse
+from polyred.linalg import RatMatrix, sparse_det, sparse_inverse
 from polyred.maps import (DEFAULT_BUDGET, GenericityError, PolyMap, eval_jacobian_sparse,
                           sparse_jacobian)
 from polyred.poly import (ExactDivisionError, GRLEX_KEY, Poly, ZERO_MONO, as_coeff,
                           mono_degree, mono_div, mono_divides, mono_exponent, mono_mul, qdiv)
-from polyred.reduce import _check_time, _sparse_is_identity
+from polyred.reduce import _check_time
 from polyred.textio import MAX_EXPONENT, MAX_NESTING, ParseError, _lex
 
 
@@ -398,6 +407,260 @@ def dense_det(rows: list) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], scale)
 
 
+# -- dense matrices and the eliminations linalg replaced ----------------------
+
+
+class DenseRatMatrix:
+    """A matrix with a Fraction in every entry and its own rref."""
+
+    __slots__ = ("rows", "nrows", "ncols")
+
+    def __init__(self, rows: Sequence[Sequence], ncols: Optional[int] = None):
+        self.rows = [[Fraction(x) for x in row] for row in rows]
+        self.nrows = len(self.rows)
+        self.ncols = ncols if ncols is not None else len(self.rows[0]) if self.rows else 0
+        for row in self.rows:
+            if len(row) != self.ncols:
+                raise ValueError("ragged matrix")
+
+    @staticmethod
+    def of(m: RatMatrix) -> "DenseRatMatrix":
+        return DenseRatMatrix([[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)],
+                              m.ncols)
+
+    def to_sparse(self) -> RatMatrix:
+        return RatMatrix.dense(self.rows, self.ncols)
+
+    @staticmethod
+    def identity(n: int) -> "DenseRatMatrix":
+        return DenseRatMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], n)
+
+    def hstack(self, other: "DenseRatMatrix") -> "DenseRatMatrix":
+        if self.nrows != other.nrows:
+            raise ValueError("row count mismatch in hstack")
+        return DenseRatMatrix([r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
+                              self.ncols + other.ncols)
+
+    def rref(self):
+        """(reduced rows, pivot column list); self is not modified."""
+        rows = [list(row) for row in self.rows]
+        pivots = []
+        r = 0
+        for c in range(self.ncols):
+            pivot_row = None
+            for i in range(r, self.nrows):
+                if rows[i][c] != 0:
+                    pivot_row = i
+                    break
+            if pivot_row is None:
+                continue
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            pv = rows[r][c]
+            rows[r] = [x / pv for x in rows[r]]
+            for i in range(self.nrows):
+                if i != r and rows[i][c] != 0:
+                    f = rows[i][c]
+                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            pivots.append(c)
+            r += 1
+            if r == self.nrows:
+                break
+        return rows, pivots
+
+    def rank(self) -> int:
+        return len(self.rref()[1])
+
+    def row_basis(self) -> "DenseRatMatrix":
+        rows, pivots = self.rref()
+        return DenseRatMatrix(rows[: len(pivots)], self.ncols)
+
+    def nullspace_basis(self) -> "DenseRatMatrix":
+        """Kernel basis vectors as rows."""
+        rows, pivots = self.rref()
+        free = [c for c in range(self.ncols) if c not in pivots]
+        basis = []
+        for fc in free:
+            v = [Fraction(0)] * self.ncols
+            v[fc] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = -rows[r][fc]
+            basis.append(v)
+        return DenseRatMatrix(basis, self.ncols)
+
+    def inverse(self) -> "DenseRatMatrix":
+        if self.nrows != self.ncols:
+            raise ValueError("inverse of a non-square matrix")
+        n = self.nrows
+        rows, pivots = self.hstack(DenseRatMatrix.identity(n)).rref()
+        if pivots != list(range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        return DenseRatMatrix([row[n:] for row in rows[:n]], n)
+
+    def solve_right(self, rhs: "DenseRatMatrix"):
+        """One X with self @ X = rhs, or None when inconsistent."""
+        if rhs.nrows != self.nrows:
+            raise ValueError("shape mismatch in solve")
+        rows, pivots = self.hstack(rhs).rref()
+        if any(p >= self.ncols for p in pivots):
+            return None
+        out = [[Fraction(0)] * rhs.ncols for _ in range(self.ncols)]
+        for r, pc in enumerate(pivots):
+            for j in range(rhs.ncols):
+                out[pc][j] = rows[r][self.ncols + j]
+        return DenseRatMatrix(out, rhs.ncols)
+
+    def right_inverse(self):
+        return self.solve_right(DenseRatMatrix.identity(self.nrows))
+
+
+def markowitz_det(rows: list, n: int) -> Fraction:
+    """The determinant of sparse rows by greedy Markowitz pivoting, each
+    pivot found by scanning every live row."""
+    rows = [dict(r) for r in rows]
+    if len(rows) != n:
+        raise ValueError("row count mismatch")
+    col_count = [0] * n
+    for r in rows:
+        for c in r:
+            col_count[c] += 1
+    alive_rows = set(range(n))
+    alive_cols = set(range(n))
+    det = Fraction(1)
+    perm_rows = []
+    perm_cols = []
+    for _ in range(n):
+        best = None
+        for i in range(n):
+            if i not in alive_rows:
+                continue
+            ri = rows[i]
+            nz = [c for c in ri if c in alive_cols and ri[c] != 0]
+            if not nz:
+                return Fraction(0)
+            for c in nz:
+                cost = (len(nz) - 1) * (col_count[c] - 1)
+                if best is None or cost < best[0]:
+                    best = (cost, i, c)
+            if best is not None and best[0] == 0:
+                break
+        _, pi, pc = best
+        piv = rows[pi][pc]
+        det *= piv
+        perm_rows.append(pi)
+        perm_cols.append(pc)
+        alive_rows.discard(pi)
+        alive_cols.discard(pc)
+        prow = rows[pi]
+        for c in prow:
+            col_count[c] -= 1
+        for i in range(n):
+            if i not in alive_rows:
+                continue
+            ri = rows[i]
+            f = ri.get(pc)
+            if not f:
+                continue
+            f = qdiv(f, piv)
+            for c, v in prow.items():
+                if c not in alive_cols:
+                    continue
+                nv = ri.get(c, Fraction(0)) - f * v
+                if nv == 0:
+                    if c in ri:
+                        del ri[c]
+                        col_count[c] -= 1
+                else:
+                    if c not in ri:
+                        col_count[c] += 1
+                    ri[c] = nv
+            del ri[pc]
+            col_count[pc] -= 1
+    order = {r: c for r, c in zip(perm_rows, perm_cols)}
+    seq = [order[r] for r in sorted(order)]
+    sign = 1
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = seq[k]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return det * sign
+
+
+def greedy_inverse(rows: list, n: int) -> list:
+    """The inverse of sparse rows by Gauss-Jordan, each pivot row the
+    live row of least cost (live entries plus all entries); raises
+    ZeroDivisionError when singular."""
+    a = [dict(r) for r in rows]
+    inv = [{i: 1} for i in range(n)]
+    pivot_of_col = {}
+    done_rows = set()
+    for _ in range(n):
+        best = None
+        for i in range(n):
+            if i in done_rows:
+                continue
+            live = sorted(c for c in a[i] if c not in pivot_of_col)
+            if not live:
+                raise ZeroDivisionError("matrix is singular")
+            cost = len(live) + len(a[i])
+            if best is None or cost < best[0]:
+                best = (cost, i, live[0])
+            if cost <= 2:
+                break
+        _, pi, pc = best
+        piv = a[pi][pc]
+        if piv != 1:
+            a[pi] = {c: qdiv(v, piv) for c, v in a[pi].items()}
+            inv[pi] = {c: qdiv(v, piv) for c, v in inv[pi].items()}
+        for i in range(n):
+            if i == pi:
+                continue
+            f = a[i].get(pc)
+            if not f:
+                continue
+            for c, v in a[pi].items():
+                nv = a[i].get(c, 0) - f * v
+                if nv == 0:
+                    a[i].pop(c, None)
+                else:
+                    a[i][c] = nv
+            for c, v in inv[pi].items():
+                nv = inv[i].get(c, 0) - f * v
+                if nv == 0:
+                    inv[i].pop(c, None)
+                else:
+                    inv[i][c] = nv
+        pivot_of_col[pc] = pi
+        done_rows.add(pi)
+    out = [None] * n
+    for c, i in pivot_of_col.items():
+        out[c] = inv[i]
+    return out
+
+
+def pad_by_trial_ranks(q_rows: list, m: int) -> list:
+    """The standard basis rows gz.pair_up appends to Q, found as it first
+    found them: e_0, e_1, ... in turn, each kept when it raises the rank
+    of the rows so far."""
+    rank = DenseRatMatrix(q_rows, m).rank()
+    padded = list(q_rows)
+    for i in range(m):
+        if rank == m:
+            break
+        e = [Fraction(int(j == i)) for j in range(m)]
+        if DenseRatMatrix(padded + [e], m).rank() > rank:
+            padded.append(e)
+            rank += 1
+    return padded[len(q_rows):]
+
+
 # -- rational substitution ----------------------------------------------------
 
 
@@ -648,9 +911,8 @@ def bfc_by_compose(B, F: PolyMap, C) -> PolyMap:
     comps = []
     for row in B.rows:
         p = Poly(C.ncols)
-        for j, b in enumerate(row):
-            if b:
-                p = p + inner.components[j].scale(b)
+        for j, b in sorted(row.items()):
+            p = p + inner.components[j].scale(b)
         comps.append(p)
     return PolyMap(comps)
 
@@ -901,8 +1163,9 @@ def normalize_by_det_then_inverse(f, seed: int = 0, budget=DEFAULT_BUDGET):
     if any(fx0):
         builder.push(PostCompose(Automorphism.translation(
             [-v for v in fx0], "send the base value to the origin")))
-    if not _sparse_is_identity(rows, n):
+    if RatMatrix(rows, n) != RatMatrix.identity(n):
         inv_rows = sparse_inverse(rows, n)
-        builder.push(PostCompose(Automorphism.from_sparse_linear(
-            inv_rows, rows, "straighten the differential at the origin")))
+        builder.push(PostCompose(Automorphism.from_linear(
+            RatMatrix(inv_rows, n), RatMatrix(rows, n),
+            "straighten the differential at the origin")))
     return builder.current, builder.build()

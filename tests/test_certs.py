@@ -61,12 +61,12 @@ def symbolic_two_sided(sh):
 
 
 def test_linear_automorphism_two_sided():
-    a = Automorphism.from_linear(RatMatrix([[2, 1], [1, 1]]))
+    a = Automorphism.from_linear(RatMatrix.dense([[2, 1], [1, 1]]))
     assert a.verify_two_sided() is None
     # a deliberately wrong inverse is caught
     bad = Automorphism(
-        PolyMap.from_matrix(RatMatrix([[2, 1], [1, 1]])),
-        PolyMap.from_matrix(RatMatrix([[1, 0], [0, 1]])),
+        PolyMap.from_matrix(RatMatrix.dense([[2, 1], [1, 1]])),
+        PolyMap.from_matrix(RatMatrix.dense([[1, 0], [0, 1]])),
     )
     assert bad.verify_two_sided() is not None
 

@@ -362,9 +362,9 @@ def _tamper_f(p):
     # x0^3 on F's first component (pair_up's first rows of A are zero):
     # F is no longer X + (AX)^{*3}, and G, recomputed from F, no longer
     # matches either
-    rows = p.A.copy_rows()
-    rows[0] = [int(j == 0) for j in range(p.A.ncols)]
-    p.F = gz.CubicLinearMap(RatMatrix(rows))
+    rows = list(p.A.rows)
+    rows[0] = {0: 1}
+    p.F = gz.CubicLinearMap(RatMatrix(rows, p.A.ncols))
 
 
 def test_pair_up_reports_failed_axioms(capsys, monkeypatch):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bfc_by_compose
+from oracles import bfc_by_compose, pad_by_trial_ranks
 from polyred.certs import fiber_transport_check, verify_certificate
 from polyred.gz import (
     CubicLinearMap,
     GZPairing,
+    _basis_padding,
     _pushed_down,
     decompose_cubes,
     pair_down,
@@ -107,9 +108,9 @@ def test_forms_merge_up_to_scalar():
 def test_pair_up_unit_example():
     x = V(1, 0)
     p = pair_up(PolyMap([x + x ** 3]))
-    assert p.A == RatMatrix([[0, 0], [1, 1]])
-    assert p.B == RatMatrix([[1, 1]])
-    assert p.C == RatMatrix([[1], [0]])
+    assert p.A == RatMatrix.dense([[0, 0], [1, 1]])
+    assert p.B == RatMatrix.dense([[1, 1]])
+    assert p.C == RatMatrix.dense([[1], [0]])
     u, v = V(2, 0), V(2, 1)
     assert p.F == PolyMap([u, v + (u + v) ** 3])
     assert verify_pairing(p).ok
@@ -148,12 +149,12 @@ def test_pair_up_dimension_bookkeeping():
 def test_pair_down_unit_example():
     u, v = V(2, 0), V(2, 1)
     F = PolyMap([u, v + (u + v) ** 3])
-    A = RatMatrix([[0, 0], [1, 1]])
+    A = RatMatrix.dense([[0, 0], [1, 1]])
     p = pair_down(F, A)
     x = V(1, 0)
     assert p.G == PolyMap([x + x ** 3])
-    assert p.B == RatMatrix([[1, 1]])
-    assert p.C == RatMatrix([[1], [0]])
+    assert p.B == RatMatrix.dense([[1, 1]])
+    assert p.C == RatMatrix.dense([[1], [0]])
     assert verify_pairing(p).ok
 
 
@@ -165,7 +166,7 @@ def test_pair_down_zero_matrix_rejected():
 def test_pair_down_inconsistent_map_rejected():
     u, v = V(2, 0), V(2, 1)
     F = PolyMap([u, v + u ** 3])
-    A = RatMatrix([[0, 0], [1, 1]])  # says (u+v)^3, map has u^3
+    A = RatMatrix.dense([[0, 0], [1, 1]])  # says (u+v)^3, map has u^3
     with pytest.raises(ValueError):
         pair_down(F, A)
 
@@ -177,7 +178,7 @@ def test_pair_down_rank_two_in_dimension_four():
         [1, 1, 1, 1],
         [0, 0, 0, 0],
     ]
-    A = RatMatrix([[Fraction(a) for a in r] for r in rows])
+    A = RatMatrix.dense([[Fraction(a) for a in r] for r in rows])
     assert A.rank() == 2
     comps = []
     for i in range(4):
@@ -209,10 +210,10 @@ def test_round_trip_reproduces_g_exactly():
 
 
 def test_verify_catches_kernel_mismatch():
-    A = RatMatrix([[0, 0], [1, 1]])
+    A = RatMatrix.dense([[0, 0], [1, 1]])
     F = CubicLinearMap(A)
-    B = RatMatrix([[1, 0]])
-    C = RatMatrix([[1], [0]])
+    B = RatMatrix.dense([[1, 0]])
+    C = RatMatrix.dense([[1], [0]])
     x = V(1, 0)
     tampered = GZPairing(A, B, C, F, PolyMap([x]))
     report = verify_pairing(tampered)
@@ -223,7 +224,7 @@ def test_verify_catches_kernel_mismatch():
 def test_verify_catches_bc_tampering():
     x = V(1, 0)
     p = pair_up(PolyMap([x + x ** 3]))
-    bad = GZPairing(p.A, p.B, RatMatrix([[2], [0]]), p.F, p.G)
+    bad = GZPairing(p.A, p.B, RatMatrix.dense([[2], [0]]), p.F, p.G)
     report = verify_pairing(bad)
     assert not report.ok
     assert any("identity" in s for s in report.issues)
@@ -262,7 +263,7 @@ def test_equivalence_random_pairings():
 def test_equivalence_refuses_invalid_pairing():
     x = V(1, 0)
     p = pair_up(PolyMap([x + x ** 3]))
-    bad = GZPairing(p.A, p.B, RatMatrix([[2], [0]]), p.F, p.G)
+    bad = GZPairing(p.A, p.B, RatMatrix.dense([[2], [0]]), p.F, p.G)
     with pytest.raises(ValueError):
         pairing_to_equivalence(bad)
 
@@ -284,7 +285,7 @@ def matrices(nrows, ncols):
     entries."""
     row = st.one_of(st.just([0] * ncols),
                     st.lists(ENTRIES, min_size=ncols, max_size=ncols))
-    return st.lists(row, min_size=nrows, max_size=nrows).map(RatMatrix)
+    return st.lists(row, min_size=nrows, max_size=nrows).map(RatMatrix.dense)
 
 
 def perturbed(f: PolyMap, data) -> PolyMap:
@@ -364,3 +365,17 @@ def test_pairing_refuses_an_expanded_partner():
     p = pair_up(PolyMap([V(1, 0) + V(1, 0) ** 3]))
     with pytest.raises(TypeError, match="pair_down"):
         GZPairing(p.A, p.B, p.C, p.F.to_polymap(), p.G)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_basis_padding_matches_the_trial_rank_loop(data):
+    # integer rows of Q, as pair_up's primitive pool keys are, with zero,
+    # repeated and dependent rows among them
+    m = data.draw(st.integers(1, 5))
+    r = data.draw(st.integers(0, 6))
+    rows = [data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+            for _ in range(r)]
+    want = [{j: 1 for j, e in enumerate(row) if e} for row in pad_by_trial_ranks(rows, m)]
+    q_rows = [{j: a for j, a in enumerate(row) if a} for row in rows]
+    assert _basis_padding(q_rows, m) == want

@@ -165,10 +165,10 @@ def test_block_sampler_finds_a_first_zero_in_a_later_block():
 def test_identity_and_linear_parts():
     ident = PolyMap.identity(3)
     assert ident.is_identity()
-    assert RatMatrix(linear_part(ident)) == RatMatrix.identity(3)
-    m = RatMatrix([[1, 2], [3, 4]])
+    assert RatMatrix.dense(linear_part(ident)) == RatMatrix.identity(3)
+    m = RatMatrix.dense([[1, 2], [3, 4]])
     lm = PolyMap.from_matrix(m)
-    assert RatMatrix(linear_part(lm)) == m
+    assert RatMatrix.dense(linear_part(lm)) == m
     assert lm.eval_at([1, 1]) == [3, 7]
     tr = PolyMap.translation([1, -2])
     assert tr.eval_at([0, 0]) == [1, -2]
@@ -188,7 +188,7 @@ def test_jacobian_entries():
 def dense_jacobian_at(f, point):
     """The symbolic Jacobian evaluated entry by entry: the dense reference
     for eval_jacobian_sparse."""
-    return RatMatrix([[p.eval_at(point) for p in row] for row in jacobian(f)])
+    return RatMatrix.dense([[p.eval_at(point) for p in row] for row in jacobian(f)])
 
 
 def test_jacobian_chain_rule_at_point():

@@ -482,7 +482,7 @@ def test_parse_inverts_print(doc):
 
 
 def test_matrix_json_round_trip():
-    m = RatMatrix([[Fraction(1, 2), Fraction(3)], [Fraction(0), Fraction(-7, 5)]])
+    m = RatMatrix.dense([[Fraction(1, 2), Fraction(3)], [Fraction(0), Fraction(-7, 5)]])
     a = Automorphism.from_linear(m)
     d = automorphism_to_json(a)
     back = automorphism_from_json(json.loads(json.dumps(d)))
