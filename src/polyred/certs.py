@@ -45,7 +45,13 @@ Each move also induces a correspondence of graph points: given x and
 y = F(x), it says which (x', y') witnesses the next map.  Pushing
 sampled fiber points through that correspondence and re-checking the
 final equation is an independent, cheap consistency probe; it cannot
-replace replay but catches broken bookkeeping fast.
+replace replay but catches broken bookkeeping fast.  The points are
+Fractions, and every polynomial the transport evaluates (the source, a
+shear's addends, a general automorphism's map or rational inverse, the
+target) goes through ratpoint.evaluator: it is evaluated in integers over
+the common denominator of the coordinates it reads, one shared power
+cache per point.  A shear step converts only the coordinates its
+addends read.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ from typing import List, Optional, Union
 
 from .maps import PolyMap
 from .poly import ExactDivisionError, Poly, mono_degree, qdiv
+from .ratpoint import evaluator
 
 
 class RationalMap:
@@ -83,11 +90,13 @@ class RationalMap:
 
     def eval_at(self, point):
         """The value at an exact point, or None where the denominator
-        vanishes; each quotient is exact (qdiv), never a float."""
-        d = self.den.eval_at(point)
+        vanishes; each quotient is exact (qdiv), never a float.  The
+        denominator and numerators go through one ratpoint.evaluator."""
+        value = evaluator(point)
+        d = value(self.den)
         if d == 0:
             return None
-        return [qdiv(p.eval_at(point), d) for p in self.nums]
+        return [qdiv(value(p), d) for p in self.nums]
 
     def __repr__(self) -> str:
         return f"RationalMap({self.n_in}->{self.n_out})"
@@ -527,6 +536,12 @@ class FiberReport:
     issues: list = field(default_factory=list)
 
 
+def _read_indices(shear: ShearAutomorphism) -> set:
+    """The variables the shear's addends read: the only coordinates its
+    transport step converts."""
+    return set().union(*[g.variables_used() for g in shear.additions.values()])
+
+
 def _transport(move: Move, x: list, y: list, rng: random.Random):
     """Push a graph point (x, F(x) = y) through one move; None skips."""
     if isinstance(move, ExtendFreshVars):
@@ -538,9 +553,10 @@ def _transport(move: Move, x: list, y: list, rng: random.Random):
             return x, [y[j] for j in a.perm]
         if not isinstance(a, ShearAutomorphism):
             return x, a.forward.eval_at(y)
+        value = evaluator(y, _read_indices(a))
         ny = list(y)
         for i, g in a.additions.items():
-            ny[i] = y[i] + g.eval_at(y)
+            ny[i] = y[i] + value(g)
         return x, ny
     if isinstance(move, PreCompose):
         a = move.auto
@@ -549,9 +565,10 @@ def _transport(move: Move, x: list, y: list, rng: random.Random):
         if not isinstance(a, ShearAutomorphism):
             nx = a.inverse.eval_at(x)
             return None if nx is None else (nx, y)
+        value = evaluator(x, _read_indices(a))
         nx = list(x)
         for i, g in a.additions.items():
-            nx[i] = x[i] - g.eval_at(x)
+            nx[i] = x[i] - value(g)
         return nx, y
     if isinstance(move, SegreExtend):
         t = Fraction(rng.randrange(1, 7), rng.randrange(1, 4))

@@ -251,6 +251,7 @@ def _cmd_verify_cert(args) -> int:
     except (ValueError, KeyError, TypeError, ArithmeticError) as e:
         print(f"invalid certificate: {e}", file=sys.stderr)
         return 1
+    del data  # the decoded JSON, map texts included, is not read again
     rep = verify_certificate(cert)
     fiber = None
     if rep.ok and args.fiber_samples > 0:

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from .elim import poly_matrix_det
 from .linalg import RatMatrix, sparse_det
 from .poly import Poly, as_coeff, linear_cube, mono_degree, qdiv
+from .ratpoint import RationalPoint, evaluator
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,9 @@ class PolyMap:
     __hash__ = None
 
     def eval_at(self, point: Sequence) -> list:
-        return [c.eval_at(point) for c in self.components]
+        """The components' values at a point, through ratpoint.evaluator."""
+        value = evaluator(point)
+        return [value(c) for c in self.components]
 
     def compose(self, inner: "PolyMap") -> "PolyMap":
         """self after inner."""
@@ -191,14 +194,17 @@ def sparse_jacobian(f: PolyMap) -> list:
             for c in f.components]
 
 
-def eval_jacobian_sparse(jac: list, point: Sequence) -> list:
+def eval_jacobian_sparse(jac: list, point) -> list:
     """A sparse_jacobian, or any rows of (column, Poly) entries, at a
-    rational point, as {column: nonzero value} rows of a RatMatrix."""
+    rational point (a coordinate list or a RationalPoint, evaluated
+    through ratpoint.evaluator), as {column: nonzero value} rows of a
+    RatMatrix."""
+    value = evaluator(point)
     rows = []
     for entries in jac:
         row = {}
         for v, d in entries:
-            val = d.eval_at(point)
+            val = value(d)
             if val:
                 row[v] = as_coeff(val)
         rows.append(row)
@@ -336,7 +342,8 @@ def classify(
                 )
         used = samples if nondeg else 0
     else:
-        # sampled route: evaluate the Jacobian numerically, point by point
+        # sampled route: evaluate the Jacobian exactly, point by point, in
+        # integers over the point's denominator
         mode = "sampled"
         notes = [det.reason, "verdicts from seeded sampling; positives are exact"]
         zeros = 0
@@ -344,8 +351,7 @@ def classify(
         values = set()
         jac = sparse_jacobian(f)
         for nums, den in sample_points(rng, n, samples, box):
-            point = [Fraction(a, den) for a in nums]
-            rows = eval_jacobian_sparse(jac, point)
+            rows = eval_jacobian_sparse(jac, RationalPoint(nums, den))
             d = sparse_det(rows, n)
             if d == 0:
                 zeros += 1

@@ -52,7 +52,9 @@ two on random inputs:
     with C, which gz._pushed_down replaced with the cubes of A C's forms
     in the small dimension;
   * FractionPoly, the Poly whose every coefficient was a Fraction, which
-    int-or-Fraction coefficients replaced, and the Poly helpers only the
+    int-or-Fraction coefficients replaced (its eval_at, in Fractions
+    throughout, is also the reference for ratpoint.RationalPoint's integer
+    evaluation), and the Poly helpers only the
     tests use (mono_to_dense, mono_from_dense, from_terms, coefficient,
     linear_part, homogeneous_components).
 """
