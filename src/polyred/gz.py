@@ -13,14 +13,18 @@ coefficient matrix, and pairing_to_equivalence turns a verified pairing
 into a certificate that the two maps agree up to fresh variables and
 invertible coordinate changes.
 
+A linear form is keyed by its sparse integer coefficients,
+((var, a), ...) in ascending variable order, from polarization to the
+rows of Q.  Polarization only makes forms with entries 1 and 2, all
+primitive except 2u, whose cube enters as 8 u^3; so two pieces share a
+form exactly when they share a key, and no form is normalized.
+
 F is stored as its matrix A (CubicLinearMap): the pairing axioms are
 checked in G's dimension m, and textio prints F from A, so neither
 expands F's cubes in n variables.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
 
 from .certs import (
     Automorphism,
@@ -35,22 +39,17 @@ from .maps import PolyMap, is_yagzhev
 from .poly import Poly, as_coeff, cube_numerators, linear_cube, qdiv
 
 
-def _polarize(mono, coeff, m):
-    """One cubic monomial as (coefficient, linear-form vector) pieces.
+def _polarize(mono, coeff):
+    """One cubic monomial as (coefficient, form key) pieces.
 
     6uvw = (u+v+w)^3 - (u+v)^3 - (v+w)^3 - (u+w)^3 + u^3 + v^3 + w^3,
-    specialized when variables repeat.
+    specialized when variables repeat.  Every key is primitive with
+    positive entries; the one vector that is not, 2u from u^2 w, enters
+    as (2u)^3 = 8 u^3.
     """
-
-    def vec(*pairs):
-        v = [0] * m
-        for i, a in pairs:
-            v[i] += a
-        return tuple(v)
-
     exps = list(mono)
     if len(exps) == 1:
-        return [(coeff, vec((exps[0][0], 1)))]
+        return [(coeff, ((exps[0][0], 1),))]
     s = qdiv(coeff, 6)
     if len(exps) == 2:
         # u^2 w with u the doubled variable
@@ -59,66 +58,40 @@ def _polarize(mono, coeff, m):
         else:
             u, w = exps[1][0], exps[0][0]
         return [
-            (s, vec((u, 2), (w, 1))),
-            (-s, vec((u, 2))),
-            (-s * 2, vec((u, 1), (w, 1))),
-            (s * 2, vec((u, 1))),
-            (s, vec((w, 1))),
+            (s, tuple(sorted([(u, 2), (w, 1)]))),
+            (-8 * s, ((u, 1),)),
+            (-s * 2, tuple(sorted([(u, 1), (w, 1)]))),
+            (s * 2, ((u, 1),)),
+            (s, ((w, 1),)),
         ]
     u, v, w = (p[0] for p in exps)
     return [
-        (s, vec((u, 1), (v, 1), (w, 1))),
-        (-s, vec((u, 1), (v, 1))),
-        (-s, vec((v, 1), (w, 1))),
-        (-s, vec((u, 1), (w, 1))),
-        (s, vec((u, 1))),
-        (s, vec((v, 1))),
-        (s, vec((w, 1))),
+        (s, ((u, 1), (v, 1), (w, 1))),
+        (-s, ((u, 1), (v, 1))),
+        (-s, ((v, 1), (w, 1))),
+        (-s, ((u, 1), (w, 1))),
+        (s, ((u, 1),)),
+        (s, ((v, 1),)),
+        (s, ((w, 1),)),
     ]
-
-
-def _primitive(vec):
-    """(integer key, scalar) with vec = scalar * key, key primitive and
-    its first nonzero entry positive."""
-    den = lcm(*[q.denominator for q in vec])
-    ints = [int(q * den) for q in vec]
-    g = gcd(*ints)
-    sign = 1
-    for a in ints:
-        if a:
-            sign = 1 if a > 0 else -1
-            break
-    key = tuple(a * sign // g for a in ints)
-    return key, Fraction(sign * g, den)
 
 
 def decompose_cubes(h: Poly):
     """Write a cubic form as sum of c * (linear form)^3, exactly.
 
-    Forms are merged when they agree up to a scalar (the scalar's cube
-    folds into the coefficient); coefficients that cancel to zero drop
-    out.  Returns [(coefficient, form Poly)] in first-seen order.
+    Forms are merged when their keys agree; coefficients that cancel to
+    zero drop out.  Returns [(coefficient, form key)] in first-seen
+    order.
     """
     if h.is_zero():
         return []
     if h.degree() != 3 or not h.is_homogeneous():
         raise ValueError("cube decomposition expects a cubic form")
-    m = h.varcount
     acc = {}
-    order = []
     for mono, coeff in h.sorted_terms():
-        for c, v in _polarize(mono, coeff, m):
-            key, lam = _primitive(v)
-            if key not in acc:
-                acc[key] = 0
-                order.append(key)
-            acc[key] += c * lam ** 3
-    out = []
-    for key in order:
-        if acc[key]:
-            form = Poly(m, {((i, 1),): a for i, a in enumerate(key) if a})
-            out.append((as_coeff(acc[key]), form))
-    return out
+        for c, key in _polarize(mono, coeff):
+            acc[key] = acc.get(key, 0) + c
+    return [(as_coeff(c), key) for key, c in acc.items() if c]
 
 
 class CubicLinearMap:
@@ -272,11 +245,11 @@ def _basis_padding(q_rows: list, m: int) -> list:
 def pair_up(g: PolyMap) -> GZPairing:
     """Build a cubic linear partner for a cubic homogeneous map.
 
-    Decomposes G - X into cubes over a shared, scalar-deduplicated pool
-    of r linear forms, stacks the forms into Q (r x m) and the
-    coefficients into P (m x r), then pads Q with standard basis rows
-    (zero P columns) until it reaches rank m, which the kernel axiom
-    needs.  The partner lives in dimension n = m + r with
+    Decomposes G - X into cubes over a shared pool of r linear forms,
+    indexed by their keys in first-seen order, stacks the forms into
+    Q (r x m) and the coefficients into P (m x r), then pads Q with
+    standard basis rows (zero P columns) until it reaches rank m, which
+    the kernel axiom needs.  The partner lives in dimension n = m + r with
 
         A = [[0, 0], [Q, Q P]],   B = [I | P],   C = [I; 0].
 
@@ -285,30 +258,20 @@ def pair_up(g: PolyMap) -> GZPairing:
     if not is_yagzhev(g):
         raise ValueError("pair_up expects an identity-plus-cubic map")
     m = g.n_in
-    pool = []
     index = {}
     coeff_rows = []
     for i in range(m):
         h = g.components[i] - Poly.variable(m, i)
-        row = {}
-        for c, form in decompose_cubes(h):
-            vec = tuple(form.terms.get(((j, 1),), 0) for j in range(m))
-            key, lam = _primitive(vec)
-            k = index.get(key)
-            if k is None:
-                k = len(pool)
-                index[key] = k
-                pool.append(key)
-            row[k] = row.get(k, Fraction(0)) + c * lam ** 3
-        coeff_rows.append(row)
+        coeff_rows.append({index.setdefault(key, len(index)): c
+                           for c, key in decompose_cubes(h)})
 
-    q_rows = [{j: a for j, a in enumerate(key) if a} for key in pool]
+    q_rows = [dict(key) for key in index]
     q_rows += _basis_padding(q_rows, m)
     r = len(q_rows)
     n = m + r
 
     Q = RatMatrix(q_rows, m)
-    P = RatMatrix([{k: as_coeff(c) for k, c in row.items() if c} for row in coeff_rows], r)
+    P = RatMatrix(coeff_rows, r)
     QP = Q * P
     A = RatMatrix.zero(m, n).vstack(Q.hstack(QP))
     B = RatMatrix.identity(m).hstack(P)

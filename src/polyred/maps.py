@@ -35,10 +35,12 @@ class Budget:
     max_exact_nilpotent_dim: int = 24
     max_dim: int = 2000
     max_ms: int = 300_000
-    power_probe_cap: int = 24
 
 
 DEFAULT_BUDGET = Budget()
+
+# numeric matrix powers whose traces is_nilpotent probes at a sampled point
+POWER_PROBE_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -366,8 +368,6 @@ def classify(
             notes.append("jacobian determinant takes two distinct sampled values")
         if first_zero is not None:
             notes.append(f"jacobian vanishes at sampled point {first_zero}")
-            if any(v != 0 for v in values):
-                keller = False
         nonsing = zeros == 0
         used = samples
     return Classification(
@@ -559,7 +559,7 @@ def is_nilpotent(
         nums = [rng.randrange(-box, box + 1) for _ in range(varcount)]
         numeric = RatMatrix(eval_jacobian_sparse(entries, nums), n)
         power = numeric
-        for k in range(1, min(n, budget.power_probe_cap) + 1):
+        for k in range(1, min(n, POWER_PROBE_CAP) + 1):
             tr = sum(row.get(i, 0) for i, row in enumerate(power.rows))
             if tr != 0:
                 return False, {
@@ -569,6 +569,6 @@ def is_nilpotent(
                 }
             if not any(power.rows):
                 break
-            if k < min(n, budget.power_probe_cap):
+            if k < min(n, POWER_PROBE_CAP):
                 power = power * numeric
     return None, "no non-nilpotency witness found by sampling"

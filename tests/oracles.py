@@ -48,6 +48,10 @@ two on random inputs:
   * the base-point search of reduce.normalize that accepted a Fraction
     point by sparse_det and then eliminated the same Jacobian again with
     sparse_inverse, which one sparse_inverse per candidate replaced;
+  * the cube decomposition of gz.pair_up on dense length-m form vectors,
+    each normalized with Fraction, lcm and gcd, once in decompose_cubes
+    and again in pair_up's pool; polarization into sparse primitive
+    integer keys replaced both;
   * B F(C x) of a pairing by composing the expanded cubic linear map F
     with C, which gz._pushed_down replaced with the cubes of A C's forms
     in the small dimension;
@@ -917,6 +921,119 @@ def bfc_by_compose(B, F: PolyMap, C) -> PolyMap:
             p = p + inner.components[j].scale(b)
         comps.append(p)
     return PolyMap(comps)
+
+
+# -- cube decomposition on dense form vectors ------------------------------------
+
+
+def polarize_dense(mono, coeff, m: int) -> list:
+    """gz._polarize as it first was: (coefficient, dense length-m vector)
+    pieces, with 2u left as it is."""
+
+    def vec(*pairs):
+        v = [0] * m
+        for i, a in pairs:
+            v[i] += a
+        return tuple(v)
+
+    exps = list(mono)
+    if len(exps) == 1:
+        return [(coeff, vec((exps[0][0], 1)))]
+    s = qdiv(coeff, 6)
+    if len(exps) == 2:
+        if exps[0][1] == 2:
+            u, w = exps[0][0], exps[1][0]
+        else:
+            u, w = exps[1][0], exps[0][0]
+        return [
+            (s, vec((u, 2), (w, 1))),
+            (-s, vec((u, 2))),
+            (-s * 2, vec((u, 1), (w, 1))),
+            (s * 2, vec((u, 1))),
+            (s, vec((w, 1))),
+        ]
+    u, v, w = (p[0] for p in exps)
+    return [
+        (s, vec((u, 1), (v, 1), (w, 1))),
+        (-s, vec((u, 1), (v, 1))),
+        (-s, vec((v, 1), (w, 1))),
+        (-s, vec((u, 1), (w, 1))),
+        (s, vec((u, 1))),
+        (s, vec((v, 1))),
+        (s, vec((w, 1))),
+    ]
+
+
+def primitive_dense(vec) -> tuple:
+    """(integer key, scalar) with vec = scalar * key, key primitive and
+    its first nonzero entry positive."""
+    den = math.lcm(*[Fraction(q).denominator for q in vec])
+    ints = [int(q * den) for q in vec]
+    g = math.gcd(*ints)
+    sign = 1
+    for a in ints:
+        if a:
+            sign = 1 if a > 0 else -1
+            break
+    key = tuple(a * sign // g for a in ints)
+    return key, Fraction(sign * g, den)
+
+
+def decompose_cubes_dense(h: Poly) -> list:
+    """gz.decompose_cubes as it first was: every piece normalized by
+    primitive_dense and merged up to a scalar; [(coefficient, form Poly)]
+    in first-seen order."""
+    if h.is_zero():
+        return []
+    if h.degree() != 3 or not h.is_homogeneous():
+        raise ValueError("cube decomposition expects a cubic form")
+    m = h.varcount
+    acc = {}
+    order = []
+    for mono, coeff in h.sorted_terms():
+        for c, v in polarize_dense(mono, coeff, m):
+            key, lam = primitive_dense(v)
+            if key not in acc:
+                acc[key] = 0
+                order.append(key)
+            acc[key] += c * lam ** 3
+    out = []
+    for key in order:
+        if acc[key]:
+            form = Poly(m, {((i, 1),): a for i, a in enumerate(key) if a})
+            out.append((as_coeff(acc[key]), form))
+    return out
+
+
+def pair_up_by_dense_forms(g: PolyMap) -> tuple:
+    """(A, B, C) of gz.pair_up, its pool built as it first was: each form
+    of decompose_cubes_dense read back into a dense vector and normalized
+    again by primitive_dense, and Q padded by pad_by_trial_ranks."""
+    m = g.n_in
+    pool = []
+    index = {}
+    coeff_rows = []
+    for i in range(m):
+        h = g.components[i] - Poly.variable(m, i)
+        row = {}
+        for c, form in decompose_cubes_dense(h):
+            vec = tuple(form.terms.get(((j, 1),), 0) for j in range(m))
+            key, lam = primitive_dense(vec)
+            k = index.get(key)
+            if k is None:
+                k = len(pool)
+                index[key] = k
+                pool.append(key)
+            row[k] = row.get(k, Fraction(0)) + c * lam ** 3
+        coeff_rows.append(row)
+    padding = pad_by_trial_ranks([list(key) for key in pool], m)
+    Q = RatMatrix.dense([list(key) for key in pool] + padding, m)
+    r = Q.nrows
+    P = RatMatrix([{k: as_coeff(c) for k, c in row.items() if c} for row in coeff_rows], r)
+    A = RatMatrix.zero(m, m + r).vstack(Q.hstack(Q * P))
+    B = RatMatrix.identity(m).hstack(P)
+    C = RatMatrix.identity(m).vstack(RatMatrix.zero(r, m))
+    return A, B, C
 
 
 # -- Fraction-only polynomials -------------------------------------------------

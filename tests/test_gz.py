@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bfc_by_compose, pad_by_trial_ranks
+from oracles import (bfc_by_compose, decompose_cubes_dense, pad_by_trial_ranks,
+                     pair_up_by_dense_forms)
 from polyred.certs import fiber_transport_check, verify_certificate
+from polyred.examples import corpus
 from polyred.gz import (
     CubicLinearMap,
     GZPairing,
@@ -26,6 +30,10 @@ from polyred.textio import cubic_linear_text, polymap_to_document, print_map
 
 def V(n, i):
     return Poly.variable(n, i)
+
+
+def decomposed(h):
+    return [(c, Poly(h.varcount, {((i, 1),): a for i, a in key})) for c, key in decompose_cubes(h)]
 
 
 def reassemble(parts, n):
@@ -58,7 +66,7 @@ def random_yagzhev(rng, n):
 
 def test_single_cube():
     x = V(1, 0)
-    assert decompose_cubes(x ** 3) == [(Fraction(1), x)]
+    assert decomposed(x ** 3) == [(Fraction(1), x)]
 
 
 def test_polarization_of_x2y():
@@ -66,7 +74,7 @@ def test_polarization_of_x2y():
     h = (x ** 2 * y).scale(6)
     # spot value first: 6 * 1^2 * 2 = 12 at (1, 2)
     assert h.eval_at([1, 2]) == 12
-    parts = decompose_cubes(h)
+    parts = decomposed(h)
     assert reassemble(parts, 2) == h
     assert sum((f ** 3).scale(c).eval_at([1, 2]) for c, f in parts) == 12
 
@@ -74,7 +82,7 @@ def test_polarization_of_x2y():
 def test_polarization_of_xyz():
     x, y, z = (V(3, i) for i in range(3))
     h = (x * y * z).scale(6)
-    parts = decompose_cubes(h)
+    parts = decomposed(h)
     assert reassemble(parts, 3) == h
 
 
@@ -83,7 +91,7 @@ def test_decompose_random_forms():
         rng = random.Random(seed)
         n = rng.randrange(2, 5)
         h = random_cubic_form(rng, n)
-        assert reassemble(decompose_cubes(h), n) == h
+        assert reassemble(decomposed(h), n) == h
 
 
 def test_decompose_zero_and_bad_degree():
@@ -98,8 +106,80 @@ def test_decompose_zero_and_bad_degree():
 def test_forms_merge_up_to_scalar():
     x = V(1, 0)
     # 8x^3 = (2x)^3 should fold into a single pooled form
-    parts = decompose_cubes((x ** 3).scale(8))
+    parts = decomposed((x ** 3).scale(8))
     assert parts == [(Fraction(8), x)]
+
+
+def test_keys_are_sparse_and_primitive():
+    x, y = V(2, 0), V(2, 1)
+    # 6 x^2 y: (2x+y)^3 - (2x)^3 - 2 (x+y)^3 + 2 x^3 + y^3, with (2x)^3
+    # folded into x^3 as -8 x^3 and the x^3 pieces summed to -6
+    assert decompose_cubes((x ** 2 * y).scale(6)) == [
+        (1, ((0, 2), (1, 1))), (-6, ((0, 1),)), (-2, ((0, 1), (1, 1))), (1, ((1, 1),))]
+    # the doubled variable last: its entry 2 still sits in variable order
+    assert decompose_cubes((x * y ** 2).scale(6))[0] == (1, ((0, 1), (1, 2)))
+
+
+def test_cancelled_forms_drop_out():
+    x, y = V(2, 0), V(2, 1)
+    # x^3 + x^2 y: x's pieces sum to 1 - 8/6 + 2/6 = 0
+    parts = decompose_cubes(x ** 3 + x ** 2 * y)
+    assert ((0, 1),) not in [key for _, key in parts]
+    assert all(c for c, _ in parts)
+    assert decomposed(x ** 3 + x ** 2 * y) == decompose_cubes_dense(x ** 3 + x ** 2 * y)
+
+
+COEFFS = st.one_of(st.integers(-4, 4),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=7))
+
+
+@st.composite
+def cubic_forms(draw, m):
+    """A cubic form in m variables; u^2 w and u^3 monomials are common, so
+    the (2u)^3 pieces and cancelling sums on u are too."""
+    monos = [tuple(sorted(Counter(c).items()))
+             for c in combinations_with_replacement(range(m), 3)]
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=6, unique=True))
+    terms = {mono: as_coeff(draw(COEFFS)) for mono in chosen}
+    return Poly(m, {mono: c for mono, c in terms.items() if c})
+
+
+@st.composite
+def yagzhev_maps(draw):
+    """x + H(x) whose components often repeat an earlier component's form,
+    scaled, so forms are shared across rows of P (the pool's order)."""
+    m = draw(st.integers(1, 4))
+    forms = []
+    for _ in range(m):
+        if forms and draw(st.booleans()):
+            forms.append(draw(st.sampled_from(forms)).scale(draw(COEFFS)))
+        else:
+            forms.append(draw(cubic_forms(m)))
+    return PolyMap([V(m, i) + h for i, h in enumerate(forms)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=yagzhev_maps())
+def test_sparse_keys_match_the_dense_route(g):
+    m = g.n_in
+    for i in range(m):
+        h = g.components[i] - V(m, i)
+        want = decompose_cubes_dense(h)
+        got = decomposed(h)
+        assert got == want
+        assert [type(c) for c, _ in got] == [type(c) for c, _ in want]
+    p = pair_up(g)
+    assert (p.A, p.B, p.C) == pair_up_by_dense_forms(g)
+    assert verify_pairing(p).ok
+
+
+def test_sparse_keys_match_the_dense_route_on_corpus_maps():
+    maps = [e.document.to_polymap() for e in corpus()]
+    maps = [g for g in maps if g.n_in <= 4 and is_yagzhev(g)]
+    assert len(maps) >= 10
+    for g in maps:
+        p = pair_up(g)
+        assert (p.A, p.B, p.C) == pair_up_by_dense_forms(g)
 
 
 # ------------------------------------------------------------------ pair_up

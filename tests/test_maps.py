@@ -272,6 +272,18 @@ def test_classify_sampled_mode():
     assert c2.nonsingular_sampled is True
 
 
+def test_sampled_classify_with_a_zero_beside_nonzero_values():
+    # det J = 2 x0: a sampled zero beside nonzero values refutes Keller
+    # through the two distinct values it makes
+    f = PolyMap([V(2, 0) ** 2, V(2, 1)])
+    c = classify(f, Budget(max_exact_det_dim=1), seed=0, samples=200)
+    assert c.mode == "sampled"
+    assert c.keller is False
+    assert c.nonsingular_sampled is False
+    assert "jacobian determinant takes two distinct sampled values" in c.notes
+    assert "jacobian vanishes at sampled point ([0, 19], 3)" in c.notes
+
+
 def test_sampled_classify_derives_each_entry_once(monkeypatch):
     f = builtin_example("yagzhev-4d-b").document.to_polymap()
     entries = sum(len(c.variables_used()) for c in f.components)
