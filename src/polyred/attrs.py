@@ -424,8 +424,7 @@ def fiber_count_real(f: PolyMap, target: Sequence, seed: int = 0, _ctx=None) -> 
         "no two rotations agreed; the fiber may be positive-dimensional")
 
 
-def mfs_sample(f: PolyMap, seed: int = 0, samples: int = 200,
-               sag_external: Optional[int] = None) -> AttributeReport:
+def mfs_sample(f: PolyMap, seed: int = 0, samples: int = 200) -> AttributeReport:
     """Observed maximum real fiber size over seeded sample targets.
 
     Even samples take the image F(p) of a random rational point, so their
@@ -454,5 +453,4 @@ def mfs_sample(f: PolyMap, seed: int = 0, samples: int = 200,
         seed=seed,
         parity_consistent=(dex - best) % 2 == 0,
         genericity_retries=retries,
-        sag_external=sag_external,
     )

@@ -46,12 +46,12 @@ y = F(x), it says which (x', y') witnesses the next map.  Pushing
 sampled fiber points through that correspondence and re-checking the
 final equation is an independent, cheap consistency probe; it cannot
 replace replay but catches broken bookkeeping fast.  The points are
-Fractions, and every polynomial the transport evaluates (the source, a
-shear's addends, a general automorphism's map or rational inverse, the
-target) goes through ratpoint.evaluator: it is evaluated in integers over
-the common denominator of the coordinates it reads, one shared power
-cache per point.  A shear step converts only the coordinates its
-addends read.
+ints and Fractions, and every polynomial the transport evaluates (the
+source, a shear's addends, a general automorphism's map or rational
+inverse, the target) goes through ratpoint.evaluator: it is evaluated in
+integers over the common denominator of the coordinates it reads, one
+shared power cache per point.  A shear step converts only the
+coordinates its addends read.
 """
 
 from __future__ import annotations
@@ -187,9 +187,9 @@ class Automorphism:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_linear(m, inverse_m=None, label: str = "") -> "Automorphism":
-        if inverse_m is None:
-            inverse_m = m.inverse()
+    def from_linear(m, inverse_m, label: str = "") -> "Automorphism":
+        """x -> m x, with x -> inverse_m x as its stated inverse (checked
+        like any other, by verify_two_sided)."""
         return Automorphism(
             PolyMap.from_matrix(m), PolyMap.from_matrix(inverse_m), label
         )

@@ -111,6 +111,14 @@ def _write_json(data, path) -> None:
         fh.write("\n")
 
 
+def _write_outputs(args, doc, cert) -> None:
+    """A command's map document to --out (or stdout), then its
+    certificate to --cert when one is asked for."""
+    _write_text(print_map(doc), args.out)
+    if args.cert is not None:
+        _write_json(certificate_to_json(cert), args.cert)
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -154,10 +162,7 @@ def _cmd_reduce(args) -> int:
         g, trace = to_yagzhev(f, seed=args.seed, budget=budget)
         cert = trace.certificate
         stages = list(zip(trace.stage_names, trace.stage_dims))
-    out_doc = polymap_to_document(g, metadata={"stage": args.to})
-    _write_text(print_map(out_doc), args.out)
-    if args.cert is not None:
-        _write_json(certificate_to_json(cert), args.cert)
+    _write_outputs(args, polymap_to_document(g, metadata={"stage": args.to}), cert)
     # keep the summary off stdout when the document itself goes there
     log = sys.stdout if args.out is not None else sys.stderr
     print("stages: " + " -> ".join(f"{name} ({dim})" for name, dim in stages),
@@ -225,9 +230,7 @@ def _cmd_symmetrize(args) -> int:
     out_doc = polymap_to_document(
         g, metadata={"stage": "symmetrized",
                      "potential": poly_text(potential, names)})
-    _write_text(print_map(out_doc), args.out)
-    if args.cert is not None:
-        _write_json(certificate_to_json(cert), args.cert)
+    _write_outputs(args, out_doc, cert)
     return 0
 
 
@@ -235,10 +238,7 @@ def _cmd_segre(args) -> int:
     doc = _load_document(args.map)
     f = doc.to_polymap()
     g, cert = segre_step(f)
-    out_doc = polymap_to_document(g, metadata={"stage": "segre"})
-    _write_text(print_map(out_doc), args.out)
-    if args.cert is not None:
-        _write_json(certificate_to_json(cert), args.cert)
+    _write_outputs(args, polymap_to_document(g, metadata={"stage": "segre"}), cert)
     return 0
 
 
@@ -280,11 +280,10 @@ def _cmd_verify_cert(args) -> int:
 def _cmd_attributes(args) -> int:
     doc = _load_document(args.map)
     f = doc.to_polymap()
-    sag = None
+    rep = mfs_sample(f, seed=args.seed, samples=args.samples)
     if not os.path.exists(args.map) and args.map in builtin_ids():
         expected = builtin_example(args.map).expected or {}
-        sag = expected.get("sag_external")
-    rep = mfs_sample(f, seed=args.seed, samples=args.samples, sag_external=sag)
+        rep.sag_external = expected.get("sag_external")
     if args.json:
         _print_json(attribute_report_to_json(rep))
         return 0
@@ -419,10 +418,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ParseError as e:
+    except (UsageError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BudgetExceeded as e:

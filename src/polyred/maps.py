@@ -9,13 +9,19 @@ nonzero evaluation of a polynomial proves it nonzero, a pair of distinct
 evaluations proves it nonconstant, a nonzero power trace proves a matrix
 non-nilpotent.  The converse directions stay "unknown" rather than
 being guessed.
+
+Evaluation has two kernels.  A single point of ints and Fractions
+(PolyMap.eval_at, eval_jacobian_sparse) goes to ratpoint.RationalPoint.
+classify's seeded points are tallied by one loop, sample_tally, a block
+at a time: within the budget the block's values come from the symbolic
+determinant at once (_block_values), above it from sparse_det of the
+Jacobian at each point.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice, repeat
 from operator import add, mul
 from typing import Optional, Sequence
@@ -32,13 +38,14 @@ class Budget:
     it routes the question to sampling (or to an Unknown answer)."""
 
     max_exact_det_dim: int = 12
-    max_exact_nilpotent_dim: int = 24
     max_dim: int = 2000
     max_ms: int = 300_000
 
 
 DEFAULT_BUDGET = Budget()
 
+# is_nilpotent walks the symbolic power traces up to this dimension
+EXACT_NILPOTENT_DIM = 24
 # numeric matrix powers whose traces is_nilpotent probes at a sampled point
 POWER_PROBE_CAP = 24
 
@@ -221,24 +228,44 @@ def sample_points(rng: random.Random, n: int, count: int, box: int):
         yield [rng.randrange(-box, box + 1) for _ in range(n)], den
 
 
-@dataclass
-class SampleReport:
-    samples: int
-    zero_points: int
-    first_zero: Optional[tuple]
-
-
 SAMPLE_BLOCK = 256  # points evaluated together; bounds memory at any --samples
 
 
-def sample_poly_values(p: Poly, rng: random.Random, samples: int, box: int) -> SampleReport:
-    """Count the seeded sample points at which p vanishes.
+def sample_tally(block_values, rng: random.Random, n: int, samples: int, box: int):
+    """(zeros, first zero, first two distinct values) over the seeded
+    sample points of sample_points, with the same draws.
 
-    The points are those of sample_points, with the same draws, taken in
-    blocks of SAMPLE_BLOCK and evaluated exactly, a block at a time:
-    see _block_values.  first_zero is the first vanishing point, as
-    ([numerators], den).
+    The points are taken in blocks of SAMPLE_BLOCK, and block_values
+    maps a block of (numerators, den) points to one value per point, in
+    order.  zeros counts the points whose value is 0, the first zero is
+    the first such point as ([numerators], den), and the distinct values
+    are listed in the order they first appear, at most two.
     """
+    zeros = 0
+    first_zero = None
+    distinct: list = []
+    points = sample_points(rng, n, samples, box)
+    while block := list(islice(points, SAMPLE_BLOCK)):
+        values = block_values(block)
+        hits = values.count(0)
+        if hits:
+            zeros += hits
+            if first_zero is None:
+                nums, den = block[values.index(0)]
+                first_zero = (list(nums), den)
+        for v in values:
+            if len(distinct) == 2:
+                break
+            if v not in distinct:
+                distinct.append(v)
+    return zeros, first_zero, distinct
+
+
+def poly_block_values(p: Poly):
+    """block -> den**D * p(nums / den) / content(p) at each (nums, den) of
+    the block, in integers: a nonzero multiple of p's value, so zero
+    exactly where p vanishes.  p's integer terms are grouped by degree
+    once, for every block; see _block_values."""
     _, items = p.content_and_integer_terms()
     by_degree: dict = {}
     top_exp: dict = {}
@@ -246,18 +273,7 @@ def sample_poly_values(p: Poly, rng: random.Random, samples: int, box: int) -> S
         by_degree.setdefault(mono_degree(m), []).append((m, c))
         for v, e in m:
             top_exp[v] = max(top_exp.get(v, 0), e)
-    zeros = 0
-    first_zero = None
-    points = sample_points(rng, p.varcount, samples, box)
-    while block := list(islice(points, SAMPLE_BLOCK)):
-        values = _block_values(by_degree, top_exp, block)
-        hits = values.count(0)
-        if hits:
-            zeros += hits
-            if first_zero is None:
-                nums, den = block[values.index(0)]
-                first_zero = (list(nums), den)
-    return SampleReport(samples, zeros, first_zero)
+    return lambda block: _block_values(by_degree, top_exp, block)
 
 
 def _block_values(by_degree: dict, top_exp: dict, block: list) -> list:
@@ -331,41 +347,32 @@ def classify(
         mode = "exact"
         nondeg = not det.is_zero()
         keller = det.is_constant() and not det.is_zero()
-        nonsing = None
         notes = ["jacobian determinant computed exactly"]
-        if keller:
-            nonsing = True  # a nonzero constant has no zero to sample
-        elif nondeg:
-            report = sample_poly_values(det, rng, samples, box)
-            nonsing = report.zero_points == 0
-            if report.first_zero is not None:
-                notes.append(
-                    f"jacobian vanishes at sampled point {report.first_zero}"
-                )
-        used = samples if nondeg else 0
+        # nothing to sample for a zero or a nonzero constant determinant
+        block_values = poly_block_values(det) if nondeg and not keller else None
     else:
         # sampled route: evaluate the Jacobian exactly, point by point, in
         # integers over the point's denominator
         mode = "sampled"
         notes = [det.reason, "verdicts from seeded sampling; positives are exact"]
-        zeros = 0
-        first_zero = None
-        values = set()
         jac = sparse_jacobian(f)
-        for nums, den in sample_points(rng, n, samples, box):
-            rows = eval_jacobian_sparse(jac, RationalPoint(nums, den))
-            d = sparse_det(rows, n)
-            if d == 0:
-                zeros += 1
-                if first_zero is None:
-                    first_zero = (nums, den)
-            if len(values) < 2:
-                values.add(d)
-        nondeg = True if len(values - {Fraction(0)}) >= 1 else None
-        keller = None
-        if len(values) >= 2:
-            keller = False  # two distinct determinant values, exactly computed
-            notes.append("jacobian determinant takes two distinct sampled values")
+
+        def block_values(block):
+            return [sparse_det(eval_jacobian_sparse(jac, RationalPoint(nums, den)), n)
+                    for nums, den in block]
+    if block_values is None:
+        nonsing = True if keller else None
+        used = samples if nondeg else 0
+    else:
+        zeros, first_zero, distinct = sample_tally(block_values, rng, n, samples, box)
+        if mode == "sampled":
+            # exact determinant values, so a nonzero one and two distinct
+            # ones are proofs; the exact route's values are only scaled
+            nondeg = True if any(distinct) else None
+            keller = None
+            if len(distinct) == 2:
+                keller = False
+                notes.append("jacobian determinant takes two distinct sampled values")
         if first_zero is not None:
             notes.append(f"jacobian vanishes at sampled point {first_zero}")
         nonsing = zeros == 0
@@ -518,27 +525,22 @@ def _poly_matmul(a: list, b: list, varcount: int) -> list:
     return out
 
 
-def is_nilpotent(
-    m: list,
-    varcount: int,
-    budget: Budget = DEFAULT_BUDGET,
-    seed: int = 0,
-):
+def is_nilpotent(m: list, varcount: int, seed: int = 0):
     """(verdict, witness) for a square matrix of Polys.
 
-    Exact mode (dimension within budget): walks the power traces; all of
-    trace(M^k) = 0 for k = 1..n forces nilpotency in characteristic 0,
-    and the first nonzero trace is a proof the other way.  Beyond the
-    budget the matrix is specialized at seeded rational points and the
-    numeric power traces give sound "not nilpotent" witnesses; if none
-    appears the verdict is None.
+    Exact mode (dimension at most EXACT_NILPOTENT_DIM): walks the power
+    traces; all of trace(M^k) = 0 for k = 1..n forces nilpotency in
+    characteristic 0, and the first nonzero trace is a proof the other
+    way.  Above that dimension the matrix is specialized at seeded
+    integer points and the numeric power traces give sound "not
+    nilpotent" witnesses; if none appears the verdict is None.
     """
     n = len(m)
     if n == 0:
         return True, "empty matrix"
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    if n <= budget.max_exact_nilpotent_dim:
+    if n <= EXACT_NILPOTENT_DIM:
         power = m
         for k in range(1, n + 1):
             tr = Poly(varcount)

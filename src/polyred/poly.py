@@ -4,12 +4,13 @@ A coefficient is an `int` when integral and a `fractions.Fraction` (lowest
 terms, denominator > 1) otherwise; `numerator`, `denominator`, `str`, `==`
 and hashing agree across the two.  Coefficient division goes through qdiv,
 so no float can appear.  Evaluation computes in the ring of the point:
-int points give ints, and any element with + - * works.  A point that
-holds a Fraction is evaluated in integers instead, by
-polyred.ratpoint.RationalPoint: its coordinates become numerators over
-one denominator, and the value comes back under the coefficient rule;
-polyred.ratpoint.evaluator chooses between the two once per point, from
-its coordinates' types.  A monomial is a
+int points give ints, and any element with + - * works.  Within
+polyred, a point of ints and Fractions is evaluated in integers instead,
+by polyred.ratpoint.RationalPoint: its coordinates become numerators
+over one denominator, and the value comes back under the coefficient
+rule; polyred.ratpoint.evaluator chooses between the two once per point,
+from its coordinates' types, so eval_at serves only points in other
+rings.  A monomial is a
 tuple of (variable_index, exponent) pairs, sorted by index, with every
 exponent positive; the empty tuple is the constant monomial.  Variable
 identity is positional: a polynomial knows only its ambient variable

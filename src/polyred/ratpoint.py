@@ -2,12 +2,14 @@
 
 poly.Poly.eval_at computes in the ring of its point, which at a point of
 Fractions means a Fraction product and sum, each reduced by a gcd, for
-every term.  Here such a point is written once as integer numerators over
-one denominator and every polynomial evaluated at it is summed in
-integers, with one division at the end.  This module is apart from
-poly.py because compiling a module from source at import, where no
-bytecode cache is written, allocates memory in proportion to its size,
-and the largest such allocation sets a process's peak resident size.
+every term.  Here a point of ints and Fractions is written once as
+integer numerators over one denominator (1 for a point of ints) and every
+polynomial evaluated at it is summed in integers, with one division at
+the end; Poly.eval_at is left to points in any other ring.  This module
+is apart from poly.py because compiling a module from source at import,
+where no bytecode cache is written, allocates memory in proportion to
+its size, and the largest such allocation sets a process's peak resident
+size.
 """
 
 from __future__ import annotations
@@ -48,11 +50,9 @@ class RationalPoint:
     @staticmethod
     def of(coords: Sequence, indices=None) -> Optional["RationalPoint"]:
         """coords, or only those at indices, over the lcm of their
-        denominators; None unless they are ints and Fractions and at
-        least one is a Fraction."""
+        denominators; None unless they are ints and Fractions."""
         picked = coords if indices is None else [coords[i] for i in indices]
-        kinds = set(map(type, picked))
-        if Fraction not in kinds or not kinds <= _RATIONAL_KINDS:
+        if not set(map(type, picked)) <= _RATIONAL_KINDS:
             return None
         den = math.lcm(*[c.denominator for c in picked])
         nums = [c.numerator * (den // c.denominator) for c in picked]
@@ -100,9 +100,8 @@ def evaluator(point, indices=None):
 
     A RationalPoint, or a point whose coordinates (only those at indices,
     when given, which must cover every variable evaluated) are ints and
-    Fractions with at least one Fraction, is evaluated in integers by
-    RationalPoint.value; any other point, ints alone included, by
-    Poly.eval_at in the ring of its coordinates.
+    Fractions, is evaluated in integers by RationalPoint.value; a point
+    in any other ring by Poly.eval_at, in the ring of its coordinates.
     """
     if type(point) is not RationalPoint:
         at = RationalPoint.of(point, indices)

@@ -31,8 +31,8 @@ two on random inputs:
   * the long division that rescans and copies the remainder at every
     step, which Poly.exact_divide replaced with a one-pass heap loop;
   * the term-by-term integer evaluation at one point, which
-    maps.sample_poly_values replaced with column-wise evaluation of a
-    block of points;
+    maps._block_values replaced with column-wise evaluation of a block
+    of points;
   * the parser that evaluated an expression with Poly arithmetic, which
     textio._ExprParser replaced with one that builds terms directly;
   * the Segre move by substitution and exact division, which

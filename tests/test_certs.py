@@ -61,7 +61,8 @@ def symbolic_two_sided(sh):
 
 
 def test_linear_automorphism_two_sided():
-    a = Automorphism.from_linear(RatMatrix.dense([[2, 1], [1, 1]]))
+    m = RatMatrix.dense([[2, 1], [1, 1]])
+    a = Automorphism.from_linear(m, m.inverse())
     assert a.verify_two_sided() is None
     # a deliberately wrong inverse is caught
     bad = Automorphism(

@@ -20,6 +20,7 @@ from polyred import cli
 from polyred.certs import RationalMap
 from polyred.maps import PolyMap
 from polyred.poly import Poly
+from polyred.ratpoint import RationalPoint
 
 ints = st.integers(-9, 9)
 fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
@@ -145,19 +146,20 @@ def test_rational_map_divides_ints_exactly():
 
 
 def test_cli_evaluations_return_no_float(tmp_path, monkeypatch):
-    """Poly.eval_at and RationalMap.eval_at are wrapped while reduce and
+    """RationalPoint.value, where every evaluation at a point of ints and
+    Fractions goes, and RationalMap.eval_at are wrapped while reduce and
     symmetrize write certificates and verify-cert replays them with fiber
     transport; plane-quad keeps the origin, random-d4-n3 is recentred, and
     the inverse of cube-x's symmetrization is a RationalMap."""
     floats = []
-    calls = {"poly": 0, "rational": 0}
-    poly_eval, rational_eval = Poly.eval_at, RationalMap.eval_at
+    calls = {"point": 0, "rational": 0}
+    point_value, rational_eval = RationalPoint.value, RationalMap.eval_at
 
-    def guarded_poly(self, point):
-        value = poly_eval(self, point)
-        calls["poly"] += 1
+    def guarded_point(self, p):
+        value = point_value(self, p)
+        calls["point"] += 1
         if type(value) is float:
-            floats.append(("Poly", point, value))
+            floats.append(("RationalPoint", (self.nums, self.den), value))
         return value
 
     def guarded_rational(self, point):
@@ -167,7 +169,7 @@ def test_cli_evaluations_return_no_float(tmp_path, monkeypatch):
             floats.append(("RationalMap", point, values))
         return values
 
-    monkeypatch.setattr(Poly, "eval_at", guarded_poly)
+    monkeypatch.setattr(RationalPoint, "value", guarded_point)
     monkeypatch.setattr(RationalMap, "eval_at", guarded_rational)
     cert, out = str(tmp_path / "cert.json"), str(tmp_path / "out.map")
     runs = [["reduce", eid, "--to", "yagzhev", "--cert", cert, "--out", out]
@@ -179,4 +181,4 @@ def test_cli_evaluations_return_no_float(tmp_path, monkeypatch):
             assert cli.main(argv) == 0, argv
             assert cli.main(["verify-cert", cert, "--fiber-samples", "2"]) == 0, argv
         assert not floats, (argv, floats[:3])
-    assert calls["poly"] and calls["rational"]
+    assert calls["point"] and calls["rational"]

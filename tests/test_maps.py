@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import eval_scaled_int, from_terms, linear_part
+from polyred import maps
 from polyred.elim import poly_matrix_det
-from polyred.examples import builtin_example
+from polyred.examples import builtin_example, corpus
 from polyred.linalg import RatMatrix
 from polyred.maps import (
     Budget,
@@ -22,9 +23,10 @@ from polyred.maps import (
     jacobian,
     jacobian_degree_bound,
     jacobian_det,
+    poly_block_values,
     recognize_cube,
     sample_points,
-    sample_poly_values,
+    sample_tally,
     sparse_jacobian,
 )
 from polyred.poly import Poly
@@ -85,8 +87,15 @@ def test_compose_is_associative(data):
     assert PolyMap.identity(p).compose(f) == f
 
 
-def sample_poly_values_oracle(p, rng, samples, box):
-    """sample_poly_values with every sample value built as a Fraction."""
+def tally_poly(p, rng, samples, box):
+    """sample_tally over p's block values: (zeros, first zero, first two
+    distinct values of den**D * p / content(p))."""
+    return sample_tally(poly_block_values(p), rng, p.varcount, samples, box)
+
+
+def tally_by_fraction_values(p, rng, samples, box):
+    """The zero count and first zero of tally_poly, with every sample
+    value built as a Fraction."""
     zeros = 0
     first_zero = None
     for nums, den in sample_points(rng, p.varcount, samples, box):
@@ -94,35 +103,39 @@ def sample_poly_values_oracle(p, rng, samples, box):
             zeros += 1
             if first_zero is None:
                 first_zero = (list(nums), den)
-    return samples, zeros, first_zero
+    return zeros, first_zero
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_sample_poly_values_matches_fraction_values(data):
+def test_sample_tally_matches_fraction_values(data):
     n = data.draw(st.integers(1, 3))
     p = data.draw(polys(n, max_terms=4, max_exp=3))
     seed = data.draw(st.integers(0, 1000))
     samples = data.draw(st.integers(1, 12))
     box = data.draw(st.integers(1, 4))
-    rep = sample_poly_values(p, random.Random(seed), samples, box)
-    got = (rep.samples, rep.zero_points, rep.first_zero)
-    assert got == sample_poly_values_oracle(p, random.Random(seed), samples, box)
+    zeros, first_zero, _ = tally_poly(p, random.Random(seed), samples, box)
+    assert (zeros, first_zero) == \
+        tally_by_fraction_values(p, random.Random(seed), samples, box)
 
 
-def sample_values_by_point(p, rng, samples, box):
-    """sample_poly_values one point at a time, through the integer
-    evaluation that the block sampler replaced."""
+def tally_by_point(p, rng, samples, box):
+    """tally_poly one point at a time, through the integer evaluation
+    that the block kernel replaced."""
     _, items = p.content_and_integer_terms()
     d = p.degree() or 0
     zeros = 0
     first_zero = None
+    distinct = []
     for nums, den in sample_points(rng, p.varcount, samples, box):
-        if eval_scaled_int(items, nums, den, d) == 0:
+        value = eval_scaled_int(items, nums, den, d)
+        if value == 0:
             zeros += 1
             if first_zero is None:
                 first_zero = (list(nums), den)
-    return samples, zeros, first_zero
+        if len(distinct) < 2 and value not in distinct:
+            distinct.append(value)
+    return zeros, first_zero, distinct
 
 
 @pytest.mark.parametrize("samples", [0, 1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK,
@@ -141,9 +154,8 @@ def test_block_sampler_matches_pointwise_evaluation(samples, data):
         p = data.draw(polys(n, max_terms=4, max_exp=3))
     seed = data.draw(st.integers(0, 1000))
     box = data.draw(st.integers(1, 4))
-    rep = sample_poly_values(p, random.Random(seed), samples, box)
-    got = (rep.samples, rep.zero_points, rep.first_zero)
-    assert got == sample_values_by_point(p, random.Random(seed), samples, box)
+    assert tally_poly(p, random.Random(seed), samples, box) == \
+        tally_by_point(p, random.Random(seed), samples, box)
 
 
 def test_block_sampler_finds_a_first_zero_in_a_later_block():
@@ -155,11 +167,32 @@ def test_block_sampler_finds_a_first_zero_in_a_later_block():
     first = next(i for i, (nums, den) in enumerate(points)
                  if p.eval_at([Fraction(a, den) for a in nums]) == 0)
     assert first >= SAMPLE_BLOCK
-    rep = sample_poly_values(p, random.Random(39), 600, 40)
-    assert (rep.samples, rep.zero_points, rep.first_zero) == \
-        sample_values_by_point(p, random.Random(39), 600, 40)
-    assert rep.zero_points == 2
-    assert rep.first_zero == tuple(points[first])
+    tally = tally_poly(p, random.Random(39), 600, 40)
+    assert tally == tally_by_point(p, random.Random(39), 600, 40)
+    zeros, first_zero, _ = tally
+    assert zeros == 2
+    assert first_zero == tuple(points[first])
+
+
+def test_exact_and_sampled_routes_agree_on_sampled_zeros():
+    """Both routes of classify evaluate det J exactly at the same seeded
+    points, so wherever det J is nonzero they find the same zeros."""
+    compared = 0
+    for entry in corpus():
+        f = entry.document.to_polymap()
+        det = jacobian_det(f)
+        if not f.is_endomorphism() or isinstance(det, Unknown) or det.is_zero():
+            continue
+        for seed in (0, 5):
+            exact = classify(f, seed=seed, samples=200)
+            sampled = classify(f, Budget(max_exact_det_dim=0), seed=seed, samples=200)
+            assert (exact.mode, sampled.mode) == ("exact", "sampled")
+            assert exact.nonsingular_sampled == sampled.nonsingular_sampled, entry.id
+            vanishes = [[n for n in c.notes if n.startswith("jacobian vanishes")]
+                        for c in (exact, sampled)]
+            assert vanishes[0] == vanishes[1], entry.id
+        compared += 1
+    assert compared == 31
 
 
 def test_identity_and_linear_parts():
@@ -362,17 +395,17 @@ def test_is_nilpotent_exact_nontrivial():
     assert verdict is True
 
 
-def test_is_nilpotent_sampled():
+def test_is_nilpotent_sampled(monkeypatch):
+    monkeypatch.setattr(maps, "EXACT_NILPOTENT_DIM", 1)
     n = 3
     x = V(n, 0)
     zero = Poly.zero(n)
     m = [[x, zero, zero], [zero, zero, zero], [zero, zero, zero]]
-    budget = Budget(max_exact_nilpotent_dim=1)
-    verdict, witness = is_nilpotent(m, n, budget, seed=5)
+    verdict, witness = is_nilpotent(m, n, seed=5)
     assert verdict is False
     assert witness["power"] == 1
     nil = [[zero, x, zero], [zero, zero, x], [zero, zero, zero]]
-    verdict2, _ = is_nilpotent(nil, n, budget, seed=5)
+    verdict2, _ = is_nilpotent(nil, n, seed=5)
     assert verdict2 is None  # sampling cannot prove nilpotency
 
 

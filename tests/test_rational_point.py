@@ -1,13 +1,17 @@
 """Rational points are evaluated in integers, over one denominator.
 
-polyred.ratpoint.evaluator sends a point that holds a Fraction to
+polyred.ratpoint.evaluator sends a point of ints and Fractions to
 RationalPoint.value, which writes the coordinates as integer numerators
 over one denominator and returns each value under the coefficient rule
 (an int when integral, else a Fraction).  PolyMap.eval_at, RationalMap.eval_at and
 eval_jacobian_sparse go through it, and here they are held against
-tests/oracles.py's FractionPoly at Fraction and mixed points.  Points of
-ints, or of any other ring, keep Poly.eval_at's loop.
+tests/oracles.py's FractionPoly at int, Fraction and mixed points.
+Points of any other ring keep Poly.eval_at's loop, which nothing in
+polyred reaches at a rational point.
 """
+
+import contextlib
+import io
 
 from fractions import Fraction
 
@@ -16,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import FractionPoly, from_terms
+from polyred import cli
 from polyred.certs import RationalMap
+from polyred.examples import corpus
 from polyred.maps import PolyMap, eval_jacobian_sparse, sparse_jacobian
 from polyred.poly import Poly
 from polyred.ratpoint import RationalPoint, evaluator
@@ -37,12 +43,11 @@ def polys(varcount, max_terms=5, max_exp=3):
 
 
 def rational_points(n):
-    """Points with at least one Fraction: all Fractions, Fraction(k, 1)
-    only, or Fractions mixed with ints."""
+    """All Fractions, Fraction(k, 1) only, ints only, or a mix."""
     return st.one_of(st.lists(fractions, min_size=n, max_size=n),
                      st.lists(whole, min_size=n, max_size=n),
-                     st.lists(coords, min_size=n, max_size=n).filter(
-                         lambda p: Fraction in map(type, p)))
+                     st.lists(ints, min_size=n, max_size=n),
+                     st.lists(coords, min_size=n, max_size=n))
 
 
 def _settled(value):
@@ -142,11 +147,13 @@ def test_indices_convert_only_the_coordinates_read():
     g = x * z + z.scale(Fraction(1, 2))
     point = [Fraction(1, 3), "unread", Fraction(5, 7)]
     assert evaluator(point, {0, 2})(g) == _oracle(g, [point[0], 0, point[2]])
-    # no Fraction among the coordinates read: Poly.eval_at, in ints
+    # ints only among the coordinates read: over the denominator 1
+    at = RationalPoint.of([2, Fraction(1, 2), 3], {0, 2})
+    assert (at.nums, at.den, at.dim) == ({0: 2, 2: 3}, 1, 3)
     assert evaluator([2, Fraction(1, 2), 3], {0, 2})(x * z) == 6
 
 
-def test_int_and_other_ring_points_keep_the_ring_loop(monkeypatch):
+def test_other_ring_points_keep_the_ring_loop(monkeypatch):
     calls = []
     loop = Poly.eval_at
 
@@ -157,16 +164,35 @@ def test_int_and_other_ring_points_keep_the_ring_loop(monkeypatch):
     monkeypatch.setattr(Poly, "eval_at", counted)
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
     f = PolyMap([x * y + x, y ** 2])
-    assert f.eval_at([2, 3]) == [8, 9] and len(calls) == 2
+    assert f.eval_at([2, 3]) == [8, 9] and not calls
     assert list(map(type, f.eval_at([2, 3]))) == [int, int]
     z = QzMod([0, 1])
     assert f.eval_at([z, Fraction(1, 2)]) == [z * Fraction(3, 2), Fraction(1, 4)]
-    assert len(calls) == 6
-    assert f.eval_at([Fraction(2), 3]) == [8, 9] and len(calls) == 6
+    assert len(calls) == 2
+    assert f.eval_at([Fraction(2), 3]) == [8, 9] and len(calls) == 2
 
 
 def test_point_length_is_checked_on_both_routes():
     f = PolyMap([Poly.variable(2, 0)])
-    for point in ([1], [1, 2, 3], [Fraction(1, 2)], [Fraction(1, 2), 1, 1]):
+    z = QzMod([0, 1])
+    for point in ([1], [1, 2, 3], [Fraction(1, 2)], [Fraction(1, 2), 1, 1],
+                  [z], [z, 1, 1]):
         with pytest.raises(ValueError, match="point length"):
             f.eval_at(point)
+
+
+def test_rational_points_never_reach_the_ring_loop(monkeypatch):
+    """With Poly.eval_at refusing, reduce pinchuk --to yagzhev (its
+    base-point Jacobian and f(x0) are at int points) and analyze on
+    every corpus map still run: polyred evaluates no point of ints and
+    Fractions through the ring loop."""
+    def refuse(self, point):
+        raise AssertionError(f"Poly.eval_at reached at {point!r}")
+
+    monkeypatch.setattr(Poly, "eval_at", refuse)
+    runs = [["reduce", "pinchuk", "--to", "yagzhev"]]
+    runs += [["analyze", e.id] for e in corpus()]
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0, argv

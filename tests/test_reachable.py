@@ -13,6 +13,11 @@ does not reach it.  Dunder methods run by syntax, so they are roots.
 Names are matched across modules and classes, so the check
 over-approximates what is live: it can miss dead code, but it never
 flags live code.  A function that only the tests call belongs in tests/.
+
+A second check, also `ast` only, finds imports a module never reads, as
+pyflakes' F401 would: a name counts as read when the module names it as
+a variable, inside a string annotation, or in its `__all__`, and an
+import marked `# noqa: F401` is exempt.
 """
 
 import ast
@@ -95,6 +100,49 @@ def tracer_targets(source: str) -> set:
     raise AssertionError("tracing.py defines no TARGETS list")
 
 
+def _annotations(node):
+    """The annotation nodes directly on node."""
+    if isinstance(node, ast.arg) or isinstance(node, ast.AnnAssign):
+        yield node.annotation
+    elif isinstance(node, _DEFS):
+        yield node.returns
+
+
+def unused_imports(source: str) -> list:
+    """'name (line n)' for each name the module imports and never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for ann in _annotations(node):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _names([ast.parse(ann.value, mode="eval")])
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                marked = {lines[node.lineno - 1], lines[alias.lineno - 1]}
+                if alias.name != "*" and not any("# noqa: F401" in ln for ln in marked):
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def _polyred_sources() -> dict:
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        stem = os.path.splitext(os.path.basename(path))[0]
+        with open(path, encoding="utf-8") as fh:
+            sources["polyred" if stem == "__init__" else f"polyred.{stem}"] = fh.read()
+    return sources
+
+
 def test_checker_flags_an_unreached_function():
     sources = {
         "a": ("__all__ = ['f']\n\n"
@@ -114,12 +162,27 @@ def test_checker_flags_an_unreached_function():
 
 
 def test_every_polyred_function_is_reachable():
-    sources = {}
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
-        stem = os.path.splitext(os.path.basename(path))[0]
-        with open(path, encoding="utf-8") as fh:
-            sources["polyred" if stem == "__init__" else f"polyred.{stem}"] = fh.read()
+    sources = _polyred_sources()
     with open(TRACING, encoding="utf-8") as fh:
         targets = tracer_targets(fh.read())
     assert {"resultant", "main", "substitute"} <= targets
     assert unreachable(sources, {"main"} | targets) == []
+
+
+def test_checker_flags_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os, sys\n"
+              "import json  # noqa: F401\n"
+              "from a import (b,\n"
+              "               c)\n"
+              "from d import e as f, g\n"
+              "__all__ = ['g']\n\n"
+              "def h(x: 'f') -> int:\n"
+              "    return os.sep + c\n")
+    assert unused_imports(source) == ["b (line 4)", "sys (line 2)"]
+
+
+def test_no_polyred_module_has_an_unused_import():
+    unused = {module: names for module, source in _polyred_sources().items()
+              if (names := unused_imports(source))}
+    assert unused == {}

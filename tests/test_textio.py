@@ -483,7 +483,7 @@ def test_parse_inverts_print(doc):
 
 def test_matrix_json_round_trip():
     m = RatMatrix.dense([[Fraction(1, 2), Fraction(3)], [Fraction(0), Fraction(-7, 5)]])
-    a = Automorphism.from_linear(m)
+    a = Automorphism.from_linear(m, m.inverse())
     d = automorphism_to_json(a)
     back = automorphism_from_json(json.loads(json.dumps(d)))
     assert back.forward == a.forward
