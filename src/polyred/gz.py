@@ -35,7 +35,7 @@ from .certs import (
     PreCompose,
 )
 from .linalg import RatMatrix
-from .maps import PolyMap, is_yagzhev
+from .maps import PolyMap, is_yagzhev, terms_minus_x
 from .poly import Poly, as_coeff, cube_numerators, linear_cube, qdiv
 
 
@@ -260,10 +260,10 @@ def pair_up(g: PolyMap) -> GZPairing:
     m = g.n_in
     index = {}
     coeff_rows = []
-    for i in range(m):
-        h = g.components[i] - Poly.variable(m, i)
-        coeff_rows.append({index.setdefault(key, len(index)): c
-                           for c, key in decompose_cubes(h)})
+    for i, c in enumerate(g.components):
+        h = Poly(m, dict(terms_minus_x(c, i)))
+        coeff_rows.append({index.setdefault(key, len(index)): coeff
+                           for coeff, key in decompose_cubes(h)})
 
     q_rows = [dict(key) for key in index]
     q_rows += _basis_padding(q_rows, m)

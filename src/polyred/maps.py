@@ -16,6 +16,11 @@ classify's seeded points are tallied by one loop, sample_tally, a block
 at a time: within the budget the block's values come from the symbolic
 determinant at once (_block_values), above it from sparse_det of the
 Jacobian at each point.
+
+Every shape polyred checks relative to the identity is read from F - X
+through one helper, terms_minus_x, which walks f_i's own terms with
+x_i's coefficient lowered by one: is_yagzhev and is_druzkowski here,
+and the stage checks of polyred.reduce and gz.pair_up.
 """
 
 from __future__ import annotations
@@ -160,9 +165,6 @@ class PolyMap:
         if other.n_out != self.n_out or other.n_in != self.n_in:
             raise ValueError("shape mismatch")
         return PolyMap([a + b for a, b in zip(self.components, other.components)])
-
-    def constant_part(self) -> list:
-        return [c.constant_term() for c in self.components]
 
     def is_identity(self) -> bool:
         return self.is_endomorphism() and self == PolyMap.identity(self.n_in)
@@ -394,26 +396,22 @@ def classify(
 # -- structural predicates -------------------------------------------------
 
 
-def has_identity_linear_part(f: PolyMap) -> bool:
-    """True when the degree-1 part of f_i is exactly x_i, for every i.
+def terms_minus_x(c: Poly, i: int):
+    """Yield the terms of c - x_i, for c the i-th component of a map.
 
-    Works term by term, so unlike linear_part() it never builds the
-    dense n-by-n matrix; fine at a few thousand variables.
+    c's own term dict is read as it stands: only x_i's coefficient is
+    lowered by one, dropped when that leaves zero, and yielded as -1
+    after the others when c has no x_i term.  Nothing is copied.
     """
-    if not f.is_endomorphism():
-        return False
-    for i, c in enumerate(f.components):
-        own = ((i, 1),)
-        seen = False
-        for m, coeff in c.terms.items():
-            if mono_degree(m) != 1:
-                continue
-            if m != own or coeff != 1:
-                return False
-            seen = True
-        if not seen:
-            return False
-    return True
+    own = ((i, 1),)
+    terms = c.terms
+    for m, coeff in terms.items():
+        if m != own:
+            yield m, coeff
+        elif coeff != 1:
+            yield m, coeff - 1
+    if own not in terms:
+        yield own, -1
 
 
 def adjugate(m: list, varcount: int) -> list:
@@ -436,16 +434,9 @@ def adjugate(m: list, varcount: int) -> list:
 
 def is_yagzhev(f: PolyMap) -> bool:
     """Identity plus a cubic homogeneous part, componentwise."""
-    if not f.is_endomorphism():
-        return False
-    n = f.n_in
-    for i, c in enumerate(f.components):
-        h = c - Poly.variable(n, i)
-        if h.is_zero():
-            continue
-        if not h.is_homogeneous() or h.degree() != 3:
-            return False
-    return True
+    return f.is_endomorphism() and all(
+        mono_degree(m) == 3
+        for i, c in enumerate(f.components) for m, _ in terms_minus_x(c, i))
 
 
 def recognize_cube(h: Poly):
@@ -493,8 +484,7 @@ def is_druzkowski(f: PolyMap):
     n = f.n_in
     data = []
     for i, c in enumerate(f.components):
-        h = c - Poly.variable(n, i)
-        rec = recognize_cube(h)
+        rec = recognize_cube(Poly(n, dict(terms_minus_x(c, i))))
         if rec is None:
             return False, None
         data.append(rec)

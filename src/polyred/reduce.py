@@ -14,6 +14,12 @@ taken on faith.  ``to_yagzhev`` chains the four stages:
 The variable count grows along the way; stage 1 splits off factors
 shared by many terms to keep it down but does not minimize it.  The
 per-stage dimensions are recorded in the trace.
+
+Which stages run, and what segre_step and eliminate_quadratic accept,
+are read from the degrees of F - X, term by term through
+maps.terms_minus_x: normalization is skipped when no term has degree 0
+or 1, the Segre extension needs every degree to be 2 or 3, and the
+(X + tQ + t^2 C, t) shape is split from the same terms.
 """
 
 import random
@@ -40,11 +46,11 @@ from .maps import (
     Unknown,
     adjugate,
     eval_jacobian_sparse,
-    has_identity_linear_part,
     is_yagzhev,
     jacobian,
     jacobian_det,
     sparse_jacobian,
+    terms_minus_x,
 )
 from .poly import (
     GRLEX_KEY,
@@ -232,14 +238,11 @@ def segre_step(f: PolyMap):
     """
     if not f.is_endomorphism():
         raise ValueError("the Segre extension expects an endomorphism")
-    n = f.n_in
     for i, c in enumerate(f.components):
-        h = c - Poly.variable(n, i)
-        for mono in h.terms:
-            if mono_degree(mono) not in (2, 3):
-                raise ValueError(
-                    f"component {i} is not x_{i} + quadratic + cubic; "
-                    "normalize first")
+        if any(mono_degree(m) not in (2, 3) for m, _ in terms_minus_x(c, i)):
+            raise ValueError(
+                f"component {i} is not x_{i} + quadratic + cubic; "
+                "normalize first")
     builder = CertificateBuilder(f, kind="segre-extension")
     builder.push(SegreExtend())
     return builder.current, builder.build()
@@ -259,9 +262,8 @@ def _split_t_shape(f: PolyMap):
         raise ValueError("the last component must be the extension variable")
     c_parts = []
     for i in range(n):
-        h = f.components[i] - Poly.variable(m, i)
         c_terms = {}
-        for mono, coeff in h.terms.items():
+        for mono, coeff in terms_minus_x(f.components[i], i):
             e = mono_exponent(mono, n)
             rest = tuple(p for p in mono if p[0] != n)
             rd = mono_degree(rest)
@@ -363,8 +365,8 @@ def to_yagzhev(f: PolyMap, seed: int = 0, budget: Budget = DEFAULT_BUDGET):
     parts.append(c1)
     names.append("lower-degree")
     dims.append(cur.n_in)
-    if not (all(v == 0 for v in cur.constant_part())
-            and has_identity_linear_part(cur)):
+    if any(mono_degree(m) < 2 for i, c in enumerate(cur.components)
+           for m, _ in terms_minus_x(c, i)):
         cur, c2 = normalize(cur, seed=seed, budget=budget)
         parts.append(c2)
         names.append("normalize")

@@ -385,8 +385,11 @@ def automorphism_from_json(d: dict):
     inv_d = _field(d, "inverse", dict)
     if inv_d.get("kind") == "rational":
         nums = _map_from_text(_field(inv_d, "numerators", str)).components
-        den = _map_from_text(_field(inv_d, "denominator", str)).components[0]
-        inv = RationalMap(nums, den)
+        den = _map_from_text(_field(inv_d, "denominator", str)).components
+        if len(den) != 1:
+            raise ValueError("a rational inverse's denominator document needs "
+                             f"exactly one poly line, not {len(den)}")
+        inv = RationalMap(nums, den[0])
     elif inv_d.get("kind") == "polynomial":
         inv = _map_from_text(_field(inv_d, "map", str))
         perm = _as_permutation(fwd, inv)

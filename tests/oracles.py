@@ -55,6 +55,11 @@ two on random inputs:
   * B F(C x) of a pairing by composing the expanded cubic linear map F
     with C, which gz._pushed_down replaced with the cubes of A C's forms
     in the small dimension;
+  * the shape checks on F - X that each built f_i - x_i as a new Poly
+    first (has_identity_linear_part with the constant terms, is_yagzhev,
+    segre_step's precondition and eliminate_quadratic's split of
+    (X + tQ + t^2 C, t)), which maps.terms_minus_x replaced with one
+    scan of f_i's own terms;
   * FractionPoly, the Poly whose every coefficient was a Fraction, which
     int-or-Fraction coefficients replaced (its eval_at, in Fractions
     throughout, is also the reference for ratpoint.RationalPoint's integer
@@ -1288,3 +1293,91 @@ def normalize_by_det_then_inverse(f, seed: int = 0, budget=DEFAULT_BUDGET):
             RatMatrix(inv_rows, n), RatMatrix(rows, n),
             "straighten the differential at the origin")))
     return builder.current, builder.build()
+
+
+# -- shape checks on F - X by subtraction ---------------------------------------
+
+
+def minus_x_by_subtraction(c: Poly, i: int) -> Poly:
+    """c - x_i, built with Poly arithmetic as each shape check built it."""
+    return c - Poly.variable(c.varcount, i)
+
+
+def has_identity_linear_part(f: PolyMap) -> bool:
+    """True when the degree-1 part of f_i is exactly x_i, for every i,
+    decided term by term on f_i."""
+    if not f.is_endomorphism():
+        return False
+    for i, c in enumerate(f.components):
+        own = ((i, 1),)
+        seen = False
+        for m, coeff in c.terms.items():
+            if mono_degree(m) != 1:
+                continue
+            if m != own or coeff != 1:
+                return False
+            seen = True
+        if not seen:
+            return False
+    return True
+
+
+def needs_normalize_by_parts(f: PolyMap) -> bool:
+    """reduce.to_yagzhev's skip test, negated, as it first read: some
+    constant term is nonzero or the linear part is not the identity."""
+    return not (all(c.constant_term() == 0 for c in f.components)
+                and has_identity_linear_part(f))
+
+
+def is_yagzhev_by_subtraction(f: PolyMap) -> bool:
+    """Identity plus a cubic homogeneous part, componentwise."""
+    if not f.is_endomorphism():
+        return False
+    n = f.n_in
+    for i, c in enumerate(f.components):
+        h = c - Poly.variable(n, i)
+        if h.is_zero():
+            continue
+        if not h.is_homogeneous() or h.degree() != 3:
+            return False
+    return True
+
+
+def segre_failure_by_subtraction(f: PolyMap) -> Optional[int]:
+    """The first component i whose f_i - x_i has a term of degree other
+    than 2 or 3, the one reduce.segre_step names, or None."""
+    n = f.n_in
+    for i, c in enumerate(f.components):
+        h = c - Poly.variable(n, i)
+        for mono in h.terms:
+            if mono_degree(mono) not in (2, 3):
+                return i
+    return None
+
+
+def split_t_shape_by_subtraction(f: PolyMap):
+    """reduce._split_t_shape over f_i - x_i built as a Poly: check
+    f = (X + t*Q(X) + t^2*C(X), t) and return (n, C) with the cubic
+    block as term dicts over the X variables."""
+    if not f.is_endomorphism() or f.n_in < 2:
+        raise ValueError("expected (X + t Q + t^2 C, t) with t last")
+    m = f.n_in
+    n = m - 1
+    if f.components[n] != Poly.variable(m, n):
+        raise ValueError("the last component must be the extension variable")
+    c_parts = []
+    for i in range(n):
+        h = f.components[i] - Poly.variable(m, i)
+        c_terms = {}
+        for mono, coeff in h.terms.items():
+            e = mono_exponent(mono, n)
+            rest = tuple(p for p in mono if p[0] != n)
+            rd = mono_degree(rest)
+            if e == 2 and rd == 3:
+                c_terms[rest] = coeff
+            elif e != 1 or rd != 2:
+                raise ValueError(
+                    f"component {i} is not x + t*(quadratic in X) "
+                    "+ t^2*(cubic in X)")
+        c_parts.append(c_terms)
+    return n, c_parts

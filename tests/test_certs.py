@@ -512,7 +512,7 @@ def move_chains(draw):
         elif kind == "rational" and n > 1:
             i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
             step = [_rational_move(n, i, j)]
-        elif kind == "segre" and all(c == 0 for c in cur.constant_part()):
+        elif kind == "segre" and all(c.constant_term() == 0 for c in cur.components):
             step = [SegreExtend()]
         else:
             continue

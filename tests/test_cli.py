@@ -203,11 +203,22 @@ def _zero_denominator(blob):
                    denominator="vars x1 x2 x3 x4 x5\npoly f1 = 0\n")
 
 
+def _two_denominators(blob):
+    """A first move whose rational inverse (x*y, y*y) / y is sound only if
+    the second poly line of its denominator document, e = x, is dropped."""
+    blob["moves"].insert(0, {"move": "post", "automorphism": {
+        "label": "", "forward": "vars x y\npoly f1 = x\npoly f2 = y\n",
+        "inverse": {"kind": "rational",
+                    "numerators": "vars x y\npoly f1 = x*y\npoly f2 = y*y\n",
+                    "denominator": "vars x y\npoly d = y\npoly e = x\n"}}})
+
+
 @pytest.mark.parametrize("tamper", [
     pytest.param(lambda b: b.update(version=99), id="version-99"),
     pytest.param(lambda b: b.update(version="banana"), id="version-banana"),
     pytest.param(lambda b: b.pop("version"), id="version-missing"),
     pytest.param(_zero_denominator, id="zero-denominator"),
+    pytest.param(_two_denominators, id="denominator-two-lines"),
     pytest.param(lambda b: b.update(moves="abc"), id="moves-string"),
     pytest.param(lambda b: b.update(moves=[5]), id="moves-int"),
     pytest.param(lambda b: b.update(source=5), id="source-int"),

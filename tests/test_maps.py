@@ -205,7 +205,7 @@ def test_identity_and_linear_parts():
     assert lm.eval_at([1, 1]) == [3, 7]
     tr = PolyMap.translation([1, -2])
     assert tr.eval_at([0, 0]) == [1, -2]
-    assert tr.constant_part() == [1, -2]
+    assert [c.constant_term() for c in tr.components] == [1, -2]
 
 
 def test_jacobian_entries():
