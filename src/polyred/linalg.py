@@ -6,13 +6,14 @@ integral and a Fraction otherwise, every division going through
 poly.qdiv, so an int matrix stays int wherever its pivots divide
 exactly.
 
-One routine, _eliminate, does every elimination: Gauss-Jordan in column
+One routine, _forward, does every elimination's forward sweep in column
 order, where a column -> rows index finds the live rows holding each
 column and the shortest of them pivots, which keeps fill-in small on the
 near-triangular Jacobians of the reduction pipeline (Davis, Direct
-Methods for Sparse Linear Systems, SIAM 2006).  The reduced row echelon
-form does not depend on which row pivots, and neither does a rank, a
-kernel basis read off it, an inverse or a determinant.
+Methods for Sparse Linear Systems, SIAM 2006).  A rank and a determinant
+read its pivots; _eliminate adds the back-substitution that completes
+Gauss-Jordan for the reduced row echelon form, a kernel basis, a
+solution and an inverse.  None of these depends on which row pivots.
 """
 
 from __future__ import annotations
@@ -22,17 +23,15 @@ from typing import Optional, Sequence
 from .poly import as_coeff, qdiv
 
 
-def _eliminate(rows: list, ncols: int) -> tuple:
-    """(reduced rows, pivots, product of the pivots) for copies of rows.
+def _forward(rows: list, ncols: int) -> tuple:
+    """(echelon rows, column -> rows index, pivots, product of the pivots)
+    for copies of rows, by the forward sweep alone.
 
     Column by column, the shortest live row holding the column becomes
     its pivot row, is scaled to lead with 1 and clears the column from
-    the other live rows; then, last pivot first, each pivot row clears
-    its column from the pivot rows above it, which at that point only
-    removes entries when the matrix is square and invertible.  pivots
-    lists (column, row index) in column order, so the pivot rows in that
-    order are the reduced row echelon form and every other row ends
-    empty; the product is taken before scaling.
+    the other live rows.  pivots lists (column, row index) in column
+    order and every row that is not a pivot row ends empty; the product
+    is taken before scaling.  A rank or a determinant needs nothing more.
     """
     rows = [dict(r) for r in rows]
     holders = [set() for _ in range(ncols)]  # column -> rows holding it
@@ -57,6 +56,15 @@ def _eliminate(rows: list, ncols: int) -> tuple:
             rows[p] = {k: qdiv(v, piv) for k, v in rows[p].items()}
         _clear(rows, holders, c, p, candidates)
         live.difference_update([i for i in candidates if not rows[i]])
+    return rows, holders, pivots, product
+
+
+def _eliminate(rows: list, ncols: int) -> tuple:
+    """(reduced rows, pivots, product of the pivots) for copies of rows:
+    _forward, then, last pivot first, each pivot row clears its column
+    from the pivot rows above it, so the pivot rows in pivot order are
+    the reduced row echelon form."""
+    rows, holders, pivots, product = _forward(rows, ncols)
     for c, p in reversed(pivots):
         _clear(rows, holders, c, p, list(holders[c]))
     return rows, pivots, product
@@ -170,7 +178,7 @@ class RatMatrix:
         return RatMatrix(reduced, self.ncols), [c for c, _ in pivots]
 
     def rank(self) -> int:
-        return len(_eliminate(self.rows, self.ncols)[1])
+        return len(_forward(self.rows, self.ncols)[2])
 
     def row_basis(self) -> "RatMatrix":
         """Rows spanning the row space (nonzero rows of the rref)."""
@@ -225,11 +233,11 @@ class RatMatrix:
 
 def sparse_det(rows: list, n: int):
     """The determinant, as a stored coefficient: the product of
-    _eliminate's pivots times the sign of the permutation that sends
-    each pivot row to its column."""
+    _forward's pivots times the sign of the permutation that sends each
+    pivot row to its column."""
     if len(rows) != n:
         raise ValueError("row count mismatch")
-    _, pivots, product = _eliminate(rows, n)
+    _, _, pivots, product = _forward(rows, n)
     if len(pivots) < n:
         return 0
     col_of = [0] * n

@@ -12,9 +12,10 @@ names to expressions, `meta` lines carry free-form key/value pairs and
 `#` starts a comment.  Expressions use + - * ^ with nonnegative integer
 exponents, parentheses, and integer or a/b literals.  Multiplication is
 always written out; `2x` is a syntax error, not a convenience.  Every
-error carries the line and column it was found at.  The lexer and the
-expression parser live in polyred.grammar; ParseError, MAX_NESTING and
-MAX_EXPONENT are importable from here too.
+error carries the line and column it was found at.  The grammar of
+`vars` and `poly` lines and of expressions lives in polyred.grammar,
+which reads text in the form print_map writes without the lexer;
+ParseError, MAX_NESTING and MAX_EXPONENT are importable from here too.
 
 `print_map` emits a canonical form (terms graded-lex descending,
 coefficients in lowest terms, single spaces) and `parse_map` inverts it
@@ -45,18 +46,16 @@ from typing import Optional, Sequence
 from .certs import (Automorphism, Certificate, CertReport, ExtendFreshVars,
                     FiberReport, PermutationAutomorphism, PostCompose,
                     PreCompose, RationalMap, SegreExtend, ShearAutomorphism)
-from .grammar import ParseError, _ExprParser, _lex
+from .grammar import ParseError, poly_line, read_expression, vars_line
 from .grammar import MAX_EXPONENT, MAX_NESTING  # noqa: F401  (textio.MAX_EXPONENT is documented)
 from .linalg import RatMatrix
 from .maps import DEFAULT_BUDGET, PolyMap
 from .poly import Poly, cube_numerators, qdiv
 
-_RESERVED = {"vars", "poly", "meta"}
-
 
 def parse_expression(text: str, variables: Sequence[str], lineno: int = 1) -> Poly:
     varmap = {name: i for i, name in enumerate(variables)}
-    return _ExprParser(_lex(text, lineno), varmap, len(varmap), lineno, len(text)).parse()
+    return read_expression(text, varmap, len(varmap), lineno)
 
 
 # -- documents ---------------------------------------------------------------
@@ -78,8 +77,7 @@ class MapDocument:
 
 
 def parse_map(text: str) -> MapDocument:
-    variables = None
-    varmap, varcount = {}, 0
+    varmap = None
     comps = []
     seen_names = set()
     meta = {}
@@ -91,23 +89,7 @@ def parse_map(text: str) -> MapDocument:
             continue
         head = stripped.split(None, 1)[0]
         if head == "vars":
-            toks = _lex(raw, lineno)
-            if variables is not None:
-                self_col = toks[0][3]
-                raise ParseError("duplicate vars line", lineno, self_col)
-            varmap = {}
-            for t in toks[1:]:
-                if t[0] != "ident":
-                    raise ParseError("variable names must be identifiers", t[2], t[3])
-                if t[1] in _RESERVED:
-                    raise ParseError(f"'{t[1]}' is a reserved word", t[2], t[3])
-                if t[1] in varmap:
-                    raise ParseError(f"duplicate variable '{t[1]}'", t[2], t[3])
-                varmap[t[1]] = len(varmap)
-            if not varmap:
-                raise ParseError("vars line declares no variables", lineno, len(raw) + 1)
-            variables = list(varmap)
-            varcount = len(variables)
+            varmap = vars_line(raw, lineno, varmap is not None)
         elif head == "meta":
             parts = stripped.split(None, 2)
             if len(parts) < 3:
@@ -116,31 +98,17 @@ def parse_map(text: str) -> MapDocument:
                 raise ParseError(f"duplicate meta key '{parts[1]}'", lineno, 1)
             meta[parts[1]] = parts[2]
         elif head == "poly":
-            toks = _lex(raw, lineno)
-            if variables is None:
-                raise ParseError("vars line must come before poly lines", toks[0][2], toks[0][3])
-            if len(toks) < 2 or toks[1][0] != "ident":
-                raise ParseError("expected a component name after 'poly'", lineno,
-                                 toks[0][3] + 4)
-            name = toks[1][1]
-            if name in _RESERVED:
-                raise ParseError(f"'{name}' is a reserved word", toks[1][2], toks[1][3])
-            if name in seen_names:
-                raise ParseError(f"duplicate component '{name}'", toks[1][2], toks[1][3])
-            if len(toks) < 3 or toks[2][0] != "=":
-                raise ParseError("expected '=' after the component name", lineno,
-                                 toks[1][3] + len(name))
-            p = _ExprParser(toks[3:], varmap, varcount, lineno, len(raw)).parse()
+            name, p = poly_line(raw, lineno, varmap, seen_names)
             seen_names.add(name)
             comps.append((name, p))
         else:
             raise ParseError(f"unknown directive '{head}'", lineno,
                              raw.index(head) + 1)
-    if variables is None:
+    if varmap is None:
         raise ParseError("missing vars line", last_line + 1, 1)
     if not comps:
         raise ParseError("document has no components", last_line + 1, 1)
-    return MapDocument(tuple(variables), tuple(comps), meta)
+    return MapDocument(tuple(varmap), tuple(comps), meta)
 
 
 def _terms_text(terms) -> str:
@@ -379,7 +347,7 @@ def automorphism_from_json(d: dict):
             if not (key.isdecimal() and str(int(key)) == key and isinstance(text, str)):
                 raise ValueError(f"shear addend {key!r} needs an index key and "
                                  "an expression string")
-            additions[int(key)] = _ExprParser(_lex(text, 1), varmap, n, 1, len(text)).parse()
+            additions[int(key)] = read_expression(text, varmap, n)
         return Automorphism.shear(n, additions, label)
     fwd = _map_from_text(_field(d, "forward", str))
     inv_d = _field(d, "inverse", dict)

@@ -34,7 +34,7 @@ two on random inputs:
     maps._block_values replaced with column-wise evaluation of a block
     of points;
   * the parser that evaluated an expression with Poly arithmetic, which
-    textio._ExprParser replaced with one that builds terms directly;
+    grammar._ExprParser replaced with one that builds terms directly;
   * the Segre move by substitution and exact division, which
     certs.apply_move replaced with a monomial rewrite;
   * the pre-composed shear that builds all n identity images and scans
@@ -78,13 +78,13 @@ from typing import Optional, Sequence
 
 from polyred.certs import Automorphism, CertificateBuilder, PostCompose, PreCompose
 from polyred.elim import _q_trim, poly_matrix_det, q_derive, z_exact_div, z_gcd, z_mul, z_sub
+from polyred.grammar import MAX_EXPONENT, MAX_NESTING, ParseError, _lex
 from polyred.linalg import RatMatrix, sparse_det, sparse_inverse
 from polyred.maps import (DEFAULT_BUDGET, GenericityError, PolyMap, eval_jacobian_sparse,
                           sparse_jacobian)
 from polyred.poly import (ExactDivisionError, GRLEX_KEY, Poly, ZERO_MONO, as_coeff,
                           mono_degree, mono_div, mono_divides, mono_exponent, mono_mul, qdiv)
 from polyred.reduce import _check_time
-from polyred.textio import MAX_EXPONENT, MAX_NESTING, ParseError, _lex
 
 
 def uni_coeffs(p: Poly, var: int) -> list:
@@ -735,7 +735,7 @@ def eval_scaled_int(int_terms: list, nums: Sequence[int], den: int, deg: int) ->
 
 
 class PolyExprParser:
-    """The grammar of textio._ExprParser evaluated with Poly arithmetic:
+    """The grammar of grammar._ExprParser evaluated with Poly arithmetic:
     every factor is a Poly, a term multiplies them left to right and an
     expression adds its terms with Poly +, one dict copy per term.
 

@@ -1,18 +1,22 @@
 """Text format and JSON codecs: grammar, errors, round-trips."""
 
+import contextlib
+import io
 import json
 import random
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import from_terms, parse_by_poly_arithmetic, permutation_by_maps
-from polyred import poly, textio
+from polyred import cli, grammar, poly, textio
 from polyred.certs import (Automorphism, Certificate, PermutationAutomorphism, RationalMap,
                            ShearAutomorphism, fiber_transport_check, verify_certificate)
-from polyred.examples import builtin_example, builtin_ids
+from polyred.examples import builtin_example, builtin_ids, corpus
 from polyred.linalg import RatMatrix
 from polyred.maps import DEFAULT_BUDGET, PolyMap
 from polyred.poly import Poly
@@ -163,8 +167,8 @@ def _outcome(parse, text, varmap, varcount, lineno=1):
 
 
 def _by_terms(text, varmap, varcount, lineno):
-    toks = textio._lex(text, lineno)
-    return textio._ExprParser(toks, varmap, varcount, lineno, len(text)).parse()
+    toks = grammar._lex(text, lineno)
+    return grammar._ExprParser(toks, varmap, varcount, lineno, len(text)).parse()
 
 
 def _by_poly_arithmetic(text, varmap, varcount, lineno):
@@ -201,7 +205,8 @@ def _expressions(names):
 
 SOUP = ["x", "y", "z", "x1", "x5", "x6", "x7", "é", "x²", "٣", "²", "_", "0", "1", "3",
         "12345678901234567890", "/", "+", "-", "*", "^", "(", ")", "^0", "^2",
-        f"^{MAX_EXPONENT + 1}", "^-1", " ", "\t", "#", "$", "="]
+        f"^{MAX_EXPONENT + 1}", "^-1", " ", "\t", "#", "$", "=",
+        "\u3000", "\xa0", "\x0b", "\n", "  ", " + ", " - ", "^01", "007", "1/0", "x^1000"]
 
 
 def _texts(names):
@@ -476,6 +481,217 @@ def map_documents(draw):
 @given(map_documents())
 def test_parse_inverts_print(doc):
     assert parse_map(print_map(doc)) == doc
+
+
+# -- the canonical route against the parser ----------------------------------------
+
+
+@contextlib.contextmanager
+def _declined():
+    """grammar with every canonical shortcut declined, so that the lexer
+    and _ExprParser read every vars line, poly line and expression."""
+    def decline(*args):
+        return None
+
+    with mock.patch.object(grammar, "_canonical", decline), \
+            mock.patch.object(grammar, "_canonical_vars", decline), \
+            mock.patch.object(grammar, "_canonical_head", decline):
+        yield
+
+
+def _shape(p):
+    """A Poly's variable count, its terms in order with their coefficient
+    types, and whether it is Poly.variable's shared instance."""
+    shared = poly._VARIABLES.get((p.varcount, min(p.variables_used(), default=-1)))
+    return p.varcount, [(m, c, type(c)) for m, c in p.terms.items()], p is shared
+
+
+def _assert_routes_agree(shape, read, *args):
+    """shape(read(*args)), or its error's type and text (a ParseError's
+    text holds its message, line and column), is the same whether the
+    canonical route runs or is declined."""
+    def outcome():
+        try:
+            return shape(read(*args))
+        except ValueError as e:
+            return type(e), str(e)
+
+    got = outcome()
+    with _declined():
+        assert got == outcome(), args
+
+
+def _near_canonical(names):
+    """Expressions as the printer writes them, with coefficients and
+    exponents the parser reads differently or refuses, some with one
+    piece of SOUP spliced in."""
+    coeff = st.sampled_from(["", "", "", "0*", "1*", "2*", "12*", "1/2*", "3/4*", "4/2*",
+                             "0/3*", "007*", "1/0*", "2/06*", "9" * 5000 + "*"])
+    power = st.sampled_from(["", "", "", "^0", "^1", "^2", "^3", "^00", "^01",
+                             f"^{MAX_EXPONENT}", f"^{MAX_EXPONENT + 1}", "^99999"])
+    mono = st.lists(st.tuples(st.sampled_from(names), power).map("".join),
+                    min_size=1, max_size=4).map("*".join)
+    term = st.one_of(st.tuples(coeff, mono).map("".join), mono,
+                     st.sampled_from(["0", "1", "5", "1/2", "2/3", "4/2", "0/7", "1/0", "03"]))
+    expr = st.tuples(st.sampled_from(["", "", "-"]), st.lists(term, min_size=1, max_size=5),
+                     st.lists(st.sampled_from([" + ", " - "]), min_size=4, max_size=4)).map(
+        lambda t: t[0] + t[1][0] + "".join(op + term for op, term in zip(t[2], t[1][1:])))
+    spliced = st.tuples(expr, st.integers(0, 60), st.sampled_from(SOUP)).map(
+        lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:])
+    return st.one_of(expr, expr, spliced)
+
+
+_XYZ_NAMES = ["x", "y"] * 3 + ["z"]
+_TABLE_NAMES = ["x1", "x4", "x5"] * 2 + ["x6", "x7"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_texts(_XYZ_NAMES).map(lambda t: (t, False)),
+                 _near_canonical(_XYZ_NAMES).map(lambda t: (t, False)),
+                 _texts(_TABLE_NAMES).map(lambda t: (t, True)),
+                 _near_canonical(_TABLE_NAMES).map(lambda t: (t, True))),
+       st.integers(1, 3))
+def test_canonical_route_matches_the_parser(case, lineno):
+    """The same terms, order, coefficient types and shared variables, or
+    the same ParseError, with the canonical route and without it; over x,
+    y and over the default names at dim 5 (x6 and x7 undeclared)."""
+    text, table = case
+    varmap, varcount = (textio._default_names(7)[1], 5) if table else XY
+    _assert_routes_agree(_shape, grammar.read_expression, text, varmap, varcount, lineno)
+
+
+def test_canonical_route_matches_the_parser_at_the_edges():
+    many = "*".join(["x"] * 70)  # more factors than the route takes
+    for text in ["0", "-0", "x", "-x", "x^1", "1*x", "x - x + x", "x + y - y", "x^0", "x^0*y",
+                 "y*x", "x*x", "1/2*x + 1/2*x", "1/2*x*y + 1/2*x*y", "1/2 + 1/2",
+                 "3/4*x^2 - 1/4*x^2", "4/2*x", "0*z + x", "x*y - y*x + 1", "--x",
+                 "x - -y", "x +  y", " x", "x ", "- x", "x-y", "x+y", "2x", "x*2", "x^",
+                 "x^-1", "1/0*x", "0/5", many, "1*" + many, f"x^{MAX_EXPONENT}",
+                 f"x^{MAX_EXPONENT + 1}", "9" * 5000 + "*x", "9" * 5000,
+                 "x\u3000+ y", "x\xa0+ y", "x\x0b", "é", "x + ٣", "x²", "x #c", "x\t+ y"]:
+        for varmap, varcount in [XY, ({"x": 0, "y": 1, "z": 2}, 2)]:
+            _assert_routes_agree(_shape, grammar.read_expression, text, varmap, varcount)
+
+
+def _doc_shape(doc):
+    return doc.variables, [(name, _shape(p)) for name, p in doc.components], doc.metadata
+
+
+def _lines(names):
+    exprs = st.one_of(_near_canonical(names), _texts(names))
+    declared = st.lists(st.sampled_from(names + ["vars", "poly", "meta", "é", "x²", "2x"]),
+                        max_size=4)
+    vars_lines = st.one_of(declared.map(lambda ns: "vars " + " ".join(ns)),
+                           st.sampled_from(["vars", "vars  x y", "vars x\ty", "vars x y ",
+                                            "vars x # c", " vars x y", "\u3000vars x y",
+                                            "vars\xa0x y"]))
+    component = st.sampled_from(["f1", "f2", "p", "poly", "meta", "é"])
+    heads = st.one_of(component.map(lambda c: f"poly {c} = "),
+                      st.sampled_from(["poly f1=", "poly  f2 = ", "poly f1 =  ", "poly f2 =",
+                                       "poly = ", "poly 1 = ", " poly f3 = ", "\u3000poly f3 = ",
+                                       "poly\xa0f3 = ", "\tpoly f3 = "]))
+    poly_lines = st.tuples(heads, exprs).map("".join)
+    others = st.sampled_from(["", "# c", "meta k v", "meta k", "bogus x", "  "])
+    return st.one_of(vars_lines, poly_lines, poly_lines, poly_lines, others)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_lines(_XYZ_NAMES), max_size=6),
+                 st.lists(_lines(_TABLE_NAMES[:4]), max_size=6)),
+       st.booleans())
+def test_canonical_documents_match_the_parser(lines, vars_first):
+    """parse_map with and without the canonical routes for vars lines,
+    poly heads and expressions: duplicate and reserved names, poly lines
+    before the vars line, Unicode whitespace, tabs, double spaces and
+    comments give the same document or the same ParseError."""
+    if vars_first:
+        lines = ["vars x y z x1 x4 x5 x6"] + lines
+    _assert_routes_agree(_doc_shape, parse_map, "\n".join(lines))
+
+
+def test_canonical_documents_match_the_parser_at_the_edges():
+    for text in ["vars x y\npoly f1 = x", "vars x x\npoly f1 = x", "vars x x", "vars x poly",
+                 "vars é\npoly f1 = é", "vars x 2x", "vars x y\nvars z", "poly f1 = x\nvars x",
+                 "vars x\npoly f1 = x\npoly f1 = x", "vars x\npoly vars = x",
+                 "vars x\npoly meta = x", "vars x\n\u3000poly f1 = x", "\u3000vars x\npoly f1 = x",
+                 "vars x\npoly f1 = x # c", "vars x\npoly f1=x", "vars x\npoly  f1 = x",
+                 "vars x\npoly f1 =  x", "vars x\npoly f1 = ", "vars x y \npoly f1 = y",
+                 "vars  x\npoly f1 = x", "vars x\tz\npoly f1 = z", "vars x\npoly f1 = y",
+                 "vars x\npoly é = x", "vars x\npoly f1 = 2x", "vars x y\npoly f1 = y\x0bx"]:
+        _assert_routes_agree(_doc_shape, parse_map, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6),
+       st.dictionaries(st.sampled_from(["0", "1", "2", "4", "5", "01"]),
+                       st.one_of(_near_canonical(["x", "y", "z", "x1", "x2", "x5", "x6"]),
+                                 _texts(["x", "y", "x1", "x5", "x6"])), max_size=3))
+def test_canonical_shear_addends_match_the_parser(dim, addends):
+    """A shear's addends over the default names of its dim, names past the
+    dim included, decode to the same shear or fail alike."""
+    def shape(a):
+        return [(i, _shape(g)) for i, g in sorted(a.additions.items())]
+
+    _assert_routes_agree(shape, automorphism_from_json,
+                         {"kind": "shear", "label": "s", "dim": dim, "addends": addends})
+
+
+def test_written_certificates_decode_without_the_parser(tmp_path):
+    """Every certificate that `reduce --to yagzhev` and `symmetrize` write
+    for the corpus, Pinchuk's 497-variable one included, decodes with the
+    lexer and the parser refusing, and encodes back to the same JSON: the
+    printer's text all takes the canonical route."""
+    def refuse(*args):
+        raise AssertionError("the lexer or the parser was reached")
+
+    docs = []
+    for e in corpus():
+        for argv in (["reduce", e.id, "--to", "yagzhev"], ["symmetrize", e.id]):
+            path = tmp_path / f"{len(docs)}.json"
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv + ["--cert", str(path)]) == 0, argv
+            docs.append(json.loads(path.read_text(encoding="utf-8")))
+    with mock.patch.object(grammar, "_lex", refuse), \
+            mock.patch.object(grammar, "_ExprParser", refuse):
+        certs = [certificate_from_json(d) for d in docs]
+    assert max(c.target.n_in for c in certs) == 497
+    for cert, d in zip(certs, docs):
+        assert certificate_to_json(cert) == d
+
+
+def _timed(fn):
+    """(result, wall seconds) of one call."""
+    start = time.perf_counter()
+    out = fn()
+    return out, time.perf_counter() - start
+
+
+def test_hostile_lines_cost_the_route_no_more_than_the_parser():
+    """A 1 MB line that stops being canonical at its last character, and a
+    canonical line of 10**5 terms, each timed once.  The route declines
+    the first in a small part of the time the parser then takes to fail
+    on it, and reads the second faster than the parser does; both end as
+    the parser ends them.  The margins (about 1000x and 3x) leave room
+    for a loaded machine."""
+    varmap = {"x1": 0, "x2": 1}
+
+    def parser(text):
+        return grammar._ExprParser(grammar._lex(text, 1), varmap, 2, 1, len(text)).parse()
+
+    hostile = "x1*" * (10 ** 6 // 3) + "$"
+    declined, declined_s = _timed(lambda: grammar._canonical(hostile, 0, varmap, 2))
+    assert declined is None
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="unexpected character '\\$'"):
+        grammar.read_expression(hostile, varmap, 2)
+    assert declined_s < 0.1 * (time.perf_counter() - start)
+
+    long = " + ".join(f"{k}*x1^{k % 9}*x2" for k in range(1, 10 ** 5 + 1))
+    got, routed_s = _timed(lambda: grammar.read_expression(long, varmap, 2))
+    want, parsed_s = _timed(lambda: parser(long))
+    assert _shape(got) == _shape(want)
+    assert routed_s < parsed_s
 
 
 # -- JSON ---------------------------------------------------------------------
