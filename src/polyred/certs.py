@@ -219,14 +219,18 @@ class Automorphism:
         return f"Automorphism(dim={self.dim}, {tag})"
 
 
-def _shear_defect(n: int, additions: dict) -> Optional[str]:
+def _shear_defect(n: int, additions: dict, reads: set) -> Optional[str]:
+    """Why the addends do not make a shear of dim n, else None; the
+    variables each addend reads are added to reads on the way."""
     for i, g in additions.items():
         if not 0 <= i < n:
             return "shear index out of range"
         if g.varcount != n:
             return "shear addend has the wrong variable count"
-        if not g.variables_used().isdisjoint(additions):
+        used = g.variables_used()
+        if not used.isdisjoint(additions):
             return "shear addend uses a shifted variable"
+        reads |= used
     return None
 
 
@@ -234,18 +238,22 @@ class ShearAutomorphism:
     """x_i -> x_i + g_i on a sparse set of coordinates, stored as its addends.
 
     Moves, JSON and transport all read the addend dictionary; the full
-    forward and inverse maps are never built.
+    forward and inverse maps are never built.  reads holds the variables
+    the addends read, the only coordinates a transport step converts; it
+    is built with the addends, which are not changed afterwards.
     """
 
-    __slots__ = ("n", "additions", "label")
+    __slots__ = ("n", "additions", "label", "reads")
 
     def __init__(self, n: int, additions: dict, label: str = ""):
-        reason = _shear_defect(n, additions)
+        reads = set()
+        reason = _shear_defect(n, additions, reads)
         if reason is not None:
             raise ValueError(reason)
         self.n = n
         self.additions = dict(additions)
         self.label = label
+        self.reads = tuple(sorted(reads))
 
     @property
     def dim(self) -> int:
@@ -257,7 +265,7 @@ class ShearAutomorphism:
         That shape proves x - g inverts x + g: x + g after x - g sends x_i
         to x_i - g_i(x) + g_i(x - g) = x_i, as g_i reads only coordinates
         x - g leaves alone, and likewise the other way round."""
-        return _shear_defect(self.n, self.additions)
+        return _shear_defect(self.n, self.additions, set())
 
     def __repr__(self) -> str:
         return f"ShearAutomorphism(dim={self.n}, shifts={sorted(self.additions)})"
@@ -536,12 +544,6 @@ class FiberReport:
     issues: list = field(default_factory=list)
 
 
-def _read_indices(shear: ShearAutomorphism) -> set:
-    """The variables the shear's addends read: the only coordinates its
-    transport step converts."""
-    return set().union(*[g.variables_used() for g in shear.additions.values()])
-
-
 def _transport(move: Move, x: list, y: list, rng: random.Random):
     """Push a graph point (x, F(x) = y) through one move; None skips."""
     if isinstance(move, ExtendFreshVars):
@@ -553,7 +555,7 @@ def _transport(move: Move, x: list, y: list, rng: random.Random):
             return x, [y[j] for j in a.perm]
         if not isinstance(a, ShearAutomorphism):
             return x, a.forward.eval_at(y)
-        value = evaluator(y, _read_indices(a))
+        value = evaluator(y, a.reads)
         ny = list(y)
         for i, g in a.additions.items():
             ny[i] = y[i] + value(g)
@@ -565,7 +567,7 @@ def _transport(move: Move, x: list, y: list, rng: random.Random):
         if not isinstance(a, ShearAutomorphism):
             nx = a.inverse.eval_at(x)
             return None if nx is None else (nx, y)
-        value = evaluator(x, _read_indices(a))
+        value = evaluator(x, a.reads)
         nx = list(x)
         for i, g in a.additions.items():
             nx[i] = x[i] - value(g)

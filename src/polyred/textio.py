@@ -32,9 +32,13 @@ the default names of its dim (one table of x1, x2, ... serves every dim,
 so a shear's decode costs its text, not its dim); version 1 files, which
 spell every automorphism out as a forward and an inverse map, still load.
 A coordinate permutation is written as a forward and an inverse map of
-bare variables, printed straight from its index list; in either version
-such a pair of maps decodes as a permutation only when the two are
-mutual inverses, and as a general automorphism otherwise.
+bare variables, `poly f1 = x3` and so on over the default names of its
+dim, printed straight from its index list.  Decoding reads each list
+back from those index lines without the parser, and the pair decodes as
+a permutation only when each text is byte for byte the one its list
+prints and the two lists are mutual inverses.  Any other pair, in either
+version, is parsed and decoded as a general automorphism, whose symbolic
+check gives the same verdict, replay and transport.
 """
 
 from __future__ import annotations
@@ -280,31 +284,19 @@ def _index_map_text(indices: Sequence[int], names: Sequence[str]) -> str:
     return "\n".join(lines)
 
 
-def _variable_indices(f: PolyMap) -> Optional[list]:
-    """[j_0, j_1, ...] when component i of f is the bare variable x_{j_i}
-    with coefficient 1, else None."""
-    out = []
-    for c in f.components:
-        if len(c.terms) != 1:
-            return None
-        ((m, coeff),) = c.terms.items()
-        if coeff != 1 or len(m) != 1 or m[0][1] != 1:
-            return None
-        out.append(m[0][0])
-    return out
-
-
-def _as_permutation(fwd: PolyMap, inv: PolyMap) -> Optional[list]:
-    """The index list of fwd when fwd and inv are mutually inverse
-    coordinate permutations, else None."""
-    n = fwd.n_in
-    if fwd.n_out != n or inv.n_in != n or inv.n_out != n:
+def _index_list(text: str) -> Optional[list]:
+    """The list L with text == _index_map_text(L, names) over the default
+    names of len(L), else None; the line count is checked against
+    DEFAULT_BUDGET.max_dim before any name is looked up or formatted."""
+    n = text.count("\n") - 1
+    if not 1 <= n <= DEFAULT_BUDGET.max_dim:
         return None
-    perm, back = _variable_indices(fwd), _variable_indices(inv)
-    # back[perm[i]] == i for every i makes perm injective, so a bijection
-    if perm is None or back is None or any(back[j] != i for i, j in enumerate(perm)):
-        return None
-    return perm
+    names, index = _default_names(n)
+    # a name past n (the table serves every dim) reads as n, out of range
+    indices = [index.get(line.rpartition(" ")[2], n) for line in text.split("\n")[1:-1]]
+    if max(indices) < n and _index_map_text(indices, names) == text:
+        return indices
+    return None
 
 
 def automorphism_to_json(a) -> dict:
@@ -334,10 +326,10 @@ def automorphism_to_json(a) -> dict:
 
 def automorphism_from_json(d: dict):
     """A ShearAutomorphism for a "shear" entry, a PermutationAutomorphism
-    for a polynomial entry whose two maps are mutually inverse lists of
-    bare variables, and an Automorphism for any other entry, which
-    verify_two_sided then checks symbolically; every shape error raises
-    ValueError."""
+    for a polynomial entry whose two maps are index-line texts of mutually
+    inverse lists, read without the parser, and an Automorphism for any
+    other entry, which verify_two_sided then checks symbolically; every
+    shape error raises ValueError."""
     label = d.get("label", "")
     if d.get("kind") == "shear":
         n = _dim_field(d, "dim")
@@ -349,7 +341,10 @@ def automorphism_from_json(d: dict):
                                  "an expression string")
             additions[int(key)] = read_expression(text, varmap, n)
         return Automorphism.shear(n, additions, label)
-    fwd = _map_from_text(_field(d, "forward", str))
+    fwd_text = _field(d, "forward", str)
+    perm = _index_list(fwd_text)
+    # an index-line text always parses, so parsing it later moves no error
+    fwd = _map_from_text(fwd_text) if perm is None else None
     inv_d = _field(d, "inverse", dict)
     if inv_d.get("kind") == "rational":
         nums = _map_from_text(_field(inv_d, "numerators", str)).components
@@ -359,13 +354,16 @@ def automorphism_from_json(d: dict):
                              f"exactly one poly line, not {len(den)}")
         inv = RationalMap(nums, den[0])
     elif inv_d.get("kind") == "polynomial":
-        inv = _map_from_text(_field(inv_d, "map", str))
-        perm = _as_permutation(fwd, inv)
-        if perm is not None:
-            return PermutationAutomorphism(fwd.n_in, perm, label)
+        inv_text = _field(inv_d, "map", str)
+        back = None if perm is None else _index_list(inv_text)
+        # back[perm[i]] == i for every i makes perm injective, so a bijection
+        if back is not None and len(back) == len(perm) \
+                and all(back[j] == i for i, j in enumerate(perm)):
+            return PermutationAutomorphism(len(perm), perm, label)
+        inv = _map_from_text(inv_text)
     else:
         raise ValueError(f"unknown inverse kind {inv_d.get('kind')!r}")
-    return Automorphism(fwd, inv, label)
+    return Automorphism(_map_from_text(fwd_text) if fwd is None else fwd, inv, label)
 
 
 def move_to_json(move) -> dict:

@@ -45,6 +45,10 @@ two on random inputs:
     bare variables, replayed by PolyMap.compose, checked by symbolic
     two-sided composition and transported by eval_at, which
     certs.PermutationAutomorphism replaced with its index list;
+  * the decode of a permutation that parsed both of its map texts and
+    then recognized them as mutually inverse maps of bare variables,
+    which textio's reader of the index lines _index_map_text writes
+    replaced;
   * the base-point search of reduce.normalize that accepted a Fraction
     point by sparse_det and then eliminated the same Jacobian again with
     sparse_inverse, which one sparse_inverse per candidate replaced;
@@ -85,6 +89,7 @@ from polyred.maps import (DEFAULT_BUDGET, GenericityError, PolyMap, eval_jacobia
 from polyred.poly import (ExactDivisionError, GRLEX_KEY, Poly, ZERO_MONO, as_coeff,
                           mono_degree, mono_div, mono_divides, mono_exponent, mono_mul, qdiv)
 from polyred.reduce import _check_time
+from polyred.textio import parse_map
 
 
 def uni_coeffs(p: Poly, var: int) -> list:
@@ -910,6 +915,40 @@ def permutation_by_maps(n: int, perm, label: str = "") -> Automorphism:
         inv_perm[p] = i
     inv = PolyMap([Poly.variable(n, inv_perm[i]) for i in range(n)])
     return Automorphism(fwd, inv, label)
+
+
+def _variable_indices(f: PolyMap) -> Optional[list]:
+    """[j_0, j_1, ...] when component i of f is the bare variable x_{j_i}
+    with coefficient 1, else None."""
+    out = []
+    for c in f.components:
+        if len(c.terms) != 1:
+            return None
+        ((m, coeff),) = c.terms.items()
+        if coeff != 1 or len(m) != 1 or m[0][1] != 1:
+            return None
+        out.append(m[0][0])
+    return out
+
+
+def _as_permutation(fwd: PolyMap, inv: PolyMap) -> Optional[list]:
+    """The index list of fwd when fwd and inv are mutually inverse
+    coordinate permutations, else None."""
+    n = fwd.n_in
+    if fwd.n_out != n or inv.n_in != n or inv.n_out != n:
+        return None
+    perm, back = _variable_indices(fwd), _variable_indices(inv)
+    # back[perm[i]] == i for every i makes perm injective, so a bijection
+    if perm is None or back is None or any(back[j] != i for i, j in enumerate(perm)):
+        return None
+    return perm
+
+
+def permutation_by_parsing(forward: str, inverse: str) -> Optional[list]:
+    """The index list automorphism_from_json first decoded a polynomial
+    entry's two map texts to: both parsed in full, then recognized as
+    mutually inverse maps of bare variables by their terms."""
+    return _as_permutation(parse_map(forward).to_polymap(), parse_map(inverse).to_polymap())
 
 
 # -- B F(C x) by composition ------------------------------------------------------

@@ -1,21 +1,26 @@
 """Driving the CLI in-process: outputs, schemas, exit codes."""
 
 import contextlib
+import functools
 import io
 import json
+import operator
 import os
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyred import cli, gz
+from polyred.certs import Automorphism
 from polyred.cli import main
 from polyred.examples import builtin_example
 from polyred.linalg import RatMatrix
 from polyred.maps import DEFAULT_BUDGET, PolyMap, is_yagzhev
 from polyred.reduce import meng_symmetrize, segre_step, to_yagzhev
-from polyred.textio import certificate_to_json, parse_map
+from polyred.textio import automorphism_to_json, certificate_to_json, parse_map
 
 
 def load_schema(name: str) -> dict:
@@ -203,6 +208,14 @@ def _zero_denominator(blob):
                    denominator="vars x1 x2 x3 x4 x5\npoly f1 = 0\n")
 
 
+def _perm_at_dim_4(blob):
+    """The certificate's 3-cycle, re-encoded at dim 4 to act on dim 5."""
+    auto = blob["moves"][2]["automorphism"]
+    assert auto["forward"] == automorphism_to_json(
+        Automorphism.permutation(5, [0, 1, 4, 2, 3], auto["label"]))["forward"]
+    auto.update(automorphism_to_json(Automorphism.permutation(4, [0, 3, 1, 2], auto["label"])))
+
+
 def _two_denominators(blob):
     """A first move whose rational inverse (x*y, y*y) / y is sound only if
     the second poly line of its denominator document, e = x, is dropped."""
@@ -235,6 +248,7 @@ def _two_denominators(blob):
     pytest.param(lambda b: _shear(b).update(addends={"0": "x2", "1": "x3"}),
                  id="addend-reads-shifted"),
     pytest.param(lambda b: _shear(b).update(dim=6), id="dim-disagrees"),
+    pytest.param(_perm_at_dim_4, id="perm-dim-disagrees"),
     pytest.param(lambda b: _shear(b).update(dim="5"), id="dim-string"),
     pytest.param(lambda b: _shear(b).update(dim=0), id="dim-zero"),
     pytest.param(lambda b: _shear(b).update(dim=-3), id="dim-negative"),
@@ -271,6 +285,70 @@ def test_verify_cert_catches_tampered_addend(capsys, tmp_path):
     assert code == 1
     assert json.loads(out)["certificate"]["issues"] == [
         "last intermediate differs from the target"]
+
+
+# -- loader fuzzing ----------------------------------------------------------
+
+
+# read afresh from JSON on every draw: a shared list or dict would carry
+# one example's later edits into the next
+_WRONG_TYPES = st.sampled_from(["null", "true", "0", "-1", "2.5", '""', '"abc"',
+                                "[]", "{}", "[5]", '{"a": 1}']).map(json.loads)
+_SPLICE = st.text(alphabet=" \n\t+-*^/()=#0123456789xyzf", min_size=1, max_size=3)
+
+
+@functools.cache
+def _plane_quad_cert_text() -> str:
+    _, trace = to_yagzhev(builtin_example("plane-quad").document.to_polymap())
+    return json.dumps(certificate_to_json(trace.certificate))
+
+
+def _json_paths(node, path=()):
+    """(path, value) for every value below node in a JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from _json_paths(value, path + (key,))
+
+
+def _mutate(draw, blob):
+    """One random edit of blob in place: a move duplicated, a key or
+    element deleted, a value of the wrong type swapped in, or characters
+    spliced into a map text or a shear addend."""
+    how = draw(st.sampled_from(["duplicate", "delete", "retype", "splice"]))
+    if how == "duplicate":
+        moves = blob.get("moves")
+        if isinstance(moves, list) and moves:
+            move = json.dumps(draw(st.sampled_from(moves)))
+            moves.insert(draw(st.integers(0, len(moves))), json.loads(move))
+        return
+    paths = [(p, v) for p, v in _json_paths(blob) if how != "splice"
+             or isinstance(v, str) and (v.startswith("vars") or "addends" in p)]
+    if not paths:
+        return
+    path, value = draw(st.sampled_from(paths))
+    parent = functools.reduce(operator.getitem, path[:-1], blob)
+    if how == "delete":
+        del parent[path[-1]]
+    elif how == "retype":
+        parent[path[-1]] = draw(_WRONG_TYPES)
+    else:
+        at = draw(st.integers(0, len(value)))
+        parent[path[-1]] = value[:at] + draw(_SPLICE) + value[at:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_verify_cert_mutated_certificates_end_in_an_exit_code(tmp_path_factory, data):
+    blob = json.loads(_plane_quad_cert_text())
+    for _ in range(data.draw(st.integers(1, 4))):
+        _mutate(data.draw, blob)
+    path = tmp_path_factory.mktemp("fuzz") / "cert.json"
+    path.write_text(json.dumps(blob))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify-cert", str(path), "--fiber-samples", "2"])
+    assert code in (0, 1, 2, 3)
 
 
 # -- pairing commands --------------------------------------------------------

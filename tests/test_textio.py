@@ -9,10 +9,11 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import from_terms, parse_by_poly_arithmetic, permutation_by_maps
+from oracles import (from_terms, parse_by_poly_arithmetic, permutation_by_maps,
+                     permutation_by_parsing)
 from polyred import cli, grammar, poly, textio
 from polyred.certs import (Automorphism, Certificate, PermutationAutomorphism, RationalMap,
                            ShearAutomorphism, fiber_transport_check, verify_certificate)
@@ -763,29 +764,132 @@ def test_permutation_encoding_builds_no_variables():
 
 def test_forged_permutation_inverse_stays_general_and_fails():
     # a 3-cycle is not an involution: its forward map as its own inverse
-    # is a map pair of bare variables, but not a mutually inverse one
+    # is a map pair of bare variables, but not a mutually inverse one;
+    # so is the identity, and so is the forward map written off the
+    # index-line form (no final newline, a double space, x1 x2 x3 names)
     d = automorphism_to_json(Automorphism.permutation(3, [1, 2, 0], "cycle"))
-    d["inverse"]["map"] = d["forward"]
-    back = automorphism_from_json(d)
-    assert type(back) is Automorphism
-    assert back.verify_two_sided() == "forward after inverse is not the identity"
+    forward = d["forward"]
+    for forged in (forward, forward[:-1], forward.replace("= ", "=  ", 1),
+                   "vars x y z\npoly f1 = x\npoly f2 = y\npoly f3 = z\n",
+                   "vars x1 x2 x3\npoly f1 = x2\npoly f2 = x3\npoly f3 = x1\n"):
+        d["inverse"]["map"] = forged
+        back = automorphism_from_json(d)
+        assert type(back) is Automorphism
+        assert back.verify_two_sided() == "forward after inverse is not the identity"
     # an involution is its own inverse, so the same edit leaves a permutation
     d = automorphism_to_json(Automorphism.permutation(3, [1, 0, 2]))
     d["inverse"]["map"] = d["forward"]
     assert isinstance(automorphism_from_json(d), PermutationAutomorphism)
 
 
+SWAP = "vars x y\npoly f1 = y\npoly f2 = x\n"
+# a sound swap written off the index-line form: decoded as a general
+# automorphism, it passes the symbolic check, and the oracle agrees
+SOUND_NEAR_MISSES = [
+    (SWAP[:-1], SWAP),
+    (SWAP, "vars x y\npoly f1 =  y\npoly f2 = x\n"),
+    ("vars x y\npoly f1 = 1*y\npoly f2 = x\n", SWAP),
+    ("vars x1 x2\npoly f1 = x2\npoly f2 = x1\n", SWAP),
+    ("vars x y\n# a comment\npoly f1 = y\npoly f2 = x\n", SWAP),
+    ("vars x y\npoly g1 = y\npoly g2 = x\n", SWAP),
+]
+
+
 @pytest.mark.parametrize("forward, inverse", [
-    ("vars x y\npoly f1 = y\npoly f2 = 2*x\n", "vars x y\npoly f1 = y\npoly f2 = x\n"),
-    ("vars x y\npoly f1 = y\npoly f2 = x^2\n", "vars x y\npoly f1 = y\npoly f2 = x\n"),
-    ("vars x y\npoly f1 = y\npoly f2 = y\n", "vars x y\npoly f1 = y\npoly f2 = x\n"),
-    ("vars x y\npoly f1 = y\npoly f2 = x\n", "vars x y z\npoly f1 = y\npoly f2 = x\n"),
+    ("vars x y\npoly f1 = y\npoly f2 = 2*x\n", SWAP),
+    ("vars x y\npoly f1 = y\npoly f2 = x^2\n", SWAP),
+    ("vars x y\npoly f1 = y\npoly f2 = y\n", SWAP),
+    (SWAP, "vars x y z\npoly f1 = y\npoly f2 = x\n"),
+    (SWAP, "vars x y z\npoly f1 = y\npoly f2 = x\npoly f3 = z\n"),
+    # index lines in the wrong order: the forward map is the identity
+    ("vars x y\npoly f2 = x\npoly f1 = y\n", SWAP),
+    *SOUND_NEAR_MISSES,
 ])
 def test_near_permutation_maps_stay_general(forward, inverse):
     d = {"label": "", "forward": forward, "inverse": {"kind": "polynomial", "map": inverse}}
     back = automorphism_from_json(d)
     assert type(back) is Automorphism
-    assert back.verify_two_sided() is not None
+    sound = (forward, inverse) in SOUND_NEAR_MISSES
+    assert (back.verify_two_sided() is None) == sound
+    assert (permutation_by_parsing(forward, inverse) is not None) == sound
+
+
+_NEAR_MISSES = ("no-final-newline", "double-space", "lines-swapped", "repeated-index",
+                "name-past-n", "x1-names-in-small-dim", "not-mutual", "not-bare",
+                "inverse-one-longer")
+
+
+@st.composite
+def _permutation_texts(draw):
+    """(forward, inverse, written): the two map texts automorphism_to_json
+    writes for a random permutation, written True, or with one near miss
+    of the index-line form in one of them, written False."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 7, 30, 498]))
+    perm = draw(st.permutations(range(n)))
+    d = automorphism_to_json(Automorphism.permutation(n, perm))
+    texts = [d["forward"], d["inverse"]["map"]]
+    how = draw(st.sampled_from((None,) + _NEAR_MISSES))
+    if how is None:
+        return texts[0], texts[1], True
+    side = draw(st.integers(0, 1))
+    lines = texts[side].split("\n")  # the vars line, n index lines, ""
+    k = draw(st.integers(1, n))
+    if how == "no-final-newline":
+        lines.pop()
+    elif how == "double-space":
+        k = draw(st.integers(0, n))  # the vars line too
+        spaces = [i for i, c in enumerate(lines[k]) if c == " "]
+        i = draw(st.sampled_from(spaces))
+        lines[k] = lines[k][:i] + " " + lines[k][i:]
+    elif how == "lines-swapped":
+        assume(n >= 2)
+        lines[1], lines[2] = lines[2], lines[1]
+    elif how == "repeated-index":
+        assume(n >= 2)
+        other = draw(st.integers(1, n).filter(lambda j: j != k))
+        lines[k] = lines[k].rpartition(" ")[0] + " " + lines[other].rpartition(" ")[2]
+    elif how == "name-past-n":
+        past = default_var_names(n + 1)[n] if n < 3 else f"x{draw(st.integers(n + 1, 2 * n + 9))}"
+        lines[k] = lines[k].rpartition(" ")[0] + " " + past
+    elif how == "not-bare":  # 2*x - x_j, which is x_j itself at dim 1
+        lines[k] = lines[k].replace("= ", f"= 2*{default_var_names(n)[0]} - ", 1)
+    elif how == "x1-names-in-small-dim":
+        assume(n <= 3)
+        rename = dict(zip("xyz", default_var_names(4)))
+        lines = [" ".join(rename.get(w, w) for w in line.split(" ")) for line in lines]
+    else:  # the inverse is the index-line text of another list
+        if how == "not-mutual":
+            other = draw(st.permutations(range(n)))
+        else:  # the true inverse, and one more coordinate mapped to itself
+            other = Automorphism.permutation(n, perm).inverse_perm() + [n]
+        lines = automorphism_to_json(Automorphism.permutation(len(other), other))["forward"]
+        lines = lines.split("\n")
+        side = 1
+    texts[side] = "\n".join(lines)
+    return texts[0], texts[1], False
+
+
+@settings(max_examples=200, deadline=None)
+@given(_permutation_texts())
+def test_index_line_route_matches_the_parsing_oracle(case):
+    forward, inverse, written = case
+    d = {"label": "", "forward": forward, "inverse": {"kind": "polynomial", "map": inverse}}
+    try:
+        expected = permutation_by_parsing(forward, inverse)
+    except ParseError:
+        assert not written
+        with pytest.raises(ParseError):
+            automorphism_from_json(d)
+        return
+    back = automorphism_from_json(d)
+    if isinstance(back, PermutationAutomorphism):
+        assert list(back.perm) == expected
+    else:
+        # every text the encoder writes takes the index-line route; any
+        # other text gets the oracle's verdict from the symbolic check
+        assert not written
+        assert type(back) is Automorphism
+        assert (back.verify_two_sided() is None) == (expected is not None)
 
 
 def test_plane_quad_certificate_decodes_its_cycle_as_a_permutation():
@@ -817,6 +921,15 @@ def test_move_json_bounds_sizes_before_building(monkeypatch):
             automorphism_from_json({"kind": "shear", "dim": size, "addends": {}})
         with pytest.raises(ValueError):
             move_from_json({"move": "extend", "count": size})
+    # a permutation past the budget is counted by its lines, not read by
+    # names: it is parsed as a general automorphism, which the certificate
+    # loader then refuses by its dim
+    names = [f"x{i + 1}" for i in range(DEFAULT_BUDGET.max_dim + 1)]
+    text = "\n".join(["vars " + " ".join(names)]
+                     + [f"poly f{i + 1} = {v}" for i, v in enumerate(names)] + [""])
+    back = automorphism_from_json({"label": "", "forward": text,
+                                   "inverse": {"kind": "polynomial", "map": text}})
+    assert type(back) is Automorphism and back.dim == DEFAULT_BUDGET.max_dim + 1
     assert built == []
 
 
