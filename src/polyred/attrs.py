@@ -38,9 +38,10 @@ has already computed is not computed again.  Failures raise
 GenericityError and each retry draws fresh coefficients.
 
 dex itself is computed twice over: two rotations times two targets, all
-four squarefree degrees must agree.  Agreement of independent seeded runs
-is the whole correctness story; no irreducibility is ever proved.  The
-number of retry rounds that were needed is reported, not hidden.
+four resultants squarefree of full degree and agreeing on it.  Agreement
+of independent seeded runs is the whole correctness story; no
+irreducibility is ever proved.  The number of retry rounds that were
+needed is reported, not hidden.
 
 mfs is reported as the maximum real count observed over sampled fibers,
 a certified lower bound for the true supremum.  Targets mix images of
@@ -332,7 +333,8 @@ def _dex2_stats(fr: list, seed: int = 0):
                 out = _sqf_degree(g, t)
                 if probe is None:
                     probe = (g, out)
-                if out is None:
+                # a run counts only with r squarefree of full degree
+                if out is None or out[0] != out[1]:
                     degs = None
                     break
                 degs.append(out[1])
@@ -349,9 +351,10 @@ def _dex2_stats(fr: list, seed: int = 0):
 def dex2(f: PolyMap, seed: int = 0) -> int:
     """Degree of the generic fiber of a plane map.
 
-    Two independent rotations times two random targets; the squarefree
-    degree of the specialized resultant must agree across all four runs.
-    Disagreement triggers a fresh round of seeds.
+    Two independent rotations times two random targets; each run's
+    specialized resultant must be squarefree of full degree, and that
+    degree must agree across all four runs.  Anything else triggers a
+    fresh round of seeds.
     """
     fr = _checked_rows(f)
     return _dex2_stats(fr, seed)[0]

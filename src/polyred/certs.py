@@ -19,9 +19,10 @@ inverses and are checked two-sided and symbolically; an inverse may be
 rational, in which case the identity is checked in the fraction field
 (denominators cleared, exactly).
 
-Two kinds of automorphism are the exception: each is stored by its
-structure and checked by its shape, which proves what the symbolic
-composition would.
+Three kinds of automorphism are the exception: each is stored by its
+structure and checked without a symbolic composition.  Every kind
+replays, transports and checks itself (post, pre, push, pull and
+verify_two_sided).
 
   * A shear x -> x + g is stored as its addends g_i alone.  When every
     addend lives in the shear's variables and none reads a shifted
@@ -37,8 +38,11 @@ composition would.
     exact two-sided inverse.  Replay reorders components or relabels
     the variables of each monomial, and transport reorders coordinates;
     no coefficient is touched.
+  * An affine map x -> Mx + v is stored as the sparse rows of M and of
+    its stated inverse N beside the shifts v and w, and checked by one
+    sparse product.  Replay and transport touch only the moved rows.
 
-Extensions, shears and permutations keep the summary exact for the
+Extensions and these three kinds keep the summary exact for the
 components they add, rewrite or move; any other move leaves it unbuilt.
 
 Each move also induces a correspondence of graph points: given x and
@@ -51,7 +55,8 @@ source, a shear's addends, a general automorphism's map or rational
 inverse, the target) goes through ratpoint.evaluator: it is evaluated in
 integers over the common denominator of the coordinates it reads, one
 shared power cache per point.  A shear step converts only the
-coordinates its addends read.
+coordinates its addends read; an affine step is a sparse matrix-vector
+product over the moved rows.
 """
 
 from __future__ import annotations
@@ -61,9 +66,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Union
 
+from .linalg import RatMatrix
 from .maps import PolyMap
-from .poly import ExactDivisionError, Poly, mono_degree, qdiv
+from .poly import ExactDivisionError, Poly, as_coeff, mono_degree, qdiv
 from .ratpoint import evaluator
+# last: maps compiles elim, the largest module, before affine and the
+# grammar it imports add their code to the heap (see affine's docstring)
+from .affine import AffineAutomorphism, _substitute_moved, _with_rows
 
 
 class RationalMap:
@@ -184,21 +193,33 @@ class Automorphism:
                 return f"rational inverse after forward fails on component {i}"
         return None
 
+    # replay (this map after f, f after it) and transport (the map and its
+    # inverse at a point, None where a denominator vanishes), for every kind
+    def post(self, f: PolyMap) -> PolyMap:
+        return self.forward.compose(f)
+
+    def pre(self, f: PolyMap) -> PolyMap:
+        return f.compose(self.forward)
+
+    def push(self, y: list) -> list:
+        return self.forward.eval_at(y)
+
+    def pull(self, x: list):
+        return self.inverse.eval_at(x)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_linear(m, inverse_m, label: str = "") -> "Automorphism":
+    def from_linear(m: RatMatrix, inverse_m: RatMatrix, label: str = "") -> "AffineAutomorphism":
         """x -> m x, with x -> inverse_m x as its stated inverse (checked
-        like any other, by verify_two_sided)."""
-        return Automorphism(
-            PolyMap.from_matrix(m), PolyMap.from_matrix(inverse_m), label
-        )
+        by verify_two_sided)."""
+        return AffineAutomorphism(m, [0] * m.nrows, inverse_m, [0] * m.nrows, label)
 
     @staticmethod
-    def translation(vec, label: str = "") -> "Automorphism":
-        fwd = PolyMap.translation(vec)
-        inv = PolyMap.translation([-Fraction(v) for v in vec])
-        return Automorphism(fwd, inv, label)
+    def translation(vec, label: str = "") -> "AffineAutomorphism":
+        eye = RatMatrix.identity(len(vec))
+        shift = [as_coeff(v) for v in vec]
+        return AffineAutomorphism(eye, shift, eye, [-v for v in shift], label)
 
     @staticmethod
     def shear(n: int, additions: dict, label: str = "") -> "ShearAutomorphism":
@@ -267,6 +288,26 @@ class ShearAutomorphism:
         x - g leaves alone, and likewise the other way round."""
         return _shear_defect(self.n, self.additions, set())
 
+    def post(self, f: PolyMap) -> PolyMap:
+        comps = f.components
+        return _with_rows(f, {i: comps[i] + g.substitute(comps)
+                              for i, g in self.additions.items()})
+
+    def pre(self, f: PolyMap) -> PolyMap:
+        n, additions = self.n, self.additions
+        return _substitute_moved(f, additions, lambda j: Poly(n, {((j, 1),): 1}) + additions[j])
+
+    def push(self, x: list, sign: int = 1) -> list:
+        """x + sign * g(x), converting only the coordinates g reads."""
+        value = evaluator(x, self.reads)
+        out = list(x)
+        for i, g in self.additions.items():
+            out[i] = x[i] + sign * value(g)
+        return out
+
+    def pull(self, x: list) -> list:
+        return self.push(x, -1)
+
     def __repr__(self) -> str:
         return f"ShearAutomorphism(dim={self.n}, shifts={sorted(self.additions)})"
 
@@ -325,6 +366,20 @@ class PermutationAutomorphism:
         to its own place, in either order."""
         return _permutation_defect(self.n, self.perm)
 
+    def post(self, f: PolyMap) -> PolyMap:
+        """The components reordered, the same objects."""
+        tops = None if f.tops is None else [f.tops[j] for j in self.perm]
+        return PolyMap([f.components[j] for j in self.perm], tops)
+
+    def pre(self, f: PolyMap) -> PolyMap:
+        return _relabel(f, self.perm)
+
+    def push(self, y: list) -> list:
+        return [y[j] for j in self.perm]
+
+    def pull(self, x: list) -> list:
+        return [x[i] for i in self.inverse_perm()]
+
     def __repr__(self) -> str:
         return f"PermutationAutomorphism(dim={self.n}, {self.label or 'perm'})"
 
@@ -355,17 +410,9 @@ Move = Union[ExtendFreshVars, PostCompose, PreCompose, SegreExtend]
 def apply_move(f: PolyMap, move: Move) -> PolyMap:
     """The map after one move.
 
-    Components a shear does not touch are carried over as the same
-    objects, and a shear costs what it rewrites.  A pre-composed shear
-    reads f's summary (PolyMap.top_indices), scans exactly only the
-    components whose highest index reaches the smallest shifted one, and
-    builds identity images only for the variables the components it
-    substitutes into read.  A post-composed permutation reorders the
-    components, the same objects, and a pre-composed one relabels each
-    monomial's variables (_relabel); neither substitutes.  Extensions,
-    shears and permutations hand the summary on, updated where they
-    change a component; the other moves drop it, and the next
-    pre-composed shear rebuilds it.
+    An automorphism replays itself (post and pre), keeping the components
+    it does not touch as the same objects.  Extensions and the structured
+    kinds hand the summary (PolyMap.tops) on; the other moves drop it.
     """
     if isinstance(move, ExtendFreshVars):
         k = move.count
@@ -377,57 +424,13 @@ def apply_move(f: PolyMap, move: Move) -> PolyMap:
         tops = None if f.tops is None else f.tops + list(range(f.n_in, n))
         return PolyMap(comps, tops)
     if isinstance(move, PostCompose):
-        a = move.auto
-        if a.dim != f.n_out:
+        if move.auto.dim != f.n_out:
             raise ValueError("post-composition shape mismatch")
-        if isinstance(a, PermutationAutomorphism):
-            comps = f.components
-            tops = None if f.tops is None else [f.tops[j] for j in a.perm]
-            return PolyMap([comps[j] for j in a.perm], tops)
-        if not isinstance(a, ShearAutomorphism):
-            return a.forward.compose(f)
-        out = list(f.components)
-        tops = None if f.tops is None else list(f.tops)
-        for i, g in a.additions.items():
-            out[i] = f.components[i] + g.substitute(f.components)
-            if tops is not None:
-                tops[i] = out[i].top_index()
-        return PolyMap(out, tops)
+        return move.auto.post(f)
     if isinstance(move, PreCompose):
-        a = move.auto
-        if a.dim != f.n_in:
+        if move.auto.dim != f.n_in:
             raise ValueError("pre-composition shape mismatch")
-        if isinstance(a, PermutationAutomorphism):
-            return _relabel(f, a.perm)
-        if not isinstance(a, ShearAutomorphism):
-            return f.compose(a.forward)
-        n, shifted = a.n, a.additions
-        lowest = min(shifted, default=n)
-        out = list(f.components)
-        tops = list(f.top_indices())
-        images = None
-        for i, top in enumerate(tops):
-            if top < lowest:
-                continue
-            used = out[i].variables_used()
-            if used.isdisjoint(shifted):
-                continue
-            if images is None:
-                # a slot that no rewritten component reads keeps this shared
-                # zero, of which substitute reads only the variable count; the
-                # identity images are fresh, not Poly.variable's, whose cache
-                # would keep one Poly per (dimension, index) for every
-                # dimension a chain visits
-                unread = Poly(n)
-                images = [unread] * n
-                for j, g in shifted.items():
-                    images[j] = Poly(n, {((j, 1),): 1}) + g
-            for v in used:
-                if images[v] is unread:
-                    images[v] = Poly(n, {((v, 1),): 1})
-            out[i] = out[i].substitute(images)
-            tops[i] = out[i].top_index()
-        return PolyMap(out, tops)
+        return move.auto.pre(f)
     if isinstance(move, SegreExtend):
         if not f.is_endomorphism():
             raise ValueError("the Segre move needs an endomorphism")
@@ -446,12 +449,18 @@ def _relabel(f: PolyMap, perm) -> PolyMap:
     the pairs re-sorted by index, coefficients and term order untouched.
     Each (v, e) pair is rewritten once per call and the new pair shared by
     every monomial that reads it, as Poly.variable shares the pairs of a
-    substitution; the summary is rebuilt on the way."""
+    substitution, and a bare variable becomes Poly.variable's, as parsing
+    builds it; the summary is rebuilt on the way."""
     n = len(perm)
     pairs: dict = {}
     comps = []
     tops = []
     for c in f.components:
+        ((m, coeff),) = c.terms.items() if len(c.terms) == 1 else (((), 0),)
+        if coeff == 1 and len(m) == 1 and m[0][1] == 1:
+            comps.append(Poly.variable(n, perm[m[0][0]]))
+            tops.append(perm[m[0][0]])
+            continue
         terms = {}
         top = -1
         for m, coeff in c.terms.items():
@@ -550,28 +559,10 @@ def _transport(move: Move, x: list, y: list, rng: random.Random):
         z = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(move.count)]
         return x + z, y + z
     if isinstance(move, PostCompose):
-        a = move.auto
-        if isinstance(a, PermutationAutomorphism):
-            return x, [y[j] for j in a.perm]
-        if not isinstance(a, ShearAutomorphism):
-            return x, a.forward.eval_at(y)
-        value = evaluator(y, a.reads)
-        ny = list(y)
-        for i, g in a.additions.items():
-            ny[i] = y[i] + value(g)
-        return x, ny
+        return x, move.auto.push(y)
     if isinstance(move, PreCompose):
-        a = move.auto
-        if isinstance(a, PermutationAutomorphism):
-            return [x[i] for i in a.inverse_perm()], y
-        if not isinstance(a, ShearAutomorphism):
-            nx = a.inverse.eval_at(x)
-            return None if nx is None else (nx, y)
-        value = evaluator(x, a.reads)
-        nx = list(x)
-        for i, g in a.additions.items():
-            nx[i] = x[i] - value(g)
-        return nx, y
+        nx = move.auto.pull(x)
+        return None if nx is None else (nx, y)
     if isinstance(move, SegreExtend):
         t = Fraction(rng.randrange(1, 7), rng.randrange(1, 4))
         if rng.randrange(2):

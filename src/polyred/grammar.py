@@ -36,6 +36,28 @@ class ParseError(ValueError):
         self.col = col
 
 
+# -- printing ----------------------------------------------------------------
+
+
+def _terms_text(terms) -> str:
+    """A sum of (coefficient text, monomial text) terms: the coefficient
+    as str() prints an int or a Fraction, the monomial '' for a constant.
+    A unit coefficient is left out before a monomial, and each term's
+    sign is written between the terms."""
+    parts = []
+    for text, mono in terms:
+        positive = text[0] != "-"
+        if not positive:
+            text = text[1:]
+        if mono:
+            text = mono if text == "1" else f"{text}*{mono}"
+        if not parts:
+            parts.append(text if positive else "-" + text)
+        else:
+            parts.append(("+ " if positive else "- ") + text)
+    return " ".join(parts)
+
+
 # -- lexing ----------------------------------------------------------------
 
 _OPS = set("+-*^()=/")

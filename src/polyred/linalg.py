@@ -93,12 +93,18 @@ def _clear(rows: list, holders: list, c: int, p: int, targets: list) -> None:
                     holders[k].discard(i)
 
 
+# the unit rows {i: 1}, grown as needed and shared by every identity and
+# every affine map read back, which then hold no row of their own
+_UNIT_ROWS: list = []
+
+
 class RatMatrix:
     """An nrows x ncols matrix kept as rows {column: nonzero entry}.
 
     The constructor takes the rows as they are, so each entry must
     already be stored by Poly's rule; RatMatrix.dense reads nested
-    sequences of anything Fraction accepts.
+    sequences of anything Fraction accepts.  Rows are never changed in
+    place, so matrices may share them.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -121,7 +127,8 @@ class RatMatrix:
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix([{i: 1} for i in range(n)], n)
+        _UNIT_ROWS.extend({i: 1} for i in range(len(_UNIT_ROWS), n))
+        return RatMatrix(_UNIT_ROWS[:n], n)
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "RatMatrix":

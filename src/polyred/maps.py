@@ -129,13 +129,6 @@ class PolyMap:
         return PolyMap([Poly(m.ncols, {((j, 1),): a for j, a in sorted(row.items())})
                         for row in m.rows])
 
-    @staticmethod
-    def translation(vec: Sequence) -> "PolyMap":
-        n = len(vec)
-        return PolyMap(
-            [Poly.variable(n, i) + Poly.const(n, vec[i]) for i in range(n)]
-        )
-
     # -- algebra -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -36,9 +36,12 @@ bare variables, `poly f1 = x3` and so on over the default names of its
 dim, printed straight from its index list.  Decoding reads each list
 back from those index lines without the parser, and the pair decodes as
 a permutation only when each text is byte for byte the one its list
-prints and the two lists are mutual inverses.  Any other pair, in either
-version, is parsed and decoded as a general automorphism, whose symbolic
-check gives the same verdict, replay and transport.
+prints and the two lists are mutual inverses.  An affine map is written
+from its rows the same way; any other pair whose texts are both byte for
+byte what the rows read back from them print, at one dim, decodes as an
+affine map.  Any other pair, in either version, is parsed and decoded as
+a general automorphism, whose symbolic check gives the same verdict,
+replay and transport.
 """
 
 from __future__ import annotations
@@ -47,10 +50,12 @@ from dataclasses import asdict, dataclass, field
 from math import gcd
 from typing import Optional, Sequence
 
-from .certs import (Automorphism, Certificate, CertReport, ExtendFreshVars,
-                    FiberReport, PermutationAutomorphism, PostCompose,
-                    PreCompose, RationalMap, SegreExtend, ShearAutomorphism)
-from .grammar import ParseError, poly_line, read_expression, vars_line
+from .certs import (AffineAutomorphism, Automorphism, Certificate, CertReport,
+                    ExtendFreshVars, FiberReport, PermutationAutomorphism,
+                    PostCompose, PreCompose, RationalMap, SegreExtend,
+                    ShearAutomorphism)
+from .affine import affine_text, read_affine
+from .grammar import ParseError, _terms_text, poly_line, read_expression, vars_line
 from .grammar import MAX_EXPONENT, MAX_NESTING  # noqa: F401  (textio.MAX_EXPONENT is documented)
 from .linalg import RatMatrix
 from .maps import DEFAULT_BUDGET, PolyMap
@@ -113,25 +118,6 @@ def parse_map(text: str) -> MapDocument:
     if not comps:
         raise ParseError("document has no components", last_line + 1, 1)
     return MapDocument(tuple(varmap), tuple(comps), meta)
-
-
-def _terms_text(terms) -> str:
-    """A sum of (coefficient text, monomial text) terms: the coefficient
-    as str() prints an int or a Fraction, the monomial '' for a constant.
-    A unit coefficient is left out before a monomial, and each term's
-    sign is written between the terms."""
-    parts = []
-    for text, mono in terms:
-        positive = text[0] != "-"
-        if not positive:
-            text = text[1:]
-        if mono:
-            text = mono if text == "1" else f"{text}*{mono}"
-        if not parts:
-            parts.append(text if positive else "-" + text)
-        else:
-            parts.append(("+ " if positive else "- ") + text)
-    return " ".join(parts)
 
 
 def poly_text(p: Poly, names: Sequence[str]) -> str:
@@ -299,6 +285,15 @@ def _index_list(text: str) -> Optional[list]:
     return None
 
 
+def _affine_rows(text: str) -> Optional[tuple]:
+    """affine.read_affine of text over the default names of its line
+    count, which is checked against DEFAULT_BUDGET.max_dim first."""
+    n = text.count("\n") - 1
+    if not 1 <= n <= DEFAULT_BUDGET.max_dim:
+        return None
+    return read_affine(text, *_default_names(n), n)
+
+
 def automorphism_to_json(a) -> dict:
     if isinstance(a, ShearAutomorphism):
         names = _default_names(a.n)[0]
@@ -307,30 +302,30 @@ def automorphism_to_json(a) -> dict:
                             for i, g in sorted(a.additions.items())}}
     if isinstance(a, PermutationAutomorphism):
         names = _default_names(a.n)[0]
-        return {"label": a.label, "forward": _index_map_text(a.perm, names),
-                "inverse": {"kind": "polynomial",
-                            "map": _index_map_text(a.inverse_perm(), names)}}
-    fwd = a.forward
-    inv = a.inverse
-    out = {"label": a.label, "forward": _map_text(fwd)}
-    if isinstance(inv, RationalMap):
-        out["inverse"] = {
-            "kind": "rational",
-            "numerators": _map_text(PolyMap(inv.nums)),
-            "denominator": _map_text(PolyMap([inv.den])),
-        }
+        texts = _index_map_text(a.perm, names), _index_map_text(a.inverse_perm(), names)
+    elif isinstance(a, AffineAutomorphism):
+        names = _default_names(a.dim)[0]
+        texts = affine_text(a.m.rows, a.shift, names), affine_text(a.inv.rows, a.inv_shift, names)
+    elif isinstance(a.inverse, RationalMap):
+        return {"label": a.label, "forward": _map_text(a.forward), "inverse": {
+            "kind": "rational", "numerators": _map_text(PolyMap(a.inverse.nums)),
+            "denominator": _map_text(PolyMap([a.inverse.den]))}}
     else:
-        out["inverse"] = {"kind": "polynomial", "map": _map_text(inv)}
-    return out
+        texts = _map_text(a.forward), _map_text(a.inverse)
+    return {"label": a.label, "forward": texts[0],
+            "inverse": {"kind": "polynomial", "map": texts[1]}}
 
 
 def automorphism_from_json(d: dict):
     """A ShearAutomorphism for a "shear" entry, a PermutationAutomorphism
     for a polynomial entry whose two maps are index-line texts of mutually
-    inverse lists, read without the parser, and an Automorphism for any
-    other entry, which verify_two_sided then checks symbolically; every
+    inverse lists, else an AffineAutomorphism when both are _affine_text
+    texts of one dim, all read without the parser, and an Automorphism for
+    any other entry, which verify_two_sided then checks symbolically; every
     shape error raises ValueError."""
     label = d.get("label", "")
+    if type(label) is not str:
+        raise ValueError("'label' is not a string")
     if d.get("kind") == "shear":
         n = _dim_field(d, "dim")
         varmap = _default_names(n)[1]
@@ -343,8 +338,9 @@ def automorphism_from_json(d: dict):
         return Automorphism.shear(n, additions, label)
     fwd_text = _field(d, "forward", str)
     perm = _index_list(fwd_text)
-    # an index-line text always parses, so parsing it later moves no error
-    fwd = _map_from_text(fwd_text) if perm is None else None
+    affine = _affine_rows(fwd_text) if perm is None else None
+    # an index-line or affine text always parses, so parsing it later moves no error
+    fwd = _map_from_text(fwd_text) if perm is None and affine is None else None
     inv_d = _field(d, "inverse", dict)
     if inv_d.get("kind") == "rational":
         nums = _map_from_text(_field(inv_d, "numerators", str)).components
@@ -360,6 +356,11 @@ def automorphism_from_json(d: dict):
         if back is not None and len(back) == len(perm) \
                 and all(back[j] == i for i, j in enumerate(perm)):
             return PermutationAutomorphism(len(perm), perm, label)
+        if perm is not None:  # an index-line text is an affine text too
+            affine = _affine_rows(fwd_text)
+        back = None if affine is None else _affine_rows(inv_text)
+        if back is not None and back[0].nrows == affine[0].nrows:
+            return AffineAutomorphism(*affine, *back, label)
         inv = _map_from_text(inv_text)
     else:
         raise ValueError(f"unknown inverse kind {inv_d.get('kind')!r}")
@@ -418,6 +419,9 @@ def certificate_from_json(d: dict) -> Certificate:
     version = d.get("version")
     if type(version) is not int or version not in (1, 2):
         raise ValueError(f"unsupported certificate version {version!r}")
+    kind = d.get("kind", "reduction")
+    if type(kind) is not str:
+        raise ValueError("'kind' is not a string")
     source = _map_from_text(_field(d, "source", str))
     target = _map_from_text(_field(d, "target", str))
     moves = [move_from_json(m) for m in _field(d, "moves", list)]
@@ -435,7 +439,7 @@ def certificate_from_json(d: dict) -> Certificate:
         if max(n_in, n_out) > DEFAULT_BUDGET.max_dim:
             raise ValueError(f"move {k}: the map would have more than "
                              f"{DEFAULT_BUDGET.max_dim} variables")
-    return Certificate(source, target, moves, d.get("kind", "reduction"))
+    return Certificate(source, target, moves, kind)
 
 
 def attribute_report_to_json(rep) -> dict:

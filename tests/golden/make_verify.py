@@ -7,7 +7,8 @@ possibly tampered with) and records the stdout of
 `verify-cert --json --fiber-samples 5 --seed 0` on it.  Covered: `reduce
 --to yagzhev` and `reduce --to cubic` on every corpus map, `segre` on
 every map it accepts, `symmetrize` on every map, the shipped version 1
-certificate, and three tampered certificates.  Run it only when a report
+certificate, three tampered certificates of plane-quad and two of
+random-d4-n2, whose affine moves get a forged inverse.  Run it only when a report
 is meant to change, and say why in the change; tests/test_golden_verify.py
 compares the current output with the file byte for byte.
 """
@@ -45,9 +46,21 @@ def _inverse_forged(blob):
     auto["inverse"]["map"] = auto["forward"]
 
 
+def _affine_inverse_forged(k):
+    """Move k's inverse text replaced by its forward text."""
+    def tamper(blob):
+        auto = blob["moves"][k]["automorphism"]
+        auto["inverse"]["map"] = auto["forward"]
+    return tamper
+
+
 TAMPERS = {"target-swapped": _target_swapped,
            "addend-changed": _addend_changed,
            "inverse-forged": _inverse_forged}
+# random-d4-n2's moves 6, 7 and 8 are normalize's recentering, base-value
+# translation and straightening, all affine in 6 variables
+AFFINE_TAMPERS = {"straightening-inverse-forged": _affine_inverse_forged(8),
+                  "translation-inverse-forged": _affine_inverse_forged(7)}
 
 
 def entries() -> list:
@@ -65,6 +78,9 @@ def entries() -> list:
     for name, tamper in TAMPERS.items():
         out.append((f"reduce plane-quad --to yagzhev, {name}",
                     ["reduce", "plane-quad", "--to", "yagzhev"], tamper))
+    for name, tamper in AFFINE_TAMPERS.items():
+        out.append((f"reduce random-d4-n2 --to yagzhev, {name}",
+                    ["reduce", "random-d4-n2", "--to", "yagzhev"], tamper))
     return out
 
 

@@ -49,6 +49,9 @@ two on random inputs:
     then recognized them as mutually inverse maps of bare variables,
     which textio's reader of the index lines _index_map_text writes
     replaced;
+  * PolyMap.translation, the map x -> x + vec, which normalize built as a
+    general automorphism before certs.AffineAutomorphism stored it as
+    its shift;
   * the base-point search of reduce.normalize that accepted a Fraction
     point by sparse_det and then eliminated the same Jacobian again with
     sparse_inverse, which one sparse_inverse per candidate replaced;
@@ -897,6 +900,24 @@ def pre_shear_by_full_images(f, shear):
         images[i] = images[i] + g
     return PolyMap([c if c.variables_used().isdisjoint(shear.additions) else c.substitute(images)
                     for c in f.components])
+
+
+def affine_maps(a) -> tuple:
+    """The forward and inverse maps of a certs.AffineAutomorphism, as
+    parsing their texts builds them (a bare variable is Poly.variable's)."""
+    def realized(m, shift):
+        n = m.nrows
+        return PolyMap([Poly.variable(n, next(iter(row))) if not c and list(row.values()) == [1]
+                        else Poly(n, {**{((j, 1),): e for j, e in sorted(row.items())},
+                                      **({(): c} if c else {})})
+                        for row, c in zip(m.rows, shift)])
+    return realized(a.m, a.shift), realized(a.inv, a.inv_shift)
+
+
+def translation_map(vec) -> PolyMap:
+    """x -> x + vec, as PolyMap.translation built it."""
+    n = len(vec)
+    return PolyMap([Poly.variable(n, i) + Poly.const(n, vec[i]) for i in range(n)])
 
 
 # -- the coordinate permutation as two polynomial maps ----------------------------

@@ -119,7 +119,7 @@ def test_rotation_leaves_cube_alone():
     f = _map("cube-x")
     g, auto = generic_rotation(f)
     assert g == f
-    assert auto.forward.is_identity()
+    assert oracles.affine_maps(auto)[0].is_identity()
 
 
 def test_rotation_fixes_bad_leading_coefficient():
@@ -127,7 +127,8 @@ def test_rotation_fixes_bad_leading_coefficient():
     g, auto = generic_rotation(f, seed=3)
     assert auto.verify_two_sided() is None
     # g really is f composed with the rotation
-    composed = PolyMap([c.substitute(auto.forward.components) for c in f.components])
+    forward = oracles.affine_maps(auto)[0]
+    composed = PolyMap([c.substitute(forward.components) for c in f.components])
     assert g == composed
     # and now the top coefficient in x2 is a constant for both components
     for comp in g.components:
@@ -240,6 +241,24 @@ def test_dex_invariant_under_translation_postcompose():
 def test_dex_deterministic():
     f = _map("triple-root")
     assert dex2(f, seed=11) == dex2(f, seed=11)
+
+
+@pytest.mark.parametrize("seed", [6957, 12698, 19122])
+def test_dex_skips_rounds_read_at_a_critical_value(seed):
+    # at these seeds a round of triple-root (x^3 - 3x, y) draws targets
+    # whose first coordinate makes the fiber's points merge; a run whose
+    # resultant is not squarefree of full degree no longer counts, so the
+    # merged degree 2 is not taken for the dex
+    assert dex2(_map("triple-root"), seed=seed) == 3
+
+
+def test_attributes_at_a_critical_value_retries_and_reads_dex_3(capsys):
+    # both round-0 targets of seed 48079, (-2, -74) and (2, 13), lie over
+    # the critical values +-2 of x^3 - 3x
+    assert cli.main(["attributes", "triple-root", "--samples", "1",
+                     "--seed", "48079", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["dex"], report["genericity_retries"]) == (3, 1)
 
 
 # -- fiber counts ----------------------------------------------------------

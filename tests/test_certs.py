@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from polyred import certs
 from polyred.certs import (
+    AffineAutomorphism,
     Automorphism,
     Certificate,
     CertificateBuilder,
@@ -31,6 +33,7 @@ from polyred.linalg import RatMatrix
 from polyred.maps import PolyMap
 from polyred.poly import ExactDivisionError, Poly, as_coeff, qdiv
 from polyred.reduce import meng_symmetrize, to_yagzhev
+from polyred.textio import automorphism_from_json, automorphism_to_json
 
 
 def V(n, i):
@@ -253,10 +256,123 @@ def test_permutation_verdict_matches_symbolic_composition(data):
             PermutationAutomorphism(n, a.perm)
 
 
+# -- affine maps against the general route -----------------------------------
+
+
+_ENTRIES = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-5, 5),
+                                                   st.integers(2, 4))).filter(bool).map(as_coeff)
+
+
+@st.composite
+def affine_cases(draw):
+    """(M, v, N, w): M invertible and sparse with int and Fraction entries,
+    the identity after up to four row operations, so that some rows stay
+    x_i itself; v zero in some coordinates; N = M^-1 and w = -N v."""
+    n = draw(st.integers(1, 5))
+    m = RatMatrix.identity(n)
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        e = RatMatrix.identity(n)
+        how = draw(st.sampled_from(["add", "scale", "swap"]))
+        if how == "add" and i != j:
+            e.rows[i] = {i: 1, j: draw(_ENTRIES)}
+        elif how == "scale":
+            e.rows[i] = {i: draw(_ENTRIES)}
+        elif how == "swap":
+            e.rows[i], e.rows[j] = {j: 1}, {i: 1}
+        m = e * m
+    shift = [draw(st.one_of(st.just(0), _ENTRIES)) for _ in range(n)]
+    inv = m.inverse()
+    return m, shift, inv, [as_coeff(-sum(a * shift[j] for j, a in row.items()))
+                           for row in inv.rows]
+
+
+def _general_map(m, shift):
+    """x -> m x + shift, built by PolyMap arithmetic alone."""
+    return PolyMap([p + C(m.ncols, c) for p, c in zip(PolyMap.from_matrix(m).components, shift)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(affine_cases(), st.data())
+def test_affine_replay_and_transport_match_the_general_route(case, data):
+    m, shift, inv, inv_shift = case
+    n = m.nrows
+    a = AffineAutomorphism(m, shift, inv, inv_shift)
+    general = Automorphism(_general_map(m, shift), _general_map(inv, inv_shift))
+    k = data.draw(st.integers(1, 4))
+    into = PolyMap([data.draw(polys(k, range(k))) for _ in range(n)])             # k -> n
+    out_of = PolyMap([data.draw(polys(n, range(n)))
+                      for _ in range(data.draw(st.integers(1, 4)))])              # n -> j
+    for f in (into, out_of):
+        if data.draw(st.booleans()):
+            f.top_indices()
+    post = apply_move(into, PostCompose(a))
+    assert _terms_in_order(post) == _terms_in_order(apply_move(into, PostCompose(general)))
+    for i, p in enumerate(post.components):
+        if m.rows[i] == {i: 1} and not shift[i]:
+            assert p is into.components[i]
+    pre = apply_move(out_of, PreCompose(a))
+    assert _terms_in_order(pre) == _terms_in_order(apply_move(out_of, PreCompose(general)))
+    for f in (post, pre):
+        if f.tops is not None:
+            assert f.tops == [max(c.variables_used(), default=-1) for c in f.components]
+    rng = random.Random(data.draw(st.integers(0, 99)))
+    x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(n)]
+    y = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(n)]
+    for move in (PostCompose, PreCompose):
+        assert _transport(move(a), x, y, rng) == _transport(move(general), x, y, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(affine_cases(), st.sampled_from(["true", "forged", "wrong-shift", "forward-as-inverse"]),
+       st.data())
+def test_affine_verdict_and_json_match_the_general_route(case, how, data):
+    m, shift, inv, inv_shift = case
+    n = m.nrows
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    if how == "forged":  # one entry of the inverse changed
+        inv = RatMatrix([dict(row) for row in inv.rows], n)
+        s = inv.rows[i].get(j, 0) + data.draw(_ENTRIES)
+        inv.rows[i].pop(j, None)
+        if s:
+            inv.rows[i][j] = as_coeff(s)
+    elif how == "wrong-shift":
+        inv_shift = list(inv_shift)
+        inv_shift[i] = as_coeff(inv_shift[i] + data.draw(_ENTRIES))
+    elif how == "forward-as-inverse":
+        inv, inv_shift = m, shift
+    a = AffineAutomorphism(m, shift, inv, inv_shift, "affine")
+    general = Automorphism(_general_map(m, shift), _general_map(inv, inv_shift), "affine")
+    verdict = general.verify_two_sided()
+    assert a.verify_two_sided() == verdict
+    assert (verdict is None) == (how == "true" or how == "forward-as-inverse"
+                                 and m * m == RatMatrix.identity(n) and not any(a.push(shift)))
+    text = json.dumps(automorphism_to_json(a))
+    assert text == json.dumps(automorphism_to_json(general))
+    back = automorphism_from_json(json.loads(text))
+    assert type(back) in (AffineAutomorphism, PermutationAutomorphism)
+    assert json.dumps(automorphism_to_json(back)) == text
+    assert back.verify_two_sided() == verdict
+
+
+def test_affine_constructors_encode_like_the_general_maps():
+    vec = [1, Fraction(-7, 3), 0, 4]
+    m = RatMatrix.dense([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, Fraction(1, 2), 0, 1]])
+    pairs = [(Automorphism.translation(vec, "t"),
+              Automorphism(oracles.translation_map(vec),
+                           oracles.translation_map([-Fraction(v) for v in vec]), "t")),
+             (Automorphism.from_linear(m, m.inverse(), "l"),
+              Automorphism(PolyMap.from_matrix(m), PolyMap.from_matrix(m.inverse()), "l"))]
+    for a, general in pairs:
+        assert type(a) is AffineAutomorphism and a.verify_two_sided() is None
+        assert automorphism_to_json(a) == automorphism_to_json(general)
+        assert oracles.affine_maps(a) == (general.forward, general.inverse)
+
+
 def test_translation_automorphism():
     a = Automorphism.translation([1, -2])
     assert a.verify_two_sided() is None
-    assert a.forward.eval_at([0, 0]) == [1, -2]
+    assert oracles.affine_maps(a)[0].eval_at([0, 0]) == [1, -2]
 
 
 def test_rational_inverse_verification():
@@ -669,7 +785,11 @@ def test_pinchuk_replay_scans_few_variable_sets(monkeypatch):
     this certificate.  The two coordinate permutations substitute
     nothing: composing their 497-wide maps, as the general route does,
     adds 497 substitutions to each replay and 497 to each of the four
-    one-sided compositions of their checks, 2 982 in all."""
+    one-sided compositions of their checks, 2 982 in all.  Nor do
+    normalize's two affine moves, a translation and the straightening:
+    as general automorphisms they added 248 substitutions to each replay
+    and to each of the four one-sided compositions of their checks,
+    1 488 in all."""
     _, trace = to_yagzhev(builtin_example("pinchuk").document.to_polymap(), seed=0)
     calls = collections.Counter()
     for name in ("variables_used", "substitute"):
@@ -679,4 +799,4 @@ def test_pinchuk_replay_scans_few_variable_sets(monkeypatch):
         monkeypatch.setattr(Poly, name, counted)
     assert verify_certificate(trace.certificate).ok
     assert calls["variables_used"] < 2000
-    assert calls["substitute"] == 2205
+    assert calls["substitute"] == 717

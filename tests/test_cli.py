@@ -7,13 +7,14 @@ import json
 import operator
 import os
 from importlib import resources
+from unittest import mock
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyred import cli, gz
+from polyred import cli, gz, textio
 from polyred.certs import Automorphism
 from polyred.cli import main
 from polyred.examples import builtin_example
@@ -249,6 +250,9 @@ def _two_denominators(blob):
                  id="addend-reads-shifted"),
     pytest.param(lambda b: _shear(b).update(dim=6), id="dim-disagrees"),
     pytest.param(_perm_at_dim_4, id="perm-dim-disagrees"),
+    pytest.param(lambda b: b["moves"][2]["automorphism"].update(label=5), id="perm-label-int"),
+    pytest.param(lambda b: _shear(b).update(label=[1]), id="shear-label-list"),
+    pytest.param(lambda b: b.update(kind=7), id="kind-int"),
     pytest.param(lambda b: _shear(b).update(dim="5"), id="dim-string"),
     pytest.param(lambda b: _shear(b).update(dim=0), id="dim-zero"),
     pytest.param(lambda b: _shear(b).update(dim=-3), id="dim-negative"),
@@ -298,8 +302,8 @@ _SPLICE = st.text(alphabet=" \n\t+-*^/()=#0123456789xyzf", min_size=1, max_size=
 
 
 @functools.cache
-def _plane_quad_cert_text() -> str:
-    _, trace = to_yagzhev(builtin_example("plane-quad").document.to_polymap())
+def _cert_text(eid: str) -> str:
+    _, trace = to_yagzhev(builtin_example(eid).document.to_polymap())
     return json.dumps(certificate_to_json(trace.certificate))
 
 
@@ -338,17 +342,29 @@ def _mutate(draw, blob):
         parent[path[-1]] = value[:at] + draw(_SPLICE) + value[at:]
 
 
+def _verify_quietly(path) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify-cert", str(path), "--fiber-samples", "2", "--json"])
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_verify_cert_mutated_certificates_end_in_an_exit_code(tmp_path_factory, data):
-    blob = json.loads(_plane_quad_cert_text())
+    # plane-quad's certificate holds shears and permutations; random-d4-n2's
+    # also holds normalize's three affine moves (6, 7 and 8), whose report
+    # must not change when the affine reader declines every text and the
+    # general route parses and checks them symbolically
+    blob = json.loads(_cert_text(data.draw(st.sampled_from(["plane-quad", "random-d4-n2"]))))
     for _ in range(data.draw(st.integers(1, 4))):
         _mutate(data.draw, blob)
     path = tmp_path_factory.mktemp("fuzz") / "cert.json"
     path.write_text(json.dumps(blob))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["verify-cert", str(path), "--fiber-samples", "2"])
-    assert code in (0, 1, 2, 3)
+    got = _verify_quietly(path)
+    assert got[0] in (0, 1, 2, 3)
+    with mock.patch.object(textio, "_affine_rows", lambda text: None):
+        assert _verify_quietly(path) == got
 
 
 # -- pairing commands --------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eval_scaled_int, from_terms, linear_part
+from oracles import eval_scaled_int, from_terms, linear_part, translation_map
 from polyred import maps
 from polyred.elim import poly_matrix_det
 from polyred.examples import builtin_example, corpus
@@ -203,7 +203,7 @@ def test_identity_and_linear_parts():
     lm = PolyMap.from_matrix(m)
     assert RatMatrix.dense(linear_part(lm)) == m
     assert lm.eval_at([1, 1]) == [3, 7]
-    tr = PolyMap.translation([1, -2])
+    tr = translation_map([1, -2])
     assert tr.eval_at([0, 0]) == [1, -2]
     assert [c.constant_term() for c in tr.components] == [1, -2]
 

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (from_terms, parse_by_poly_arithmetic, permutation_by_maps,
+from oracles import (affine_maps, from_terms, parse_by_poly_arithmetic, permutation_by_maps,
                      permutation_by_parsing)
 from polyred import cli, grammar, poly, textio
-from polyred.certs import (Automorphism, Certificate, PermutationAutomorphism, RationalMap,
+from polyred.certs import (AffineAutomorphism, Automorphism, Certificate,
+                           PermutationAutomorphism, RationalMap,
                            ShearAutomorphism, fiber_transport_check, verify_certificate)
 from polyred.examples import builtin_example, builtin_ids, corpus
 from polyred.linalg import RatMatrix
@@ -703,7 +704,7 @@ def test_matrix_json_round_trip():
     a = Automorphism.from_linear(m, m.inverse())
     d = automorphism_to_json(a)
     back = automorphism_from_json(json.loads(json.dumps(d)))
-    assert back.forward == a.forward
+    assert affine_maps(back) == affine_maps(a)
     assert back.verify_two_sided() is None
 
 
@@ -766,15 +767,20 @@ def test_forged_permutation_inverse_stays_general_and_fails():
     # a 3-cycle is not an involution: its forward map as its own inverse
     # is a map pair of bare variables, but not a mutually inverse one;
     # so is the identity, and so is the forward map written off the
-    # index-line form (no final newline, a double space, x1 x2 x3 names)
+    # index-line form (no final newline, a double space, x1 x2 x3 names).
+    # A pair in the encoder's form is read as an affine map, any other
+    # pair is parsed, and both fail the check the same way
     d = automorphism_to_json(Automorphism.permutation(3, [1, 2, 0], "cycle"))
     forward = d["forward"]
-    for forged in (forward, forward[:-1], forward.replace("= ", "=  ", 1),
-                   "vars x y z\npoly f1 = x\npoly f2 = y\npoly f3 = z\n",
-                   "vars x1 x2 x3\npoly f1 = x2\npoly f2 = x3\npoly f3 = x1\n"):
+    for forged, kind in ((forward, AffineAutomorphism), (forward[:-1], Automorphism),
+                         (forward.replace("= ", "=  ", 1), Automorphism),
+                         ("vars x y z\npoly f1 = x\npoly f2 = y\npoly f3 = z\n",
+                          AffineAutomorphism),
+                         ("vars x1 x2 x3\npoly f1 = x2\npoly f2 = x3\npoly f3 = x1\n",
+                          Automorphism)):
         d["inverse"]["map"] = forged
         back = automorphism_from_json(d)
-        assert type(back) is Automorphism
+        assert type(back) is kind
         assert back.verify_two_sided() == "forward after inverse is not the identity"
     # an involution is its own inverse, so the same edit leaves a permutation
     d = automorphism_to_json(Automorphism.permutation(3, [1, 0, 2]))
@@ -808,7 +814,8 @@ SOUND_NEAR_MISSES = [
 def test_near_permutation_maps_stay_general(forward, inverse):
     d = {"label": "", "forward": forward, "inverse": {"kind": "polynomial", "map": inverse}}
     back = automorphism_from_json(d)
-    assert type(back) is Automorphism
+    # a pair of affine texts in the encoder's form is read without the parser
+    assert type(back) in (Automorphism, AffineAutomorphism)
     sound = (forward, inverse) in SOUND_NEAR_MISSES
     assert (back.verify_two_sided() is None) == sound
     assert (permutation_by_parsing(forward, inverse) is not None) == sound
@@ -888,7 +895,7 @@ def test_index_line_route_matches_the_parsing_oracle(case):
         # every text the encoder writes takes the index-line route; any
         # other text gets the oracle's verdict from the symbolic check
         assert not written
-        assert type(back) is Automorphism
+        assert type(back) in (Automorphism, AffineAutomorphism)
         assert (back.verify_two_sided() is None) == (expected is not None)
 
 
@@ -1016,7 +1023,7 @@ def test_pinchuk_decode_formats_each_default_name_once(monkeypatch):
         auto = getattr(move, "auto", None)
         if isinstance(auto, ShearAutomorphism):
             polys.extend(auto.additions.values())
-        elif auto is not None:
+        elif auto is not None and not isinstance(auto, AffineAutomorphism):  # rows, not Polys
             polys.extend(auto.forward.components + auto.inverse.components)
     bare = [p for p in polys if len(p.terms) == 1 and next(iter(p.terms.items()))[1] == 1
             and len(next(iter(p.terms))) == 1 and next(iter(p.terms))[0][1] == 1]
