@@ -59,8 +59,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .certs import Automorphism
 from . import maps
+# after maps, as in certs: maps compiles elim before affine and the grammar
+# add their code to the heap (see affine's docstring)
+from .affine import AffineAutomorphism
 from .elim import _q_trim, z_count_real_roots, z_resultant, z_rows, z_squarefree, z_to_poly
 # perfbench's tracer wraps elim.resultant at every import site, and its
 # tests look for it here
@@ -233,9 +235,9 @@ def _eliminable(g: list) -> bool:
     return bool(moving) and all(len(rows[-1]) == 1 for rows in moving)
 
 
-def _rotation_automorphism(c: Fraction) -> Automorphism:
+def _rotation_automorphism(c: Fraction) -> AffineAutomorphism:
     m = RatMatrix.dense([[1, c], [-c, 1]])
-    return Automorphism.from_linear(m, m.inverse(), f"rotation c={c}")
+    return AffineAutomorphism.from_linear(m, m.inverse(), f"rotation c={c}")
 
 
 def _rotated(fr: list, seed: int, skip_identity: bool = False) -> tuple:
@@ -268,7 +270,7 @@ def generic_rotation(f: PolyMap, seed: int = 0):
     g, c = _rotated(_plane_rows(f), seed)
     if c == 0:
         eye = RatMatrix.identity(2)
-        return f, Automorphism.from_linear(eye, eye, "identity rotation")
+        return f, AffineAutomorphism.from_linear(eye, eye, "identity rotation")
     return PolyMap([_rows_poly(comp) for comp in g]), _rotation_automorphism(c)
 
 

@@ -19,7 +19,7 @@ inverses and are checked two-sided and symbolically; an inverse may be
 rational, in which case the identity is checked in the fraction field
 (denominators cleared, exactly).
 
-Three kinds of automorphism are the exception: each is stored by its
+Two kinds of automorphism are the exception: each is stored by its
 structure and checked without a symbolic composition.  Every kind
 replays, transports and checks itself (post, pre, push, pull and
 verify_two_sided).
@@ -33,16 +33,15 @@ verify_two_sided).
     (PolyMap.tops), and whenever a map has one it is exact for that
     map's components.  A component whose highest index is below every
     shifted index is neither scanned nor substituted.
-  * A coordinate permutation x -> x[perm] is stored as its index list.
-    When the list is a permutation of range(n), its inverse list is an
-    exact two-sided inverse.  Replay reorders components or relabels
-    the variables of each monomial, and transport reorders coordinates;
-    no coefficient is touched.
   * An affine map x -> Mx + v is stored as the sparse rows of M and of
     its stated inverse N beside the shifts v and w, and checked by one
-    sparse product.  Replay and transport touch only the moved rows.
+    sparse product.  Replay and transport touch only the moved rows.  A
+    coordinate permutation x -> x[perm] is the affine map whose rows are
+    all unit rows, each copying one coordinate: replay reorders
+    components or relabels the variables of each monomial, transport
+    reorders coordinates, and the check compares one row of N per row.
 
-Extensions and these three kinds keep the summary exact for the
+Extensions and these two kinds keep the summary exact for the
 components they add, rewrite or move; any other move leaves it unbuilt.
 
 Each move also induces a correspondence of graph points: given x and
@@ -66,13 +65,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Union
 
-from .linalg import RatMatrix
 from .maps import PolyMap
-from .poly import ExactDivisionError, Poly, as_coeff, mono_degree, qdiv
+from .poly import ExactDivisionError, Poly, mono_degree, qdiv
 from .ratpoint import evaluator
 # last: maps compiles elim, the largest module, before affine and the
 # grammar it imports add their code to the heap (see affine's docstring)
-from .affine import AffineAutomorphism, _substitute_moved, _with_rows
+from .affine import _substitute_moved
 
 
 class RationalMap:
@@ -207,37 +205,20 @@ class Automorphism:
     def pull(self, x: list):
         return self.inverse.eval_at(x)
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_linear(m: RatMatrix, inverse_m: RatMatrix, label: str = "") -> "AffineAutomorphism":
-        """x -> m x, with x -> inverse_m x as its stated inverse (checked
-        by verify_two_sided)."""
-        return AffineAutomorphism(m, [0] * m.nrows, inverse_m, [0] * m.nrows, label)
-
-    @staticmethod
-    def translation(vec, label: str = "") -> "AffineAutomorphism":
-        eye = RatMatrix.identity(len(vec))
-        shift = [as_coeff(v) for v in vec]
-        return AffineAutomorphism(eye, shift, eye, [-v for v in shift], label)
-
-    @staticmethod
-    def shear(n: int, additions: dict, label: str = "") -> "ShearAutomorphism":
-        """x_i -> x_i + g_i for (i, g_i) in additions, identity elsewhere.
-
-        No g_i may involve any of the shifted variables; that makes the
-        negated shear an exact inverse.
-        """
-        return ShearAutomorphism(n, additions, label)
-
-    @staticmethod
-    def permutation(n: int, perm, label: str = "") -> "PermutationAutomorphism":
-        """Sends x to (x[perm[0]], ..., x[perm[n-1]])."""
-        return PermutationAutomorphism(n, perm, label)
-
     def __repr__(self) -> str:
         tag = self.label or ("poly" if self.is_polynomial() else "rational-inverse")
         return f"Automorphism(dim={self.dim}, {tag})"
+
+
+def _with_rows(f: PolyMap, new: dict) -> PolyMap:
+    """f with component i replaced by new[i]; a summary f has stays exact."""
+    out = list(f.components)
+    tops = None if f.tops is None else list(f.tops)
+    for i, p in new.items():
+        out[i] = p
+        if tops is not None:
+            tops[i] = p.top_index()
+    return PolyMap(out, tops)
 
 
 def _shear_defect(n: int, additions: dict, reads: set) -> Optional[str]:
@@ -312,78 +293,6 @@ class ShearAutomorphism:
         return f"ShearAutomorphism(dim={self.n}, shifts={sorted(self.additions)})"
 
 
-def _permutation_defect(n: int, perm) -> Optional[str]:
-    if len(perm) != n or set(perm) != set(range(n)):
-        return "not a permutation"
-    return None
-
-
-class PermutationAutomorphism:
-    """x -> (x[perm[0]], ..., x[perm[n-1]]), stored as its index list.
-
-    Moves, JSON and transport all read the list: post-composition reorders
-    components, pre-composition relabels variables, and neither builds
-    the forward or the inverse map.
-    """
-
-    __slots__ = ("n", "perm", "label")
-
-    def __init__(self, n: int, perm, label: str = ""):
-        perm = tuple(perm)
-        reason = _permutation_defect(n, perm)
-        if reason is not None:
-            raise ValueError(reason)
-        self.n = n
-        self.perm = perm
-        self.label = label
-
-    @property
-    def dim(self) -> int:
-        return self.n
-
-    def inverse_perm(self) -> list:
-        """The index list of the inverse permutation."""
-        inv = [0] * self.n
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return inv
-
-    @property
-    def forward(self) -> PolyMap:
-        """The realized forward map, built on each call; replay, checks,
-        transport and JSON never read it."""
-        return PolyMap([Poly.variable(self.n, j) for j in self.perm])
-
-    @property
-    def inverse(self) -> PolyMap:
-        """The realized inverse map, built on each call."""
-        return PolyMap([Poly.variable(self.n, j) for j in self.inverse_perm()])
-
-    def verify_two_sided(self) -> Optional[str]:
-        """None when perm is a permutation of range(n), else the reason.
-        That shape proves the inverse list inverts it exactly: sending x
-        to x[perm] and back to x[inverse_perm()] moves every coordinate
-        to its own place, in either order."""
-        return _permutation_defect(self.n, self.perm)
-
-    def post(self, f: PolyMap) -> PolyMap:
-        """The components reordered, the same objects."""
-        tops = None if f.tops is None else [f.tops[j] for j in self.perm]
-        return PolyMap([f.components[j] for j in self.perm], tops)
-
-    def pre(self, f: PolyMap) -> PolyMap:
-        return _relabel(f, self.perm)
-
-    def push(self, y: list) -> list:
-        return [y[j] for j in self.perm]
-
-    def pull(self, x: list) -> list:
-        return [x[i] for i in self.inverse_perm()]
-
-    def __repr__(self) -> str:
-        return f"PermutationAutomorphism(dim={self.n}, {self.label or 'perm'})"
-
-
 @dataclass(frozen=True)
 class ExtendFreshVars:
     count: int
@@ -442,43 +351,6 @@ def apply_move(f: PolyMap, move: Move) -> PolyMap:
                               for m, c in comp.terms.items()}) for comp in f.components]
         return PolyMap(comps + [Poly.variable(n + 1, n)])
     raise TypeError(f"unknown move {move!r}")
-
-
-def _relabel(f: PolyMap, perm) -> PolyMap:
-    """f after x -> x[perm]: variable v of every monomial becomes perm[v],
-    the pairs re-sorted by index, coefficients and term order untouched.
-    Each (v, e) pair is rewritten once per call and the new pair shared by
-    every monomial that reads it, as Poly.variable shares the pairs of a
-    substitution, and a bare variable becomes Poly.variable's, as parsing
-    builds it; the summary is rebuilt on the way."""
-    n = len(perm)
-    pairs: dict = {}
-    comps = []
-    tops = []
-    for c in f.components:
-        ((m, coeff),) = c.terms.items() if len(c.terms) == 1 else (((), 0),)
-        if coeff == 1 and len(m) == 1 and m[0][1] == 1:
-            comps.append(Poly.variable(n, perm[m[0][0]]))
-            tops.append(perm[m[0][0]])
-            continue
-        terms = {}
-        top = -1
-        for m, coeff in c.terms.items():
-            rel = []
-            for pair in m:
-                q = pairs.get(pair)
-                if q is None:
-                    q = pairs[pair] = (perm[pair[0]], pair[1])
-                rel.append(q)
-            if rel:
-                if len(rel) > 1:
-                    rel.sort()
-                if rel[-1][0] > top:
-                    top = rel[-1][0]
-            terms[tuple(rel)] = coeff
-        comps.append(Poly(n, terms))
-        tops.append(top)
-    return PolyMap(comps, tops)
 
 
 class Certificate:

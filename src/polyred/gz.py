@@ -27,13 +27,14 @@ expands F's cubes in n variables.
 from dataclasses import dataclass
 
 from .certs import (
-    Automorphism,
     Certificate,
     CertificateBuilder,
     ExtendFreshVars,
     PostCompose,
     PreCompose,
+    ShearAutomorphism,
 )
+from .affine import AffineAutomorphism
 from .linalg import RatMatrix
 from .maps import PolyMap, is_yagzhev, terms_minus_x
 from .poly import Poly, as_coeff, cube_numerators, linear_cube, qdiv
@@ -337,15 +338,15 @@ def pairing_to_equivalence(p: GZPairing) -> Certificate:
             if not s.is_zero():
                 additions[m + j] = s
         if additions:
-            builder.push(PreCompose(Automorphism.shear(
+            builder.push(PreCompose(ShearAutomorphism(
                 n, additions, "carry the cubes along the kernel block")))
     else:
         cprime = p.C
         bprime = p.B
     if cprime != RatMatrix.identity(n):
-        builder.push(PostCompose(Automorphism.from_linear(
+        builder.push(PostCompose(AffineAutomorphism.from_linear(
             cprime, bprime, "return to the partner's coordinates")))
-        builder.push(PreCompose(Automorphism.from_linear(
+        builder.push(PreCompose(AffineAutomorphism.from_linear(
             bprime, cprime, "match the partner's parametrization")))
     if p.F != builder.current:
         raise AssertionError("equivalence replay missed the partner map")

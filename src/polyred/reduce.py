@@ -35,7 +35,9 @@ from .certs import (
     PreCompose,
     RationalMap,
     SegreExtend,
+    ShearAutomorphism,
 )
+from .affine import AffineAutomorphism
 from .linalg import RatMatrix, sparse_inverse
 from .maps import (
     Budget,
@@ -157,11 +159,11 @@ def lower_degree(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
         a, b = _grouped_split(builder.current.components[ci], d)
         m = n + 2
         builder.push(ExtendFreshVars(2))
-        builder.push(PreCompose(Automorphism.shear(
+        builder.push(PreCompose(ShearAutomorphism(
             m, {n: a.extend(m), n + 1: b.extend(m)},
             "attach the split factors")))
         prod = Poly.variable(m, n) * Poly.variable(m, n + 1)
-        builder.push(PostCompose(Automorphism.shear(
+        builder.push(PostCompose(ShearAutomorphism(
             m, {ci: prod.scale(-1)}, "cancel the split product")))
         comps = builder.current.components
         degs[ci] = comps[ci].degree() or 0
@@ -210,15 +212,15 @@ def normalize(f: PolyMap, seed: int = 0, budget: Budget = DEFAULT_BUDGET):
 
     builder = CertificateBuilder(f, kind="normalization")
     if any(x0):
-        builder.push(PreCompose(Automorphism.translation(
+        builder.push(PreCompose(AffineAutomorphism.translation(
             x0, "recenter the domain at the base point")))
     fx0 = f.eval_at(x0)
     if any(fx0):
-        builder.push(PostCompose(Automorphism.translation(
+        builder.push(PostCompose(AffineAutomorphism.translation(
             [-v for v in fx0], "send the base value to the origin")))
     jac_x0 = RatMatrix(rows, n)
     if jac_x0 != RatMatrix.identity(n):
-        builder.push(PostCompose(Automorphism.from_linear(
+        builder.push(PostCompose(AffineAutomorphism.from_linear(
             RatMatrix(inv_rows, n), jac_x0, "straighten the differential at the origin")))
     return builder.current, builder.build()
 
@@ -295,10 +297,10 @@ def eliminate_quadratic(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
     builder = CertificateBuilder(f, kind="quadratic-elimination")
     builder.push(ExtendFreshVars(n))
     # fresh variables landed after t; relabel so the layout is (X, Y, t)
-    builder.push(PreCompose(Automorphism.permutation(
+    builder.push(PreCompose(AffineAutomorphism.permutation(
         big, list(range(n)) + [2 * n] + list(range(n, 2 * n)),
         "read the domain as (X, Y, t)")))
-    builder.push(PostCompose(Automorphism.permutation(
+    builder.push(PostCompose(AffineAutomorphism.permutation(
         big, list(range(n)) + list(range(n + 1, big)) + [n],
         "list the components as (X, Y, t)")))
     absorb = {
@@ -307,7 +309,7 @@ def eliminate_quadratic(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
         if terms
     }
     if absorb:
-        builder.push(PreCompose(Automorphism.shear(
+        builder.push(PreCompose(ShearAutomorphism(
             big, absorb, "absorb the cubic block into Y")))
     t = Poly.variable(big, 2 * n)
     t2 = t * t
@@ -315,7 +317,7 @@ def eliminate_quadratic(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
         i: (t2 * Poly.variable(big, n + i)).scale(-1)
         for i in range(n)
     }
-    builder.push(PostCompose(Automorphism.shear(
+    builder.push(PostCompose(ShearAutomorphism(
         big, cancel, "trade the degree-five block for -t^2 Y")))
     g = builder.current
     if not is_yagzhev(g):
@@ -436,7 +438,7 @@ def meng_symmetrize(f: PolyMap, budget: Budget = DEFAULT_BUDGET):
         inverse = RationalMap(nums, den)
     builder.push(PreCompose(Automorphism(
         PolyMap(fwd), inverse, "twist by the transposed differential")))
-    builder.push(PreCompose(Automorphism.permutation(
+    builder.push(PreCompose(AffineAutomorphism.permutation(
         big, list(range(n, big)) + list(range(n)), "swap the blocks")))
     g = builder.current
 

@@ -31,17 +31,14 @@ Certificate format version 2 stores a shear as its addends alone, over
 the default names of its dim (one table of x1, x2, ... serves every dim,
 so a shear's decode costs its text, not its dim); version 1 files, which
 spell every automorphism out as a forward and an inverse map, still load.
-A coordinate permutation is written as a forward and an inverse map of
-bare variables, `poly f1 = x3` and so on over the default names of its
-dim, printed straight from its index list.  Decoding reads each list
-back from those index lines without the parser, and the pair decodes as
-a permutation only when each text is byte for byte the one its list
-prints and the two lists are mutual inverses.  An affine map is written
-from its rows the same way; any other pair whose texts are both byte for
-byte what the rows read back from them print, at one dim, decodes as an
-affine map.  Any other pair, in either version, is parsed and decoded as
-a general automorphism, whose symbolic check gives the same verdict,
-replay and transport.
+An affine map, a coordinate permutation among them, is written as a
+forward and an inverse map over the default names of its dim, printed
+straight from its rows: a unit row, which copies one coordinate, is a
+bare name, `poly f1 = x3`.  A pair whose texts are both byte for byte
+what the rows read back from them print, at one dim, decodes as an
+affine map without the parser.  Any other pair, in either version, is
+parsed and decoded as a general automorphism, whose symbolic check gives
+the same verdict, replay and transport.
 """
 
 from __future__ import annotations
@@ -50,11 +47,9 @@ from dataclasses import asdict, dataclass, field
 from math import gcd
 from typing import Optional, Sequence
 
-from .certs import (AffineAutomorphism, Automorphism, Certificate, CertReport,
-                    ExtendFreshVars, FiberReport, PermutationAutomorphism,
-                    PostCompose, PreCompose, RationalMap, SegreExtend,
-                    ShearAutomorphism)
-from .affine import affine_text, read_affine
+from .certs import (Automorphism, Certificate, CertReport, ExtendFreshVars, FiberReport,
+                    PostCompose, PreCompose, RationalMap, SegreExtend, ShearAutomorphism)
+from .affine import AffineAutomorphism, affine_text, read_affine
 from .grammar import ParseError, _terms_text, poly_line, read_expression, vars_line
 from .grammar import MAX_EXPONENT, MAX_NESTING  # noqa: F401  (textio.MAX_EXPONENT is documented)
 from .linalg import RatMatrix
@@ -262,29 +257,6 @@ def _dim_field(d: dict, key: str) -> int:
     return n
 
 
-def _index_map_text(indices: Sequence[int], names: Sequence[str]) -> str:
-    """_map_text of the map whose component i is the variable indices[i]."""
-    lines = ["vars " + " ".join(names[:len(indices)])]
-    lines.extend(f"poly f{i + 1} = {names[j]}" for i, j in enumerate(indices))
-    lines.append("")  # one join, ending the text with a newline
-    return "\n".join(lines)
-
-
-def _index_list(text: str) -> Optional[list]:
-    """The list L with text == _index_map_text(L, names) over the default
-    names of len(L), else None; the line count is checked against
-    DEFAULT_BUDGET.max_dim before any name is looked up or formatted."""
-    n = text.count("\n") - 1
-    if not 1 <= n <= DEFAULT_BUDGET.max_dim:
-        return None
-    names, index = _default_names(n)
-    # a name past n (the table serves every dim) reads as n, out of range
-    indices = [index.get(line.rpartition(" ")[2], n) for line in text.split("\n")[1:-1]]
-    if max(indices) < n and _index_map_text(indices, names) == text:
-        return indices
-    return None
-
-
 def _affine_rows(text: str) -> Optional[tuple]:
     """affine.read_affine of text over the default names of its line
     count, which is checked against DEFAULT_BUDGET.max_dim first."""
@@ -300,12 +272,10 @@ def automorphism_to_json(a) -> dict:
         return {"kind": "shear", "label": a.label, "dim": a.n,
                 "addends": {str(i): poly_text(g, names)
                             for i, g in sorted(a.additions.items())}}
-    if isinstance(a, PermutationAutomorphism):
-        names = _default_names(a.n)[0]
-        texts = _index_map_text(a.perm, names), _index_map_text(a.inverse_perm(), names)
-    elif isinstance(a, AffineAutomorphism):
+    if isinstance(a, AffineAutomorphism):
         names = _default_names(a.dim)[0]
-        texts = affine_text(a.m.rows, a.shift, names), affine_text(a.inv.rows, a.inv_shift, names)
+        texts = (affine_text(a.m.rows, a.shift, a.units, names),
+                 affine_text(a.inv.rows, a.inv_shift, a.inv_units, names))
     elif isinstance(a.inverse, RationalMap):
         return {"label": a.label, "forward": _map_text(a.forward), "inverse": {
             "kind": "rational", "numerators": _map_text(PolyMap(a.inverse.nums)),
@@ -317,12 +287,11 @@ def automorphism_to_json(a) -> dict:
 
 
 def automorphism_from_json(d: dict):
-    """A ShearAutomorphism for a "shear" entry, a PermutationAutomorphism
-    for a polynomial entry whose two maps are index-line texts of mutually
-    inverse lists, else an AffineAutomorphism when both are _affine_text
-    texts of one dim, all read without the parser, and an Automorphism for
-    any other entry, which verify_two_sided then checks symbolically; every
-    shape error raises ValueError."""
+    """A ShearAutomorphism for a "shear" entry, an AffineAutomorphism for
+    a polynomial entry whose two maps are affine_text texts of one dim,
+    both read without the parser, and an Automorphism for any other entry,
+    which verify_two_sided then checks symbolically; every shape error
+    raises ValueError."""
     label = d.get("label", "")
     if type(label) is not str:
         raise ValueError("'label' is not a string")
@@ -335,12 +304,11 @@ def automorphism_from_json(d: dict):
                 raise ValueError(f"shear addend {key!r} needs an index key and "
                                  "an expression string")
             additions[int(key)] = read_expression(text, varmap, n)
-        return Automorphism.shear(n, additions, label)
+        return ShearAutomorphism(n, additions, label)
     fwd_text = _field(d, "forward", str)
-    perm = _index_list(fwd_text)
-    affine = _affine_rows(fwd_text) if perm is None else None
-    # an index-line or affine text always parses, so parsing it later moves no error
-    fwd = _map_from_text(fwd_text) if perm is None and affine is None else None
+    affine = _affine_rows(fwd_text)
+    # an affine text always parses, so parsing it later moves no error
+    fwd = _map_from_text(fwd_text) if affine is None else None
     inv_d = _field(d, "inverse", dict)
     if inv_d.get("kind") == "rational":
         nums = _map_from_text(_field(inv_d, "numerators", str)).components
@@ -351,13 +319,6 @@ def automorphism_from_json(d: dict):
         inv = RationalMap(nums, den[0])
     elif inv_d.get("kind") == "polynomial":
         inv_text = _field(inv_d, "map", str)
-        back = None if perm is None else _index_list(inv_text)
-        # back[perm[i]] == i for every i makes perm injective, so a bijection
-        if back is not None and len(back) == len(perm) \
-                and all(back[j] == i for i, j in enumerate(perm)):
-            return PermutationAutomorphism(len(perm), perm, label)
-        if perm is not None:  # an index-line text is an affine text too
-            affine = _affine_rows(fwd_text)
         back = None if affine is None else _affine_rows(inv_text)
         if back is not None and back[0].nrows == affine[0].nrows:
             return AffineAutomorphism(*affine, *back, label)

@@ -7,8 +7,10 @@ possibly tampered with) and records the stdout of
 `verify-cert --json --fiber-samples 5 --seed 0` on it.  Covered: `reduce
 --to yagzhev` and `reduce --to cubic` on every corpus map, `segre` on
 every map it accepts, `symmetrize` on every map, the shipped version 1
-certificate, three tampered certificates of plane-quad and two of
-random-d4-n2, whose affine moves get a forged inverse.  Run it only when a report
+certificate, five tampered certificates of plane-quad (two of them forge
+its permutation in the encoder's form, so it is still read as unit rows)
+and two of random-d4-n2, whose affine moves get a forged inverse.  Run
+it only when a report
 is meant to change, and say why in the change; tests/test_golden_verify.py
 compares the current output with the file byte for byte.
 """
@@ -46,6 +48,18 @@ def _inverse_forged(blob):
     auto["inverse"]["map"] = auto["forward"]
 
 
+def _inverse_lines_transposed(blob):
+    """Two index lines of move 2's inverse swapped: still unit rows, wrong ones."""
+    inverse = blob["moves"][2]["automorphism"]["inverse"]
+    inverse["map"] = inverse["map"].replace("f3 = x4\npoly f4 = x5", "f3 = x5\npoly f4 = x4")
+
+
+def _forward_index_repeated(blob):
+    """Move 2's forward text reads x5 twice and x3 never: not a permutation."""
+    auto = blob["moves"][2]["automorphism"]
+    auto["forward"] = auto["forward"].replace("poly f4 = x3", "poly f4 = x5")
+
+
 def _affine_inverse_forged(k):
     """Move k's inverse text replaced by its forward text."""
     def tamper(blob):
@@ -56,7 +70,9 @@ def _affine_inverse_forged(k):
 
 TAMPERS = {"target-swapped": _target_swapped,
            "addend-changed": _addend_changed,
-           "inverse-forged": _inverse_forged}
+           "inverse-forged": _inverse_forged,
+           "inverse-index-lines-transposed": _inverse_lines_transposed,
+           "forward-index-repeated": _forward_index_repeated}
 # random-d4-n2's moves 6, 7 and 8 are normalize's recentering, base-value
 # translation and straightening, all affine in 6 variables
 AFFINE_TAMPERS = {"straightening-inverse-forged": _affine_inverse_forged(8),

@@ -44,13 +44,14 @@ two on random inputs:
   * the coordinate permutation stored as its forward and inverse maps of
     bare variables, replayed by PolyMap.compose, checked by symbolic
     two-sided composition and transported by eval_at, which
-    certs.PermutationAutomorphism replaced with its index list;
+    affine.AffineAutomorphism.permutation replaced with unit rows: replay
+    reorders components or relabels variables, the check compares one
+    row of the inverse per row, and transport copies coordinates;
   * the decode of a permutation that parsed both of its map texts and
     then recognized them as mutually inverse maps of bare variables,
-    which textio's reader of the index lines _index_map_text writes
-    replaced;
+    which affine.read_affine replaced with one lookup per bare-name line;
   * PolyMap.translation, the map x -> x + vec, which normalize built as a
-    general automorphism before certs.AffineAutomorphism stored it as
+    general automorphism before affine.AffineAutomorphism stored it as
     its shift;
   * the base-point search of reduce.normalize that accepted a Fraction
     point by sparse_det and then eliminated the same Jacobian again with
@@ -83,6 +84,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from polyred.affine import AffineAutomorphism
 from polyred.certs import Automorphism, CertificateBuilder, PostCompose, PreCompose
 from polyred.elim import _q_trim, poly_matrix_det, q_derive, z_exact_div, z_gcd, z_mul, z_sub
 from polyred.grammar import MAX_EXPONENT, MAX_NESTING, ParseError, _lex
@@ -903,7 +905,7 @@ def pre_shear_by_full_images(f, shear):
 
 
 def affine_maps(a) -> tuple:
-    """The forward and inverse maps of a certs.AffineAutomorphism, as
+    """The forward and inverse maps of an affine.AffineAutomorphism, as
     parsing their texts builds them (a bare variable is Poly.variable's)."""
     def realized(m, shift):
         n = m.nrows
@@ -924,7 +926,7 @@ def translation_map(vec) -> PolyMap:
 
 
 def permutation_by_maps(n: int, perm, label: str = "") -> Automorphism:
-    """Automorphism.permutation as it first was: a general Automorphism
+    """AffineAutomorphism.permutation as it first was: a general Automorphism
     whose forward map sends x to x[perm] and whose inverse map undoes it,
     so apply_move composes, verify_two_sided composes both ways and
     _transport evaluates them."""
@@ -1341,15 +1343,15 @@ def normalize_by_det_then_inverse(f, seed: int = 0, budget=DEFAULT_BUDGET):
 
     builder = CertificateBuilder(f, kind="normalization")
     if any(x0):
-        builder.push(PreCompose(Automorphism.translation(
+        builder.push(PreCompose(AffineAutomorphism.translation(
             x0, "recenter the domain at the base point")))
     fx0 = f.eval_at(x0)
     if any(fx0):
-        builder.push(PostCompose(Automorphism.translation(
+        builder.push(PostCompose(AffineAutomorphism.translation(
             [-v for v in fx0], "send the base value to the origin")))
     if RatMatrix(rows, n) != RatMatrix.identity(n):
         inv_rows = sparse_inverse(rows, n)
-        builder.push(PostCompose(Automorphism.from_linear(
+        builder.push(PostCompose(AffineAutomorphism.from_linear(
             RatMatrix(inv_rows, n), RatMatrix(rows, n),
             "straighten the differential at the origin")))
     return builder.current, builder.build()

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 import oracles
 from polyred import certs
+from polyred.affine import AffineAutomorphism
 from polyred.certs import (
-    AffineAutomorphism,
     Automorphism,
     Certificate,
     CertificateBuilder,
     ExtendFreshVars,
-    PermutationAutomorphism,
     PostCompose,
     PreCompose,
     RationalMap,
@@ -65,7 +64,7 @@ def symbolic_two_sided(sh):
 
 def test_linear_automorphism_two_sided():
     m = RatMatrix.dense([[2, 1], [1, 1]])
-    a = Automorphism.from_linear(m, m.inverse())
+    a = AffineAutomorphism.from_linear(m, m.inverse())
     assert a.verify_two_sided() is None
     # a deliberately wrong inverse is caught
     bad = Automorphism(
@@ -77,17 +76,17 @@ def test_linear_automorphism_two_sided():
 
 def test_shear_two_sided():
     n = 3
-    sh = Automorphism.shear(n, {2: V(n, 0) * V(n, 0)})
+    sh = ShearAutomorphism(n, {2: V(n, 0) * V(n, 0)})
     assert sh.verify_two_sided() is None
     assert symbolic_two_sided(sh)
     assert realize(sh).eval_at([2, 0, 1]) == [2, 0, 5]
     with pytest.raises(ValueError):
-        Automorphism.shear(n, {2: V(n, 2) + V(n, 0)})
+        ShearAutomorphism(n, {2: V(n, 2) + V(n, 0)})
 
 
 def test_shear_multiple_targets():
     n = 4
-    sh = Automorphism.shear(
+    sh = ShearAutomorphism(
         n, {2: V(n, 0) ** 3, 3: V(n, 0) * V(n, 1)}
     )
     assert sh.verify_two_sided() is None
@@ -102,7 +101,7 @@ def test_shear_multiple_targets():
 ])
 def test_shear_rejects_bad_shapes(n, additions):
     with pytest.raises(ValueError):
-        Automorphism.shear(n, additions)
+        ShearAutomorphism(n, additions)
 
 
 # -- shear fast paths against the full maps ----------------------------------
@@ -132,7 +131,7 @@ def shears(draw, max_dim=5, may_taint=True):
     for i in sorted(shifted):
         g = draw(polys(n, free))
         additions[i] = g if not g.is_zero() else C(n, draw(st.integers(1, 4)))
-    sh = Automorphism.shear(n, additions)
+    sh = ShearAutomorphism(n, additions)
     if may_taint and draw(st.booleans()):
         i = draw(st.sampled_from(sorted(shifted)))
         j = draw(st.sampled_from(sorted(shifted)))
@@ -147,7 +146,7 @@ def test_shear_verdict_matches_symbolic_composition(sh):
     assert ok == symbolic_two_sided(sh)
     if not ok:
         with pytest.raises(ValueError):
-            Automorphism.shear(sh.n, sh.additions)
+            ShearAutomorphism(sh.n, sh.additions)
 
 
 @st.composite
@@ -179,9 +178,10 @@ def test_shear_transport_matches_full_map_evaluation(sh, rng):
 
 
 def test_permutation_automorphism():
-    a = Automorphism.permutation(3, [2, 0, 1])
+    a = AffineAutomorphism.permutation(3, [2, 0, 1])
     assert a.verify_two_sided() is None
-    assert a.forward.eval_at([10, 20, 30]) == [30, 10, 20]
+    assert oracles.affine_maps(a)[0].eval_at([10, 20, 30]) == [30, 10, 20]
+    assert a.push([10, 20, 30]) == [30, 10, 20] and a.pull([30, 10, 20]) == [10, 20, 30]
 
 
 # -- permutation fast paths against the general maps ------------------------
@@ -208,7 +208,7 @@ def perm_and_maps(draw):
 @given(perm_and_maps())
 def test_permutation_moves_match_composition(case):
     n, perm, into, out_of = case
-    a, general = Automorphism.permutation(n, perm), oracles.permutation_by_maps(n, perm)
+    a, general = AffineAutomorphism.permutation(n, perm), oracles.permutation_by_maps(n, perm)
     post = apply_move(into, PostCompose(a))
     assert _terms_in_order(post) == _terms_in_order(general.forward.compose(into))
     assert all(p is into.components[j] for p, j in zip(post.components, perm))
@@ -226,7 +226,7 @@ def test_permutation_moves_match_composition(case):
        st.randoms(use_true_random=False))
 def test_permutation_transport_matches_general_evaluation(perm, rng):
     n = len(perm)
-    a, general = Automorphism.permutation(n, perm), oracles.permutation_by_maps(n, perm)
+    a, general = AffineAutomorphism.permutation(n, perm), oracles.permutation_by_maps(n, perm)
     x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(n)]
     y = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(n)]
     for move in (PostCompose, PreCompose):
@@ -236,24 +236,28 @@ def test_permutation_transport_matches_general_evaluation(perm, rng):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_permutation_verdict_matches_symbolic_composition(data):
-    # a genuine permutation passes both checks; with one entry overwritten
-    # the list repeats an index and misses another, x -> x[perm] is not
-    # injective, and no map inverts it
+    # a genuine permutation passes both checks; with one unit row of the
+    # forward map overwritten by another the list repeats an index and
+    # misses another, x -> x[perm] is not injective, and no map inverts it
     n = data.draw(st.integers(1, 5))
     perm = data.draw(st.permutations(range(n)))
-    a = Automorphism.permutation(n, perm)
+    a = AffineAutomorphism.permutation(n, perm)
     if n > 1 and data.draw(st.booleans()):
         i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
                                   unique=True))
-        a.perm = a.perm[:i] + (a.perm[j],) + a.perm[i + 1:]
-    fwd = PolyMap([V(n, j) for j in a.perm])
-    inv = PolyMap([V(n, j) for j in a.inverse_perm()])
+        perm = perm[:i] + [perm[j]] + perm[i + 1:]
+        rows = list(a.m.rows)
+        rows[i] = rows[j]
+        a = AffineAutomorphism(RatMatrix(rows, n), a.shift, a.inv, a.inv_shift)
+    fwd, inv = oracles.affine_maps(a)
+    assert fwd == PolyMap([V(n, j) for j in perm])
     symbolic = fwd.compose(inv).is_identity() and inv.compose(fwd).is_identity()
     assert (a.verify_two_sided() is None) == symbolic
+    assert a.verify_two_sided() == Automorphism(fwd, inv).verify_two_sided()
     if not symbolic:
-        assert a.verify_two_sided() == "not a permutation"
+        assert a.verify_two_sided() == "forward after inverse is not the identity"
         with pytest.raises(ValueError, match="not a permutation"):
-            PermutationAutomorphism(n, a.perm)
+            AffineAutomorphism.permutation(n, perm)
 
 
 # -- affine maps against the general route -----------------------------------
@@ -324,9 +328,14 @@ def test_affine_replay_and_transport_match_the_general_route(case, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(affine_cases(), st.sampled_from(["true", "forged", "wrong-shift", "forward-as-inverse"]),
+@given(affine_cases(), st.sampled_from(["true", "forged", "wrong-shift", "forward-as-inverse",
+                                        "transposed", "repeated-column", "wrong-row"]),
        st.data())
 def test_affine_verdict_and_json_match_the_general_route(case, how, data):
+    # the last three forge unit rows {j: 1}, which the check compares with
+    # one row of N instead of multiplying: N's transpose as the inverse, a
+    # forward row made the unit row of a column another row holds, and two
+    # rows of N swapped, so a unit row of M points at the wrong one
     m, shift, inv, inv_shift = case
     n = m.nrows
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
@@ -341,16 +350,30 @@ def test_affine_verdict_and_json_match_the_general_route(case, how, data):
         inv_shift[i] = as_coeff(inv_shift[i] + data.draw(_ENTRIES))
     elif how == "forward-as-inverse":
         inv, inv_shift = m, shift
+    elif how == "transposed":
+        inv = inv.transpose()
+    elif how == "repeated-column":
+        m = RatMatrix(m.rows[:i] + [{min(m.rows[j]): 1}] + m.rows[i + 1:], n)
+        shift = shift[:i] + [0] + shift[i + 1:]
+    elif how == "wrong-row":
+        rows = list(inv.rows)
+        rows[i], rows[j] = rows[j], rows[i]
+        inv = RatMatrix(rows, n)
     a = AffineAutomorphism(m, shift, inv, inv_shift, "affine")
     general = Automorphism(_general_map(m, shift), _general_map(inv, inv_shift), "affine")
     verdict = general.verify_two_sided()
     assert a.verify_two_sided() == verdict
-    assert (verdict is None) == (how == "true" or how == "forward-as-inverse"
-                                 and m * m == RatMatrix.identity(n) and not any(a.push(shift)))
+    m_w_plus_v = [sum(e * inv_shift[k] for k, e in row.items()) + c
+                  for row, c in zip(m.rows, shift)]
+    assert (verdict is None) == (m * inv == RatMatrix.identity(n) and not any(m_w_plus_v))
+    if how in ("true", "forged", "wrong-shift", "forward-as-inverse"):
+        assert (verdict is None) == (how == "true" or how == "forward-as-inverse"
+                                     and m * m == RatMatrix.identity(n)
+                                     and not any(a.push(shift)))
     text = json.dumps(automorphism_to_json(a))
     assert text == json.dumps(automorphism_to_json(general))
     back = automorphism_from_json(json.loads(text))
-    assert type(back) in (AffineAutomorphism, PermutationAutomorphism)
+    assert type(back) is AffineAutomorphism
     assert json.dumps(automorphism_to_json(back)) == text
     assert back.verify_two_sided() == verdict
 
@@ -358,10 +381,10 @@ def test_affine_verdict_and_json_match_the_general_route(case, how, data):
 def test_affine_constructors_encode_like_the_general_maps():
     vec = [1, Fraction(-7, 3), 0, 4]
     m = RatMatrix.dense([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, Fraction(1, 2), 0, 1]])
-    pairs = [(Automorphism.translation(vec, "t"),
+    pairs = [(AffineAutomorphism.translation(vec, "t"),
               Automorphism(oracles.translation_map(vec),
                            oracles.translation_map([-Fraction(v) for v in vec]), "t")),
-             (Automorphism.from_linear(m, m.inverse(), "l"),
+             (AffineAutomorphism.from_linear(m, m.inverse(), "l"),
               Automorphism(PolyMap.from_matrix(m), PolyMap.from_matrix(m.inverse()), "l"))]
     for a, general in pairs:
         assert type(a) is AffineAutomorphism and a.verify_two_sided() is None
@@ -370,7 +393,7 @@ def test_affine_constructors_encode_like_the_general_maps():
 
 
 def test_translation_automorphism():
-    a = Automorphism.translation([1, -2])
+    a = AffineAutomorphism.translation([1, -2])
     assert a.verify_two_sided() is None
     assert oracles.affine_maps(a)[0].eval_at([0, 0]) == [1, -2]
 
@@ -479,7 +502,7 @@ def test_extend_fresh_vars():
 
 def test_post_and_pre_compose():
     f = PolyMap([V(2, 0) + V(2, 1) ** 2, V(2, 1)])
-    a = Automorphism.shear(2, {0: V(2, 1) ** 2})
+    a = ShearAutomorphism(2, {0: V(2, 1) ** 2})
     post = apply_move(f, PostCompose(a))
     assert post.components[0] == V(2, 0) + V(2, 1) ** 2 + V(2, 1) ** 2
     pre = apply_move(f, PreCompose(a))
@@ -490,7 +513,7 @@ def test_post_and_pre_compose():
 def test_compose_sharing():
     # untouched components are carried over as the same objects
     f = PolyMap([V(3, 0) ** 3, V(3, 1), V(3, 2)])
-    a = Automorphism.shear(3, {0: V(3, 1) * V(3, 2)})
+    a = ShearAutomorphism(3, {0: V(3, 1) * V(3, 2)})
     g = apply_move(f, PostCompose(a))
     assert g.components[1] is f.components[1]
     assert g.components[2] is f.components[2]
@@ -609,9 +632,9 @@ def move_chains(draw):
                                      "perm", "rational", "segre"]))
         if kind == "pre":
             where = draw(st.sampled_from(["low", "middle", "top", "any"]))
-            step = [PreCompose(Automorphism.shear(n, draw(shear_additions(n, where))))]
+            step = [PreCompose(ShearAutomorphism(n, draw(shear_additions(n, where))))]
         elif kind == "post":
-            step = [PostCompose(Automorphism.shear(n, draw(shear_additions(n, "any"))))]
+            step = [PostCompose(ShearAutomorphism(n, draw(shear_additions(n, "any"))))]
         elif kind == "extend":
             step = [ExtendFreshVars(draw(st.integers(1, 2)))]
         elif kind == "round":
@@ -619,12 +642,12 @@ def move_chains(draw):
             a, b = draw(small_polys(m, range(n))), draw(small_polys(m, range(n)))
             ci = draw(st.integers(0, n - 1))
             step = [ExtendFreshVars(2),
-                    PreCompose(Automorphism.shear(m, {n: a, n + 1: b})),
-                    PostCompose(Automorphism.shear(m, {ci: (V(m, n) * V(m, n + 1)).scale(-1)}))]
+                    PreCompose(ShearAutomorphism(m, {n: a, n + 1: b})),
+                    PostCompose(ShearAutomorphism(m, {ci: (V(m, n) * V(m, n + 1)).scale(-1)}))]
         elif kind == "perm":
             perm = draw(st.permutations(range(n)))
             move = draw(st.sampled_from([PreCompose, PostCompose]))
-            step = [move(Automorphism.permutation(n, perm))]
+            step = [move(AffineAutomorphism.permutation(n, perm))]
         elif kind == "rational" and n > 1:
             i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
             step = [_rational_move(n, i, j)]
@@ -642,8 +665,9 @@ def _oracle_move(f, move):
     auto = getattr(move, "auto", None)
     if isinstance(move, PreCompose) and isinstance(auto, ShearAutomorphism):
         return oracles.pre_shear_by_full_images(f, auto)
-    if isinstance(auto, PermutationAutomorphism):
-        return apply_move(f, type(move)(oracles.permutation_by_maps(auto.n, auto.perm)))
+    if isinstance(auto, AffineAutomorphism):  # move_chains' permutations
+        perm = [next(iter(row)) for row in auto.m.rows]
+        return apply_move(f, type(move)(oracles.permutation_by_maps(auto.dim, perm)))
     return apply_move(f, move)
 
 
@@ -660,9 +684,9 @@ def _below_top_chain():
     it."""
     x = [V(5, i) for i in range(5)]
     f = PolyMap([x[1] * x[4], x[0] + x[4], x[0], Poly(5), C(5, 3)])
-    return f, [PreCompose(Automorphism.shear(5, {1: x[0] * x[0] + C(5, 1)})),
-               PostCompose(Automorphism.permutation(5, [4, 0, 1, 2, 3])),
-               PreCompose(Automorphism.shear(5, {4: x[0] + C(5, 1)}))]
+    return f, [PreCompose(ShearAutomorphism(5, {1: x[0] * x[0] + C(5, 1)})),
+               PostCompose(AffineAutomorphism.permutation(5, [4, 0, 1, 2, 3])),
+               PreCompose(ShearAutomorphism(5, {4: x[0] + C(5, 1)}))]
 
 
 @settings(max_examples=150, deadline=None)
@@ -685,7 +709,7 @@ def build_toy_certificate():
     f = PolyMap([V(1, 0) + V(1, 0) ** 2])
     b = CertificateBuilder(f, kind="toy")
     b.push(ExtendFreshVars(1))
-    sh = Automorphism.shear(2, {1: V(2, 0) ** 2})
+    sh = ShearAutomorphism(2, {1: V(2, 0) ** 2})
     b.push(PostCompose(sh))
     b.push(SegreExtend())
     return b.build()
@@ -729,7 +753,7 @@ def test_certificate_replay_that_raises_ends_the_walk():
     # the Segre move refuses a constant term, so the replay stops at move 1
     f = PolyMap([V(1, 0) + C(1, 1)])
     moves = [ExtendFreshVars(1), SegreExtend(),
-             PostCompose(Automorphism.shear(3, {0: V(3, 1)}))]
+             PostCompose(ShearAutomorphism(3, {0: V(3, 1)}))]
     rep = verify_certificate(Certificate(f, f, moves))
     assert not rep.ok
     assert rep.issues == ["move 1: replay raised: the Segre move needs zero constant terms"]

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyred import cli, gz, textio
-from polyred.certs import Automorphism
+from polyred.affine import AffineAutomorphism
 from polyred.cli import main
 from polyred.examples import builtin_example
 from polyred.linalg import RatMatrix
@@ -213,8 +213,9 @@ def _perm_at_dim_4(blob):
     """The certificate's 3-cycle, re-encoded at dim 4 to act on dim 5."""
     auto = blob["moves"][2]["automorphism"]
     assert auto["forward"] == automorphism_to_json(
-        Automorphism.permutation(5, [0, 1, 4, 2, 3], auto["label"]))["forward"]
-    auto.update(automorphism_to_json(Automorphism.permutation(4, [0, 3, 1, 2], auto["label"])))
+        AffineAutomorphism.permutation(5, [0, 1, 4, 2, 3], auto["label"]))["forward"]
+    auto.update(automorphism_to_json(
+        AffineAutomorphism.permutation(4, [0, 3, 1, 2], auto["label"])))
 
 
 def _two_denominators(blob):
@@ -352,10 +353,11 @@ def _verify_quietly(path) -> tuple:
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_verify_cert_mutated_certificates_end_in_an_exit_code(tmp_path_factory, data):
-    # plane-quad's certificate holds shears and permutations; random-d4-n2's
-    # also holds normalize's three affine moves (6, 7 and 8), whose report
-    # must not change when the affine reader declines every text and the
-    # general route parses and checks them symbolically
+    # plane-quad's certificate holds shears and two permutations (moves 2
+    # and 3), which are affine; random-d4-n2's also holds normalize's three
+    # affine moves (6, 7 and 8).  No report may change when the affine
+    # reader declines every text, which sends all of these moves down the
+    # general route, parsed and checked symbolically
     blob = json.loads(_cert_text(data.draw(st.sampled_from(["plane-quad", "random-d4-n2"]))))
     for _ in range(data.draw(st.integers(1, 4))):
         _mutate(data.draw, blob)

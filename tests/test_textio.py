@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from oracles import (affine_maps, from_terms, parse_by_poly_arithmetic, permutation_by_maps,
                      permutation_by_parsing)
 from polyred import cli, grammar, poly, textio
-from polyred.certs import (AffineAutomorphism, Automorphism, Certificate,
-                           PermutationAutomorphism, RationalMap,
-                           ShearAutomorphism, fiber_transport_check, verify_certificate)
+from polyred.affine import AffineAutomorphism
+from polyred.certs import (Automorphism, Certificate, RationalMap, ShearAutomorphism,
+                           fiber_transport_check, verify_certificate)
 from polyred.examples import builtin_example, builtin_ids, corpus
 from polyred.linalg import RatMatrix
 from polyred.maps import DEFAULT_BUDGET, PolyMap
@@ -701,7 +701,7 @@ def test_hostile_lines_cost_the_route_no_more_than_the_parser():
 
 def test_matrix_json_round_trip():
     m = RatMatrix.dense([[Fraction(1, 2), Fraction(3)], [Fraction(0), Fraction(-7, 5)]])
-    a = Automorphism.from_linear(m, m.inverse())
+    a = AffineAutomorphism.from_linear(m, m.inverse())
     d = automorphism_to_json(a)
     back = automorphism_from_json(json.loads(json.dumps(d)))
     assert affine_maps(back) == affine_maps(a)
@@ -727,7 +727,7 @@ def test_automorphism_json_rational_inverse():
 def test_move_json_round_trip():
     from polyred.certs import (ExtendFreshVars, PostCompose, PreCompose,
                                SegreExtend, ShearAutomorphism)
-    shear = Automorphism.shear(2, {0: Poly.variable(2, 1) ** 2})
+    shear = ShearAutomorphism(2, {0: Poly.variable(2, 1) ** 2})
     moves = [ExtendFreshVars(3), PostCompose(shear), PreCompose(shear),
              SegreExtend()]
     for m in moves:
@@ -744,12 +744,14 @@ def test_move_json_round_trip():
        st.sampled_from(["", "read the domain as (X, Y, t)"]))
 def test_permutation_json_matches_the_general_encoding(perm, label):
     n = len(perm)
-    a = Automorphism.permutation(n, perm, label)
+    a = AffineAutomorphism.permutation(n, perm, label)
     d = automorphism_to_json(a)
     assert json.dumps(d) == json.dumps(automorphism_to_json(permutation_by_maps(n, perm, label)))
     back = automorphism_from_json(json.loads(json.dumps(d)))
-    assert isinstance(back, PermutationAutomorphism)
-    assert (back.n, back.perm, back.label) == (n, tuple(perm), label)
+    assert type(back) is AffineAutomorphism and (back.dim, back.label) == (n, label)
+    assert back.m.rows == [{j: 1} for j in perm] and not any(back.shift + back.inv_shift)
+    general = permutation_by_maps(n, perm, label)
+    assert affine_maps(back) == (general.forward, general.inverse)
     assert back.verify_two_sided() is None
 
 
@@ -757,7 +759,7 @@ def test_permutation_encoding_builds_no_variables():
     n = 1777
     perm = list(range(1, n)) + [0]
     cached = len(poly._VARIABLES)
-    d = automorphism_to_json(Automorphism.permutation(n, perm))
+    d = automorphism_to_json(AffineAutomorphism.permutation(n, perm))
     assert len(poly._VARIABLES) == cached
     assert d["forward"].splitlines()[1:3] == ["poly f1 = x2", "poly f2 = x3"]
     assert d["inverse"]["map"].splitlines()[1] == f"poly f1 = x{n}"
@@ -770,7 +772,7 @@ def test_forged_permutation_inverse_stays_general_and_fails():
     # index-line form (no final newline, a double space, x1 x2 x3 names).
     # A pair in the encoder's form is read as an affine map, any other
     # pair is parsed, and both fail the check the same way
-    d = automorphism_to_json(Automorphism.permutation(3, [1, 2, 0], "cycle"))
+    d = automorphism_to_json(AffineAutomorphism.permutation(3, [1, 2, 0], "cycle"))
     forward = d["forward"]
     for forged, kind in ((forward, AffineAutomorphism), (forward[:-1], Automorphism),
                          (forward.replace("= ", "=  ", 1), Automorphism),
@@ -783,9 +785,10 @@ def test_forged_permutation_inverse_stays_general_and_fails():
         assert type(back) is kind
         assert back.verify_two_sided() == "forward after inverse is not the identity"
     # an involution is its own inverse, so the same edit leaves a permutation
-    d = automorphism_to_json(Automorphism.permutation(3, [1, 0, 2]))
+    d = automorphism_to_json(AffineAutomorphism.permutation(3, [1, 0, 2]))
     d["inverse"]["map"] = d["forward"]
-    assert isinstance(automorphism_from_json(d), PermutationAutomorphism)
+    back = automorphism_from_json(d)
+    assert type(back) is AffineAutomorphism and back.verify_two_sided() is None
 
 
 SWAP = "vars x y\npoly f1 = y\npoly f2 = x\n"
@@ -833,7 +836,7 @@ def _permutation_texts(draw):
     of the index-line form in one of them, written False."""
     n = draw(st.sampled_from([1, 2, 3, 4, 7, 30, 498]))
     perm = draw(st.permutations(range(n)))
-    d = automorphism_to_json(Automorphism.permutation(n, perm))
+    d = automorphism_to_json(AffineAutomorphism.permutation(n, perm))
     texts = [d["forward"], d["inverse"]["map"]]
     how = draw(st.sampled_from((None,) + _NEAR_MISSES))
     if how is None:
@@ -868,8 +871,8 @@ def _permutation_texts(draw):
         if how == "not-mutual":
             other = draw(st.permutations(range(n)))
         else:  # the true inverse, and one more coordinate mapped to itself
-            other = Automorphism.permutation(n, perm).inverse_perm() + [n]
-        lines = automorphism_to_json(Automorphism.permutation(len(other), other))["forward"]
+            other = [perm.index(i) for i in range(n)] + [n]
+        lines = automorphism_to_json(AffineAutomorphism.permutation(len(other), other))["forward"]
         lines = lines.split("\n")
         side = 1
     texts[side] = "\n".join(lines)
@@ -889,14 +892,14 @@ def test_index_line_route_matches_the_parsing_oracle(case):
             automorphism_from_json(d)
         return
     back = automorphism_from_json(d)
-    if isinstance(back, PermutationAutomorphism):
-        assert list(back.perm) == expected
-    else:
-        # every text the encoder writes takes the index-line route; any
-        # other text gets the oracle's verdict from the symbolic check
-        assert not written
-        assert type(back) in (Automorphism, AffineAutomorphism)
-        assert (back.verify_two_sided() is None) == (expected is not None)
+    # every text the encoder writes is read as unit rows without the
+    # parser; every text gets the oracle's verdict
+    assert type(back) in (Automorphism, AffineAutomorphism)
+    if written:
+        assert type(back) is AffineAutomorphism
+    if type(back) is AffineAutomorphism and expected is not None:
+        assert back.m.rows == [{j: 1} for j in expected]
+    assert (back.verify_two_sided() is None) == (expected is not None)
 
 
 def test_plane_quad_certificate_decodes_its_cycle_as_a_permutation():
@@ -904,10 +907,12 @@ def test_plane_quad_certificate_decodes_its_cycle_as_a_permutation():
     blob = json.loads(json.dumps(certificate_to_json(trace.certificate)))
     cert = certificate_from_json(blob)
     perms = [k for k, m in enumerate(cert.moves)
-             if isinstance(getattr(m, "auto", None), PermutationAutomorphism)]
+             if isinstance(getattr(m, "auto", None), AffineAutomorphism)]
     assert perms == [k for k, m in enumerate(trace.certificate.moves)
-                     if isinstance(getattr(m, "auto", None), PermutationAutomorphism)]
-    assert 2 in perms and cert.moves[2].auto.perm == (0, 1, 4, 2, 3)  # a 3-cycle
+                     if isinstance(getattr(m, "auto", None), AffineAutomorphism)]
+    cycle = cert.moves[2].auto  # a 3-cycle, all unit rows
+    assert 2 in perms and cycle.m.rows == [{j: 1} for j in (0, 1, 4, 2, 3)]
+    assert not any(cycle.shift + cycle.inv_shift)
     assert certificate_to_json(cert) == blob
 
 
@@ -1019,17 +1024,24 @@ def test_pinchuk_decode_formats_each_default_name_once(monkeypatch):
     assert len(dims) == 248
     assert formatted == [f"x{i + 1}" for i in range(max(dims))]
     polys = list(cert.source.components) + list(cert.target.components)
+    unit_rows = []  # (dim, row) of each bare-name line of an affine move
     for move in cert.moves:
         auto = getattr(move, "auto", None)
         if isinstance(auto, ShearAutomorphism):
             polys.extend(auto.additions.values())
-        elif auto is not None and not isinstance(auto, AffineAutomorphism):  # rows, not Polys
+        elif isinstance(auto, AffineAutomorphism):  # rows, not Polys
+            unit_rows += [(auto.dim, row) for row, c in zip(auto.m.rows + auto.inv.rows,
+                                                            auto.shift + auto.inv_shift)
+                          if list(row.values()) == [1] and not c]
+        elif auto is not None:
             polys.extend(auto.forward.components + auto.inverse.components)
     bare = [p for p in polys if len(p.terms) == 1 and next(iter(p.terms.items()))[1] == 1
             and len(next(iter(p.terms))) == 1 and next(iter(p.terms))[0][1] == 1]
-    assert len(bare) > 1000
+    assert len(bare) + len(unit_rows) > 1000
     for p in bare:
         assert p is Poly.variable(p.varcount, next(iter(p.terms))[0][0])
+    for n, row in unit_rows:  # the identity's shared rows, as bare Polys are Poly.variable's
+        assert row is RatMatrix.identity(n).rows[next(iter(row))]
     # encoding reuses the table: nothing is formatted again
     assert certificate_to_json(cert) == blob
     assert len(formatted) == max(dims)
