@@ -14,11 +14,12 @@ helpers here also serve certs' shear.
 
 A certificate spells an affine map out as a map document.  affine_text
 writes it from the rows, byte for byte what textio's map printer writes
-for the same map, and read_affine reads such a text back without the
-parser: a bare-name line, a unit row, by one lookup, any other line by
-the grammar's canonical route and a byte-for-byte re-encode, so it
-accepts exactly the texts affine_text writes.  This module is apart from certs and
-textio because compiling a module from source at import allocates in
+for the same map, and read_affine reads such a text back without
+parse_map: a bare-name line, a unit row, by one lookup, any other line
+by the grammar's expression reader, whose ParseError means the line is
+not affine, and a byte-for-byte re-encode, so it accepts exactly the
+texts affine_text writes.  This module is apart from certs and textio
+because compiling a module from source at import allocates in
 proportion to its size, and textio is compiled late, when that
 allocation sets the resident size.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Optional, Sequence
 
-from .grammar import _canonical, _terms_text
+from .grammar import ParseError, _terms_text, read_expression
 from .linalg import RatMatrix
 from .maps import PolyMap
 from .poly import Poly, as_coeff, qdiv
@@ -279,8 +280,11 @@ def read_affine(text: str, names: Sequence[str], index: dict, n: int) -> Optiona
         if j < n:  # a bare name, the commonest line
             row, c = units[j], 0
         else:
-            p = _canonical(expr, 0, index, n)
-            if p is None or any(len(m) > 1 or m[0][1] > 1 for m in p.terms if m):
+            try:
+                p = read_expression(expr, index, n)
+            except ParseError:
+                return None
+            if any(len(m) > 1 or m[0][1] > 1 for m in p.terms if m):
                 return None
             row, c = {m[0][0]: a for m, a in p.terms.items() if m}, p.terms.get((), 0)
             if _affine_expr(row, c, names) != expr:

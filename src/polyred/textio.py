@@ -14,8 +14,9 @@ exponents, parentheses, and integer or a/b literals.  Multiplication is
 always written out; `2x` is a syntax error, not a convenience.  Every
 error carries the line and column it was found at.  The grammar of
 `vars` and `poly` lines and of expressions lives in polyred.grammar,
-which reads text in the form print_map writes without the lexer;
-ParseError, MAX_NESTING and MAX_EXPONENT are importable from here too.
+whose one reader reads each term print_map writes whole, and any other
+term factor by factor; ParseError, MAX_NESTING and MAX_EXPONENT are
+importable from here too.
 
 `print_map` emits a canonical form (terms graded-lex descending,
 coefficients in lowest terms, single spaces) and `parse_map` inverts it

@@ -5,6 +5,7 @@ import io
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (affine_maps, from_terms, parse_by_poly_arithmetic, permutation_by_maps,
-                     permutation_by_parsing)
+from oracles import (affine_maps, from_terms, parse_by_poly_arithmetic, parse_by_terms,
+                     permutation_by_maps, permutation_by_parsing, poly_line_by_routes,
+                     read_expression_by_routes, vars_line_by_routes)
 from polyred import cli, grammar, poly, textio
 from polyred.affine import AffineAutomorphism
 from polyred.certs import (Automorphism, Certificate, RationalMap, ShearAutomorphism,
@@ -168,11 +170,6 @@ def _outcome(parse, text, varmap, varcount, lineno=1):
     return p.varcount, [(m, c, type(c)) for m, c in p.terms.items()]
 
 
-def _by_terms(text, varmap, varcount, lineno):
-    toks = grammar._lex(text, lineno)
-    return grammar._ExprParser(toks, varmap, varcount, lineno, len(text)).parse()
-
-
 def _by_poly_arithmetic(text, varmap, varcount, lineno):
     # the old parser knows no varcount: it sees only the names below it
     return parse_by_poly_arithmetic(
@@ -184,10 +181,12 @@ XY = ({"x": 0, "y": 1}, 2)
 
 def _assert_parsers_agree(text, cases, lineno=1):
     """Same terms, order and types, or the same error, for each (varmap,
-    varcount) case."""
+    varcount) case: from Poly arithmetic, from the oracle's lexer and
+    term-building parser, and from the one reader."""
     for varmap, varcount in cases:
-        assert (_outcome(_by_terms, text, varmap, varcount, lineno)
-                == _outcome(_by_poly_arithmetic, text, varmap, varcount, lineno)), text
+        want = _outcome(_by_poly_arithmetic, text, varmap, varcount, lineno)
+        assert _outcome(parse_by_terms, text, varmap, varcount, lineno) == want, text
+        assert _outcome(grammar.read_expression, text, varmap, varcount, lineno) == want, text
 
 
 def _expressions(names):
@@ -485,20 +484,24 @@ def test_parse_inverts_print(doc):
     assert parse_map(print_map(doc)) == doc
 
 
-# -- the canonical route against the parser ----------------------------------------
+# -- the one reader against the two-route oracle -------------------------------------
 
 
 @contextlib.contextmanager
-def _declined():
-    """grammar with every canonical shortcut declined, so that the lexer
-    and _ExprParser read every vars line, poly line and expression."""
-    def decline(*args):
-        return None
-
-    with mock.patch.object(grammar, "_canonical", decline), \
-            mock.patch.object(grammar, "_canonical_vars", decline), \
-            mock.patch.object(grammar, "_canonical_head", decline):
+def _oracle_reader():
+    """textio with the oracle's two-route reader in place of grammar's, so
+    that its canonical route or its lexer and parser read every vars
+    line, poly line and expression."""
+    with mock.patch.object(textio, "read_expression", read_expression_by_routes), \
+            mock.patch.object(textio, "vars_line", vars_line_by_routes), \
+            mock.patch.object(textio, "poly_line", poly_line_by_routes):
         yield
+
+
+def _read(text, varmap, varcount, lineno=1):
+    """grammar.read_expression as textio holds it, which _oracle_reader
+    replaces."""
+    return textio.read_expression(text, varmap, varcount, lineno)
 
 
 def _shape(p):
@@ -510,8 +513,8 @@ def _shape(p):
 
 def _assert_routes_agree(shape, read, *args):
     """shape(read(*args)), or its error's type and text (a ParseError's
-    text holds its message, line and column), is the same whether the
-    canonical route runs or is declined."""
+    text holds its message, line and column), is the same from the one
+    reader as from the oracle's."""
     def outcome():
         try:
             return shape(read(*args))
@@ -519,7 +522,7 @@ def _assert_routes_agree(shape, read, *args):
             return type(e), str(e)
 
     got = outcome()
-    with _declined():
+    with _oracle_reader():
         assert got == outcome(), args
 
 
@@ -553,26 +556,29 @@ _TABLE_NAMES = ["x1", "x4", "x5"] * 2 + ["x6", "x7"]
                  _texts(_TABLE_NAMES).map(lambda t: (t, True)),
                  _near_canonical(_TABLE_NAMES).map(lambda t: (t, True))),
        st.integers(1, 3))
-def test_canonical_route_matches_the_parser(case, lineno):
+def test_one_reader_matches_the_oracle(case, lineno):
     """The same terms, order, coefficient types and shared variables, or
-    the same ParseError, with the canonical route and without it; over x,
-    y and over the default names at dim 5 (x6 and x7 undeclared)."""
+    the same ParseError, from the one reader and from the oracle's two
+    routes; over x, y and over the default names at dim 5 (x6 and x7
+    undeclared)."""
     text, table = case
     varmap, varcount = (textio._default_names(7)[1], 5) if table else XY
-    _assert_routes_agree(_shape, grammar.read_expression, text, varmap, varcount, lineno)
+    _assert_routes_agree(_shape, _read, text, varmap, varcount, lineno)
 
 
-def test_canonical_route_matches_the_parser_at_the_edges():
-    many = "*".join(["x"] * 70)  # more factors than the route takes
+def test_one_reader_matches_the_oracle_at_the_edges():
+    many = "*".join(["x"] * 70)  # more factors than the whole-term regex takes
     for text in ["0", "-0", "x", "-x", "x^1", "1*x", "x - x + x", "x + y - y", "x^0", "x^0*y",
                  "y*x", "x*x", "1/2*x + 1/2*x", "1/2*x*y + 1/2*x*y", "1/2 + 1/2",
                  "3/4*x^2 - 1/4*x^2", "4/2*x", "0*z + x", "x*y - y*x + 1", "--x",
                  "x - -y", "x +  y", " x", "x ", "- x", "x-y", "x+y", "2x", "x*2", "x^",
                  "x^-1", "1/0*x", "0/5", many, "1*" + many, f"x^{MAX_EXPONENT}",
                  f"x^{MAX_EXPONENT + 1}", "9" * 5000 + "*x", "9" * 5000,
-                 "x\u3000+ y", "x\xa0+ y", "x\x0b", "é", "x + ٣", "x²", "x #c", "x\t+ y"]:
+                 "x\u3000+ y", "x\xa0+ y", "x\x0b", "é", "x + ٣", "x²", "x #c", "x\t+ y",
+                 # a stray character later in the line is reported first
+                 "x + + $", "x ) ²", "(x $", "x^y \u3000"]:
         for varmap, varcount in [XY, ({"x": 0, "y": 1, "z": 2}, 2)]:
-            _assert_routes_agree(_shape, grammar.read_expression, text, varmap, varcount)
+            _assert_routes_agree(_shape, _read, text, varmap, varcount)
 
 
 def _doc_shape(doc):
@@ -601,17 +607,17 @@ def _lines(names):
 @given(st.one_of(st.lists(_lines(_XYZ_NAMES), max_size=6),
                  st.lists(_lines(_TABLE_NAMES[:4]), max_size=6)),
        st.booleans())
-def test_canonical_documents_match_the_parser(lines, vars_first):
-    """parse_map with and without the canonical routes for vars lines,
-    poly heads and expressions: duplicate and reserved names, poly lines
-    before the vars line, Unicode whitespace, tabs, double spaces and
-    comments give the same document or the same ParseError."""
+def test_one_reader_matches_the_oracle_on_documents(lines, vars_first):
+    """parse_map with the one reader and with the oracle's two routes for
+    vars lines, poly heads and expressions: duplicate and reserved names,
+    poly lines before the vars line, Unicode whitespace, tabs, double
+    spaces and comments give the same document or the same ParseError."""
     if vars_first:
         lines = ["vars x y z x1 x4 x5 x6"] + lines
     _assert_routes_agree(_doc_shape, parse_map, "\n".join(lines))
 
 
-def test_canonical_documents_match_the_parser_at_the_edges():
+def test_one_reader_matches_the_oracle_on_documents_at_the_edges():
     for text in ["vars x y\npoly f1 = x", "vars x x\npoly f1 = x", "vars x x", "vars x poly",
                  "vars é\npoly f1 = é", "vars x 2x", "vars x y\nvars z", "poly f1 = x\nvars x",
                  "vars x\npoly f1 = x\npoly f1 = x", "vars x\npoly vars = x",
@@ -619,7 +625,10 @@ def test_canonical_documents_match_the_parser_at_the_edges():
                  "vars x\npoly f1 = x # c", "vars x\npoly f1=x", "vars x\npoly  f1 = x",
                  "vars x\npoly f1 =  x", "vars x\npoly f1 = ", "vars x y \npoly f1 = y",
                  "vars  x\npoly f1 = x", "vars x\tz\npoly f1 = z", "vars x\npoly f1 = y",
-                 "vars x\npoly é = x", "vars x\npoly f1 = 2x", "vars x y\npoly f1 = y\x0bx"]:
+                 "vars x\npoly é = x", "vars x\npoly f1 = 2x", "vars x y\npoly f1 = y\x0bx",
+                 # a stray character later in the line is reported first
+                 "vars x x $", "vars x\nvars y $", "vars x\npoly vars = $", "vars x\npoly f1 x $",
+                 "poly f1 = x $\nvars x"]:
         _assert_routes_agree(_doc_shape, parse_map, text)
 
 
@@ -628,7 +637,7 @@ def test_canonical_documents_match_the_parser_at_the_edges():
        st.dictionaries(st.sampled_from(["0", "1", "2", "4", "5", "01"]),
                        st.one_of(_near_canonical(["x", "y", "z", "x1", "x2", "x5", "x6"]),
                                  _texts(["x", "y", "x1", "x5", "x6"])), max_size=3))
-def test_canonical_shear_addends_match_the_parser(dim, addends):
+def test_one_reader_matches_the_oracle_on_shear_addends(dim, addends):
     """A shear's addends over the default names of its dim, names past the
     dim included, decode to the same shear or fail alike."""
     def shape(a):
@@ -641,10 +650,11 @@ def test_canonical_shear_addends_match_the_parser(dim, addends):
 def test_written_certificates_decode_without_the_parser(tmp_path):
     """Every certificate that `reduce --to yagzhev` and `symmetrize` write
     for the corpus, Pinchuk's 497-variable one included, decodes with the
-    lexer and the parser refusing, and encodes back to the same JSON: the
-    printer's text all takes the canonical route."""
+    reader's factor-by-factor method refusing, and encodes back to the
+    same JSON: every term of the printer's text is read whole by the term
+    regex."""
     def refuse(*args):
-        raise AssertionError("the lexer or the parser was reached")
+        raise AssertionError("a term was read factor by factor")
 
     docs = []
     for e in corpus():
@@ -654,8 +664,7 @@ def test_written_certificates_decode_without_the_parser(tmp_path):
                     contextlib.redirect_stderr(io.StringIO()):
                 assert cli.main(argv + ["--cert", str(path)]) == 0, argv
             docs.append(json.loads(path.read_text(encoding="utf-8")))
-    with mock.patch.object(grammar, "_lex", refuse), \
-            mock.patch.object(grammar, "_ExprParser", refuse):
+    with mock.patch.object(grammar._Reader, "_term", refuse):
         certs = [certificate_from_json(d) for d in docs]
     assert max(c.target.n_in for c in certs) == 497
     for cert, d in zip(certs, docs):
@@ -670,30 +679,32 @@ def _timed(fn):
 
 
 def test_hostile_lines_cost_the_route_no_more_than_the_parser():
-    """A 1 MB line that stops being canonical at its last character, and a
-    canonical line of 10**5 terms, each timed once.  The route declines
-    the first in a small part of the time the parser then takes to fail
-    on it, and reads the second faster than the parser does; both end as
-    the parser ends them.  The margins (about 1000x and 3x) leave room
-    for a loaded machine."""
+    """Three long lines for the one reader against the oracle.  A 1 MB
+    line that fails at its last character, and a canonical line of 10**5
+    terms in parentheses followed by ' + $', each end in the oracle's
+    ParseError with a tracemalloc peak under 5 MB (the oracle's lexer
+    held each line as tokens, about 100 MB); the canonical line alone,
+    timed once each, gives the oracle's Poly no slower than the oracle's
+    lexer and parser read it (about 3x faster, room for a loaded
+    machine)."""
     varmap = {"x1": 0, "x2": 1}
-
-    def parser(text):
-        return grammar._ExprParser(grammar._lex(text, 1), varmap, 2, 1, len(text)).parse()
-
-    hostile = "x1*" * (10 ** 6 // 3) + "$"
-    declined, declined_s = _timed(lambda: grammar._canonical(hostile, 0, varmap, 2))
-    assert declined is None
-    start = time.perf_counter()
-    with pytest.raises(ParseError, match="unexpected character '\\$'"):
-        grammar.read_expression(hostile, varmap, 2)
-    assert declined_s < 0.1 * (time.perf_counter() - start)
-
     long = " + ".join(f"{k}*x1^{k % 9}*x2" for k in range(1, 10 ** 5 + 1))
-    got, routed_s = _timed(lambda: grammar.read_expression(long, varmap, 2))
-    want, parsed_s = _timed(lambda: parser(long))
+    for hostile in ["x1*" * (10 ** 6 // 3) + "$", f"({long}) + $"]:
+        want = _outcome(read_expression_by_routes, hostile, varmap, 2)
+        assert want[0] == "unexpected character '$'"
+        tracemalloc.start()
+        try:
+            got = _outcome(grammar.read_expression, hostile, varmap, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 5 * 2 ** 20, peak
+
+    got, read_s = _timed(lambda: grammar.read_expression(long, varmap, 2))
+    want, parsed_s = _timed(lambda: parse_by_terms(long, varmap, 2))
     assert _shape(got) == _shape(want)
-    assert routed_s < parsed_s
+    assert read_s < parsed_s
 
 
 # -- JSON ---------------------------------------------------------------------
