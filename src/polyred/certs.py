@@ -2,14 +2,17 @@
 
 A certificate links a source map to a target map through a sequence of
 moves, each one an elementary operation whose effect on a map is fully
-determined by its stored data:
+determined by its stored data: ExtendFreshVars(k) appends k fresh
+variables to both sides, PostCompose(A) makes F into A after F,
+PreCompose(A) into F after A, and SegreExtend into (F(t x)/t, t) for a
+fresh last variable t.  Each kind is one class, which holds
 
-  * ExtendFreshVars(k): append k fresh variables, acting as the
-    identity on them, at the end of both domain and codomain.
-  * PostCompose(A): replace F by A after F.
-  * PreCompose(A): replace F by F after A.
-  * SegreExtend: replace F (no constant terms) by (F(t x)/t, t) with a
-    fresh last variable t.
+  * tag, its JSON name (MOVES maps tags to classes), and auto, the
+    automorphism it stores or None;
+  * dims(n_in, n_out), the shape it leaves or a ValueError: the one
+    shape rule, read by replay and by the certificate decoder;
+  * replay(f), the map after it, and transport(x, y, rng), the graph
+    point it makes of (x, F(x) = y), or None to skip the sample.
 
 A certificate is its source, its moves and its target, nothing else.
 Verification replays the moves once, from the source, checking each
@@ -63,7 +66,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import Optional
 
 from .maps import PolyMap
 from .poly import ExactDivisionError, Poly, mono_degree, qdiv
@@ -296,51 +299,72 @@ class ShearAutomorphism:
 @dataclass(frozen=True)
 class ExtendFreshVars:
     count: int
+    tag = "extend"
+    auto = None
+
+    def dims(self, n_in: int, n_out: int) -> tuple:
+        if self.count < 1:
+            raise ValueError("must add at least one fresh variable")
+        return n_in + self.count, n_out + self.count
+
+    def replay(self, f: PolyMap) -> PolyMap:
+        n = f.n_in + self.count
+        comps = [c.extend(n) for c in f.components]
+        comps.extend(Poly.variable(n, i) for i in range(f.n_in, n))
+        tops = None if f.tops is None else f.tops + list(range(f.n_in, n))
+        return PolyMap(comps, tops)
+
+    def transport(self, x: list, y: list, rng: random.Random):
+        z = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(self.count)]
+        return x + z, y + z
 
 
 @dataclass(frozen=True)
 class PostCompose:
     auto: Automorphism
+    tag = "post"
+
+    def dims(self, n_in: int, n_out: int) -> tuple:
+        if self.auto.dim != n_out:
+            raise ValueError(f"an automorphism of dim {self.auto.dim} acts on dim {n_out}")
+        return n_in, n_out
+
+    def replay(self, f: PolyMap) -> PolyMap:
+        return self.auto.post(f)
+
+    def transport(self, x: list, y: list, rng: random.Random):
+        return x, self.auto.push(y)
 
 
 @dataclass(frozen=True)
 class PreCompose:
     auto: Automorphism
+    tag = "pre"
+
+    def dims(self, n_in: int, n_out: int) -> tuple:
+        if self.auto.dim != n_in:
+            raise ValueError(f"an automorphism of dim {self.auto.dim} acts on dim {n_in}")
+        return n_in, n_out
+
+    def replay(self, f: PolyMap) -> PolyMap:
+        return self.auto.pre(f)
+
+    def transport(self, x: list, y: list, rng: random.Random):
+        nx = self.auto.pull(x)
+        return None if nx is None else (nx, y)
 
 
 @dataclass(frozen=True)
 class SegreExtend:
-    pass
+    tag = "segre"
+    auto = None
 
+    def dims(self, n_in: int, n_out: int) -> tuple:
+        return n_in + 1, n_out + 1
 
-Move = Union[ExtendFreshVars, PostCompose, PreCompose, SegreExtend]
-
-
-def apply_move(f: PolyMap, move: Move) -> PolyMap:
-    """The map after one move.
-
-    An automorphism replays itself (post and pre), keeping the components
-    it does not touch as the same objects.  Extensions and the structured
-    kinds hand the summary (PolyMap.tops) on; the other moves drop it.
-    """
-    if isinstance(move, ExtendFreshVars):
-        k = move.count
-        if k < 1:
-            raise ValueError("must add at least one fresh variable")
-        n = f.n_in + k
-        comps = [c.extend(n) for c in f.components]
-        comps.extend(Poly.variable(n, f.n_in + i) for i in range(k))
-        tops = None if f.tops is None else f.tops + list(range(f.n_in, n))
-        return PolyMap(comps, tops)
-    if isinstance(move, PostCompose):
-        if move.auto.dim != f.n_out:
-            raise ValueError("post-composition shape mismatch")
-        return move.auto.post(f)
-    if isinstance(move, PreCompose):
-        if move.auto.dim != f.n_in:
-            raise ValueError("pre-composition shape mismatch")
-        return move.auto.pre(f)
-    if isinstance(move, SegreExtend):
+    def replay(self, f: PolyMap) -> PolyMap:
+        # replay checks this, not dims, so that a certificate with a Segre
+        # move on a map that is not square decodes and then fails replay
         if not f.is_endomorphism():
             raise ValueError("the Segre move needs an endomorphism")
         if any(c.constant_term() != 0 for c in f.components):
@@ -350,13 +374,27 @@ def apply_move(f: PolyMap, move: Move) -> PolyMap:
         comps = [Poly(n + 1, {(m + ((n, d - 1),) if (d := mono_degree(m)) > 1 else m): c
                               for m, c in comp.terms.items()}) for comp in f.components]
         return PolyMap(comps + [Poly.variable(n + 1, n)])
-    raise TypeError(f"unknown move {move!r}")
+
+    def transport(self, x: list, y: list, rng: random.Random):
+        t = Fraction(rng.randrange(1, 7), rng.randrange(1, 4))
+        if rng.randrange(2):
+            t = -t
+        return [xi / t for xi in x] + [t], [yi / t for yi in y] + [t]
+
+
+MOVES = {m.tag: m for m in (ExtendFreshVars, PostCompose, PreCompose, SegreExtend)}
+
+
+def apply_move(f: PolyMap, move) -> PolyMap:
+    """The map after one move: its shape rule (dims), then its replay."""
+    move.dims(f.n_in, f.n_out)
+    return move.replay(f)
 
 
 class Certificate:
     """Source, target, and the moves that carry one to the other."""
 
-    def __init__(self, source: PolyMap, target: PolyMap, moves: List[Move],
+    def __init__(self, source: PolyMap, target: PolyMap, moves: list,
                  kind: str = "reduction"):
         self.source = source
         self.target = target
@@ -374,10 +412,10 @@ class CertificateBuilder:
     def __init__(self, source: PolyMap, kind: str = "reduction"):
         self.source = source
         self.kind = kind
-        self.moves: List[Move] = []
+        self.moves: list = []
         self.current = source
 
-    def push(self, move: Move) -> PolyMap:
+    def push(self, move) -> PolyMap:
         self.current = apply_move(self.current, move)
         self.moves.append(move)
         return self.current
@@ -402,7 +440,7 @@ def verify_certificate(cert: Certificate) -> CertReport:
     autos = 0
     cur = cert.source
     for idx, move in enumerate(cert.moves):
-        if isinstance(move, (PostCompose, PreCompose)):
+        if move.auto is not None:
             reason = move.auto.verify_two_sided()
             autos += 1
             if reason is not None:
@@ -425,24 +463,6 @@ class FiberReport:
     issues: list = field(default_factory=list)
 
 
-def _transport(move: Move, x: list, y: list, rng: random.Random):
-    """Push a graph point (x, F(x) = y) through one move; None skips."""
-    if isinstance(move, ExtendFreshVars):
-        z = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(move.count)]
-        return x + z, y + z
-    if isinstance(move, PostCompose):
-        return x, move.auto.push(y)
-    if isinstance(move, PreCompose):
-        nx = move.auto.pull(x)
-        return None if nx is None else (nx, y)
-    if isinstance(move, SegreExtend):
-        t = Fraction(rng.randrange(1, 7), rng.randrange(1, 4))
-        if rng.randrange(2):
-            t = -t
-        return [xi / t for xi in x] + [t], [yi / t for yi in y] + [t]
-    raise TypeError(f"unknown move {move!r}")
-
-
 def fiber_transport_check(cert: Certificate, seed: int = 0, samples: int = 20) -> FiberReport:
     """Sample fiber points of the source and chase them through every
     move's point correspondence; the transported points must satisfy the
@@ -458,7 +478,7 @@ def fiber_transport_check(cert: Certificate, seed: int = 0, samples: int = 20) -
         y = cert.source.eval_at(x)
         dead = False
         for idx, move in enumerate(cert.moves):
-            nxt = _transport(move, x, y, rng)
+            nxt = move.transport(x, y, rng)
             if nxt is None:
                 skipped += 1
                 dead = True

@@ -48,8 +48,8 @@ from dataclasses import asdict, dataclass, field
 from math import gcd
 from typing import Optional, Sequence
 
-from .certs import (Automorphism, Certificate, CertReport, ExtendFreshVars, FiberReport,
-                    PostCompose, PreCompose, RationalMap, SegreExtend, ShearAutomorphism)
+from .certs import (MOVES, Automorphism, Certificate, CertReport, FiberReport, RationalMap,
+                    ShearAutomorphism)
 from .affine import AffineAutomorphism, affine_text, read_affine
 from .grammar import ParseError, _terms_text, poly_line, read_expression, vars_line
 from .grammar import MAX_EXPONENT, MAX_NESTING  # noqa: F401  (textio.MAX_EXPONENT is documented)
@@ -329,29 +329,27 @@ def automorphism_from_json(d: dict):
     return Automorphism(_map_from_text(fwd_text) if fwd is None else fwd, inv, label)
 
 
+# a move is its tag and then its fields, in the order its class declares
+# them (dataclass lists them as __match_args__), each by a key, writer, reader
+_MOVE_FIELDS = {"count": ("count", int, _dim_field),
+                "auto": ("automorphism", automorphism_to_json,
+                         lambda d, k: automorphism_from_json(_field(d, k, dict)))}
+
+
 def move_to_json(move) -> dict:
-    if isinstance(move, ExtendFreshVars):
-        return {"move": "extend", "count": move.count}
-    if isinstance(move, PostCompose):
-        return {"move": "post", "automorphism": automorphism_to_json(move.auto)}
-    if isinstance(move, PreCompose):
-        return {"move": "pre", "automorphism": automorphism_to_json(move.auto)}
-    if isinstance(move, SegreExtend):
-        return {"move": "segre"}
-    raise TypeError(f"unknown move {move!r}")
+    d = {"move": move.tag}
+    for name in move.__match_args__:
+        key, write, _ = _MOVE_FIELDS[name]
+        d[key] = write(getattr(move, name))
+    return d
 
 
 def move_from_json(d: dict):
     kind = d.get("move") if isinstance(d, dict) else None
-    if kind == "extend":
-        return ExtendFreshVars(_dim_field(d, "count"))
-    if kind == "post":
-        return PostCompose(automorphism_from_json(_field(d, "automorphism", dict)))
-    if kind == "pre":
-        return PreCompose(automorphism_from_json(_field(d, "automorphism", dict)))
-    if kind == "segre":
-        return SegreExtend()
-    raise ValueError(f"unknown move kind {kind!r}")
+    cls = MOVES.get(kind) if type(kind) is str else None
+    if cls is None:
+        raise ValueError(f"unknown move kind {kind!r}")
+    return cls(*[read(d, key) for key, _, read in map(_MOVE_FIELDS.get, cls.__match_args__)])
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -369,8 +367,7 @@ def certificate_from_json(d: dict) -> Certificate:
     """Parse a certificate document; nothing is replayed here.
 
     Versions 1 and 2 are read.  The map's shape is followed through the
-    moves by arithmetic alone (extend adds its count to both sides, segre
-    adds one, post and pre keep both), so a document of the wrong shape,
+    moves by each move's dims alone, so a document of the wrong shape,
     an automorphism whose dim disagrees with the map it acts on, and a
     move that takes the map past DEFAULT_BUDGET.max_dim variables all
     raise ValueError before any map is built.  Whether the moves really
@@ -389,18 +386,13 @@ def certificate_from_json(d: dict) -> Certificate:
     moves = [move_from_json(m) for m in _field(d, "moves", list)]
     n_in, n_out = source.n_in, source.n_out
     for k, m in enumerate(moves):
-        if isinstance(m, ExtendFreshVars):
-            n_in, n_out = n_in + m.count, n_out + m.count
-        elif isinstance(m, SegreExtend):
-            n_in, n_out = n_in + 1, n_out + 1
-        else:
-            n = n_out if isinstance(m, PostCompose) else n_in
-            if m.auto.dim != n:
-                raise ValueError(f"move {k}: an automorphism of dim "
-                                 f"{m.auto.dim} acts on dim {n}")
-        if max(n_in, n_out) > DEFAULT_BUDGET.max_dim:
-            raise ValueError(f"move {k}: the map would have more than "
-                             f"{DEFAULT_BUDGET.max_dim} variables")
+        try:
+            n_in, n_out = m.dims(n_in, n_out)
+            if max(n_in, n_out) > DEFAULT_BUDGET.max_dim:
+                raise ValueError(f"the map would have more than "
+                                 f"{DEFAULT_BUDGET.max_dim} variables")
+        except ValueError as e:
+            raise ValueError(f"move {k}: {e}") from None
     return Certificate(source, target, moves, kind)
 
 

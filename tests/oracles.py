@@ -79,7 +79,11 @@ two on random inputs:
     throughout, is also the reference for ratpoint.RationalPoint's integer
     evaluation), and the Poly helpers only the
     tests use (mono_to_dense, mono_from_dense, from_terms, coefficient,
-    linear_part, homogeneous_components).
+    linear_part, homogeneous_components);
+  * the ladders over move classes and JSON tags: apply_move, _transport,
+    move_to_json, move_from_json and certificate_from_json's dimension
+    walk, each an isinstance or tag test per kind, which the move classes'
+    tag, auto, dims, replay and transport and one tag table replaced.
 """
 
 from __future__ import annotations
@@ -92,7 +96,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from polyred.affine import AffineAutomorphism
-from polyred.certs import Automorphism, CertificateBuilder, PostCompose, PreCompose
+from polyred.certs import (Automorphism, Certificate, CertificateBuilder, ExtendFreshVars,
+                           PostCompose, PreCompose, SegreExtend)
 from polyred.elim import _q_trim, poly_matrix_det, q_derive, z_exact_div, z_gcd, z_mul, z_sub
 from polyred.grammar import MAX_EXPONENT, MAX_NESTING, RESERVED, ParseError, _poly
 from polyred.linalg import RatMatrix, sparse_det, sparse_inverse
@@ -101,7 +106,8 @@ from polyred.maps import (DEFAULT_BUDGET, GenericityError, PolyMap, eval_jacobia
 from polyred.poly import (ExactDivisionError, GRLEX_KEY, Poly, ZERO_MONO, as_coeff,
                           mono_degree, mono_div, mono_divides, mono_exponent, mono_mul, qdiv)
 from polyred.reduce import _check_time
-from polyred.textio import parse_map
+from polyred.textio import (_dim_field, _field, _map_from_text, automorphism_from_json,
+                            automorphism_to_json, parse_map)
 
 
 def uni_coeffs(p: Poly, var: int) -> list:
@@ -1273,7 +1279,7 @@ def permutation_by_maps(n: int, perm, label: str = "") -> Automorphism:
     """AffineAutomorphism.permutation as it first was: a general Automorphism
     whose forward map sends x to x[perm] and whose inverse map undoes it,
     so apply_move composes, verify_two_sided composes both ways and
-    _transport evaluates them."""
+    transport evaluates them."""
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation")
     fwd = PolyMap([Poly.variable(n, perm[i]) for i in range(n)])
@@ -1787,3 +1793,113 @@ def split_t_shape_by_subtraction(f: PolyMap):
                     "+ t^2*(cubic in X)")
         c_parts.append(c_terms)
     return n, c_parts
+
+
+# -- the ladders over move kinds ----------------------------------------------
+
+
+def apply_move_by_ladder(f: PolyMap, move) -> PolyMap:
+    """certs.apply_move as one isinstance test per move class."""
+    if isinstance(move, ExtendFreshVars):
+        k = move.count
+        if k < 1:
+            raise ValueError("must add at least one fresh variable")
+        n = f.n_in + k
+        comps = [c.extend(n) for c in f.components]
+        comps.extend(Poly.variable(n, f.n_in + i) for i in range(k))
+        tops = None if f.tops is None else f.tops + list(range(f.n_in, n))
+        return PolyMap(comps, tops)
+    if isinstance(move, PostCompose):
+        if move.auto.dim != f.n_out:
+            raise ValueError("post-composition shape mismatch")
+        return move.auto.post(f)
+    if isinstance(move, PreCompose):
+        if move.auto.dim != f.n_in:
+            raise ValueError("pre-composition shape mismatch")
+        return move.auto.pre(f)
+    if isinstance(move, SegreExtend):
+        if not f.is_endomorphism():
+            raise ValueError("the Segre move needs an endomorphism")
+        if any(c.constant_term() != 0 for c in f.components):
+            raise ValueError("the Segre move needs zero constant terms")
+        # F_i(t x)/t: each term c*x^m of degree d gains t^(d - 1)
+        n = f.n_in
+        comps = [Poly(n + 1, {(m + ((n, d - 1),) if (d := mono_degree(m)) > 1 else m): c
+                              for m, c in comp.terms.items()}) for comp in f.components]
+        return PolyMap(comps + [Poly.variable(n + 1, n)])
+    raise TypeError(f"unknown move {move!r}")
+
+
+def transport_by_ladder(move, x: list, y: list, rng: random.Random):
+    """certs._transport: push a graph point (x, F(x) = y) through one
+    move; None skips."""
+    if isinstance(move, ExtendFreshVars):
+        z = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(move.count)]
+        return x + z, y + z
+    if isinstance(move, PostCompose):
+        return x, move.auto.push(y)
+    if isinstance(move, PreCompose):
+        nx = move.auto.pull(x)
+        return None if nx is None else (nx, y)
+    if isinstance(move, SegreExtend):
+        t = Fraction(rng.randrange(1, 7), rng.randrange(1, 4))
+        if rng.randrange(2):
+            t = -t
+        return [xi / t for xi in x] + [t], [yi / t for yi in y] + [t]
+    raise TypeError(f"unknown move {move!r}")
+
+
+def move_to_json_by_ladder(move) -> dict:
+    if isinstance(move, ExtendFreshVars):
+        return {"move": "extend", "count": move.count}
+    if isinstance(move, PostCompose):
+        return {"move": "post", "automorphism": automorphism_to_json(move.auto)}
+    if isinstance(move, PreCompose):
+        return {"move": "pre", "automorphism": automorphism_to_json(move.auto)}
+    if isinstance(move, SegreExtend):
+        return {"move": "segre"}
+    raise TypeError(f"unknown move {move!r}")
+
+
+def move_from_json_by_ladder(d: dict):
+    kind = d.get("move") if isinstance(d, dict) else None
+    if kind == "extend":
+        return ExtendFreshVars(_dim_field(d, "count"))
+    if kind == "post":
+        return PostCompose(automorphism_from_json(_field(d, "automorphism", dict)))
+    if kind == "pre":
+        return PreCompose(automorphism_from_json(_field(d, "automorphism", dict)))
+    if kind == "segre":
+        return SegreExtend()
+    raise ValueError(f"unknown move kind {kind!r}")
+
+
+def certificate_from_json_by_ladders(d: dict) -> Certificate:
+    """textio.certificate_from_json with move_from_json_by_ladder and the
+    dimension walk by arithmetic per kind."""
+    if not isinstance(d, dict) or d.get("format") != "polyred-certificate":
+        raise ValueError("not a certificate document")
+    version = d.get("version")
+    if type(version) is not int or version not in (1, 2):
+        raise ValueError(f"unsupported certificate version {version!r}")
+    kind = d.get("kind", "reduction")
+    if type(kind) is not str:
+        raise ValueError("'kind' is not a string")
+    source = _map_from_text(_field(d, "source", str))
+    target = _map_from_text(_field(d, "target", str))
+    moves = [move_from_json_by_ladder(m) for m in _field(d, "moves", list)]
+    n_in, n_out = source.n_in, source.n_out
+    for k, m in enumerate(moves):
+        if isinstance(m, ExtendFreshVars):
+            n_in, n_out = n_in + m.count, n_out + m.count
+        elif isinstance(m, SegreExtend):
+            n_in, n_out = n_in + 1, n_out + 1
+        else:
+            n = n_out if isinstance(m, PostCompose) else n_in
+            if m.auto.dim != n:
+                raise ValueError(f"move {k}: an automorphism of dim "
+                                 f"{m.auto.dim} acts on dim {n}")
+        if max(n_in, n_out) > DEFAULT_BUDGET.max_dim:
+            raise ValueError(f"move {k}: the map would have more than "
+                             f"{DEFAULT_BUDGET.max_dim} variables")
+    return Certificate(source, target, moves, kind)

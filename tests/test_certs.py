@@ -1,15 +1,21 @@
 import collections
+import contextlib
+import functools
+import io
 import itertools
 import json
 import random
+import tempfile
+from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from polyred import certs
+from polyred import certs, cli
 from polyred.affine import AffineAutomorphism
 from polyred.certs import (
     Automorphism,
@@ -21,18 +27,19 @@ from polyred.certs import (
     RationalMap,
     SegreExtend,
     ShearAutomorphism,
-    _transport,
     apply_move,
     fiber_transport_check,
     substitute_rational,
     verify_certificate,
 )
-from polyred.examples import builtin_example
+from polyred.examples import builtin_example, corpus
 from polyred.linalg import RatMatrix
-from polyred.maps import PolyMap
+from polyred.maps import DEFAULT_BUDGET, PolyMap
 from polyred.poly import ExactDivisionError, Poly, as_coeff, qdiv
 from polyred.reduce import meng_symmetrize, to_yagzhev
-from polyred.textio import automorphism_from_json, automorphism_to_json
+from polyred.textio import (automorphism_from_json, automorphism_to_json,
+                            certificate_from_json, certificate_to_json, move_from_json,
+                            move_to_json)
 
 
 def V(n, i):
@@ -173,8 +180,8 @@ def test_shear_moves_match_full_map_composition(case):
 def test_shear_transport_matches_full_map_evaluation(sh, rng):
     x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(sh.n)]
     y = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(sh.n)]
-    assert _transport(PostCompose(sh), x, y, rng) == (x, realize(sh).eval_at(y))
-    assert _transport(PreCompose(sh), x, y, rng) == (realize(sh, -1).eval_at(x), y)
+    assert PostCompose(sh).transport(x, y, rng) == (x, realize(sh).eval_at(y))
+    assert PreCompose(sh).transport(x, y, rng) == (realize(sh, -1).eval_at(x), y)
 
 
 def test_permutation_automorphism():
@@ -230,7 +237,7 @@ def test_permutation_transport_matches_general_evaluation(perm, rng):
     x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(n)]
     y = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(n)]
     for move in (PostCompose, PreCompose):
-        assert _transport(move(a), x, y, rng) == _transport(move(general), x, y, rng)
+        assert move(a).transport(x, y, rng) == move(general).transport(x, y, rng)
 
 
 @settings(max_examples=150, deadline=None)
@@ -324,7 +331,7 @@ def test_affine_replay_and_transport_match_the_general_route(case, data):
     x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(n)]
     y = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(n)]
     for move in (PostCompose, PreCompose):
-        assert _transport(move(a), x, y, rng) == _transport(move(general), x, y, rng)
+        assert move(a).transport(x, y, rng) == move(general).transport(x, y, rng)
 
 
 @settings(max_examples=150, deadline=None)
@@ -824,3 +831,183 @@ def test_pinchuk_replay_scans_few_variable_sets(monkeypatch):
     assert verify_certificate(trace.certificate).ok
     assert calls["variables_used"] < 2000
     assert calls["substitute"] == 717
+
+
+# -- the move classes against the ladders they replaced ----------------------
+
+
+def _assert_routes_agree(f, moves, seed):
+    """Replay, transport and encode the moves through the move classes and
+    through the oracle's ladders: every map on the way (its summary
+    included), every transported point and random state, and the JSON
+    bytes, decoded again by both routes, must be the same."""
+    fast = slow = f
+    for move in moves:
+        fast, slow = apply_move(fast, move), oracles.apply_move_by_ladder(slow, move)
+        assert _terms_in_order(fast) == _terms_in_order(slow)
+        assert fast.tops == slow.tops
+    rng, rng_ladder = random.Random(seed), random.Random()
+    x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(f.n_in)]
+    rng_ladder.setstate(rng.getstate())
+    point = ladder_point = (x, f.eval_at(x))
+    for move in moves:
+        point = move.transport(*point, rng)
+        ladder_point = oracles.transport_by_ladder(move, *ladder_point, rng_ladder)
+        assert point == ladder_point
+        assert rng.getstate() == rng_ladder.getstate()
+        if point is None:
+            break
+    text = json.dumps([move_to_json(m) for m in moves])
+    assert text == json.dumps([oracles.move_to_json_by_ladder(m) for m in moves])
+    for decode in (move_from_json, oracles.move_from_json_by_ladder):
+        assert json.dumps([move_to_json(decode(d)) for d in json.loads(text)]) == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(move_chains(), st.integers(0, 10 ** 6))
+@example(_below_top_chain(), 0)
+def test_move_classes_match_the_ladders(case, seed):
+    f, moves = case
+    _assert_routes_agree(f, moves, seed)
+
+
+@functools.cache
+def _corpus_certificates() -> tuple:
+    """The JSON text of every certificate `reduce --to yagzhev` and
+    `symmetrize` write for the corpus, Pinchuk's included."""
+    texts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for e in corpus():
+            for argv in (["reduce", e.id, "--to", "yagzhev"], ["symmetrize", e.id]):
+                path = Path(tmp) / f"{len(texts)}.json"
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    assert cli.main(argv + ["--cert", str(path)]) == 0, argv
+                texts.append(path.read_text(encoding="utf-8"))
+    return tuple(texts)
+
+
+def test_corpus_certificates_match_the_ladders():
+    texts = _corpus_certificates()
+    for k, text in enumerate(texts):
+        blob = json.loads(text)
+        cert = certificate_from_json(blob)
+        assert certificate_to_json(cert) == blob
+        assert certificate_to_json(oracles.certificate_from_json_by_ladders(blob)) == blob
+        _assert_routes_agree(cert.source, cert.moves, seed=k)
+    assert max(json.loads(t)["target"].count("\n") for t in texts) == 498  # Pinchuk's
+
+
+_BAD_VALUES = ["swizzle", "Extend", [], {"a": 1}, None, True, 0, -1, 2.5, "", "2", [5],
+               DEFAULT_BUDGET.max_dim + 1, 10 ** 6]
+
+
+def _move_json(n):
+    """A move in JSON for a map of about n variables: well formed, of the
+    wrong dim or count, with a field or tag of the wrong type, or not an
+    object at all."""
+    shear = st.integers(1, n + 2).map(
+        lambda m: automorphism_to_json(ShearAutomorphism(m, {m - 1: C(m, 1)})))
+    perm = st.integers(1, n + 2).flatmap(lambda m: st.permutations(range(m))).map(
+        lambda p: automorphism_to_json(AffineAutomorphism.permutation(len(p), p)))
+    bad = st.sampled_from(_BAD_VALUES)
+    return st.one_of(
+        st.builds(lambda k: {"move": "extend", "count": k},
+                  st.integers(1, 3) | st.just(DEFAULT_BUDGET.max_dim) | bad),
+        st.builds(lambda tag, a: {"move": tag, "automorphism": a},
+                  st.sampled_from(["post", "pre"]), shear | perm | bad),
+        st.sampled_from([{"move": "segre"}, {"move": "post"}, {"count": 1}]),
+        st.builds(lambda tag: {"move": tag}, bad),
+        bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(move_chains(), st.data())
+def test_malformed_moves_fail_decode_as_the_ladders_did(case, data):
+    # moves replaced or inserted, and a source whose last component is
+    # dropped, so that automorphisms meet the wrong side and a Segre move
+    # meets a map that is not an endomorphism
+    f, moves = case
+    b = CertificateBuilder(f)
+    for move in moves:
+        b.push(move)
+    blob = certificate_to_json(b.build())
+    for _ in range(data.draw(st.integers(1, 2))):
+        at = data.draw(st.integers(0, len(blob["moves"])))
+        bad = data.draw(_move_json(f.n_in))
+        if data.draw(st.booleans()) and at < len(blob["moves"]):
+            blob["moves"][at] = bad
+        else:
+            blob["moves"].insert(at, bad)
+    if f.n_out > 1 and data.draw(st.booleans()):
+        blob["source"] = blob["source"][:blob["source"].rindex("poly")]
+
+    def outcome(decode):
+        try:
+            return json.dumps(certificate_to_json(decode(blob)))
+        except Exception as e:  # whatever either route raises, the other must too
+            return type(e), str(e)
+
+    assert outcome(certificate_from_json) == outcome(oracles.certificate_from_json_by_ladders)
+
+
+# -- a toy move kind, as one class --------------------------------------------
+
+
+@dataclass(frozen=True)
+class BothSides:
+    """F -> A after F after A: a move kind defined here, in the tests, to
+    show that a new kind is one class and an entry in certs.MOVES."""
+
+    auto: Automorphism
+    tag = "both"
+
+    def dims(self, n_in: int, n_out: int) -> tuple:
+        if not self.auto.dim == n_in == n_out:
+            raise ValueError(f"an automorphism of dim {self.auto.dim} acts on both "
+                             f"sides of {n_in} -> {n_out}")
+        return n_in, n_out
+
+    def replay(self, f: PolyMap) -> PolyMap:
+        return self.auto.post(self.auto.pre(f))
+
+    def transport(self, x: list, y: list, rng: random.Random):
+        nx = self.auto.pull(x)
+        return None if nx is None else (nx, self.auto.push(y))
+
+
+def test_a_new_move_kind_is_one_class(monkeypatch):
+    monkeypatch.setitem(certs.MOVES, BothSides.tag, BothSides)
+    x, v = V(2, 0), V(2, 1)
+    f = PolyMap([x + v ** 2, v + x * v])
+    shear = ShearAutomorphism(3, {0: V(3, 1) * V(3, 2)})
+    w = C(2, 1) + x * x
+    sigma = Automorphism(PolyMap([x, v * w]), RationalMap([x * w, v], w))
+    b = CertificateBuilder(f, kind="toy")
+    b.push(BothSides(sigma))
+    b.push(ExtendFreshVars(1))
+    b.push(BothSides(shear))
+    cert = b.build()
+    lifted = apply_move(sigma.forward.compose(f.compose(sigma.forward)), ExtendFreshVars(1))
+    assert cert.target == realize(shear).compose(lifted.compose(realize(shear)))
+    rep = verify_certificate(cert)
+    assert rep.ok and (rep.moves_checked, rep.autos_checked) == (3, 2), rep.issues
+    fib = fiber_transport_check(cert, seed=5, samples=12)
+    assert fib.ok and fib.samples_run == 12, fib.issues
+    text = json.dumps(certificate_to_json(cert))
+    assert json.loads(text)["moves"][2] == {"move": "both",
+                                             "automorphism": automorphism_to_json(shear)}
+    back = certificate_from_json(json.loads(text))
+    assert json.dumps(certificate_to_json(back)) == text
+    assert verify_certificate(back).ok
+    # the decoder walks the new kind's shape rule like any other
+    blob = json.loads(text)
+    blob["moves"].append(blob["moves"][0])
+    with pytest.raises(ValueError, match="^move 3: an automorphism of dim 2 acts on both"):
+        certificate_from_json(blob)
+    # and a forged inverse or target is caught by its check and by transport
+    forged = BothSides(Automorphism(sigma.forward, PolyMap([x, v])))
+    assert not verify_certificate(Certificate(f, forged.replay(f), [forged])).ok
+    wrong = Certificate(cert.source, PolyMap.identity(3), cert.moves)
+    assert not verify_certificate(wrong).ok
+    assert not fiber_transport_check(wrong, seed=5, samples=4).ok

@@ -7,6 +7,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from importlib import resources
 from unittest import mock
 
 import pytest
@@ -18,7 +19,7 @@ from oracles import (affine_maps, from_terms, parse_by_poly_arithmetic, parse_by
                      read_expression_by_routes, vars_line_by_routes)
 from polyred import cli, grammar, poly, textio
 from polyred.affine import AffineAutomorphism
-from polyred.certs import (Automorphism, Certificate, RationalMap, ShearAutomorphism,
+from polyred.certs import (MOVES, Automorphism, Certificate, RationalMap, ShearAutomorphism,
                            fiber_transport_check, verify_certificate)
 from polyred.examples import builtin_example, builtin_ids, corpus
 from polyred.linalg import RatMatrix
@@ -928,8 +929,22 @@ def test_plane_quad_certificate_decodes_its_cycle_as_a_permutation():
 
 
 def test_move_json_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        move_from_json({"move": "swizzle"})
+    # a tag that is not a string is refused before the tag table is read,
+    # where an unhashable one would raise TypeError
+    for d in ({"move": "swizzle"}, {"move": []}, {"move": {"a": 1}}, {"move": None}, {}, [],
+              {"move": "Extend"}):
+        with pytest.raises(ValueError, match="^unknown move kind "):
+            move_from_json(d)
+
+
+def test_schema_move_tags_are_the_tag_table():
+    schema = json.loads(resources.files("polyred").joinpath(
+        "schemas/certificate.schema.json").read_text(encoding="utf-8"))
+    tags = set()
+    for entry in schema["definitions"]["move"]["oneOf"]:
+        tag = entry["properties"]["move"]
+        tags |= {tag["const"]} if "const" in tag else set(tag["enum"])
+    assert tags == set(MOVES) == {"extend", "post", "pre", "segre"}
 
 
 def test_move_json_bounds_sizes_before_building(monkeypatch):
