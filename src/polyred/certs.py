@@ -18,8 +18,9 @@ A certificate is its source, its moves and its target, nothing else.
 Verification replays the moves once, from the source, checking each
 automorphism on the way, and compares the last map with the target; no
 intermediate map is stored or trusted.  Automorphisms carry their
-inverses and are checked two-sided and symbolically; an inverse may be
-rational, in which case the identity is checked in the fraction field
+inverses and are checked two-sided and symbolically.  A general
+automorphism's inverse is rational, a polynomial one being over the
+denominator 1, and one route checks it in the fraction field
 (denominators cleared, exactly).
 
 Two kinds of automorphism are the exception: each is stored by its
@@ -53,7 +54,7 @@ sampled fiber points through that correspondence and re-checking the
 final equation is an independent, cheap consistency probe; it cannot
 replace replay but catches broken bookkeeping fast.  The points are
 ints and Fractions, and every polynomial the transport evaluates (the
-source, a shear's addends, a general automorphism's map or rational
+source, a shear's addends, a general automorphism's map or its
 inverse, the target) goes through ratpoint.evaluator: it is evaluated in
 integers over the common denominator of the coordinates it reads, one
 shared power cache per point.  A shear step converts only the
@@ -112,15 +113,16 @@ class RationalMap:
         return f"RationalMap({self.n_in}->{self.n_out})"
 
 
-def substitute_rational(p: Poly, nums, den: Poly):
-    """p(nums/den) written over a single denominator: returns (q, k) with
-    p(nums/den) = q / den**k.
+def substitute_rational(polys, nums, den: Poly):
+    """Yields, for each p in polys in turn, (q, k) with p(nums/den) =
+    q / den**k.
 
-    A numerator that den divides exactly is substituted as its quotient.
-    Only the remaining, genuinely rational coordinates are homogenized:
-    k is the largest degree of a term of p in them, and each term c*x^m
-    gains h^(k - that degree) for one extra variable h, with den
-    substituted for h.
+    Each numerator is divided by den once, before the first p: one that
+    den divides exactly is substituted as its quotient.  Only the
+    remaining, genuinely rational coordinates are homogenized: k is the
+    largest degree of a term of p in them, and each term c*x^m gains
+    h^(k - that degree) for one extra variable h, with den substituted
+    for h.
     """
     images = []
     rational = set()
@@ -130,23 +132,26 @@ def substitute_rational(p: Poly, nums, den: Poly):
         except ExactDivisionError:
             images.append(num)
             rational.add(i)
-    degs = {m: sum(e for v, e in m if v in rational) for m in p.terms}
-    k = max(degs.values(), default=0)
-    h = p.varcount
-    hom = {}
-    for m, c in p.terms.items():
-        pad = k - degs[m]
-        hom[m + ((h, pad),) if pad else m] = c
-    return Poly(h + 1, hom).substitute(images + [den]), k
+    images.append(den)
+    for p in polys:
+        degs = {m: sum(e for v, e in m if v in rational) for m in p.terms}
+        k = max(degs.values(), default=0)
+        h = p.varcount
+        hom = {}
+        for m, c in p.terms.items():
+            pad = k - degs[m]
+            hom[m + ((h, pad),) if pad else m] = c
+        yield Poly(h + 1, hom).substitute(images), k
 
 
 class Automorphism:
-    """An invertible polynomial map bundled with its inverse.
+    """An invertible polynomial map bundled with its inverse, a RationalMap.
 
-    The inverse is a PolyMap for genuine polynomial automorphisms and a
-    RationalMap when only a birational inverse exists (then the forward
-    direction is injective off the denominator's zero set and the
-    composition identities hold in the fraction field).
+    A polynomial inverse is the rational one over the denominator 1, and
+    the constructor stores a given PolyMap that way.  Over any other
+    denominator only a birational inverse exists: the forward direction
+    is injective off the denominator's zero set and the composition
+    identities hold in the fraction field.
     """
 
     __slots__ = ("forward", "inverse", "label")
@@ -154,6 +159,8 @@ class Automorphism:
     def __init__(self, forward: PolyMap, inverse, label: str = ""):
         if forward.n_in != forward.n_out:
             raise ValueError("an automorphism must be an endomorphism")
+        if isinstance(inverse, PolyMap):
+            inverse = RationalMap(inverse.components, Poly.const(inverse.n_in, 1))
         self.forward = forward
         self.inverse = inverse
         self.label = label
@@ -162,36 +169,22 @@ class Automorphism:
     def dim(self) -> int:
         return self.forward.n_in
 
-    def is_polynomial(self) -> bool:
-        return isinstance(self.inverse, PolyMap)
-
     def verify_two_sided(self) -> Optional[str]:
         """None when both composition identities hold exactly, else a
-        human-readable reason."""
+        human-readable reason: forward after inverse in the fraction
+        field, each numerator divided by the denominator once, and inverse
+        after forward as the polynomial identities num_i(F) = x_i den(F)."""
         n = self.dim
-        fwd = self.forward
-        inv = self.inverse
-        if isinstance(inv, PolyMap):
-            if inv.n_in != n or inv.n_out != n:
-                return "inverse has the wrong shape"
-            if not fwd.compose(inv).is_identity():
-                return "forward after inverse is not the identity"
-            if not inv.compose(fwd).is_identity():
-                return "inverse after forward is not the identity"
-            return None
+        fwd, inv = self.forward, self.inverse
         if inv.n_in != n or inv.n_out != n:
-            return "rational inverse has the wrong shape"
-        # forward after inverse, in the fraction field
-        for i, comp in enumerate(fwd.components):
-            q, k = substitute_rational(comp, inv.nums, inv.den)
-            expect = Poly.variable(n, i) * inv.den ** k
-            if q != expect:
-                return f"forward after rational inverse fails on component {i}"
-        # inverse after forward: polynomial identities
+            return "inverse has the wrong shape"
+        for i, (q, k) in enumerate(substitute_rational(fwd.components, inv.nums, inv.den)):
+            if q != Poly.variable(n, i) * inv.den ** k:
+                return "forward after inverse is not the identity"
         den_f = inv.den.substitute(fwd.components)
         for i, num in enumerate(inv.nums):
             if num.substitute(fwd.components) != Poly.variable(n, i) * den_f:
-                return f"rational inverse after forward fails on component {i}"
+                return "inverse after forward is not the identity"
         return None
 
     # replay (this map after f, f after it) and transport (the map and its
@@ -209,8 +202,7 @@ class Automorphism:
         return self.inverse.eval_at(x)
 
     def __repr__(self) -> str:
-        tag = self.label or ("poly" if self.is_polynomial() else "rational-inverse")
-        return f"Automorphism(dim={self.dim}, {tag})"
+        return f"Automorphism(dim={self.dim}, {self.label or 'general'})"
 
 
 def _with_rows(f: PolyMap, new: dict) -> PolyMap:

@@ -34,23 +34,25 @@ class UsageError(Exception):
 # -- shared plumbing ---------------------------------------------------------
 
 
-def _load_document(ref: str):
-    """A path to a map file, or the id of a shipped example."""
+def _load_map(ref: str):
+    """The map in a map file at the path ref, or of the shipped example
+    with the id ref."""
     if os.path.exists(ref):
         try:
             with open(ref, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as e:
             raise UsageError(f"cannot read '{ref}': {e.strerror}")
-        return parse_map(text)
+        return parse_map(text).to_polymap()
     if os.sep in ref or ref.endswith(".map") or ref.endswith(".txt"):
         raise UsageError(f"no such file: '{ref}'")
     try:
-        return builtin_example(ref).document
+        example = builtin_example(ref)
     except ValueError:
         raise UsageError(
             f"'{ref}' is neither a file nor a built-in example id "
             "(see `polyred examples list`)")
+    return example.document.to_polymap()
 
 
 def _count(minimum: int):
@@ -123,8 +125,7 @@ def _write_outputs(args, doc, cert) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    doc = _load_document(args.map)
-    f = doc.to_polymap()
+    f = _load_map(args.map)
     cls = classify(f, budget=_exact_budget(args), seed=args.seed,
                    samples=args.samples)
     data = classification_to_json(cls)
@@ -152,8 +153,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    doc = _load_document(args.map)
-    f = doc.to_polymap()
+    f = _load_map(args.map)
     budget = Budget(max_dim=args.budget_dim, max_ms=args.budget_ms)
     if args.to == "cubic":
         g, cert = lower_degree(f, budget=budget)
@@ -206,14 +206,12 @@ def _read_json(path: str):
 
 
 def _cmd_pair_up(args) -> int:
-    doc = _load_document(args.map)
-    f = doc.to_polymap()
+    f = _load_map(args.map)
     return _cmd_pairing(args, pair_up(f))
 
 
 def _cmd_pair_down(args) -> int:
-    doc = _load_document(args.map)
-    f = doc.to_polymap()
+    f = _load_map(args.map)
     rows = _read_json(args.matrix)
     try:
         a = matrix_from_json(rows)
@@ -223,8 +221,7 @@ def _cmd_pair_down(args) -> int:
 
 
 def _cmd_symmetrize(args) -> int:
-    doc = _load_document(args.map)
-    f = doc.to_polymap()
+    f = _load_map(args.map)
     g, cert, potential = meng_symmetrize(f, budget=_exact_budget(args))
     names = default_var_names(g.n_in)
     out_doc = polymap_to_document(
@@ -235,8 +232,7 @@ def _cmd_symmetrize(args) -> int:
 
 
 def _cmd_segre(args) -> int:
-    doc = _load_document(args.map)
-    f = doc.to_polymap()
+    f = _load_map(args.map)
     g, cert = segre_step(f)
     _write_outputs(args, polymap_to_document(g, metadata={"stage": "segre"}), cert)
     return 0
@@ -278,8 +274,7 @@ def _cmd_verify_cert(args) -> int:
 
 
 def _cmd_attributes(args) -> int:
-    doc = _load_document(args.map)
-    f = doc.to_polymap()
+    f = _load_map(args.map)
     rep = mfs_sample(f, seed=args.seed, samples=args.samples)
     if not os.path.exists(args.map) and args.map in builtin_ids():
         expected = builtin_example(args.map).expected or {}

@@ -159,9 +159,6 @@ class PolyMap:
             raise ValueError("shape mismatch")
         return PolyMap([a + b for a, b in zip(self.components, other.components)])
 
-    def is_identity(self) -> bool:
-        return self.is_endomorphism() and self == PolyMap.identity(self.n_in)
-
     def __repr__(self) -> str:
         return f"PolyMap({self.n_in}->{self.n_out}, deg={self.degree()})"
 

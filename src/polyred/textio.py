@@ -39,7 +39,8 @@ bare name, `poly f1 = x3`.  A pair whose texts are both byte for byte
 what the rows read back from them print, at one dim, decodes as an
 affine map without the parser.  Any other pair, in either version, is
 parsed and decoded as a general automorphism, whose symbolic check gives
-the same verdict, replay and transport.
+the same verdict, replay and transport.  A general automorphism's inverse
+is written as a "polynomial" map over the denominator 1, else "rational".
 """
 
 from __future__ import annotations
@@ -277,12 +278,13 @@ def automorphism_to_json(a) -> dict:
         names = _default_names(a.dim)[0]
         texts = (affine_text(a.m.rows, a.shift, a.units, names),
                  affine_text(a.inv.rows, a.inv_shift, a.inv_units, names))
-    elif isinstance(a.inverse, RationalMap):
-        return {"label": a.label, "forward": _map_text(a.forward), "inverse": {
-            "kind": "rational", "numerators": _map_text(PolyMap(a.inverse.nums)),
-            "denominator": _map_text(PolyMap([a.inverse.den]))}}
     else:
-        texts = _map_text(a.forward), _map_text(a.inverse)
+        inv = a.inverse
+        texts = _map_text(a.forward), _map_text(PolyMap(inv.nums))
+        if inv.den != Poly.const(inv.n_in, 1):
+            return {"label": a.label, "forward": texts[0], "inverse": {
+                "kind": "rational", "numerators": texts[1],
+                "denominator": _map_text(PolyMap([inv.den]))}}
     return {"label": a.label, "forward": texts[0],
             "inverse": {"kind": "polynomial", "map": texts[1]}}
 

@@ -28,6 +28,10 @@ two on random inputs:
     appended, which one elimination of Q with its columns reversed
     replaced;
   * the fully homogenizing form of certs.substitute_rational;
+  * the two-route check of a general automorphism (a PolyMap inverse
+    composed both ways, with PolyMap.is_identity, and a RationalMap one
+    checked in the fraction field), which one route over a rational
+    inverse, a polynomial one being over the denominator 1, replaced;
   * the long division that rescans and copies the remainder at every
     step, which Poly.exact_divide replaced with a one-pass heap loop;
   * the term-by-term integer evaluation at one point, which
@@ -95,6 +99,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from polyred import certs
 from polyred.affine import AffineAutomorphism
 from polyred.certs import (Automorphism, Certificate, CertificateBuilder, ExtendFreshVars,
                            PostCompose, PreCompose, SegreExtend)
@@ -713,6 +718,42 @@ def substitute_rational(p: Poly, nums, den: Poly):
         pad = k - mono_degree(m)
         hom[m + ((h, pad),) if pad else m] = c
     return Poly(h + 1, hom).substitute(list(nums) + [den]), k
+
+
+# -- the two-route check of a general automorphism ---------------------------------
+
+
+def is_identity(f: PolyMap) -> bool:
+    """PolyMap.is_identity: f is the identity map x -> x."""
+    return f.is_endomorphism() and f == PolyMap.identity(f.n_in)
+
+
+def verify_two_sided(forward: PolyMap, inverse) -> Optional[str]:
+    """Automorphism.verify_two_sided when its inverse was a PolyMap or a
+    RationalMap, each checked by its own route: a PolyMap by composing
+    both ways, a RationalMap in the fraction field, forward after inverse
+    one component at a time, dividing every numerator by the denominator
+    again for each one."""
+    n = forward.n_in
+    if isinstance(inverse, PolyMap):
+        if inverse.n_in != n or inverse.n_out != n:
+            return "inverse has the wrong shape"
+        if not is_identity(forward.compose(inverse)):
+            return "forward after inverse is not the identity"
+        if not is_identity(inverse.compose(forward)):
+            return "inverse after forward is not the identity"
+        return None
+    if inverse.n_in != n or inverse.n_out != n:
+        return "rational inverse has the wrong shape"
+    for i, comp in enumerate(forward.components):
+        ((q, k),) = certs.substitute_rational([comp], inverse.nums, inverse.den)
+        if q != Poly.variable(n, i) * inverse.den ** k:
+            return f"forward after rational inverse fails on component {i}"
+    den_f = inverse.den.substitute(forward.components)
+    for i, num in enumerate(inverse.nums):
+        if num.substitute(forward.components) != Poly.variable(n, i) * den_f:
+            return f"rational inverse after forward fails on component {i}"
+    return None
 
 
 # -- exact division and integer evaluation ------------------------------------

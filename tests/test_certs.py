@@ -63,7 +63,7 @@ def realize(sh, sign=1):
 def symbolic_two_sided(sh):
     """True when x + g and x - g compose to the identity both ways."""
     fwd, inv = realize(sh, 1), realize(sh, -1)
-    return fwd.compose(inv).is_identity() and inv.compose(fwd).is_identity()
+    return oracles.is_identity(fwd.compose(inv)) and oracles.is_identity(inv.compose(fwd))
 
 
 # -- automorphisms ---------------------------------------------------------
@@ -258,7 +258,7 @@ def test_permutation_verdict_matches_symbolic_composition(data):
         a = AffineAutomorphism(RatMatrix(rows, n), a.shift, a.inv, a.inv_shift)
     fwd, inv = oracles.affine_maps(a)
     assert fwd == PolyMap([V(n, j) for j in perm])
-    symbolic = fwd.compose(inv).is_identity() and inv.compose(fwd).is_identity()
+    symbolic = oracles.is_identity(fwd.compose(inv)) and oracles.is_identity(inv.compose(fwd))
     assert (a.verify_two_sided() is None) == symbolic
     assert a.verify_two_sided() == Automorphism(fwd, inv).verify_two_sided()
     if not symbolic:
@@ -396,7 +396,8 @@ def test_affine_constructors_encode_like_the_general_maps():
     for a, general in pairs:
         assert type(a) is AffineAutomorphism and a.verify_two_sided() is None
         assert automorphism_to_json(a) == automorphism_to_json(general)
-        assert oracles.affine_maps(a) == (general.forward, general.inverse)
+        assert general.inverse.den == C(a.dim, 1)
+        assert oracles.affine_maps(a) == (general.forward, PolyMap(general.inverse.nums))
 
 
 def test_translation_automorphism():
@@ -424,7 +425,7 @@ def test_substitute_rational():
     n = 2
     x, y = V(n, 0), V(n, 1)
     p = x * x + y
-    q, k = substitute_rational(p, [x, y], y)
+    ((q, k),) = substitute_rational([p], [x, y], y)
     # p(x/y, y/y) = x^2/y^2 + 1 -> (x^2 + y^2) / y^2
     assert k == 2
     assert q == x * x + y * y
@@ -450,7 +451,7 @@ def test_substitute_rational_clears_the_denominator(data):
                             min_size=m, max_size=m))
     d = den.eval_at(pt)
     assume(d != 0)
-    q, k = substitute_rational(p, nums, den)
+    ((q, k),) = substitute_rational([p], nums, den)
     rational = {i for i, g in enumerate(nums) if not divides(den, g)}
     assert k == max((sum(e for v, e in m if v in rational) for m in p.terms), default=0)
     assert q.eval_at(pt) == p.eval_at([qdiv(g.eval_at(pt), d) for g in nums]) * d ** k
@@ -469,7 +470,7 @@ def test_substitute_rational_matches_full_homogenization(data):
     assume(not den.is_zero())
     nums = [g * den if data.draw(st.booleans()) else g
             for g in data.draw(st.lists(polys(m, range(m)), min_size=n, max_size=n))]
-    q, k = substitute_rational(p, nums, den)
+    ((q, k),) = substitute_rational([p], nums, den)
     q_ref, k_ref = oracles.substitute_rational(p, nums, den)
     assert k <= k_ref
     assert q * den ** (k_ref - k) == q_ref
@@ -492,9 +493,115 @@ def test_rational_inverse_verdicts_match_full_homogenization(eid, monkeypatch):
         nums[i] = nums[i] + V(n, n - 1)
         candidates.append(Automorphism(auto.forward, RationalMap(nums, inv.den)))
     verdicts = [a.verify_two_sided() for a in candidates]
-    monkeypatch.setattr(certs, "substitute_rational", oracles.substitute_rational)
+    monkeypatch.setattr(certs, "substitute_rational", lambda ps, nums, den: (
+        oracles.substitute_rational(p, nums, den) for p in ps))
     assert verdicts == [a.verify_two_sided() for a in candidates]
     assert verdicts[0] is None and all(v is not None for v in verdicts[1:])
+
+
+@functools.lru_cache(maxsize=None)
+def _twist(eid):
+    """(forward, inverse) of the Meng twist meng_symmetrize builds for a
+    corpus map: a PolyMap inverse for a Keller map, else a RationalMap."""
+    _, cert, _ = meng_symmetrize(builtin_example(eid).document.to_polymap())
+    (auto,) = [mv.auto for mv in cert.moves if isinstance(mv.auto, Automorphism)]
+    inv = auto.inverse
+    if inv.den == C(inv.n_in, 1):
+        return auto.forward, PolyMap(inv.nums)
+    return auto.forward, inv
+
+
+@st.composite
+def general_automorphisms(draw):
+    """(forward, inverse) of a general automorphism: a shear and an affine
+    map composed either way in 2-4 variables, with a PolyMap inverse;
+    sigma(x, v) = (x, v w) for a nonzero w not reading v, with the
+    rational inverse (x w, v) / w; or a corpus map's Meng twist."""
+    kind = draw(st.sampled_from(["polynomial", "sigma", "twist"]))
+    if kind == "twist":
+        return _twist(draw(st.sampled_from([e.id for e in corpus()])))
+    if kind == "sigma":
+        n = draw(st.integers(2, 4))
+        j = draw(st.integers(0, n - 1))
+        w = draw(polys(n, [k for k in range(n) if k != j]).filter(lambda p: not p.is_zero()))
+        fwd = PolyMap([V(n, k) * w if k == j else V(n, k) for k in range(n)])
+        return fwd, RationalMap([V(n, k) if k == j else V(n, k) * w for k in range(n)], w)
+    m, shift, inv, inv_shift = draw(affine_cases().filter(lambda c: 2 <= c[0].nrows <= 4))
+    n = m.nrows
+    sh = ShearAutomorphism(n, draw(shear_additions(n, "any")))
+    shear = realize(sh), realize(sh, -1)
+    affine = _general_map(m, shift), _general_map(inv, inv_shift)
+    (f1, b1), (f2, b2) = (shear, affine) if draw(st.booleans()) else (affine, shear)
+    return f1.compose(f2), b2.compose(b1)
+
+
+def _forge(draw, inv, how):
+    """inv forged: one coefficient changed, two numerators swapped, the
+    denominator changed, or the shape wrong.  A PolyMap stays one except
+    when its denominator 1 is changed."""
+    rational = isinstance(inv, RationalMap)
+    nums, den = (list(inv.nums), inv.den) if rational else (list(inv.components), None)
+    n = nums[0].varcount
+    if how == "coefficient":
+        i = draw(st.integers(0, len(nums) - 1))
+        terms = dict(nums[i].terms)
+        mono = draw(st.sampled_from(sorted(terms) or [()]))
+        c = terms.pop(mono, 0) + draw(_ENTRIES)
+        if c:
+            terms[mono] = as_coeff(c)
+        nums[i] = Poly(n, terms)
+    elif how == "swap":
+        i, j = draw(st.lists(st.integers(0, len(nums) - 1), min_size=2, max_size=2,
+                             unique=True))
+        nums[i], nums[j] = nums[j], nums[i]
+    elif how == "denominator":
+        den = C(n, 1) if den is None else den
+        return RationalMap(nums, den + V(n, draw(st.integers(0, n - 1)))
+                           if draw(st.booleans()) else den * C(n, draw(_ENTRIES)))
+    elif how == "shape":
+        if draw(st.booleans()):
+            nums = nums[:-1]
+        else:
+            nums = [p.extend(n + 1) for p in nums]
+            den = None if den is None else den.extend(n + 1)
+    return RationalMap(nums, den) if rational else PolyMap(nums)
+
+
+@settings(max_examples=200, deadline=None)
+@given(general_automorphisms(),
+       st.sampled_from(["true", "coefficient", "swap", "denominator", "shape"]), st.data())
+def test_one_route_matches_the_two_route_check(case, how, data):
+    # the oracle checks a PolyMap inverse by composing both ways and a
+    # RationalMap one in the fraction field, whose messages name the
+    # component; verdicts agree, and for a PolyMap inverse so do messages
+    fwd, inv = case
+    if how != "true":
+        inv = _forge(data.draw, inv, how)
+    auto = Automorphism(fwd, inv)
+    assert isinstance(auto.inverse, RationalMap)
+    got, want = auto.verify_two_sided(), oracles.verify_two_sided(fwd, inv)
+    assert (got is None) == (want is None)
+    if isinstance(inv, PolyMap):
+        assert got == want
+    if how == "true":
+        assert got is None
+
+
+def test_rational_check_divides_each_numerator_once(monkeypatch):
+    # random-d4-n3's twist has six rational numerators and six forward
+    # components; each numerator is divided by the denominator once per check
+    fwd, inv = _twist("random-d4-n3")
+    auto = Automorphism(fwd, inv)
+    divisions = []
+    divide = Poly.exact_divide
+
+    def counted(self, divisor):
+        divisions.append(divisor)
+        return divide(self, divisor)
+
+    monkeypatch.setattr(Poly, "exact_divide", counted)
+    assert auto.verify_two_sided() is None
+    assert len(divisions) == len(inv.nums) == 6
 
 
 # -- moves ------------------------------------------------------------------

@@ -14,6 +14,11 @@ Names are matched across modules and classes, so the check
 over-approximates what is live: it can miss dead code, but it never
 flags live code.  A function that only the tests call belongs in tests/.
 
+The same walk checks tests/oracles.py: every oracle is reached from the
+names the test modules (tests/test_*.py) and the golden scripts
+(tests/golden/make_*.py) read, so a slow route no test compares against
+is deleted rather than kept.
+
 A second check, also `ast` only, finds imports a module never reads, as
 pyflakes' F401 would: a name counts as read when the module names it as
 a variable, inside a string annotation, or in its `__all__`, and an
@@ -167,6 +172,17 @@ def test_every_polyred_function_is_reachable():
         targets = tracer_targets(fh.read())
     assert {"resultant", "main", "substitute"} <= targets
     assert unreachable(sources, {"main"} | targets) == []
+
+
+def test_every_oracle_is_used():
+    callers = set()
+    for pattern in ("test_*.py", os.path.join("golden", "make_*.py")):
+        for path in glob.glob(os.path.join(HERE, pattern)):
+            with open(path, encoding="utf-8") as fh:
+                callers |= _names([ast.parse(fh.read())])
+    with open(os.path.join(HERE, "oracles.py"), encoding="utf-8") as fh:
+        oracles = {"oracles": fh.read()}
+    assert unreachable(oracles, callers) == []
 
 
 def test_checker_flags_an_unused_import():

@@ -763,7 +763,8 @@ def test_permutation_json_matches_the_general_encoding(perm, label):
     assert type(back) is AffineAutomorphism and (back.dim, back.label) == (n, label)
     assert back.m.rows == [{j: 1} for j in perm] and not any(back.shift + back.inv_shift)
     general = permutation_by_maps(n, perm, label)
-    assert affine_maps(back) == (general.forward, general.inverse)
+    assert general.inverse.den == Poly.const(n, 1)
+    assert affine_maps(back) == (general.forward, PolyMap(general.inverse.nums))
     assert back.verify_two_sided() is None
 
 
